@@ -9,24 +9,17 @@
 // The service is a DeviceFlow CloudEndpoint: it receives messages,
 // accumulates the referenced model updates into a FedAvg aggregator, and
 // publishes a new global model whenever its trigger fires
-// (sample-threshold — Fig. 9a — or scheduled — Fig. 9b / Fig. 11). On the
-// decoded payload plane (flow::DecodePlane::kDecoded) the blob fetch +
-// decode happened upstream, in parallel, and this serial side is only the
-// staleness verdict, counter bookkeeping and the O(dim) fixed-order
-// accumulate; on the legacy plane it fetches + decodes inline.
-//
-// Aggregate plane. On AggregatePlane::kPartialSum (the default) the
-// decoded-plane O(dim) accumulate itself leaves the serial handler: each
-// admitted update is staged as a {shared model, samples} entry in O(1),
-// and staged entries are flushed into per-lane partial FedAvg aggregators
-// on the worker pool, merged in fixed ascending-lane order. Per round the
-// serial side does O(lanes·dim) merge work instead of O(msgs·dim) adds.
-// The FedAvg cascade is order-invariant (see ml/fedavg.h), so lane count,
-// flush timing and slicing are bit-invisible in every published model,
-// counter and snapshot — kLegacy reproduces the pre-plane serial adds
-// unchanged and is pinned by parity tests. Like the decode offload, the
-// knob rides the decoded delivery path only: legacy-decode deliveries
-// accumulate inline on either setting.
+// (sample-threshold — Fig. 9a — or scheduled — Fig. 9b / Fig. 11). The
+// blob fetch + decode happens upstream, in parallel, at dispatch-tick time
+// (flow::DecodedUpdate), so this serial side is only the staleness
+// verdict, counter bookkeeping and O(1) staging: each admitted update is
+// staged as a {shared model, samples} entry, and staged entries are
+// flushed into per-lane partial FedAvg aggregators on the worker pool,
+// merged in fixed ascending-lane order. Per round the serial side does
+// O(lanes·dim) merge work instead of O(msgs·dim) adds. The FedAvg cascade
+// is order-invariant (see ml/fedavg.h), so lane count, flush timing and
+// slicing are bit-invisible in every published model, counter and
+// snapshot; tests/reference_fedavg.h is the serial oracle that pins it.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +28,7 @@
 #include <optional>
 #include <vector>
 
+#include "cloud/payload_decoder.h"
 #include "cloud/storage.h"
 #include "common/clock.h"
 #include "flow/device_flow.h"
@@ -47,20 +41,6 @@ class ThreadPool;
 }  // namespace simdc
 
 namespace simdc::cloud {
-
-/// Which aggregation plane the decoded delivery path runs
-/// (core::FlExperimentConfig::aggregate_plane; spec: [execution]
-/// aggregate_plane).
-enum class AggregatePlane {
-  /// Admitted updates are staged in O(1) and accumulated into per-lane
-  /// partial aggregators on the worker pool; the serial side merges
-  /// O(lanes·dim) in fixed ascending-lane order. Bit-identical to kLegacy
-  /// (order-invariant cascade, see ml/fedavg.h).
-  kPartialSum,
-  /// Every admitted update runs its O(dim) FedAvgAggregator::Add inline in
-  /// the serial delivery handler. Kept as the reference for parity tests.
-  kLegacy,
-};
 
 enum class AggregationTrigger {
   /// Aggregate when accumulated training samples reach a threshold.
@@ -96,9 +76,6 @@ struct AggregationConfig {
   /// Per-extension grace (0 = reuse round_deadline).
   SimDuration round_extension = 0;
   std::size_t max_round_extensions = 1;
-  /// Aggregation plane for decoded deliveries (see the file comment).
-  /// Inert on the legacy decode path, which always accumulates inline.
-  AggregatePlane aggregate_plane = AggregatePlane::kPartialSum;
 };
 
 /// One completed aggregation.
@@ -146,7 +123,7 @@ class AggregationService final : public flow::CloudEndpoint {
   AggregationService(sim::EventLoop& loop, BlobStore& storage,
                      AggregationConfig config);
 
-  /// Worker pool for the partial-sum plane's parallel flush. Optional: with
+  /// Worker pool for the parallel flush of staged updates. Optional: with
   /// no pool (or a 1-thread pool) the flush accumulates serially, which is
   /// bit-identical (order-invariant cascade). The pool must outlive the
   /// service; flushes run only while the pool is otherwise idle (dispatch
@@ -163,26 +140,25 @@ class AggregationService final : public flow::CloudEndpoint {
   /// disabled, so drivers can call it unconditionally.
   void OnRoundOpened(SimTime t0);
 
-  /// DeviceFlow delivery (legacy plane): fetch blob, decode model,
-  /// accumulate — all inside this serial handler.
-  void Deliver(const flow::Message& message, SimTime arrival) override;
-
-  /// Batched DeviceFlow delivery: one dispatch tick in a single call. Each
-  /// message is accumulated in order with its own arrival stamp, so
-  /// threshold-triggered aggregations record the same round time the
-  /// per-message path would (the triggering message's arrival).
-  void DeliverBatch(std::span<const flow::Message> messages,
-                    std::span<const SimTime> arrivals) override;
-
-  /// Decoded-plane delivery: payloads were fetched + decoded upstream
-  /// (dispatch ticks, possibly on shard workers), so the serial side is
-  /// only the staleness verdict, counter commits and the O(dim)
-  /// fixed-order accumulate — it never touches BlobStore or FromBytes.
-  /// Counter semantics are bit-identical to the legacy plane: a decode
+  /// Decoded delivery: payloads were fetched + decoded upstream (dispatch
+  /// ticks, possibly on shard workers), so the serial side is only the
+  /// staleness verdict, counter commits and O(1) staging — it never
+  /// touches BlobStore or FromBytes. Updates are admitted in order, each
+  /// with its own arrival stamp, so a threshold-triggered aggregation
+  /// records the triggering update's arrival as the round time. A decode
   /// failure commits only if the update survives the reject_stale check,
   /// in delivery order (see flow::DecodedUpdate).
   void DeliverDecodedBatch(std::span<const flow::DecodedUpdate> updates,
                            std::span<const SimTime> arrivals) override;
+
+  /// Undecoded delivery (direct callers and decoder-less dispatchers):
+  /// decodes each payload through a BlobModelDecoder on this service's
+  /// store, then admits exactly like DeliverDecodedBatch. Decoding comes
+  /// before the staleness verdict, so stale payloads are fetched too and
+  /// count in BlobStore::bytes_read.
+  void Deliver(const flow::Message& message, SimTime arrival) override;
+  void DeliverBatch(std::span<const flow::Message> messages,
+                    std::span<const SimTime> arrivals) override;
 
   const ml::LrModel& global_model() const { return global_model_; }
   void SetGlobalModel(ml::LrModel model) { global_model_ = std::move(model); }
@@ -198,8 +174,7 @@ class AggregationService final : public flow::CloudEndpoint {
   /// faults occur.
   std::size_t store_errors() const { return store_errors_; }
   /// Samples/clients admitted to the open round: the aggregator's totals
-  /// plus entries staged but not yet flushed (partial-sum plane). Matches
-  /// the legacy plane's aggregator totals update-for-update.
+  /// plus entries staged but not yet flushed.
   std::size_t pending_samples() const {
     return aggregator_.total_samples() + staged_samples_;
   }
@@ -215,10 +190,10 @@ class AggregationService final : public flow::CloudEndpoint {
   std::size_t aborted_rounds() const { return aborted_rounds_; }
 
   /// Profiling (wall-clock, NOT part of any bit-identity surface): time
-  /// spent in the O(dim) accumulate — inline Adds on the legacy plane,
-  /// flush (lane accumulate + ascending merge) on the partial-sum plane.
+  /// spent in the O(dim) accumulate — the flush (lane accumulate +
+  /// ascending merge).
   std::uint64_t serial_accumulate_ns() const { return serial_accumulate_ns_; }
-  /// Batched-delivery handler time minus the accumulate share: admission,
+  /// Delivery handler time minus the accumulate share: admission,
   /// staleness verdicts, counter commits, staging.
   std::uint64_t serial_bookkeeping_ns() const { return serial_bookkeeping_ns_; }
 
@@ -253,20 +228,11 @@ class AggregationService final : public flow::CloudEndpoint {
   /// Deadline-event body: commit (quorum met), extend, or abort.
   void OnDeadline();
   void ArmSchedule();
-  /// Shared delivery body; `arrival` is the message's wire arrival stamp
-  /// (== loop time in the per-message path, possibly ahead of loop time
-  /// inside a batched tick).
-  void DeliverOne(const flow::Message& message, SimTime arrival);
-  /// Decoded-plane delivery body: admit (staleness), commit deferred
-  /// decode failures, accumulate.
+  /// The one admission body: staleness verdict, deferred decode-failure
+  /// commit, O(1) staging, the sample-threshold check on the combined
+  /// (flushed + staged) totals, and the capacity-bounded flush. `arrival`
+  /// is the update's wire stamp, possibly ahead of loop time inside a tick.
   void DeliverDecodedOne(const flow::DecodedUpdate& update, SimTime arrival);
-  /// Shared tail of both delivery bodies: weighted accumulate + the
-  /// sample-threshold trigger.
-  void Accumulate(const ml::LrModel& model, const flow::Message& message,
-                  SimTime arrival);
-  /// Partial-sum plane tail: O(1) admission + staging, threshold check on
-  /// the combined (flushed + staged) totals, capacity-bounded flush.
-  void AccumulateDecoded(const flow::DecodedUpdate& update, SimTime arrival);
   /// Drains staged entries into the aggregator: serially without a pool,
   /// else via per-lane partials on the pool merged in ascending-lane order.
   /// Bit-invisible either way (order-invariant cascade).
@@ -277,7 +243,7 @@ class AggregationService final : public flow::CloudEndpoint {
   /// AggregationRecord::time).
   bool AggregateAt(SimTime when);
 
-  /// One admitted-but-unflushed update on the partial-sum plane.
+  /// One admitted-but-unflushed update.
   struct StagedUpdate {
     std::shared_ptr<const ml::LrModel> model;
     std::size_t samples = 0;
@@ -291,6 +257,8 @@ class AggregationService final : public flow::CloudEndpoint {
 
   sim::EventLoop& loop_;
   BlobStore& storage_;
+  /// Decodes for the undecoded delivery hooks.
+  BlobModelDecoder decoder_{storage_};
   AggregationConfig config_;
   ml::FedAvgAggregator aggregator_;
   ml::LrModel global_model_;
@@ -310,9 +278,8 @@ class AggregationService final : public flow::CloudEndpoint {
   std::size_t deadline_commits_ = 0;
   std::size_t round_extensions_ = 0;
   std::size_t aborted_rounds_ = 0;
-  /// Partial-sum plane state: staged updates awaiting a flush, their
-  /// running totals (mirroring what the legacy plane's aggregator would
-  /// hold), the reusable per-lane partial aggregators, and the pool.
+  /// Staged updates awaiting a flush, their running totals, the reusable
+  /// per-lane partial aggregators, and the pool.
   std::vector<StagedUpdate> pending_;
   std::size_t staged_samples_ = 0;
   std::size_t staged_clients_ = 0;

@@ -20,7 +20,7 @@ class BlobModelDecoder final : public flow::PayloadDecoder {
 
   /// Never logs and never counts: failures are carried inside the update
   /// so the serial accumulate point can commit them after the staleness
-  /// verdict, in delivery order (the legacy-parity contract).
+  /// verdict, in delivery order (see flow::DecodedUpdate).
   flow::DecodedUpdate Decode(flow::Message message) const override;
 
  private:

@@ -296,7 +296,19 @@ Result<cloud::AggregationConfig> LoadAggregation(const IniDocument& doc,
 
 Result<ExecutionConfig> LoadExecution(const IniDocument& doc) {
   ExecutionConfig config;
-  const bool has_section = doc.find("execution") != doc.end();
+  const auto section = doc.find("execution");
+  const bool has_section = section != doc.end();
+  // Keys of removed knobs are refused by name instead of being ignored
+  // like other unknown keys: a spec that pinned one expects a behavior
+  // the engine no longer offers.
+  for (const char* removed : {"decode_plane", "aggregate_plane"}) {
+    if (has_section && section->second.contains(removed)) {
+      return InvalidArgument(std::string("[execution] ") + removed +
+                             " was removed: every run now decodes at "
+                             "dispatch time and aggregates through staged "
+                             "partial sums; delete the key");
+    }
+  }
   if (auto parallelism = GetInt(doc, "execution", "parallelism");
       parallelism.ok()) {
     if (*parallelism < 0) {
@@ -313,34 +325,6 @@ Result<ExecutionConfig> LoadExecution(const IniDocument& doc) {
     config.shards = static_cast<std::size_t>(*shards);
   } else if (has_section && shards.error().code() != ErrorCode::kNotFound) {
     return shards.error();
-  }
-  if (auto plane = GetString(doc, "execution", "decode_plane"); plane.ok()) {
-    if (*plane == "decoded") {
-      config.decode_plane = flow::DecodePlane::kDecoded;
-    } else if (*plane == "legacy") {
-      config.decode_plane = flow::DecodePlane::kLegacy;
-    } else {
-      return InvalidArgument(
-          "[execution] decode_plane must be 'decoded' or 'legacy', got '" +
-          *plane + "'");
-    }
-  } else if (has_section && plane.error().code() != ErrorCode::kNotFound) {
-    return plane.error();
-  }
-  if (auto agg_plane = GetString(doc, "execution", "aggregate_plane");
-      agg_plane.ok()) {
-    if (*agg_plane == "partial_sum") {
-      config.aggregate_plane = cloud::AggregatePlane::kPartialSum;
-    } else if (*agg_plane == "legacy") {
-      config.aggregate_plane = cloud::AggregatePlane::kLegacy;
-    } else {
-      return InvalidArgument(
-          "[execution] aggregate_plane must be 'partial_sum' or 'legacy', "
-          "got '" +
-          *agg_plane + "'");
-    }
-  } else if (has_section && agg_plane.error().code() != ErrorCode::kNotFound) {
-    return agg_plane.error();
   }
   if (auto codec = GetString(doc, "execution", "payload_codec"); codec.ok()) {
     const std::string name = Lower(*codec);

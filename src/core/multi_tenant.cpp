@@ -23,8 +23,6 @@ FlExperimentConfig ExperimentFromTenantSpec(
   const config::ExecutionConfig& exec = spec.execution;
   fl.parallelism = exec.parallelism;
   fl.shards = exec.shards == 0 ? 1 : exec.shards;
-  fl.decode_plane = exec.decode_plane;
-  fl.aggregate_plane = exec.aggregate_plane;
   fl.payload_codec = exec.payload_codec;
   fl.reclaim_payload_blobs = exec.reclaim_payload_blobs;
   fl.durability.mode = exec.durability;

@@ -95,8 +95,7 @@ class Platform {
   /// merged deterministically into the one aggregator — still
   /// bit-identical to the single-fleet run (see FlExperimentConfig::shards).
   /// Payload blobs are decoded at dispatch-tick time (parallel across
-  /// shards) unless `config.decode_plane` selects the legacy serial
-  /// decode — bit-identical either way (FlExperimentConfig::decode_plane).
+  /// shards), so the serial aggregator only admits and stages updates.
   FlRunResult RunFlExperiment(const data::FederatedDataset& dataset,
                               FlExperimentConfig config);
 

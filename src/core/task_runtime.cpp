@@ -40,9 +40,8 @@ TaskRuntime::TaskRuntime(sim::EventLoop& loop,
   agg.round_deadline = config_.round_deadline;
   agg.round_extension = config_.round_extension;
   agg.max_round_extensions = config_.max_round_extensions;
-  agg.aggregate_plane = config_.aggregate_plane;
   service_ = std::make_unique<cloud::AggregationService>(loop_, storage_, agg);
-  // The partial-sum flush borrows the training pool; with parallelism 1
+  // The staged-update flush borrows the training pool; with parallelism 1
   // there is no pool and the flush accumulates serially (bit-identical).
   service_->set_thread_pool(pool_);
 
@@ -74,27 +73,23 @@ TaskRuntime::TaskRuntime(sim::EventLoop& loop,
       // then agree across widths on each message's fate.
       shard.dispatcher = std::make_unique<flow::Dispatcher>(
           *shard.loop, config_.task, config_.strategy, &merger_->channel(s),
-          config_.seed, config_.delivery_mode);
+          config_.seed);
       // Split the batch-log cap across fleets so total log memory keeps
       // the single-fleet bound instead of scaling with shard count.
       shard.dispatcher->set_batch_log_cap(
           std::max<std::size_t>(1, flow::kDefaultBatchLogCap / width));
-      if (config_.decode_plane == flow::DecodePlane::kDecoded) {
-        shard.dispatcher->set_decoder(&decoder_);
-      }
+      shard.dispatcher->set_decoder(&decoder_);
       ConfigureLinkPlane(*shard.dispatcher);
       shards_.push_back(std::move(shard));
     }
   } else {
-    const Status configured =
-        flow_.ConfigureTask(config_.task, config_.strategy, service_.get(),
-                            config_.seed, config_.delivery_mode);
+    const Status configured = flow_.ConfigureTask(
+        config_.task, config_.strategy, service_.get(), config_.seed);
     SIMDC_CHECK(configured.ok(),
                 "TaskRuntime: DeviceFlow configuration failed");
-    if (config_.decode_plane == flow::DecodePlane::kDecoded) {
-      flow_.FindDispatcher(config_.task)->set_decoder(&decoder_);
-    }
-    ConfigureLinkPlane(*flow_.FindDispatcher(config_.task));
+    flow::Dispatcher& dispatcher = *flow_.FindDispatcher(config_.task);
+    dispatcher.set_decoder(&decoder_);
+    ConfigureLinkPlane(dispatcher);
   }
 
   // Build the train-evaluation pool: a deterministic, capped sample of the
@@ -187,21 +182,7 @@ FlRunResult TaskRuntime::Finalize() {
   result_.final_weights.assign(model.weights().begin(),
                                model.weights().end());
   result_.final_bias = model.bias();
-  // Plain counter sums — not dispatch_stats(), whose batch-log merge
-  // would copy every shard's tick log just to read one field.
-  if (sharded()) {
-    result_.messages_dropped = 0;
-    for (const FleetShard& shard : shards_) {
-      result_.messages_dropped += shard.dispatcher->stats().dropped;
-    }
-  } else if (const auto* dispatcher = flow_.FindDispatcher(config_.task)) {
-    result_.messages_dropped = dispatcher->stats().dropped;
-  }
-  // A resumed run's pre-crash drops live in the checkpointed stats prefix,
-  // not in this process's dispatchers.
-  if (has_restored_stats_) {
-    result_.messages_dropped += restored_stats_.dropped;
-  }
+  result_.messages_dropped = DispatchCounters().dropped;
   result_.rounds_degraded = service_->deadline_commits();
   result_.rounds_extended = service_->round_extensions();
   result_.rounds_aborted = service_->aborted_rounds();
@@ -215,14 +196,7 @@ flow::DispatchStats TaskRuntime::dispatch_stats() const {
   // process's ticks. Every post-resume tick stamps at or after the
   // checkpoint time, so simple concatenation IS the global merge order.
   flow::DispatchStats merged = restored_stats_;
-  merged.received += current.received;
-  merged.sent += current.sent;
-  merged.dropped += current.dropped;
-  merged.retries += current.retries;
-  merged.retry_successes += current.retry_successes;
-  merged.deadline_drops += current.deadline_drops;
-  merged.churn_losses += current.churn_losses;
-  merged.batches_truncated += current.batches_truncated;
+  merged.AddCounters(current);
   merged.batches.insert(merged.batches.end(), current.batches.begin(),
                         current.batches.end());
   merged.batch_keys.insert(merged.batch_keys.end(),
@@ -240,16 +214,8 @@ flow::DispatchStats TaskRuntime::LocalDispatchStats() const {
   std::vector<std::size_t> cursors(shards_.size(), 0);
   std::size_t remaining = 0;
   for (const FleetShard& shard : shards_) {
-    const auto& stats = shard.dispatcher->stats();
-    merged.received += stats.received;
-    merged.sent += stats.sent;
-    merged.dropped += stats.dropped;
-    merged.retries += stats.retries;
-    merged.retry_successes += stats.retry_successes;
-    merged.deadline_drops += stats.deadline_drops;
-    merged.churn_losses += stats.churn_losses;
-    merged.batches_truncated += stats.batches_truncated;
-    remaining += stats.batches.size();
+    merged.AddCounters(shard.dispatcher->stats());
+    remaining += shard.dispatcher->stats().batches.size();
   }
   merged.batches.reserve(remaining);
   merged.batch_keys.reserve(remaining);
@@ -282,6 +248,21 @@ flow::DispatchStats TaskRuntime::LocalDispatchStats() const {
   return merged;
 }
 
+flow::DispatchStats TaskRuntime::DispatchCounters() const {
+  flow::DispatchStats counters;
+  if (sharded()) {
+    for (const FleetShard& shard : shards_) {
+      counters.AddCounters(shard.dispatcher->stats());
+    }
+  } else if (const auto* dispatcher = flow_.FindDispatcher(config_.task)) {
+    counters.AddCounters(dispatcher->stats());
+  }
+  // A resumed run's pre-crash counters live in the checkpointed prefix,
+  // not in this process's dispatchers.
+  if (has_restored_stats_) counters.AddCounters(restored_stats_);
+  return counters;
+}
+
 void TaskRuntime::RecordRoundLatency(SimTime closed_at) {
   round_latencies_s_.push_back(
       ToSeconds(std::max<SimTime>(closed_at, current_round_t0_) -
@@ -311,26 +292,7 @@ TaskSlaReport TaskRuntime::Sla() const {
     sla.round_latency_p95_s = hist.ApproxPercentile(0.95);
     sla.round_latency_p99_s = hist.ApproxPercentile(0.99);
   }
-  // Counter-only stat sums (same shape as Finalize's drop sum — the
-  // batch-log merge is deliberately skipped).
-  flow::DispatchStats counters;
-  if (sharded()) {
-    for (const FleetShard& shard : shards_) {
-      const auto& stats = shard.dispatcher->stats();
-      counters.retries += stats.retries;
-      counters.deadline_drops += stats.deadline_drops;
-      counters.churn_losses += stats.churn_losses;
-      counters.dropped += stats.dropped;
-    }
-  } else if (const auto* dispatcher = flow_.FindDispatcher(config_.task)) {
-    counters = dispatcher->stats();
-  }
-  if (has_restored_stats_) {
-    counters.retries += restored_stats_.retries;
-    counters.deadline_drops += restored_stats_.deadline_drops;
-    counters.churn_losses += restored_stats_.churn_losses;
-    counters.dropped += restored_stats_.dropped;
-  }
+  const flow::DispatchStats counters = DispatchCounters();
   sla.retries = counters.retries;
   sla.deadline_drops = counters.deadline_drops;
   sla.churn_losses = counters.churn_losses;
@@ -667,9 +629,8 @@ void TaskRuntime::RecordRound(const cloud::AggregationRecord& record,
   PersistRoundBoundary(record);
 
   if (!ShouldStop()) {
-    // Anchor at the aggregation's wire time: equal to Now() when rounds
-    // close inside per-message delivery events, and ahead of Now() when
-    // they close inside a batched tick.
+    // Anchor at the aggregation's wire time, which is ahead of Now() when
+    // the round closed inside a delivery tick.
     StartRoundFrom(rounds_started_, std::max(loop_.Now(), record.time));
   } else {
     Complete(record.time);

@@ -7,14 +7,8 @@
 namespace simdc::flow {
 
 void ShardChannel::Deliver(const Message& message, SimTime arrival) {
-  // Per-message delivery mode: every message is its own one-entry tick,
-  // preserving the (arrival, FIFO) order the mode contract specifies.
-  Tick tick;
-  tick.time = arrival;
-  tick.key = message.id.value();
-  tick.messages.push_back(message);
-  tick.arrivals.push_back(arrival);
-  ticks_.push_back(std::move(tick));
+  DeliverBatch(std::span<const Message>(&message, 1),
+               std::span<const SimTime>(&arrival, 1));
 }
 
 void ShardChannel::DeliverBatch(std::span<const Message> messages,

@@ -35,7 +35,8 @@
 namespace simdc::flow {
 
 /// Per-shard capture endpoint: a CloudEndpoint that records delivered
-/// ticks (batched, decoded or per-message) instead of consuming them.
+/// ticks (undecoded or decoded) instead of consuming them; a lone Deliver
+/// is captured as a one-message tick.
 /// Single-writer by construction — only its shard's event loop touches it
 /// — so the merger can run shards on a thread pool without locks.
 class ShardChannel final : public CloudEndpoint {

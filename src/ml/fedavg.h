@@ -13,11 +13,11 @@
 // multiset of updates perturbs the represented value only inside that
 // window — ~2⁻⁹⁹ at a million updates — which is orders of magnitude
 // below where the final double round-off (2⁻⁵³) and float publication
-// (2⁻²⁴) can observe it. That is what lets per-shard partial aggregators
-// (cloud::AggregatePlane::kPartialSum) accumulate in parallel and merge
-// in any fixed order while reproducing the serial legacy accumulate
-// bit-for-bit; tests/ml_test.cpp pins the invariance with adversarial
-// shuffles and shard splits.
+// (2⁻²⁴) can observe it. That is what lets cloud::AggregationService's
+// per-lane partial aggregators accumulate in parallel and merge in any
+// fixed order while reproducing a serial accumulate bit-for-bit;
+// tests/ml_test.cpp pins the invariance with adversarial shuffles and
+// shard splits.
 #pragma once
 
 #include <algorithm>

@@ -46,7 +46,13 @@ struct OperatorStep {
 };
 
 /// Default FL operator flow: download → train → upload.
-std::vector<OperatorStep> DefaultFlOperatorFlow();
+inline std::vector<OperatorStep> DefaultFlOperatorFlow() {
+  return {
+      OperatorStep{OperatorStep::Kind::kDownload, "download_model"},
+      OperatorStep{OperatorStep::Kind::kTrain, "train_local"},
+      OperatorStep{OperatorStep::Kind::kUpload, "upload_update"},
+  };
+}
 
 /// Per-grade simulation requirement of a task.
 struct DeviceRequirement {

@@ -1,5 +1,5 @@
 // Unit tests for the actor substrate: resource pools, placement groups,
-// actor ordering, Ray-runner job submission.
+// actor ordering.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,7 +7,6 @@
 #include <set>
 
 #include "actor/cluster.h"
-#include "actor/ray_runner.h"
 #include "actor/resource.h"
 
 namespace simdc::actor {
@@ -184,74 +183,6 @@ TEST(ActorTest, FutureResolvesAfterExecution) {
   auto f = actor->Submit([&] { value = 99; });
   f.get();
   EXPECT_EQ(value, 99);
-}
-
-// ---------- RayRunner ----------
-
-TEST(RayRunnerTest, RunsAllDevicesRoundRobin) {
-  Cluster cluster(2, {8, 16}, 4);
-  RayRunner runner(cluster);
-  std::atomic<int> devices_run{0};
-  JobSpec spec;
-  spec.num_devices = 103;
-  spec.num_actors = 4;
-  spec.per_actor = {2, 4};
-  spec.device_fn = [&](std::size_t) { devices_run++; };
-  auto result = runner.SubmitJob(spec);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(devices_run.load(), 103);
-  EXPECT_EQ(result->actors_used, 4u);
-  // Round-robin: 103 = 26 + 26 + 26 + 25.
-  EXPECT_EQ(result->devices_per_actor[0], 26u);
-  EXPECT_EQ(result->devices_per_actor[3], 25u);
-  // Resources released after the job.
-  EXPECT_DOUBLE_EQ(cluster.TotalAvailable().cpu_cores, 16.0);
-}
-
-TEST(RayRunnerTest, ActorSetupRunsOncePerActor) {
-  Cluster cluster(1, {8, 16}, 4);
-  RayRunner runner(cluster);
-  std::atomic<int> setups{0};
-  JobSpec spec;
-  spec.num_devices = 10;
-  spec.num_actors = 3;
-  spec.per_actor = {1, 1};
-  spec.actor_setup = [&](std::size_t) { setups++; };
-  spec.device_fn = [](std::size_t) {};
-  ASSERT_TRUE(runner.SubmitJob(spec).ok());
-  EXPECT_EQ(setups.load(), 3);
-}
-
-TEST(RayRunnerTest, RejectsInvalidSpecs) {
-  Cluster cluster(1, {8, 16}, 2);
-  RayRunner runner(cluster);
-  JobSpec spec;
-  spec.num_devices = 0;
-  spec.num_actors = 1;
-  spec.per_actor = {1, 1};
-  spec.device_fn = [](std::size_t) {};
-  EXPECT_FALSE(runner.SubmitJob(spec).ok());
-  spec.num_devices = 5;
-  spec.num_actors = 0;
-  EXPECT_FALSE(runner.SubmitJob(spec).ok());
-  spec.num_actors = 1;
-  spec.device_fn = nullptr;
-  EXPECT_FALSE(runner.SubmitJob(spec).ok());
-}
-
-TEST(RayRunnerTest, FailsWhenClusterTooSmall) {
-  Cluster cluster(1, {4, 8}, 2);
-  RayRunner runner(cluster);
-  JobSpec spec;
-  spec.num_devices = 10;
-  spec.num_actors = 2;
-  spec.per_actor = {4, 8};  // two of these cannot fit on one 4-core node
-  spec.device_fn = [](std::size_t) {};
-  auto result = runner.SubmitJob(spec);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code(), ErrorCode::kResourceExhausted);
-  // Nothing leaked.
-  EXPECT_DOUBLE_EQ(cluster.TotalAvailable().cpu_cores, 4.0);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 // Unit tests for the cloud services: blob storage, metrics database,
-// aggregation service with both triggers and both payload planes.
+// aggregation service with both triggers and both delivery hooks (decoded
+// updates and undecoded messages), checked against the serial FedAvg
+// oracle in reference_fedavg.h.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +15,7 @@
 #include "cloud/payload_decoder.h"
 #include "cloud/storage.h"
 #include "ml/lr_model.h"
+#include "reference_fedavg.h"
 #include "sim/event_loop.h"
 
 namespace simdc::cloud {
@@ -534,7 +537,7 @@ TEST_F(AggregationTest, DecoderMapsStoreFaultsToDistinctFailures) {
   EXPECT_FALSE(gone.decoded());
   EXPECT_EQ(gone.failure, flow::DecodedUpdate::Failure::kMissingBlob);
 
-  // The decoded plane books them into the same counters as the legacy one.
+  // The service books them into the counters the taxonomy names.
   AggregationConfig config;
   config.model_dim = kDim;
   AggregationService service(loop_, store_, config);
@@ -591,14 +594,15 @@ TEST_F(AggregationTest, PublishesModelBlobAndCallback) {
 
 // ---------- Decoded payload plane ----------
 
-/// Same fixture, decoded-plane cases: the serial service receives
-/// DecodedUpdates (payloads fetched + decoded upstream) and must keep
-/// every counter and every bit identical to the legacy decode-in-handler
-/// plane. Pinned by name in the CI sanitizer job.
+/// Same fixture, decoded-delivery cases: the serial service receives
+/// DecodedUpdates (payloads fetched + decoded upstream) or undecoded
+/// messages (decoded by the service itself) and must keep every counter
+/// and every bit identical to the serial decode-in-handler oracle, the
+/// historical legacy plane. Pinned by name in the CI sanitizer job.
 class AggregationDecodedTest : public AggregationTest {
  protected:
-  /// Pushes `messages` through a fresh service on the given plane and
-  /// returns it for inspection.
+  /// Pushes `messages` through a fresh service, pre-decoded or not, and
+  /// returns what it observed.
   struct Outcome {
     std::size_t received = 0;
     std::size_t decode_failures = 0;
@@ -639,6 +643,24 @@ class AggregationDecodedTest : public AggregationTest {
     return out;
   }
 
+  /// The serial oracle over the same stream and trigger.
+  static Outcome Legacy(const BlobStore& store,
+                        const std::vector<flow::Message>& messages,
+                        const std::vector<SimTime>& arrivals,
+                        bool reject_stale) {
+    const auto replay = reference::ReplayFedAvg(store, kDim, messages,
+                                                arrivals, 30, reject_stale);
+    Outcome out;
+    out.received = replay.received;
+    out.decode_failures = replay.decode_failures;
+    out.stale_rejections = replay.stale_rejections;
+    out.rounds = replay.history.size();
+    out.history = replay.history;
+    out.weights.assign(replay.global.weights().begin(),
+                       replay.global.weights().end());
+    return out;
+  }
+
   static void ExpectSameOutcome(const Outcome& a, const Outcome& b) {
     EXPECT_EQ(a.received, b.received);
     EXPECT_EQ(a.decode_failures, b.decode_failures);
@@ -658,8 +680,8 @@ class AggregationDecodedTest : public AggregationTest {
 TEST_F(AggregationDecodedTest, DecodedBatchMatchesLegacyWithFailures) {
   // A stream mixing valid updates, corrupt blobs, missing blobs, a
   // wrong-dimension model and a threshold crossing mid-batch must produce
-  // identical counters, round records and global-model bits on both
-  // planes.
+  // identical counters, round records and global-model bits through both
+  // delivery hooks and the serial oracle.
   BlobStore store;
   std::vector<flow::Message> messages;
   std::vector<SimTime> arrivals;
@@ -699,21 +721,21 @@ TEST_F(AggregationDecodedTest, DecodedBatchMatchesLegacyWithFailures) {
   push(Upload(store, 3.0f, 10, id));  // crosses the 30-sample threshold
   push(Upload(store, 4.0f, 10, id));  // lands in round 2's accumulator
 
-  const auto legacy = Run(store, messages, arrivals, /*decoded=*/false,
-                          /*reject_stale=*/false);
-  const auto decoded = Run(store, messages, arrivals, /*decoded=*/true,
-                           /*reject_stale=*/false);
+  const auto legacy = Legacy(store, messages, arrivals, /*reject_stale=*/false);
   EXPECT_EQ(legacy.decode_failures, 3u);  // corrupt + missing + wrong dim
   EXPECT_EQ(legacy.stale_rejections, 0u);
   EXPECT_EQ(legacy.rounds, 1u);
-  ExpectSameOutcome(legacy, decoded);
+  ExpectSameOutcome(legacy, Run(store, messages, arrivals, /*decoded=*/true,
+                                /*reject_stale=*/false));
+  ExpectSameOutcome(legacy, Run(store, messages, arrivals, /*decoded=*/false,
+                                /*reject_stale=*/false));
 }
 
 TEST_F(AggregationDecodedTest, StaleBadPayloadIsStaleNotDecodeFailure) {
   // The accounting-order contract: reject_stale is checked BEFORE the
   // (deferred) decode failure commits, so a stale message with a corrupt
-  // or missing payload is a stale rejection on both planes — the decoded
-  // plane must not book its speculative decode error.
+  // or missing payload is a stale rejection — the speculative decode
+  // error must not be booked, whichever side decoded.
   BlobStore store;
   std::vector<flow::Message> messages;
   std::vector<SimTime> arrivals;
@@ -738,7 +760,7 @@ TEST_F(AggregationDecodedTest, StaleBadPayloadIsStaleNotDecodeFailure) {
     arrivals.push_back(Seconds(2.0));
   }
   // Fresh-round bad payloads for contrast: these DO count as decode
-  // failures on both planes.
+  // failures.
   {
     flow::Message corrupt_fresh;
     corrupt_fresh.id = MessageId(3);
@@ -760,14 +782,14 @@ TEST_F(AggregationDecodedTest, StaleBadPayloadIsStaleNotDecodeFailure) {
     arrivals.push_back(Seconds(4.0));
   }
 
-  const auto legacy = Run(store, messages, arrivals, /*decoded=*/false,
-                          /*reject_stale=*/true);
-  const auto decoded = Run(store, messages, arrivals, /*decoded=*/true,
-                           /*reject_stale=*/true);
+  const auto legacy = Legacy(store, messages, arrivals, /*reject_stale=*/true);
   EXPECT_EQ(legacy.stale_rejections, 2u);
   EXPECT_EQ(legacy.decode_failures, 2u);
   EXPECT_EQ(legacy.received, 4u);
-  ExpectSameOutcome(legacy, decoded);
+  ExpectSameOutcome(legacy, Run(store, messages, arrivals, /*decoded=*/true,
+                                /*reject_stale=*/true));
+  ExpectSameOutcome(legacy, Run(store, messages, arrivals, /*decoded=*/false,
+                                /*reject_stale=*/true));
 }
 
 TEST_F(AggregationDecodedTest, StoppedServiceIgnoresDecodedDeliveries) {
@@ -783,6 +805,22 @@ TEST_F(AggregationDecodedTest, StoppedServiceIgnoresDecodedDeliveries) {
   service.DeliverDecodedBatch(updates, arrivals);
   EXPECT_EQ(service.messages_received(), 0u);
   EXPECT_EQ(service.decode_failures(), 0u);
+}
+
+TEST_F(AggregationTest, UndecodedDeliveryDecodesBeforeStalenessVerdict) {
+  // The undecoded hook decodes through the service's own BlobModelDecoder
+  // before admission, as a decoding dispatcher would: a stale update is
+  // still fetched (bytes_read counts it) but books only as stale.
+  AggregationConfig config;
+  config.model_dim = kDim;
+  config.reject_stale = true;
+  AggregationService service(loop_, store_, config);
+  const flow::Message stale = Upload(store_, 1.0f, 10, 1, /*round=*/5);
+  const std::size_t read_before = store_.bytes_read();
+  service.Deliver(stale, 0);
+  EXPECT_EQ(service.stale_rejections(), 1u);
+  EXPECT_EQ(service.decode_failures(), 0u);
+  EXPECT_GT(store_.bytes_read(), read_before);
 }
 
 TEST_F(AggregationTest, StopIgnoresFurtherDeliveries) {
@@ -810,11 +848,13 @@ TEST_F(AggregationTest, MaxRoundsHonored) {
   EXPECT_EQ(service.rounds_completed(), 2u);
 }
 
-// ---------- Partial-sum aggregation plane ----------
+// ---------- Staged partial-sum accumulate ----------
 
-/// Parity suite for AggregatePlane::kPartialSum vs kLegacy on the decoded
-/// delivery path: every counter, round record, published-model bit and
-/// snapshot plane must match. Pinned by name in the CI sanitizer job.
+/// Parity suite for the staged, lane-parallel accumulate against the
+/// serial oracle (tests/reference_fedavg.h — the historical legacy
+/// aggregate plane, kept test-side): every counter, round record,
+/// published-model bit and cascade plane must match. Pinned by name in the
+/// CI sanitizer job.
 class AggregationPartialSumTest : public AggregationTest {
  protected:
   struct Outcome {
@@ -843,15 +883,12 @@ class AggregationPartialSumTest : public AggregationTest {
   }
 
   Outcome Run(BlobStore& store, const std::vector<flow::Message>& messages,
-              const std::vector<SimTime>& arrivals, AggregatePlane plane,
-              ThreadPool* pool, std::size_t sample_threshold,
-              bool reject_stale = false) {
+              const std::vector<SimTime>& arrivals, ThreadPool* pool,
+              std::size_t sample_threshold) {
     AggregationConfig config;
     config.model_dim = kDim;
     config.trigger = AggregationTrigger::kSampleThreshold;
     config.sample_threshold = sample_threshold;
-    config.reject_stale = reject_stale;
-    config.aggregate_plane = plane;
     AggregationService service(loop_, store, config);
     service.set_thread_pool(pool);
     DeliverDecoded(service, store, messages, arrivals);
@@ -871,6 +908,34 @@ class AggregationPartialSumTest : public AggregationTest {
     out.pending_samples = service.pending_samples();
     out.pending_clients = service.pending_clients();
     out.snapshot = service.Snapshot();
+    return out;
+  }
+
+  /// The oracle's view in the same shape as Capture.
+  static Outcome Oracle(const reference::FedAvgReplay& replay) {
+    Outcome out;
+    out.received = replay.received;
+    out.decode_failures = replay.decode_failures;
+    out.stale_rejections = replay.stale_rejections;
+    out.store_errors = replay.store_errors;
+    out.history = replay.history;
+    out.weights.assign(replay.global.weights().begin(),
+                       replay.global.weights().end());
+    out.bias = replay.global.bias();
+    const ml::FedAvgAggregator& open = replay.open;
+    out.pending_samples = open.total_samples();
+    out.pending_clients = open.clients();
+    AggregationSnapshot& s = out.snapshot;
+    s.accumulator.assign(open.accumulator().begin(), open.accumulator().end());
+    s.accumulator_c1.assign(open.compensation1().begin(),
+                            open.compensation1().end());
+    s.accumulator_c2.assign(open.compensation2().begin(),
+                            open.compensation2().end());
+    s.bias_accumulator = open.bias_accumulator();
+    s.bias_accumulator_c1 = open.bias_compensation1();
+    s.bias_accumulator_c2 = open.bias_compensation2();
+    s.accumulator_samples = open.total_samples();
+    s.accumulator_clients = open.clients();
     return out;
   }
 
@@ -951,39 +1016,41 @@ TEST_F(AggregationPartialSumTest, MatchesLegacyPlaneAcrossFailuresAndRounds) {
   std::vector<SimTime> arrivals;
   BuildAdversarialStream(store, 60, messages, arrivals);
   // Threshold 40 closes several rounds mid-batch; the tail stays pending.
-  const auto legacy = Run(store, messages, arrivals, AggregatePlane::kLegacy,
-                          /*pool=*/nullptr, /*sample_threshold=*/40);
-  const auto partial =
-      Run(store, messages, arrivals, AggregatePlane::kPartialSum,
-          /*pool=*/nullptr, /*sample_threshold=*/40);
-  EXPECT_GT(legacy.history.size(), 1u);
-  EXPECT_GT(legacy.decode_failures, 0u);
-  EXPECT_GT(legacy.pending_clients, 0u);  // staged tail visible on both
-  ExpectIdentical(legacy, partial);
+  const auto oracle =
+      Oracle(reference::ReplayFedAvg(store, kDim, messages, arrivals, 40));
+  const auto staged = Run(store, messages, arrivals, /*pool=*/nullptr,
+                          /*sample_threshold=*/40);
+  EXPECT_GT(oracle.history.size(), 1u);
+  EXPECT_GT(oracle.decode_failures, 0u);
+  EXPECT_GT(oracle.pending_clients, 0u);  // staged tail visible on both
+  ExpectIdentical(oracle, staged);
 }
 
 TEST_F(AggregationPartialSumTest, ParallelFlushMatchesLegacyBitForBit) {
   // The pool path: per-lane partials accumulated by ParallelFor and merged
-  // ascending must publish the same bits as the serial legacy adds. More
-  // messages than the flush cap (256) so capacity flushes happen too.
+  // ascending must publish the same bits as the serial oracle and as the
+  // pool-less serial flush. More messages than the flush cap (256) so
+  // capacity flushes happen too.
   BlobStore store;
   std::vector<flow::Message> messages;
   std::vector<SimTime> arrivals;
   BuildAdversarialStream(store, 600, messages, arrivals);
   ThreadPool pool(4);
-  const auto legacy = Run(store, messages, arrivals, AggregatePlane::kLegacy,
-                          /*pool=*/nullptr, /*sample_threshold=*/900);
-  const auto partial =
-      Run(store, messages, arrivals, AggregatePlane::kPartialSum, &pool,
-          /*sample_threshold=*/900);
-  EXPECT_GT(legacy.history.size(), 0u);
-  ExpectIdentical(legacy, partial);
+  const auto oracle =
+      Oracle(reference::ReplayFedAvg(store, kDim, messages, arrivals, 900));
+  const auto serial = Run(store, messages, arrivals, /*pool=*/nullptr,
+                          /*sample_threshold=*/900);
+  const auto pooled =
+      Run(store, messages, arrivals, &pool, /*sample_threshold=*/900);
+  EXPECT_GT(oracle.history.size(), 0u);
+  ExpectIdentical(oracle, pooled);
+  ExpectIdentical(serial, pooled);
 }
 
 TEST_F(AggregationPartialSumTest, MidRoundSnapshotRestoreContinuesIdentically) {
   // Cut a snapshot while updates are staged (no flush yet), restore into a
-  // fresh partial-plane service, deliver the rest: the recovered run must
-  // publish the same bits as the uninterrupted legacy run.
+  // fresh service, deliver the rest: the recovered run must publish the
+  // same bits as the uninterrupted run and the serial oracle.
   BlobStore store;
   std::vector<flow::Message> messages;
   std::vector<SimTime> arrivals;
@@ -1002,7 +1069,6 @@ TEST_F(AggregationPartialSumTest, MidRoundSnapshotRestoreContinuesIdentically) {
   config.model_dim = kDim;
   config.trigger = AggregationTrigger::kSampleThreshold;
   config.sample_threshold = 500;  // nothing closes: all staged
-  config.aggregate_plane = AggregatePlane::kPartialSum;
 
   AggregationService first(loop_, store, config);
   DeliverDecoded(first, store, head, head_arrivals);
@@ -1015,63 +1081,59 @@ TEST_F(AggregationPartialSumTest, MidRoundSnapshotRestoreContinuesIdentically) {
   DeliverDecoded(recovered, store, tail, tail_arrivals);
   EXPECT_TRUE(recovered.AggregateNow());
 
-  AggregationConfig legacy_config = config;
-  legacy_config.aggregate_plane = AggregatePlane::kLegacy;
-  AggregationService uninterrupted(loop_, store, legacy_config);
+  AggregationService uninterrupted(loop_, store, config);
   DeliverDecoded(uninterrupted, store, messages, arrivals);
   EXPECT_TRUE(uninterrupted.AggregateNow());
-
   ExpectIdentical(Capture(uninterrupted), Capture(recovered));
+
+  auto replay = reference::ReplayFedAvg(store, kDim, messages, arrivals, 500);
+  EXPECT_TRUE(reference::CloseRound(replay, loop_.Now()));
+  ExpectIdentical(Oracle(replay), Capture(recovered));
 }
 
 TEST_F(AggregationPartialSumTest, QuorumAndAbortSeeStagedUpdates) {
   // The deadline policy must read the combined (flushed + staged) totals:
   // a quorum met purely by staged updates commits, and an abort discards
-  // the staged entries — identically on both planes.
-  for (const AggregatePlane plane :
-       {AggregatePlane::kPartialSum, AggregatePlane::kLegacy}) {
-    sim::EventLoop loop;
-    BlobStore store;
-    AggregationConfig config;
-    config.model_dim = kDim;
-    config.trigger = AggregationTrigger::kSampleThreshold;
-    config.sample_threshold = 1000000;  // rounds close only via deadline
-    config.aggregate_plane = plane;
-    config.round_quorum = 2;
-    config.round_deadline = Seconds(10.0);
-    config.max_round_extensions = 0;
-    AggregationService service(loop, store, config);
-    service.OnRoundOpened(0);
-    loop.ScheduleAt(Seconds(1.0), [&] {
-      DeliverDecoded(service, store,
-                     {Upload(store, 1.0f, 3, 1), Upload(store, 3.0f, 5, 2)},
-                     {Seconds(1.0), Seconds(1.0)});
-    });
-    loop.RunUntil(Seconds(11.0));
-    // Two staged clients met the quorum at the deadline: degraded commit.
-    ASSERT_EQ(service.rounds_completed(), 1u) << "plane "
-                                              << static_cast<int>(plane);
-    EXPECT_EQ(service.deadline_commits(), 1u);
-    EXPECT_EQ(service.history()[0].clients, 2u);
-    EXPECT_EQ(service.history()[0].samples, 8u);
-    EXPECT_EQ(service.pending_samples(), 0u);
+  // the staged entries.
+  sim::EventLoop loop;
+  BlobStore store;
+  AggregationConfig config;
+  config.model_dim = kDim;
+  config.trigger = AggregationTrigger::kSampleThreshold;
+  config.sample_threshold = 1000000;  // rounds close only via deadline
+  config.round_quorum = 2;
+  config.round_deadline = Seconds(10.0);
+  config.max_round_extensions = 0;
+  AggregationService service(loop, store, config);
+  service.OnRoundOpened(0);
+  loop.ScheduleAt(Seconds(1.0), [&] {
+    DeliverDecoded(service, store,
+                   {Upload(store, 1.0f, 3, 1), Upload(store, 3.0f, 5, 2)},
+                   {Seconds(1.0), Seconds(1.0)});
+  });
+  loop.RunUntil(Seconds(11.0));
+  // Two staged clients met the quorum at the deadline: degraded commit.
+  ASSERT_EQ(service.rounds_completed(), 1u);
+  EXPECT_EQ(service.deadline_commits(), 1u);
+  EXPECT_EQ(service.history()[0].clients, 2u);
+  EXPECT_EQ(service.history()[0].samples, 8u);
+  EXPECT_EQ(service.pending_samples(), 0u);
 
-    // Next round: one staged update below quorum, no extensions -> abort
-    // discards the staged entry.
-    bool aborted = false;
-    service.set_on_round_aborted([&](SimTime) { aborted = true; });
-    service.OnRoundOpened(Seconds(11.0));
-    loop.ScheduleAt(Seconds(12.0), [&] {
-      DeliverDecoded(service, store, {Upload(store, 2.0f, 4, 3)},
-                     {Seconds(12.0)});
-    });
-    loop.RunUntil(Seconds(30.0));
-    EXPECT_TRUE(aborted);
-    EXPECT_EQ(service.aborted_rounds(), 1u);
-    EXPECT_EQ(service.rounds_completed(), 1u);
-    EXPECT_EQ(service.pending_samples(), 0u);
-    EXPECT_EQ(service.pending_clients(), 0u);
-  }
+  // Next round: one staged update below quorum, no extensions -> abort
+  // discards the staged entry.
+  bool aborted = false;
+  service.set_on_round_aborted([&](SimTime) { aborted = true; });
+  service.OnRoundOpened(Seconds(11.0));
+  loop.ScheduleAt(Seconds(12.0), [&] {
+    DeliverDecoded(service, store, {Upload(store, 2.0f, 4, 3)},
+                   {Seconds(12.0)});
+  });
+  loop.RunUntil(Seconds(30.0));
+  EXPECT_TRUE(aborted);
+  EXPECT_EQ(service.aborted_rounds(), 1u);
+  EXPECT_EQ(service.rounds_completed(), 1u);
+  EXPECT_EQ(service.pending_samples(), 0u);
+  EXPECT_EQ(service.pending_clients(), 0u);
 }
 
 }  // namespace

@@ -298,58 +298,32 @@ TEST(ExecutionConfigTest, RejectsInvalidParallelism) {
   EXPECT_TRUE(check("[execution]\nparallelism = lots\n"));
 }
 
+// decode_plane / aggregate_plane were knobs once; a spec that still pins
+// either (any value, even the old default) gets an error naming the key
+// instead of the silent ignore other unknown keys get. The key is only a
+// [execution] knob; elsewhere it stays an ignored unknown key.
+void ExpectRemovedPlaneKeyRejected(const std::string& key) {
+  for (const std::string value : {"legacy", "decoded", "partial_sum"}) {
+    auto doc =
+        ParseIni("[execution]\nshards = 2\n" + key + " = " + value + "\n");
+    ASSERT_TRUE(doc.ok());
+    auto config = LoadExecution(*doc);
+    ASSERT_FALSE(config.ok()) << key << " = " << value;
+    EXPECT_EQ(config.error().code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(config.error().message().find(key), std::string::npos)
+        << config.error().ToString();
+  }
+  auto elsewhere = ParseIni("[traffic]\n" + key + " = legacy\n");
+  ASSERT_TRUE(elsewhere.ok());
+  EXPECT_TRUE(LoadExecution(*elsewhere).ok());
+}
+
 TEST(ExecutionConfigTest, ParsesDecodePlane) {
-  auto decoded = ParseIni("[execution]\ndecode_plane = decoded\n");
-  ASSERT_TRUE(decoded.ok());
-  auto decoded_config = LoadExecution(*decoded);
-  ASSERT_TRUE(decoded_config.ok());
-  EXPECT_EQ(decoded_config->decode_plane, flow::DecodePlane::kDecoded);
-
-  auto legacy = ParseIni("[execution]\nshards = 2\ndecode_plane = legacy\n");
-  ASSERT_TRUE(legacy.ok());
-  auto legacy_config = LoadExecution(*legacy);
-  ASSERT_TRUE(legacy_config.ok());
-  EXPECT_EQ(legacy_config->decode_plane, flow::DecodePlane::kLegacy);
-  EXPECT_EQ(legacy_config->shards, 2u);
-
-  // Missing key keeps the decoded default; junk is rejected loudly.
-  auto missing = ParseIni("[execution]\nparallelism = 2\n");
-  ASSERT_TRUE(missing.ok());
-  auto missing_config = LoadExecution(*missing);
-  ASSERT_TRUE(missing_config.ok());
-  EXPECT_EQ(missing_config->decode_plane, flow::DecodePlane::kDecoded);
-
-  auto junk = ParseIni("[execution]\ndecode_plane = sideways\n");
-  ASSERT_TRUE(junk.ok());
-  EXPECT_FALSE(LoadExecution(*junk).ok());
+  ExpectRemovedPlaneKeyRejected("decode_plane");
 }
 
 TEST(ExecutionConfigTest, ParsesAggregatePlane) {
-  auto partial = ParseIni("[execution]\naggregate_plane = partial_sum\n");
-  ASSERT_TRUE(partial.ok());
-  auto partial_config = LoadExecution(*partial);
-  ASSERT_TRUE(partial_config.ok());
-  EXPECT_EQ(partial_config->aggregate_plane, cloud::AggregatePlane::kPartialSum);
-
-  auto legacy =
-      ParseIni("[execution]\nshards = 4\naggregate_plane = legacy\n");
-  ASSERT_TRUE(legacy.ok());
-  auto legacy_config = LoadExecution(*legacy);
-  ASSERT_TRUE(legacy_config.ok());
-  EXPECT_EQ(legacy_config->aggregate_plane, cloud::AggregatePlane::kLegacy);
-  EXPECT_EQ(legacy_config->shards, 4u);
-
-  // Missing key keeps the partial_sum default; junk is rejected loudly.
-  auto missing = ParseIni("[execution]\nparallelism = 2\n");
-  ASSERT_TRUE(missing.ok());
-  auto missing_config = LoadExecution(*missing);
-  ASSERT_TRUE(missing_config.ok());
-  EXPECT_EQ(missing_config->aggregate_plane,
-            cloud::AggregatePlane::kPartialSum);
-
-  auto junk = ParseIni("[execution]\naggregate_plane = serial\n");
-  ASSERT_TRUE(junk.ok());
-  EXPECT_FALSE(LoadExecution(*junk).ok());
+  ExpectRemovedPlaneKeyRejected("aggregate_plane");
 }
 
 TEST(ExecutionConfigTest, ParsesPayloadCodec) {

@@ -13,6 +13,7 @@
 #include "data/synth_avazu.h"
 #include "flow/rate_functions.h"
 #include "flow/shard_merger.h"
+#include "golden_digest.h"
 
 namespace simdc::core {
 namespace {
@@ -45,6 +46,19 @@ FlRunResult RunWith(const data::FederatedDataset& dataset,
   config.parallelism = parallelism;
   FlEngine engine(loop, dataset, std::move(config));
   return engine.Run();
+}
+
+/// Golden digest (tests/golden_digest.h) of one run at the given fleet
+/// width and training parallelism.
+std::uint64_t DigestOf(const data::FederatedDataset& dataset,
+                       FlExperimentConfig config, std::size_t shards,
+                       std::size_t parallelism) {
+  sim::EventLoop loop;
+  config.shards = shards;
+  config.parallelism = parallelism;
+  FlEngine engine(loop, dataset, std::move(config));
+  const FlRunResult result = engine.Run();
+  return golden::RunDigest(engine, result);
 }
 
 /// Bit-level equality: EXPECT_EQ on doubles is value equality, which is
@@ -98,31 +112,23 @@ TEST(DeterminismTest, DropoutAndPartialParticipationUnaffectedByWorkers) {
 }
 
 TEST(DeterminismTest, BatchedDeliveryBitIdenticalToPerMessageAtAllWidths) {
-  // The message-plane rework (one MessageBatch event per dispatch tick
-  // instead of one closure per message) must not change a single bit of
-  // the run — at any parallelism. Exercise real multi-message batches
-  // (threshold 5) with dropout, plus a sample-threshold trigger so rounds
-  // close *inside* delivery ticks.
+  // One MessageBatch event per dispatch tick must reproduce, bit for bit,
+  // the run the retired one-closure-per-message delivery produced — the
+  // golden digest was captured from it — at any parallelism. Exercise real
+  // multi-message batches (threshold 5) with dropout, plus a
+  // sample-threshold trigger so rounds close *inside* delivery ticks.
   const auto dataset = Dataset();
   auto config = BaseConfig();
   config.strategy = flow::RealtimeAccumulated{{5}, 0.2};
   config.trigger = cloud::AggregationTrigger::kSampleThreshold;
   config.sample_threshold = 400;
-
-  auto run = [&](flow::DeliveryMode mode, std::size_t parallelism) {
-    auto c = config;
-    c.delivery_mode = mode;
-    return RunWith(dataset, c, parallelism);
-  };
-  const auto reference = run(flow::DeliveryMode::kPerMessage, 1);
+  const auto reference = RunWith(dataset, config, 1);
   ASSERT_EQ(reference.rounds.size(), 3u);
   EXPECT_GT(reference.messages_dropped, 0u);
   for (const std::size_t parallelism : {1u, 2u, 4u, 8u}) {
-    ExpectIdentical(reference, run(flow::DeliveryMode::kBatched, parallelism),
-                    parallelism);
-    ExpectIdentical(reference,
-                    run(flow::DeliveryMode::kPerMessage, parallelism),
-                    parallelism);
+    golden::ExpectGolden("determinism.threshold5_dropout",
+                         DigestOf(dataset, config, 1, parallelism),
+                         "parallelism=" + std::to_string(parallelism));
   }
 }
 
@@ -180,13 +186,6 @@ void ExpectStatsIdentical(const flow::DispatchStats& a,
   EXPECT_EQ(a.batches_truncated, b.batches_truncated) << "shards=" << shards;
 }
 
-void ExpectCountersIdentical(const ShardedOutcome& a, const ShardedOutcome& b,
-                             std::size_t shards) {
-  EXPECT_EQ(a.messages_received, b.messages_received) << "shards=" << shards;
-  EXPECT_EQ(a.decode_failures, b.decode_failures) << "shards=" << shards;
-  EXPECT_EQ(a.stale_rejections, b.stale_rejections) << "shards=" << shards;
-}
-
 TEST(ShardedDeterminismTest, WidthsBitIdenticalToUnshardedScheduled) {
   // Scheduled aggregation: rounds close on the cloud plane while uploads
   // stream through per-shard dispatchers. shards=1 takes the unsharded
@@ -223,16 +222,18 @@ TEST(ShardedDeterminismTest, WidthsBitIdenticalUnderThresholdTrigger) {
 }
 
 TEST(ShardedDeterminismTest, PerMessageDeliveryMatchesBatchedAtAllWidths) {
-  // The PR-3 delivery-mode contract must survive sharding: per-message
-  // and batched shard dispatchers produce the same merged stream.
+  // Batched shard dispatchers must reproduce the merged stream the retired
+  // per-message delivery produced (the golden digest) at every width, with
+  // sequential and pool-advanced shard loops.
   const auto dataset = Dataset();
-  const auto reference = RunShardedWith(dataset, ShardableConfig(), 1);
-  for (const std::size_t shards : {2u, 4u}) {
-    auto config = ShardableConfig();
-    config.delivery_mode = flow::DeliveryMode::kPerMessage;
-    const auto sharded = RunShardedWith(dataset, config, shards);
-    ExpectIdentical(reference.result, sharded.result, shards);
-    ExpectStatsIdentical(reference.stats, sharded.stats, shards);
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    for (const std::size_t parallelism : {1u, 4u}) {
+      golden::ExpectGolden(
+          "determinism.shardable_scheduled",
+          DigestOf(dataset, ShardableConfig(), shards, parallelism),
+          "shards=" + std::to_string(shards) +
+              " parallelism=" + std::to_string(parallelism));
+    }
   }
 }
 
@@ -302,76 +303,49 @@ TEST(ShardedDeterminismTest, MultiMessageTicksDeterministicAtFixedWidth) {
   }
 }
 
-TEST(ShardedDeterminismTest, DecodedPlaneBitIdenticalToLegacyAtAllWidths) {
-  // The decoded payload plane moves blob fetch + LrModel decode from the
-  // serial AggregationService into the dispatch ticks (shard workers when
-  // sharded). Against the legacy decode-in-handler plane, every bit of
-  // the run — round metrics, weights, merged dispatch stats, admission
-  // counters — must be identical at every shard width. reject_stale plus
-  // a sample threshold makes the message→round admission (and therefore
-  // the deferred-accounting order) observable.
-  const auto dataset = Dataset();
+/// Config whose message→round admission is observable: sample-threshold
+/// rounds close mid-tick and reject_stale turns late uploads into stale
+/// rejections, pinning the deferred-accounting order.
+FlExperimentConfig RejectStaleThresholdConfig() {
   auto config = ShardableConfig();
   config.trigger = cloud::AggregationTrigger::kSampleThreshold;
   config.sample_threshold = 400;
   config.reject_stale = true;
+  return config;
+}
 
-  auto legacy_config = config;
-  legacy_config.decode_plane = flow::DecodePlane::kLegacy;
-  const auto reference = RunShardedWith(dataset, legacy_config, 1);
+TEST(ShardedDeterminismTest, DecodedPlaneBitIdenticalToLegacyAtAllWidths) {
+  // Blob fetch + decode runs in the dispatch ticks (shard workers when
+  // sharded). Every bit of the run — round metrics, weights, merged
+  // dispatch stats, admission counters — must equal the golden digest the
+  // retired decode-in-handler plane produced, at every shard width.
+  const auto dataset = Dataset();
+  const auto reference =
+      RunShardedWith(dataset, RejectStaleThresholdConfig(), 1);
   ASSERT_EQ(reference.result.rounds.size(), 3u);
   EXPECT_GT(reference.result.messages_dropped, 0u);
   EXPECT_GT(reference.stale_rejections, 0u);
   EXPECT_EQ(reference.decode_failures, 0u);
-
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    auto decoded_config = config;
-    decoded_config.decode_plane = flow::DecodePlane::kDecoded;
-    const auto decoded = RunShardedWith(dataset, decoded_config, shards);
-    ExpectIdentical(reference.result, decoded.result, shards);
-    ExpectStatsIdentical(reference.stats, decoded.stats, shards);
-    ExpectCountersIdentical(reference, decoded, shards);
-    // And legacy stays self-consistent at the same width.
-    const auto legacy = RunShardedWith(dataset, legacy_config, shards);
-    ExpectIdentical(reference.result, legacy.result, shards);
-    ExpectCountersIdentical(reference, legacy, shards);
+    golden::ExpectGolden(
+        "determinism.reject_stale_threshold",
+        DigestOf(dataset, RejectStaleThresholdConfig(), shards, 1),
+        "shards=" + std::to_string(shards));
   }
 }
 
 TEST(ShardedDeterminismTest, PartialSumPlaneBitIdenticalToLegacyAtAllWidths) {
-  // The partial-sum aggregation plane stages decoded updates and
-  // accumulates them into per-lane partial aggregators on the worker pool,
-  // merged in fixed ascending order. Against aggregate_plane = legacy
-  // (inline serial adds), every bit of the run must be identical at every
-  // shard width — the FedAvg cascade is order-invariant, so regrouping the
-  // weighted sum is invisible. reject_stale + a sample threshold makes the
-  // admission order observable (a mid-batch round close changes later
-  // staleness verdicts), pinning the staged trigger point too.
+  // Admitted updates are staged and accumulated into per-lane partial
+  // aggregators on the worker pool, merged in fixed ascending order. With
+  // a 4-wide pool the flush really runs lanes in parallel; the run must
+  // still equal the golden digest the retired inline-add plane produced,
+  // at every shard width — the FedAvg cascade is order-invariant.
   const auto dataset = Dataset();
-  auto config = ShardableConfig();
-  config.trigger = cloud::AggregationTrigger::kSampleThreshold;
-  config.sample_threshold = 400;
-  config.reject_stale = true;
-  config.decode_plane = flow::DecodePlane::kDecoded;
-
-  auto legacy_config = config;
-  legacy_config.aggregate_plane = cloud::AggregatePlane::kLegacy;
-  const auto reference = RunShardedWith(dataset, legacy_config, 1);
-  ASSERT_EQ(reference.result.rounds.size(), 3u);
-  EXPECT_GT(reference.result.messages_dropped, 0u);
-  EXPECT_GT(reference.stale_rejections, 0u);
-
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    auto partial_config = config;
-    partial_config.aggregate_plane = cloud::AggregatePlane::kPartialSum;
-    const auto partial = RunShardedWith(dataset, partial_config, shards);
-    ExpectIdentical(reference.result, partial.result, shards);
-    ExpectStatsIdentical(reference.stats, partial.stats, shards);
-    ExpectCountersIdentical(reference, partial, shards);
-    // And the legacy aggregate plane stays self-consistent at this width.
-    const auto legacy = RunShardedWith(dataset, legacy_config, shards);
-    ExpectIdentical(reference.result, legacy.result, shards);
-    ExpectCountersIdentical(reference, legacy, shards);
+    golden::ExpectGolden(
+        "determinism.reject_stale_threshold",
+        DigestOf(dataset, RejectStaleThresholdConfig(), shards, 4),
+        "shards=" + std::to_string(shards));
   }
 }
 
@@ -388,11 +362,11 @@ struct FailurePlaneOutcome {
   std::vector<float> weights;
 };
 
-/// Runs the failure-mix stream at the given shard width on either payload
-/// plane. Messages carry distinct timestamps and globally ordered ids, so
-/// the (tick time, first id, shard) merge reproduces one canonical
-/// delivery order at every width — counters must not depend on width or
-/// plane.
+/// Runs the failure-mix stream at the given shard width, decoding either in
+/// the dispatchers or in the service's undecoded hook. Messages carry
+/// distinct timestamps and globally ordered ids, so the (tick time, first
+/// id, shard) merge reproduces one canonical delivery order at every width
+/// — counters must not depend on width or on where the decode ran.
 FailurePlaneOutcome RunFailureMix(std::size_t shards, bool decoded_plane) {
   constexpr std::uint32_t kDim = 16;
   constexpr std::size_t kMessages = 24;
@@ -473,9 +447,9 @@ FailurePlaneOutcome RunFailureMix(std::size_t shards, bool decoded_plane) {
 
 TEST(ShardedDeterminismTest, DecodeFailureAccountingParityAcrossPlanes) {
   // Corrupt-blob and missing-blob messages — fresh and stale — must book
-  // the same decode_failures / stale_rejections on the decoded plane, the
-  // legacy plane, and every sharded merge of either, in the same order
-  // (the deferred-accounting contract of flow::DecodedUpdate).
+  // the same decode_failures / stale_rejections whether the dispatchers or
+  // the service decode, and in every sharded merge of either, in the same
+  // order (the deferred-accounting contract of flow::DecodedUpdate).
   const auto reference = RunFailureMix(1, /*decoded_plane=*/false);
   // The mix by construction: 4 corrupt/missing fresh-round failures
   // become decode failures only while their round is fresh; round-77/99

@@ -10,6 +10,7 @@
 // and the fault injector's seed-determinism.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -23,6 +24,7 @@
 #include "persist/durable_store.h"
 #include "persist/file_io.h"
 #include "persist/wire.h"
+#include "reference_fedavg.h"
 #include "sim/event_loop.h"
 
 namespace simdc::core {
@@ -725,58 +727,136 @@ TEST(DurableRecoveryTest, EngineLogTornAtEveryByteOfFinalRecordRecovers) {
   }
 }
 
+/// Serial oracle for the staged, lane-parallel aggregate: re-adds the
+/// final round's uploads, which are still in the store (reclaim runs at the
+/// NEXT round's start), into a plain FedAvgAggregator and expects the
+/// engine's final model bit for bit. Under BaseConfig every device uploads
+/// every round and nothing is dropped or stale, so the uploads are exactly
+/// the blobs put between the previous and the final published model, in
+/// device order.
+void ExpectFinalRoundMatchesOracle(const FlEngine& engine,
+                                   const data::FederatedDataset& dataset,
+                                   const FlRunResult& result,
+                                   const std::string& label) {
+  const auto& history = engine.aggregation().history();
+  ASSERT_GE(history.size(), 2u) << label;
+  std::uint64_t blob = history[history.size() - 2].model_blob.value();
+  std::vector<flow::Message> uploads;
+  for (const data::DeviceData& device : dataset.devices) {
+    flow::Message message;
+    message.payload = BlobId(++blob);
+    message.sample_count = device.examples.size();
+    uploads.push_back(message);
+  }
+  ASSERT_EQ(blob + 1, history.back().model_blob.value()) << label;
+  const std::vector<SimTime> arrivals(uploads.size(), 0);
+  auto replay = reference::ReplayFedAvg(engine.storage(), result.model_dim,
+                                        uploads, arrivals);
+  ASSERT_TRUE(reference::CloseRound(replay, 0)) << label;
+  EXPECT_EQ(replay.decode_failures, 0u) << label;
+  EXPECT_EQ(replay.history[0].clients, result.rounds.back().clients) << label;
+  EXPECT_EQ(replay.history[0].samples, result.rounds.back().samples) << label;
+  ASSERT_EQ(replay.global.weights().size(), result.final_weights.size());
+  EXPECT_EQ(0, std::memcmp(replay.global.weights().data(),
+                           result.final_weights.data(),
+                           result.final_weights.size() * sizeof(float)))
+      << label;
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(replay.global.bias()),
+            std::bit_cast<std::uint32_t>(result.final_bias))
+      << label;
+}
+
 TEST(DurableRecoveryMatrixTest, AllShardWidthsAndCodecsRecoverBitIdentical) {
   const auto dataset = SmallDataset();
   for (const std::size_t width : {1u, 2u, 4u, 8u}) {
     for (const ml::PayloadCodec codec :
          {ml::PayloadCodec::kFp32, ml::PayloadCodec::kFp16,
           ml::PayloadCodec::kInt8}) {
-      // The aggregate-plane axis: both planes must produce the same bits
-      // as each other (order-invariant cascade) AND recover bit-identically
-      // through a mid-experiment crash.
-      const RunOutcome* cross_plane_reference = nullptr;
-      RunOutcome first_plane_outcome;
-      for (const cloud::AggregatePlane plane :
-           {cloud::AggregatePlane::kPartialSum,
-            cloud::AggregatePlane::kLegacy}) {
-        const std::string label =
-            "width=" + std::to_string(width) + " codec=" +
-            std::string(ml::ToString(codec)) + " plane=" +
-            (plane == cloud::AggregatePlane::kPartialSum ? "partial_sum"
-                                                         : "legacy");
-        SCOPED_TRACE(label);
-        FlExperimentConfig base = BaseConfig();
-        base.shards = width;
-        base.payload_codec = codec;
-        base.aggregate_plane = plane;
-        const RunOutcome reference = RunToCompletion(dataset, base);
+      // Every cell must match the serial FedAvg oracle AND recover
+      // bit-identically through a mid-experiment crash.
+      const std::string label = "width=" + std::to_string(width) +
+                                " codec=" + std::string(ml::ToString(codec));
+      SCOPED_TRACE(label);
+      FlExperimentConfig base = BaseConfig();
+      base.shards = width;
+      base.payload_codec = codec;
+      RunOutcome reference;
+      {
+        sim::EventLoop loop;
+        FlEngine engine(loop, dataset, base);
+        reference = CollectOutcome(engine, engine.Run());
         ASSERT_EQ(reference.result.rounds.size(), 3u);
-        if (cross_plane_reference == nullptr) {
-          first_plane_outcome = reference;
-          cross_plane_reference = &first_plane_outcome;
-        } else {
-          ExpectOutcomeIdentical(*cross_plane_reference, reference, label);
-        }
-
-        const std::string dir = FreshDir(label);
-        FaultPlan plan;
-        plan.seed = width * 100 + static_cast<std::uint64_t>(codec);
-        plan.crash_on_append = 4;  // mid-experiment commit
-        FaultInjector faulty(plan);
-        FlExperimentConfig crash_config = base;
-        crash_config.durability.mode = DurabilityMode::kLogCheckpoint;
-        crash_config.durability.dir = dir;
-        crash_config.durability.io = &faulty;
-        ASSERT_TRUE(CrashRun(dataset, crash_config)) << "plan never fired";
-
-        FlExperimentConfig resume_config = base;
-        resume_config.durability.mode = DurabilityMode::kLogCheckpoint;
-        resume_config.durability.dir = dir;
-        const RunOutcome recovered = RecoverOrRerun(dataset, resume_config);
-        ExpectOutcomeIdentical(reference, recovered, label);
+        ExpectFinalRoundMatchesOracle(engine, dataset, reference.result, label);
       }
+
+      const std::string dir = FreshDir(label);
+      FaultPlan plan;
+      plan.seed = width * 100 + static_cast<std::uint64_t>(codec);
+      plan.crash_on_append = 4;  // mid-experiment commit
+      FaultInjector faulty(plan);
+      FlExperimentConfig crash_config = base;
+      crash_config.durability.mode = DurabilityMode::kLogCheckpoint;
+      crash_config.durability.dir = dir;
+      crash_config.durability.io = &faulty;
+      ASSERT_TRUE(CrashRun(dataset, crash_config)) << "plan never fired";
+
+      FlExperimentConfig resume_config = base;
+      resume_config.durability.mode = DurabilityMode::kLogCheckpoint;
+      resume_config.durability.dir = dir;
+      const RunOutcome recovered = RecoverOrRerun(dataset, resume_config);
+      ExpectOutcomeIdentical(reference, recovered, label);
     }
   }
+}
+
+TEST(DurableRecoveryTest, SlaCountersMatchDispatchStats) {
+  // Sla() sums dispatcher counters without touching the batch logs; the
+  // sums must equal the full dispatch_stats() merge on the unsharded and
+  // sharded paths, and on a resumed engine whose counters include the
+  // checkpointed prefix.
+  const auto dataset = SmallDataset();
+  FlExperimentConfig config = BaseConfig();
+  config.strategy = flow::RealtimeAccumulated{{1}, 0.1};
+  config.link.transient_failure_probability = 0.3;
+  config.link.max_attempts = 2;
+  config.link.backoff_initial = Seconds(1.0);
+  const auto expect_match = [](const FlEngine& engine,
+                               const FlRunResult& result,
+                               const std::string& label) {
+    const flow::DispatchStats stats = engine.dispatch_stats();
+    const TaskSlaReport sla = engine.Sla();
+    EXPECT_GT(stats.retries, 0u) << label;
+    EXPECT_GT(stats.dropped, 0u) << label;
+    EXPECT_EQ(sla.retries, stats.retries) << label;
+    EXPECT_EQ(sla.deadline_drops, stats.deadline_drops) << label;
+    EXPECT_EQ(sla.churn_losses, stats.churn_losses) << label;
+    EXPECT_EQ(sla.messages_dropped, stats.dropped) << label;
+    EXPECT_EQ(result.messages_dropped, stats.dropped) << label;
+  };
+  for (const std::size_t width : {1u, 4u}) {
+    sim::EventLoop loop;
+    FlExperimentConfig sharded = config;
+    sharded.shards = width;
+    FlEngine engine(loop, dataset, sharded);
+    const FlRunResult result = engine.Run();
+    expect_match(engine, result, "width=" + std::to_string(width));
+  }
+
+  const std::string dir = FreshDir("");
+  FaultPlan plan;
+  plan.crash_on_append = 4;
+  FaultInjector faulty(plan);
+  FlExperimentConfig durable =
+      DurableConfig(DurabilityMode::kLogCheckpoint, dir, &faulty);
+  durable.strategy = config.strategy;
+  durable.link = config.link;
+  ASSERT_TRUE(CrashRun(dataset, durable));
+  durable.durability.io = nullptr;
+  sim::EventLoop loop;
+  FlEngine engine(loop, dataset, durable);
+  ASSERT_TRUE(engine.RestoreFromRecovery().ok());
+  const FlRunResult result = engine.Run();
+  expect_match(engine, result, "recovered");
 }
 
 }  // namespace

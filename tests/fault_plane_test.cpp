@@ -20,6 +20,7 @@
 #include "device/behavior.h"
 #include "device/fleet.h"
 #include "flow/device_flow.h"
+#include "golden_digest.h"
 #include "ml/lr_model.h"
 #include "phonemgr/phone_mgr.h"
 #include "sim/event_loop.h"
@@ -702,16 +703,19 @@ TEST(FaultPlaneEngineTest, ChurnRetriesBitIdenticalAcrossShardWidths) {
 }
 
 TEST(FaultPlaneEngineTest, LegacyPlaneMatchesDecodedUnderFaults) {
-  // The decoded/legacy payload-plane equivalence must survive the fault
-  // plane: retried messages decode at their retry-fire tick on the decoded
-  // plane and inline on the legacy plane, same bits either way.
+  // Retried messages decode at their retry-fire tick. The run must still
+  // equal the golden digest the retired decode-in-handler plane produced
+  // under the full fault ladder.
   const auto dataset = Dataset();
-  auto legacy = FaultConfig();
-  legacy.decode_plane = flow::DecodePlane::kLegacy;
-  const auto reference = RunFault(dataset, FaultConfig(), 1);
   for (const std::size_t shards : {1u, 4u}) {
-    ExpectOutcomesIdentical(reference, RunFault(dataset, legacy, shards),
-                            shards);
+    sim::EventLoop loop;
+    auto config = FaultConfig();
+    config.shards = shards;
+    core::FlEngine engine(loop, dataset, std::move(config));
+    const core::FlRunResult result = engine.Run();
+    golden::ExpectGolden("fault_plane.fault_config",
+                         golden::RunDigest(engine, result),
+                         "shards=" + std::to_string(shards));
   }
 }
 

@@ -13,6 +13,7 @@
 #include "flow/rate_functions.h"
 #include "flow/shard_merger.h"
 #include "flow/strategy.h"
+#include "golden_digest.h"
 #include "sim/event_loop.h"
 
 namespace simdc::flow {
@@ -445,7 +446,7 @@ TEST(IsolationTest, TasksDispatchIndependently) {
   EXPECT_EQ(slow_sink.deliveries.size(), 50u);
 }
 
-// ---------- Batched vs per-message delivery equivalence ----------
+// ---------- Batched delivery equivalence ----------
 
 /// Records batch boundaries in addition to every delivery (to check that
 /// the batched path really arrives via DeliverBatch, one call per tick).
@@ -469,16 +470,18 @@ struct DispatchOutcome {
   std::size_t sent = 0;
   std::size_t dropped = 0;
   std::vector<std::pair<SimTime, std::size_t>> batches;
+  /// Golden digest of the deliveries (arrival, id) and the dispatch stats.
+  std::uint64_t digest = 0;
 };
 
-/// Runs one Fig. 10 scenario (round of `n` messages, then round end) in the
-/// given delivery mode and returns everything observable.
+/// Runs one Fig. 10 scenario (round of `n` messages, then round end) and
+/// returns everything observable.
 DispatchOutcome RunScenario(const DispatchStrategy& strategy, std::size_t n,
-                            DeliveryMode mode, std::uint64_t seed) {
+                            std::uint64_t seed) {
   sim::EventLoop loop;
   DeviceFlow flow(loop);
   BatchAwareEndpoint sink;
-  EXPECT_TRUE(flow.ConfigureTask(TaskId(1), strategy, &sink, seed, mode).ok());
+  EXPECT_TRUE(flow.ConfigureTask(TaskId(1), strategy, &sink, seed).ok());
   EXPECT_TRUE(flow.OnRoundStart(TaskId(1), 0).ok());
   for (std::uint64_t i = 0; i < n; ++i) {
     EXPECT_TRUE(flow.OnMessage(MakeMessage(TaskId(1), i)).ok());
@@ -492,13 +495,23 @@ DispatchOutcome RunScenario(const DispatchStrategy& strategy, std::size_t n,
   out.sent = stats.sent;
   out.dropped = stats.dropped;
   out.batches = stats.batches;
+  golden::Digest digest;
+  digest.Add(out.deliveries.size());
+  for (const auto& [when, id] : out.deliveries) {
+    digest.Add(when);
+    digest.Add(id.value());
+  }
+  golden::AddDispatch(digest, stats);
+  out.digest = digest.value();
   return out;
 }
 
 TEST(DeliveryEquivalenceTest, AllStrategiesBitIdenticalAcrossModes) {
   // Fig. 10 scenarios: time-point, time-interval, realtime-accumulated —
   // all with both dropout mechanisms in play so the RNG draw order is
-  // genuinely exercised.
+  // genuinely exercised. Arrivals (time and message identity, in order),
+  // drop decisions and tick stats must equal the golden digests the
+  // retired per-message delivery mode produced.
   TimePointDispatch points;
   points.points = {{Seconds(5), true, 600, 0.1, 0},
                    {Seconds(20), true, 1400, 0.0, 25},
@@ -509,29 +522,26 @@ TEST(DeliveryEquivalenceTest, AllStrategiesBitIdenticalAcrossModes) {
   interval.failure_probability = 0.2;
   const RealtimeAccumulated realtime{{20, 100, 50}, 0.15};
 
-  const std::vector<std::pair<DispatchStrategy, std::size_t>> scenarios = {
-      {points, 3000}, {interval, 5000}, {realtime, 4000}};
-  for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    const auto& [strategy, n] = scenarios[s];
-    const auto batched = RunScenario(strategy, n, DeliveryMode::kBatched, 17);
-    const auto legacy = RunScenario(strategy, n, DeliveryMode::kPerMessage, 17);
-    // Bit-identical arrivals (time and message identity, in order).
-    EXPECT_EQ(batched.deliveries, legacy.deliveries) << "scenario " << s;
-    // Bit-identical drop decisions and tick stats.
-    EXPECT_EQ(batched.sent, legacy.sent) << "scenario " << s;
-    EXPECT_EQ(batched.dropped, legacy.dropped) << "scenario " << s;
-    EXPECT_EQ(batched.batches, legacy.batches) << "scenario " << s;
-    // And the batched path really fans in O(ticks): one DeliverBatch call
-    // per non-empty dispatch tick, none on the per-message path.
-    EXPECT_TRUE(legacy.batch_sizes.empty()) << "scenario " << s;
+  const std::vector<std::pair<std::string, std::pair<DispatchStrategy,
+                                                     std::size_t>>>
+      scenarios = {{"flow.fig10_time_point", {points, 3000}},
+                   {"flow.fig10_time_interval", {interval, 5000}},
+                   {"flow.fig10_realtime", {realtime, 4000}}};
+  for (const auto& [name, scenario] : scenarios) {
+    const auto& [strategy, n] = scenario;
+    const auto batched = RunScenario(strategy, n, 17);
+    golden::ExpectGolden(name, batched.digest);
+    EXPECT_GT(batched.dropped, 0u) << name;
+    // And delivery really fans in O(ticks): one DeliverBatch call per
+    // non-empty dispatch tick.
     std::size_t nonempty_ticks = 0;
     std::size_t in_batches = 0;
     for (const auto& [when, count] : batched.batches) {
       if (count > 0) ++nonempty_ticks;
     }
     for (const std::size_t size : batched.batch_sizes) in_batches += size;
-    EXPECT_EQ(batched.batch_sizes.size(), nonempty_ticks) << "scenario " << s;
-    EXPECT_EQ(in_batches, batched.sent) << "scenario " << s;
+    EXPECT_EQ(batched.batch_sizes.size(), nonempty_ticks) << name;
+    EXPECT_EQ(in_batches, batched.sent) << name;
   }
 }
 
@@ -542,7 +552,7 @@ TEST(DeliveryEquivalenceTest, DefaultDeliverBatchLoopsOverDeliver) {
   DeviceFlow flow(loop);
   RecordingEndpoint sink;  // no DeliverBatch override
   ASSERT_TRUE(flow.ConfigureTask(TaskId(1), RealtimeAccumulated{{50}, 0.0},
-                                 &sink, 0, DeliveryMode::kBatched).ok());
+                                 &sink).ok());
   for (std::uint64_t i = 0; i < 100; ++i) {
     ASSERT_TRUE(flow.OnMessage(MakeMessage(TaskId(1), i)).ok());
   }
@@ -700,6 +710,7 @@ TEST(ShardMergerTest, MergesTicksInTimeThenGlobalIdOrder) {
 }
 
 TEST(ShardMergerTest, PerMessageDeliveriesBecomeSingleTicks) {
+  // A lone Deliver is captured as a one-message tick.
   BatchAwareEndpoint sink;
   ShardMerger merger(2, &sink, nullptr);
   merger.channel(1).Deliver(MakeMessage(TaskId(1), 7), Seconds(2.0));

@@ -1,6 +1,6 @@
 // Unit + property tests for the scheduler module: the hybrid allocation
 // optimizer (verified against brute force), task queue, resource manager,
-// greedy scheduler and task runner.
+// and greedy scheduler.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,6 @@
 #include "sched/resource_manager.h"
 #include "sched/scheduler.h"
 #include "sched/task_queue.h"
-#include "sched/task_runner.h"
 #include "sim/event_loop.h"
 
 namespace simdc::sched {
@@ -401,77 +400,6 @@ TEST(RequestForTest, SumsAcrossRequirements) {
   EXPECT_EQ(request.logical_bundles, 24u);
   EXPECT_EQ(request.phones[0], 2u);
   EXPECT_EQ(request.phones[1], 3u);  // phones + benchmarking
-}
-
-// ---------- TaskRunner ----------
-
-TEST(TaskRunnerTest, RunsTasksAndTracksStates) {
-  TaskRunner runner(2);
-  auto task = MakeTask(1, 0);
-  auto future = runner.Launch(task, [](const TaskSpec&) { return Status::Ok(); });
-  EXPECT_TRUE(future.get().ok());
-  runner.WaitAll();
-  EXPECT_EQ(runner.StateOf(TaskId(1)), TaskState::kCompleted);
-  EXPECT_EQ(runner.StateOf(TaskId(42)), TaskState::kQueued);  // unknown
-}
-
-TEST(TaskRunnerTest, FailureAndExceptionBecomeFailedState) {
-  TaskRunner runner(2);
-  auto f1 = runner.Launch(MakeTask(1, 0), [](const TaskSpec&) {
-    return Status(Internal("boom"));
-  });
-  auto f2 = runner.Launch(MakeTask(2, 0), [](const TaskSpec&) -> Status {
-    throw std::runtime_error("kaboom");
-  });
-  EXPECT_FALSE(f1.get().ok());
-  const auto status2 = f2.get();
-  EXPECT_FALSE(status2.ok());
-  EXPECT_NE(status2.error().message().find("kaboom"), std::string::npos);
-  runner.WaitAll();
-  EXPECT_EQ(runner.StateOf(TaskId(1)), TaskState::kFailed);
-  EXPECT_EQ(runner.StateOf(TaskId(2)), TaskState::kFailed);
-}
-
-TEST(TaskRunnerTest, StateCallbackSequence) {
-  TaskRunner runner(1);
-  std::vector<TaskState> states;
-  std::mutex mutex;
-  auto future = runner.Launch(
-      MakeTask(1, 0), [](const TaskSpec&) { return Status::Ok(); },
-      [&](TaskId, TaskState state) {
-        std::lock_guard<std::mutex> lock(mutex);
-        states.push_back(state);
-      });
-  EXPECT_TRUE(future.get().ok());
-  runner.WaitAll();
-  ASSERT_EQ(states.size(), 3u);
-  EXPECT_EQ(states[0], TaskState::kScheduled);
-  EXPECT_EQ(states[1], TaskState::kRunning);
-  EXPECT_EQ(states[2], TaskState::kCompleted);
-}
-
-TEST(TaskRunnerTest, PlanAllocationFromSpec) {
-  TaskSpec task = MakeTask(1, 0);
-  task.requirements[0].num_devices = 50;
-  task.requirements[0].logical_bundles = 80;
-  task.requirements[0].phones = 4;
-  auto plan = TaskRunner::PlanAllocation(task);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->logical_devices.size(), 1u);
-  EXPECT_GT(plan->total_seconds, 0.0);
-}
-
-TEST(TaskRunnerTest, ConcurrentTasks) {
-  TaskRunner runner(4);
-  std::vector<std::future<Status>> futures;
-  for (std::uint64_t i = 1; i <= 16; ++i) {
-    futures.push_back(runner.Launch(MakeTask(i, 0), [](const TaskSpec&) {
-      return Status::Ok();
-    }));
-  }
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-  runner.WaitAll();
-  EXPECT_EQ(runner.running_count(), 0u);
 }
 
 TEST(TaskStateTest, Names) {
