@@ -8,8 +8,8 @@
 //     bytes per device from the peak-RSS delta.
 //
 //  2. Engine payload plane: a real FlEngine run per rung with a fixed
-//     1000-participant cohort and arena-pooled payload blobs
-//     (reclaim_payload_blobs). The hard gate
+//     1000-participant cohort whose payload blobs and arena slabs are
+//     recycled each round (reclaim_payload_blobs). The hard gate
 //     is bit-identical FlRunResult across shard widths 1/2/4/8 at every
 //     rung, plus fp32 reclaim == fp32 no-reclaim (arena recycling must not
 //     change results) and width-invariance of the fp16/int8 codecs. Codec

@@ -165,7 +165,7 @@ void AggregationService::DeliverDecodedOne(const flow::DecodedUpdate& update,
   // books as a decode failure here, in delivery order, so the O(dim) add
   // can be deferred to the flush. (Zero samples cannot reach Add: the
   // floor above is 1.)
-  if (update.model->dim() != config_.model_dim) {
+  if (update.model.dim() != config_.model_dim) {
     ++decode_failures_;
     return;
   }
@@ -194,7 +194,8 @@ void AggregationService::FlushPending() {
   if (lanes <= 1) {
     for (const StagedUpdate& staged : pending_) {
       // Dim was checked at admission and samples >= 1, so Add cannot fail.
-      const Status added = aggregator_.Add(*staged.model, staged.samples);
+      const Status added = aggregator_.Add(
+          staged.model.weights(), staged.model.bias(), staged.samples);
       SIMDC_CHECK(added.ok(), "FlushPending: staged add failed: "
                                   << added.error().ToString());
     }
@@ -208,8 +209,9 @@ void AggregationService::FlushPending() {
       const std::size_t end = std::min(begin + chunk, pending_.size());
       ml::FedAvgAggregator& partial = partials_[lane];
       for (std::size_t i = begin; i < end; ++i) {
-        const Status added =
-            partial.Add(*pending_[i].model, pending_[i].samples);
+        const StagedUpdate& staged = pending_[i];
+        const Status added = partial.Add(
+            staged.model.weights(), staged.model.bias(), staged.samples);
         SIMDC_CHECK(added.ok(), "FlushPending: partial add failed: "
                                     << added.error().ToString());
       }
@@ -254,7 +256,8 @@ AggregationSnapshot AggregationService::Snapshot() const {
   // (where checkpoints are cut) pending_ is empty and this is a plain copy.
   ml::FedAvgAggregator merged = aggregator_;
   for (const StagedUpdate& staged : pending_) {
-    const Status added = merged.Add(*staged.model, staged.samples);
+    const Status added = merged.Add(staged.model.weights(),
+                                    staged.model.bias(), staged.samples);
     SIMDC_CHECK(added.ok(), "Snapshot: staged add failed: "
                                 << added.error().ToString());
   }

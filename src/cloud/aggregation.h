@@ -13,7 +13,7 @@
 // blob fetch + decode happens upstream, in parallel, at dispatch-tick time
 // (flow::DecodedUpdate), so this serial side is only the staleness
 // verdict, counter bookkeeping and O(1) staging: each admitted update is
-// staged as a {shared model, samples} entry, and staged entries are
+// staged as a {model view, samples} entry, and staged entries are
 // flushed into per-lane partial FedAvg aggregators on the worker pool,
 // merged in fixed ascending-lane order. Per round the serial side does
 // O(lanes·dim) merge work instead of O(msgs·dim) adds. The FedAvg cascade
@@ -243,14 +243,15 @@ class AggregationService final : public flow::CloudEndpoint {
   /// AggregationRecord::time).
   bool AggregateAt(SimTime when);
 
-  /// One admitted-but-unflushed update.
+  /// One admitted-but-unflushed update; for fp32 payloads its weights are
+  /// still the stored blob's bytes, which the flush reads in place.
   struct StagedUpdate {
-    std::shared_ptr<const ml::LrModel> model;
+    ml::ModelView model;
     std::size_t samples = 0;
   };
-  /// Flush whenever this many entries are staged: bounds shared-payload
-  /// retention and keeps flush slices cache-sized, without changing any
-  /// published bit (flush timing is inside the invariance window).
+  /// Flush whenever this many entries are staged: bounds payload retention
+  /// and keeps flush slices cache-sized, without changing any published
+  /// bit (flush timing is inside the invariance window).
   static constexpr std::size_t kFlushCap = 256;
   /// Partial-aggregator lane ceiling for one flush.
   static constexpr std::size_t kMaxLanes = 8;

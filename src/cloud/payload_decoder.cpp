@@ -18,7 +18,7 @@ flow::DecodedUpdate BlobModelDecoder::Decode(flow::Message message) const {
     update.error = blob.error();
     return update;
   }
-  auto model = ml::LrModel::FromBytesShared(blob->span());
+  auto model = ml::LrModel::FromBytesView(blob->span(), blob->holder());
   if (!model.ok()) {
     update.failure = flow::DecodedUpdate::Failure::kUndecodable;
     update.error = model.error();

@@ -18,18 +18,38 @@ BlobId BlobStore::Put(std::vector<std::byte> bytes) {
   return id;
 }
 
-BlobId BlobStore::PutPooled(std::span<const std::byte> bytes) {
+PooledReservation BlobStore::ReservePooled(std::size_t count,
+                                           std::size_t bytes_each) {
+  PooledReservation reservation;
+  reservation.slots_.reserve(count);
   std::lock_guard<std::mutex> lock(mutex_);
-  ByteArena::Allocation alloc = arena_.Allocate(bytes.size());
-  if (!bytes.empty()) {
-    std::memcpy(alloc.data, bytes.data(), bytes.size());
+  reservation.first_id_ = next_id_;
+  next_id_ += count;
+  for (std::size_t i = 0; i < count; ++i) {
+    reservation.slots_.push_back(arena_.Allocate(bytes_each));
   }
-  const BlobId id(next_id_++);
-  total_bytes_ += bytes.size();
-  bytes_written_ += bytes.size();
-  blobs_.emplace(id,
-                 SharedBlob(std::move(alloc.block), alloc.data, bytes.size()));
-  if (journal_ != nullptr) journal_->OnPut(id, {alloc.data, bytes.size()});
+  return reservation;
+}
+
+void BlobStore::CommitPooled(PooledReservation reservation) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (std::size_t i = 0; i < reservation.slots_.size(); ++i) {
+    ByteArena::Allocation& slot = reservation.slots_[i];
+    const BlobId id = reservation.id(i);
+    total_bytes_ += slot.size;
+    bytes_written_ += slot.size;
+    blobs_.emplace(id, SharedBlob(std::move(slot.block), slot.data, slot.size));
+    if (journal_ != nullptr) journal_->OnPut(id, {slot.data, slot.size});
+  }
+}
+
+BlobId BlobStore::PutPooled(std::span<const std::byte> bytes) {
+  PooledReservation reservation = ReservePooled(1, bytes.size());
+  const BlobId id = reservation.id(0);
+  if (!bytes.empty()) {
+    std::memcpy(reservation.slot(0).data(), bytes.data(), bytes.size());
+  }
+  CommitPooled(std::move(reservation));
   return id;
 }
 

@@ -7,12 +7,15 @@
 // an opaque BlobId carried inside DeviceFlow messages.
 //
 // Memory plane: payload blobs (the O(msgs)-per-round bulk) are packed into
-// a refcounted bump arena (common/arena.h) via PutPooled, so steady-state
-// rounds touch the heap O(1) times; long-lived blobs (published global
-// models) keep the standalone Put path. Both produce the same SharedBlob
-// view type, and both honor the Delete-while-held guarantee — a SharedBlob
-// owns a reference to its backing storage (arena block or standalone
-// buffer), never the other way round.
+// a refcounted bump arena (common/arena.h), so steady-state rounds touch
+// the heap O(1) times. Devices write their payloads straight into arena
+// slots (ReservePooled → encode in place → CommitPooled), so each payload
+// exists once; PutPooled is the copying form of the same path. Long-lived
+// blobs (published global models) keep the standalone Put path. Both
+// produce the same SharedBlob view type, and both honor the
+// Delete-while-held guarantee — a SharedBlob owns a reference to its
+// backing storage (arena block or standalone buffer), never the other way
+// round.
 #pragma once
 
 #include <cstddef>
@@ -31,10 +34,11 @@
 namespace simdc::cloud {
 
 /// Observer of BlobStore mutations — the seam the durability plane hangs
-/// off (persist::DurableStore records every Put/PutPooled/Delete into its
-/// append-only blob log). Callbacks run under the store mutex, after the
-/// mutation is applied; implementations must be cheap (buffer, don't do
-/// I/O) and must not call back into the store.
+/// off (persist::DurableStore records every Put, every blob a CommitPooled
+/// publishes, and every Delete into its append-only blob log). Callbacks
+/// run under the store mutex, after the mutation is applied;
+/// implementations must be cheap (buffer, don't do I/O) and must not call
+/// back into the store.
 class BlobJournal {
  public:
   virtual ~BlobJournal() = default;
@@ -45,7 +49,7 @@ class BlobJournal {
 /// Shared-ownership view of a stored blob (see BlobStore::GetShared).
 /// Value-semantic: copying is one shared_ptr copy, no payload copy. The
 /// owner handle keeps the backing bytes alive — a standalone buffer for
-/// Put blobs, a whole arena block for PutPooled blobs — so the view stays
+/// Put blobs, a whole arena block for pooled blobs — so the view stays
 /// valid (and bit-stable) across Delete, ReclaimArena, and store
 /// destruction while any holder remains.
 class SharedBlob {
@@ -66,11 +70,41 @@ class SharedBlob {
 
   /// Identity of the backing storage (aliasing assertions in tests).
   const void* owner() const { return owner_.get(); }
+  /// Shared ownership of the backing storage: what a decoded view that
+  /// aliases these bytes holds to keep them alive (ml::ModelView).
+  const std::shared_ptr<const void>& holder() const { return owner_; }
 
  private:
   std::shared_ptr<const void> owner_;
   const std::byte* data_ = nullptr;
   std::size_t size_ = 0;
+};
+
+/// Arena slots reserved for payloads their producers write in place (see
+/// BlobStore::ReservePooled). Ids are assigned at reservation; the slots'
+/// blobs stay invisible to readers until BlobStore::CommitPooled publishes
+/// them. Distinct slots never overlap, so N writers may fill N slots
+/// concurrently. Move-only: a reservation is committed once.
+class PooledReservation {
+ public:
+  PooledReservation() = default;
+  PooledReservation(PooledReservation&&) = default;
+  PooledReservation& operator=(PooledReservation&&) = default;
+  PooledReservation(const PooledReservation&) = delete;
+  PooledReservation& operator=(const PooledReservation&) = delete;
+
+  std::size_t size() const { return slots_.size(); }
+  /// The id slot `i` publishes under: first id + i.
+  BlobId id(std::size_t i) const { return BlobId(first_id_ + i); }
+  /// Slot `i`'s bytes (8-byte aligned), to be written before the commit.
+  std::span<std::byte> slot(std::size_t i) const {
+    return {slots_[i].data, slots_[i].size};
+  }
+
+ private:
+  friend class BlobStore;
+  std::uint64_t first_id_ = 0;
+  std::vector<ByteArena::Allocation> slots_;
 };
 
 /// All operations are thread-safe; blobs are immutable once Put, so a
@@ -86,10 +120,23 @@ class BlobStore {
   /// pin an arena block.
   BlobId Put(std::vector<std::byte> bytes);
 
-  /// Stores a blob by copying `bytes` into the pooled arena — one bump
-  /// allocation, O(1) amortized heap traffic. The path for per-round
-  /// payload uploads; pair with ReclaimArena at round boundaries so blocks
-  /// whose blobs were all Deleted get recycled instead of freed.
+  /// Reserves `count` arena slots of `bytes_each` bytes for payloads the
+  /// caller writes in place, with ids next_id() .. next_id() + count - 1
+  /// in slot order. A slot larger than an arena slab gets its own block.
+  /// Nothing is visible or counted until CommitPooled. The path for
+  /// per-round payload uploads: each device encodes straight into its
+  /// slot, so the payload is never copied. Pair with ReclaimArena at
+  /// round boundaries so blocks whose blobs were all Deleted get recycled
+  /// instead of freed.
+  PooledReservation ReservePooled(std::size_t count, std::size_t bytes_each);
+
+  /// Publishes every slot of `reservation` (from this store) as a blob, in
+  /// id order: one bytes_written/total_bytes booking and one journal
+  /// record per blob, carrying the bytes written into the slot.
+  void CommitPooled(PooledReservation reservation);
+
+  /// Stores a blob by copying `bytes` into the pooled arena: a one-slot
+  /// ReservePooled, a copy, and CommitPooled.
   BlobId PutPooled(std::span<const std::byte> bytes);
 
   /// Fetches a blob (copy; the store stays authoritative).

@@ -30,6 +30,7 @@ ByteArena::Allocation ByteArena::Allocate(std::size_t size) {
       current_ = std::make_shared<ArenaBlock>(block_bytes_);
       ++blocks_created_;
     }
+    ++slabs_handed_out_;
     offset_ = 0;
   }
   std::byte* data = current_->bytes.get() + offset_;
@@ -42,25 +43,36 @@ std::size_t ByteArena::Reclaim() {
     retired_.push_back(std::move(current_));
     offset_ = 0;
   }
-  std::size_t recycled = 0;
+  // A period that handed out nothing (blocks pinned past the previous
+  // Reclaim are being released late) keeps the last working set.
+  if (slabs_handed_out_ > 0) working_set_ = slabs_handed_out_;
+  slabs_handed_out_ = 0;
+  std::vector<std::shared_ptr<ArenaBlock>> free;
+  free.reserve(working_set_);
   std::vector<std::shared_ptr<ArenaBlock>> still_live;
   still_live.reserve(retired_.size());
   for (auto& block : retired_) {
-    // use_count == 1: only the arena's own handle is left — no Allocation
-    // (and therefore no SharedBlob) can still read these bytes.
-    if (block.use_count() == 1 && block->capacity == block_bytes_) {
-      ++recycled;
-      ++blocks_recycled_;
-      if (free_.size() < kMaxFreeBlocks) free_.push_back(std::move(block));
-    } else if (block.use_count() == 1) {
-      // Oversized one-off block: recycle accounting, but never reused.
-      ++recycled;
-      ++blocks_recycled_;
-    } else {
+    // use_count > 1: an Allocation (and so a SharedBlob or a view over
+    // it) can still read these bytes.
+    if (block.use_count() > 1) {
       still_live.push_back(std::move(block));
+    } else if (block->capacity == block_bytes_ &&
+               free.size() < working_set_) {
+      free.push_back(std::move(block));
     }
+    // Otherwise the block is freed here: an oversized one-off, or a slab
+    // beyond the working set.
   }
+  const std::size_t recycled = free.size();
+  // Slabs the finished round left on the free list fill what is left of
+  // the working set; the rest are freed.
+  for (auto& block : free_) {
+    if (free.size() == working_set_) break;
+    free.push_back(std::move(block));
+  }
+  free_ = std::move(free);
   retired_ = std::move(still_live);
+  blocks_recycled_ += recycled;
   return recycled;
 }
 

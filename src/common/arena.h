@@ -53,18 +53,22 @@ class ByteArena {
   Allocation Allocate(std::size_t size);
 
   /// Round-boundary reset: retires the current block and recycles every
-  /// retired block no outstanding Allocation references (use_count == 1 —
-  /// only the arena's own handle left). Recycled blocks go to a bounded
-  /// free list and are reused by later Allocate calls, so steady-state
-  /// rounds perform zero slab allocations. Blocks still referenced by live
-  /// allocations are left untouched — their bytes stay bit-stable until the
-  /// last holder drops them. Returns the number of blocks recycled.
+  /// retired slab no outstanding Allocation references (use_count == 1 —
+  /// only the arena's own handle left) onto the free list, which later
+  /// Allocate calls drain before creating slabs. The free list is bounded
+  /// by the working set: the number of slabs the finished round handed
+  /// out (the last round that handed out any), so a steady-state round
+  /// finds every slab it needs there and creates none, while slabs beyond
+  /// a shrunken working set, and oversized one-off blocks, are freed.
+  /// Blocks still referenced by live allocations are left untouched —
+  /// their bytes stay bit-stable until the last holder drops them.
+  /// Returns the number of blocks put back on the free list.
   std::size_t Reclaim();
 
   // --- accounting (tests and bench assertions) ---
   /// Slabs ever heap-allocated (the O(1)-steady-state gate watches this).
   std::size_t blocks_created() const { return blocks_created_; }
-  /// Reclaim() recycle events (block reuses, cumulative).
+  /// Blocks Reclaim() put back on the free list (cumulative).
   std::size_t blocks_recycled() const { return blocks_recycled_; }
   /// Blocks currently owned by the arena (filling + retired + free).
   std::size_t blocks_held() const {
@@ -73,10 +77,6 @@ class ByteArena {
   std::size_t block_bytes() const { return block_bytes_; }
 
  private:
-  /// Bound on the recycled-block free list; blocks beyond it are genuinely
-  /// freed so a one-off burst does not pin memory forever.
-  static constexpr std::size_t kMaxFreeBlocks = 16;
-
   std::size_t block_bytes_;
   std::shared_ptr<ArenaBlock> current_;
   std::size_t offset_ = 0;
@@ -85,6 +85,10 @@ class ByteArena {
   std::vector<std::shared_ptr<ArenaBlock>> retired_;
   /// Recycled blocks ready for reuse.
   std::vector<std::shared_ptr<ArenaBlock>> free_;
+  /// Slabs Allocate took (free list or new) since the last Reclaim, and
+  /// the free-list bound Reclaim derives from it.
+  std::size_t slabs_handed_out_ = 0;
+  std::size_t working_set_ = 0;
   std::size_t blocks_created_ = 0;
   std::size_t blocks_recycled_ = 0;
 };

@@ -397,10 +397,15 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
   const ml::LrModel& global = service_->global_model();
   const auto logical_cut = static_cast<std::size_t>(
       config_.logical_fraction * static_cast<double>(n) + 0.5);
-  // Member scratch: the per-slot payload buffers persist across rounds, so
-  // steady-state rounds reuse them instead of reallocating O(dim) each.
-  std::vector<TrainedUpdate>& results = train_scratch_;
-  results.resize(participants.size());
+  // The round's payload slots are reserved in the store's arena before
+  // training, with blob ids assigned in slot order; each worker encodes
+  // its trained model straight into its own slot, so a payload is written
+  // once and never copied. Nothing touches the store between here and the
+  // commit below.
+  const std::size_t payload_bytes = global.EncodedSize(config_.payload_codec);
+  cloud::PooledReservation payloads =
+      storage_.ReservePooled(participants.size(), payload_bytes);
+  std::vector<TrainedUpdate> results(participants.size());
 
   auto train_one = [&, this](std::size_t slot) {
     const std::size_t device_index = participants[slot];
@@ -417,9 +422,8 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
         SplitMix64(config_.seed ^ (device_index * 1000003ULL + round));
     op->Train(local, shard.examples, train);
 
+    local.EncodeTo(payloads.slot(slot), config_.payload_codec);
     TrainedUpdate& out = results[slot];
-    out.bytes.resize(local.EncodedSize(config_.payload_codec));
-    local.EncodeTo(out.bytes, config_.payload_codec);
     out.samples = shard.examples.size();
     out.device = shard.device;
     Rng delay_rng = Rng(config_.seed).Split(device_index ^ (round << 20));
@@ -439,14 +443,14 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
     }
   }
 
-  // Emit upload events: blob to storage + message into the flow plane at
-  // the device's response time. Messages carry the *aggregation* round
-  // they were trained against (what a staleness-filtering cloud checks),
-  // which can lag the engine's round index when a round closed empty.
-  // Message ids, blob ids and emit accounting are all assigned here, in
-  // slot (device-index) order, so the fired closures touch only their own
-  // shard's state — the property that lets shard loops advance on pool
-  // threads without locks.
+  // Emit upload events: a message into the flow plane at the device's
+  // response time, referencing its payload blob. Messages carry the
+  // *aggregation* round they were trained against (what a staleness-
+  // filtering cloud checks), which can lag the engine's round index when a
+  // round closed empty. Message ids, blob ids and emit accounting are all
+  // assigned in slot (device-index) order, so the fired closures touch
+  // only their own shard's state — the property that lets shard loops
+  // advance on pool threads without locks.
   const std::size_t aggregation_round = service_->rounds_completed();
   SimDuration max_delay = 0;
   std::vector<sim::TimedEvent> uploads;
@@ -457,7 +461,7 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
   // single-loop FIFO tie-breaks.
   std::vector<std::vector<sim::TimedEvent>> shard_uploads(shards_.size());
   for (std::size_t slot = 0; slot < participants.size(); ++slot) {
-    TrainedUpdate& trained = results[slot];
+    const TrainedUpdate& trained = results[slot];
     max_delay = std::max(max_delay, trained.delay);
     const SimTime when = t0 + trained.delay;
     flow::Message message;
@@ -465,22 +469,10 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
     message.task = config_.task;
     message.device = trained.device;
     message.round = aggregation_round;
-    message.payload_bytes = static_cast<std::int64_t>(trained.bytes.size());
+    message.payload_bytes = static_cast<std::int64_t>(payload_bytes);
+    message.payload = payloads.id(slot);
     if (config_.reclaim_payload_blobs) {
-      // Pooled put: the payload is copied into the store's arena, leaving
-      // the scratch buffer in place for the next round's encode. Round-
-      // boundary reclamation recycles the slabs, so steady-state rounds
-      // touch the allocator O(1) times. Pooling is only a win WITH
-      // reclamation — without it the arena would grow one cold slab per
-      // ~16 payloads with no reuse, paying fresh-page faults the
-      // hand-over-by-move path below never incurs.
-      message.payload = storage_.PutPooled(trained.bytes);
       round_blob_ids_.push_back(message.payload);
-    } else {
-      // Keep-everything mode: hand the encode buffer to the store whole
-      // (the historical allocation pattern). The scratch slot reallocates
-      // next round, but nothing is copied.
-      message.payload = storage_.Put(std::move(trained.bytes));
     }
     message.sample_count = trained.samples;
     message.created = when;  // == loop time when the upload event fires
@@ -500,6 +492,9 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
            }});
     }
   }
+  // Publish the round's payloads before any upload can fire: one journal
+  // record per blob, in id order.
+  storage_.CommitPooled(std::move(payloads));
   // One heap rebuild per loop for the round's uploads (O(N + H), same
   // FIFO tie-breaks as scheduling them one by one).
   (void)loop_.ScheduleBulk(std::move(uploads));

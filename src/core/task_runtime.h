@@ -99,12 +99,10 @@ struct FlExperimentConfig {
   /// round's reclaim finds its payload missing and is dropped as a decode
   /// failure instead of a stale rejection — identical at every shard width
   /// (in-flight sets are width-invariant), but not byte-identical to a
-  /// run without reclaim when stragglers exist. This knob also selects the
-  /// storage path: with reclaim on, payloads are arena-pooled
-  /// (BlobStore::PutPooled) and the slabs recycle each round; with it off
-  /// every payload gets its own buffer (BlobStore::Put by move — the
-  /// historical pattern), since an arena that is never reclaimed only adds
-  /// cold slabs. Off by default; the million-device ladder turns it on.
+  /// run without reclaim when stragglers exist. Payloads are written into
+  /// the arena either way (BlobStore::ReservePooled); with reclaim off
+  /// they, and their slabs, are simply kept. Off by default; the
+  /// million-device ladder turns it on.
   bool reclaim_payload_blobs = false;
   cloud::AggregationTrigger trigger = cloud::AggregationTrigger::kScheduled;
   std::size_t sample_threshold = 1000;
@@ -373,18 +371,14 @@ class TaskRuntime {
   std::vector<FleetShard> shards_;
   Rng rng_;
   FlRunResult result_;
-  /// Per-participant training output for the round in flight. A member so
-  /// the O(dim) payload buffers are recycled across rounds: under
-  /// reclaim_payload_blobs the encode → PutPooled path does zero
-  /// steady-state heap allocations per round (without reclaim the buffers
-  /// move into the store and the slots reallocate, the historical cost).
+  /// Per-participant training output for the round in flight, besides the
+  /// payload, which each participant encodes straight into its reserved
+  /// blob-store arena slot (BlobStore::ReservePooled).
   struct TrainedUpdate {
-    std::vector<std::byte> bytes;
     std::size_t samples = 0;
     SimDuration delay = 0;
     DeviceId device;
   };
-  std::vector<TrainedUpdate> train_scratch_;
   /// Payload blob ids created for the round in flight; tracked (and
   /// deleted at the next round start) only under reclaim_payload_blobs.
   std::vector<BlobId> round_blob_ids_;

@@ -8,7 +8,9 @@
 // threads when fleets are sharded), and the serial cloud side receives
 // DecodedUpdates it only has to admit and accumulate. This is the
 // parameter-server decode-offload discipline: parallel produce (decode),
-// fixed-order reduce (FedAvg).
+// fixed-order reduce (FedAvg). For fp32 payloads the "decode" is a header
+// validation: the update's weights alias the stored blob, and FedAvg reads
+// them in place.
 //
 // The decode is *speculative* in two ways, both deliberate:
 //   1. It runs before the cloud's staleness verdict, so a stale update is
@@ -20,8 +22,6 @@
 //      commits the counter — a stale message with a corrupt blob counts as
 //      a stale rejection, never a decode failure.
 #pragma once
-
-#include <memory>
 
 #include "common/error.h"
 #include "flow/message.h"
@@ -41,21 +41,23 @@ struct DecodedUpdate {
   enum class Failure { kNone, kMissingBlob, kUndecodable, kStoreError };
 
   Message message;
-  /// Decoded payload model; nullptr when failure != kNone. Shared ownership
-  /// keeps the update cheap to buffer and re-queue through the merge plane.
-  std::shared_ptr<const ml::LrModel> model;
+  /// Decoded payload, read in place from the stored blob (fp32) or from
+  /// the view's own dequantized buffer (fp16/int8); empty when failure !=
+  /// kNone. The view shares ownership of its backing bytes, which keeps
+  /// the update cheap to buffer and re-queue through the merge plane.
+  ml::ModelView model;
   Failure failure = Failure::kNone;
   /// Failure detail for the warning the serial side logs on commit.
   Status error = Status::Ok();
 
-  bool decoded() const { return model != nullptr; }
+  bool decoded() const { return static_cast<bool>(model); }
 };
 
 /// Fetch-and-decode seam between the flow plane and payload storage.
 /// Implementations MUST be safe to call concurrently: sharded fleets decode
 /// from N shard loops advancing in parallel on the worker pool
 /// (sim::LockstepGroup). The canonical implementation is
-/// cloud::BlobModelDecoder (shared-ownership blob fetch + LrModel decode).
+/// cloud::BlobModelDecoder (shared-ownership blob fetch + view decode).
 class PayloadDecoder {
  public:
   virtual ~PayloadDecoder() = default;

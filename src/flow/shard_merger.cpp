@@ -29,7 +29,7 @@ void ShardChannel::DeliverDecodedBatch(std::span<const DecodedUpdate> updates,
   SIMDC_CHECK(updates.size() == arrivals.size(),
               "ShardChannel: decoded batch span size mismatch");
   if (updates.empty()) return;
-  // Decoded ticks buffer the updates as-is — the models are shared_ptrs,
+  // Decoded ticks buffer the updates as-is — the models are shared views,
   // so parking a tick at the barrier costs O(messages) pointer copies, not
   // O(messages * dim) payload copies.
   Tick tick;

@@ -67,22 +67,22 @@ void CascadeMerge(const double* SIMDC_RESTRICT other_sum,
 
 }  // namespace kernels
 
-Status FedAvgAggregator::Add(const LrModel& model, std::size_t sample_count) {
-  if (model.dim() != dim()) {
-    return InvalidArgument("FedAvg: model dim " + std::to_string(model.dim()) +
+Status FedAvgAggregator::Add(std::span<const float> weights, float bias,
+                             std::size_t sample_count) {
+  if (weights.size() != accumulator_.size()) {
+    return InvalidArgument("FedAvg: model dim " +
+                           std::to_string(weights.size()) +
                            " != aggregator dim " + std::to_string(dim()));
   }
   if (sample_count == 0) {
     return InvalidArgument("FedAvg: client update with zero samples");
   }
   const auto w = static_cast<double>(sample_count);
-  const auto weights = model.weights();
   kernels::CascadeAdd(weights.data(), accumulator_.size(), w,
                       accumulator_.data(), compensation1_.data(),
                       compensation2_.data());
-  kernels::CascadeStep(w * static_cast<double>(model.bias()),
-                       bias_accumulator_, bias_compensation1_,
-                       bias_compensation2_);
+  kernels::CascadeStep(w * static_cast<double>(bias), bias_accumulator_,
+                       bias_compensation1_, bias_compensation2_);
   total_samples_ += sample_count;
   ++clients_;
   return Status::Ok();

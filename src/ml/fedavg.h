@@ -84,8 +84,14 @@ class FedAvgAggregator {
   explicit FedAvgAggregator(std::uint32_t dim)
       : accumulator_(dim), compensation1_(dim), compensation2_(dim) {}
 
+  /// Adds one client update — its weights and bias — weighted by its
+  /// sample count. `weights` may alias a stored payload blob (ModelView).
+  Status Add(std::span<const float> weights, float bias,
+             std::size_t sample_count);
   /// Adds one client model weighted by its sample count.
-  Status Add(const LrModel& model, std::size_t sample_count);
+  Status Add(const LrModel& model, std::size_t sample_count) {
+    return Add(model.weights(), model.bias(), sample_count);
+  }
 
   /// Folds `other`'s accumulated state into this aggregator (partial-sum
   /// reduction). Both must share a dimension. `other` is unchanged.

@@ -2,7 +2,10 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <memory>
+#include <new>
 
 namespace simdc::ml {
 namespace {
@@ -94,6 +97,102 @@ T ReadRaw(const std::byte*& p) {
   std::memcpy(&value, p, sizeof(T));
   p += sizeof(T);
   return value;
+}
+
+/// A blob whose header and size passed validation: what the weight decode
+/// needs, with `payload` at the first encoded weight.
+struct BlobLayout {
+  PayloadCodec codec = PayloadCodec::kFp32;
+  std::uint32_t dim = 0;
+  float bias = 0.0f;
+  /// kInt8 only: the per-tensor dequantization scale.
+  float scale = 0.0f;
+  const std::byte* payload = nullptr;
+};
+
+/// The one validation routine behind every decode entry point, so they
+/// all accept and reject exactly the same bytes with the same errors.
+Result<BlobLayout> ParseBlob(std::span<const std::byte> bytes) {
+  if (bytes.size() < sizeof(std::uint32_t) + sizeof(float)) {
+    return ParseError("model blob too small");
+  }
+  const std::byte* p = bytes.data();
+  const std::uint32_t head = ReadRaw<std::uint32_t>(p);
+  BlobLayout layout;
+
+  if (head != kQuantMagic) {
+    // Legacy fp32 blob: head is the dimension.
+    const std::uint32_t d = head;
+    const std::size_t expected = sizeof(std::uint32_t) + sizeof(float) +
+                                 static_cast<std::size_t>(d) * sizeof(float);
+    if (bytes.size() != expected) {
+      return ParseError("model blob size mismatch: got " +
+                        std::to_string(bytes.size()) + ", want " +
+                        std::to_string(expected));
+    }
+    layout.dim = d;
+    layout.bias = ReadRaw<float>(p);
+    layout.payload = p;
+    return layout;
+  }
+
+  if (bytes.size() < kTaggedHeaderBytes) {
+    return ParseError("quantized model blob truncated header");
+  }
+  const std::uint32_t codec_raw = ReadRaw<std::uint32_t>(p);
+  layout.dim = ReadRaw<std::uint32_t>(p);
+  layout.bias = ReadRaw<float>(p);
+  const auto d = static_cast<std::size_t>(layout.dim);
+
+  switch (static_cast<PayloadCodec>(codec_raw)) {
+    case PayloadCodec::kFp16: {
+      const std::size_t expected =
+          kTaggedHeaderBytes + d * sizeof(std::uint16_t);
+      if (bytes.size() != expected) {
+        return ParseError("fp16 model blob size mismatch: got " +
+                          std::to_string(bytes.size()) + ", want " +
+                          std::to_string(expected));
+      }
+      layout.codec = PayloadCodec::kFp16;
+      layout.payload = p;
+      return layout;
+    }
+    case PayloadCodec::kInt8: {
+      const std::size_t expected = kTaggedHeaderBytes + sizeof(float) + d;
+      if (bytes.size() != expected) {
+        return ParseError("int8 model blob size mismatch: got " +
+                          std::to_string(bytes.size()) + ", want " +
+                          std::to_string(expected));
+      }
+      layout.codec = PayloadCodec::kInt8;
+      layout.scale = ReadRaw<float>(p);
+      layout.payload = p;
+      return layout;
+    }
+    case PayloadCodec::kFp32:
+      break;  // fp32 is never tagged; fall through to the error
+  }
+  return ParseError("unknown payload codec tag: " + std::to_string(codec_raw));
+}
+
+/// Decodes a validated blob's weights into `out` (layout.dim floats).
+void DecodeWeights(const BlobLayout& layout, float* out) {
+  const std::byte* p = layout.payload;
+  switch (layout.codec) {
+    case PayloadCodec::kFp32:
+      std::memcpy(out, p, static_cast<std::size_t>(layout.dim) * sizeof(float));
+      return;
+    case PayloadCodec::kFp16:
+      for (std::uint32_t i = 0; i < layout.dim; ++i) {
+        out[i] = HalfToFloat(ReadRaw<std::uint16_t>(p));
+      }
+      return;
+    case PayloadCodec::kInt8:
+      for (std::uint32_t i = 0; i < layout.dim; ++i) {
+        out[i] = static_cast<float>(ReadRaw<std::int8_t>(p)) * layout.scale;
+      }
+      return;
+  }
 }
 
 }  // namespace
@@ -199,74 +298,12 @@ std::vector<std::byte> LrModel::ToBytes(PayloadCodec codec) const {
 }
 
 Result<LrModel> LrModel::FromBytes(std::span<const std::byte> bytes) {
-  if (bytes.size() < sizeof(std::uint32_t) + sizeof(float)) {
-    return ParseError("model blob too small");
-  }
-  const std::byte* p = bytes.data();
-  const std::uint32_t head = ReadRaw<std::uint32_t>(p);
-
-  if (head != kQuantMagic) {
-    // Legacy fp32 blob: head is the dimension.
-    const std::uint32_t d = head;
-    const std::size_t expected = sizeof(std::uint32_t) + sizeof(float) +
-                                 static_cast<std::size_t>(d) * sizeof(float);
-    if (bytes.size() != expected) {
-      return ParseError("model blob size mismatch: got " +
-                        std::to_string(bytes.size()) + ", want " +
-                        std::to_string(expected));
-    }
-    LrModel model(d);
-    std::memcpy(&model.bias_, p, sizeof(float));
-    p += sizeof(float);
-    std::memcpy(model.weights_.data(), p,
-                static_cast<std::size_t>(d) * sizeof(float));
-    return model;
-  }
-
-  if (bytes.size() < kTaggedHeaderBytes) {
-    return ParseError("quantized model blob truncated header");
-  }
-  const std::uint32_t codec_raw = ReadRaw<std::uint32_t>(p);
-  const std::uint32_t d = ReadRaw<std::uint32_t>(p);
-  const float bias = ReadRaw<float>(p);
-
-  switch (static_cast<PayloadCodec>(codec_raw)) {
-    case PayloadCodec::kFp16: {
-      const std::size_t expected =
-          kTaggedHeaderBytes + static_cast<std::size_t>(d) * sizeof(std::uint16_t);
-      if (bytes.size() != expected) {
-        return ParseError("fp16 model blob size mismatch: got " +
-                          std::to_string(bytes.size()) + ", want " +
-                          std::to_string(expected));
-      }
-      LrModel model(d);
-      model.bias_ = bias;
-      for (std::uint32_t i = 0; i < d; ++i) {
-        model.weights_[i] = HalfToFloat(ReadRaw<std::uint16_t>(p));
-      }
-      return model;
-    }
-    case PayloadCodec::kInt8: {
-      const std::size_t expected =
-          kTaggedHeaderBytes + sizeof(float) + static_cast<std::size_t>(d);
-      if (bytes.size() != expected) {
-        return ParseError("int8 model blob size mismatch: got " +
-                          std::to_string(bytes.size()) + ", want " +
-                          std::to_string(expected));
-      }
-      LrModel model(d);
-      model.bias_ = bias;
-      const float scale = ReadRaw<float>(p);
-      for (std::uint32_t i = 0; i < d; ++i) {
-        const auto q = ReadRaw<std::int8_t>(p);
-        model.weights_[i] = static_cast<float>(q) * scale;
-      }
-      return model;
-    }
-    case PayloadCodec::kFp32:
-      break;  // fp32 is never tagged; fall through to the error
-  }
-  return ParseError("unknown payload codec tag: " + std::to_string(codec_raw));
+  auto layout = ParseBlob(bytes);
+  if (!layout.ok()) return layout.error();
+  LrModel model(layout->dim);
+  model.bias_ = layout->bias;
+  DecodeWeights(*layout, model.weights_.data());
+  return model;
 }
 
 Result<std::shared_ptr<const LrModel>> LrModel::FromBytesShared(
@@ -275,6 +312,29 @@ Result<std::shared_ptr<const LrModel>> LrModel::FromBytesShared(
   if (!model.ok()) return model.error();
   return std::shared_ptr<const LrModel>(
       std::make_shared<LrModel>(std::move(*model)));
+}
+
+Result<ModelView> LrModel::FromBytesView(std::span<const std::byte> bytes,
+                                         std::shared_ptr<const void> owner) {
+  auto layout = ParseBlob(bytes);
+  if (!layout.ok()) return layout.error();
+  const std::uint32_t d = layout->dim;
+  if (layout->codec == PayloadCodec::kFp32 && owner != nullptr && d > 0 &&
+      reinterpret_cast<std::uintptr_t>(layout->payload) % alignof(float) ==
+          0) {
+    // The encoder memcpy'd these floats into the blob, which implicitly
+    // created float objects there; launder reaches them through the byte
+    // address. The aliasing shared_ptr holds `owner`, not the floats.
+    const float* weights =
+        std::launder(reinterpret_cast<const float*>(layout->payload));
+    return ModelView(std::shared_ptr<const float>(std::move(owner), weights),
+                     d, layout->bias);
+  }
+  std::shared_ptr<float[]> buffer = std::make_shared_for_overwrite<float[]>(d);
+  DecodeWeights(*layout, buffer.get());
+  const float* weights = buffer.get();
+  return ModelView(std::shared_ptr<const float>(std::move(buffer), weights), d,
+                   layout->bias);
 }
 
 }  // namespace simdc::ml

@@ -10,7 +10,7 @@
 // wire format, byte-identical to what ToBytes always produced; kFp16 and
 // kInt8 (per-tensor scale) cut payload bytes 2×/4× for the million-device
 // memory plane, with dequantization running in the parallel decode plane
-// (cloud::BlobModelDecoder → FromBytesShared). Decoding auto-detects the
+// (cloud::BlobModelDecoder → FromBytesView). Decoding auto-detects the
 // codec from the blob header, so mixed-codec stores decode uniformly.
 #pragma once
 
@@ -39,6 +39,34 @@ enum class PayloadCodec : std::uint8_t {
 };
 
 const char* ToString(PayloadCodec codec);
+
+/// Read-only decoded model blob (see LrModel::FromBytesView): the form the
+/// payload plane stages and FedAvg accumulates from. fp32 weights alias
+/// the blob's bytes in place; fp16/int8 weights are dequantized once into
+/// a buffer the view owns. Either way the view shares ownership of what
+/// backs its weights, so it stays valid and bit-stable for as long as it
+/// is held, whatever happens to the store the blob came from. Copying is
+/// one shared_ptr copy.
+class ModelView {
+ public:
+  ModelView() = default;
+
+  std::uint32_t dim() const { return dim_; }
+  float bias() const { return bias_; }
+  std::span<const float> weights() const { return {weights_.get(), dim_}; }
+  /// False only for a default-constructed (empty) view.
+  explicit operator bool() const { return weights_ != nullptr; }
+
+ private:
+  friend class LrModel;
+  ModelView(std::shared_ptr<const float> weights, std::uint32_t dim,
+            float bias)
+      : weights_(std::move(weights)), dim_(dim), bias_(bias) {}
+
+  std::shared_ptr<const float> weights_;
+  std::uint32_t dim_ = 0;
+  float bias_ = 0.0f;
+};
 
 class LrModel {
  public:
@@ -80,17 +108,24 @@ class LrModel {
   std::vector<std::byte> ToBytes(PayloadCodec codec = PayloadCodec::kFp32) const;
   /// Serializes in place into `out`, which must be exactly
   /// EncodedSize(codec) bytes — the zero-allocation path the engine uses to
-  /// write payloads straight into reusable per-device scratch buffers.
+  /// write each payload straight into its reserved blob-store arena slot.
   void EncodeTo(std::span<std::byte> out, PayloadCodec codec) const;
   /// Codec-aware decode: auto-detects the wire format from the header.
   static Result<LrModel> FromBytes(std::span<const std::byte> bytes);
-  /// Shared-ownership decode — the entry point of the parallel payload
-  /// plane (flow::DecodedUpdate). Same validation and bits as FromBytes;
-  /// the shared_ptr lets a decoded model travel the shard merge plane and
-  /// be buffered/re-queued without O(dim) copies. For kFp16/kInt8 blobs
-  /// this is where dequantization runs — on the shard workers, in parallel.
+  /// Shared-ownership decode: same validation and bits as FromBytes, one
+  /// owned copy behind a shared_ptr.
   static Result<std::shared_ptr<const LrModel>> FromBytesShared(
       std::span<const std::byte> bytes);
+  /// Header-validated view decode — the entry point of the parallel
+  /// payload plane (flow::DecodedUpdate). Same validation (same routine,
+  /// same error codes) and bits as FromBytes. `owner` keeps `bytes` alive:
+  /// when it is set and the fp32 weights are float-aligned in `bytes`, the
+  /// view aliases them and holds `owner` — no copy; otherwise (fp16/int8,
+  /// no owner, misaligned input) the weights are decoded into a buffer the
+  /// view owns. For kFp16/kInt8 blobs this is where dequantization runs —
+  /// on the shard workers, in parallel.
+  static Result<ModelView> FromBytesView(std::span<const std::byte> bytes,
+                                         std::shared_ptr<const void> owner);
 
   /// Serialized size in bytes (what DeviceFlow/storage accounting uses).
   std::size_t SerializedSize() const {

@@ -1,6 +1,6 @@
 // Append-only blob log: the redo stream of the durable cloud store.
 //
-// Every BlobStore mutation (Put / PutPooled / Delete) becomes one framed
+// Every BlobStore mutation (Put / pooled commit / Delete) becomes one framed
 // record appended to a single log file. Records are buffered in memory and
 // group-committed — one Append + one Sync per commit point (a dispatch
 // tick or round boundary) — so the simulation hot path stays O(1) syscalls

@@ -164,6 +164,222 @@ TEST(BlobStoreTest, SharedBlobOutlivesStoreDestruction) {
   EXPECT_EQ(pooled[0], static_cast<std::byte>(3));
 }
 
+/// Journal that records every mutation in order.
+class RecordingJournal final : public BlobJournal {
+ public:
+  struct Record {
+    BlobId id;
+    std::vector<std::byte> bytes;
+  };
+  void OnPut(BlobId id, std::span<const std::byte> bytes) override {
+    puts.push_back({id, {bytes.begin(), bytes.end()}});
+  }
+  void OnDelete(BlobId) override { ++deletes; }
+
+  std::vector<Record> puts;
+  std::size_t deletes = 0;
+};
+
+void Fill(std::span<std::byte> slot, const std::vector<std::byte>& bytes) {
+  ASSERT_EQ(slot.size(), bytes.size());
+  std::memcpy(slot.data(), bytes.data(), bytes.size());
+}
+
+TEST(BlobStoreTest, ReserveAssignsConsecutiveIdsInSlotOrder) {
+  BlobStore store;
+  (void)store.Put(Bytes({1}));
+  const std::uint64_t next = store.next_id();
+  PooledReservation reservation = store.ReservePooled(3, 4);
+  ASSERT_EQ(reservation.size(), 3u);
+  for (std::size_t i = 0; i < reservation.size(); ++i) {
+    EXPECT_EQ(reservation.id(i), BlobId(next + i));
+    EXPECT_EQ(reservation.slot(i).size(), 4u);
+  }
+  // The ids are taken at reservation: a Put before the commit follows them.
+  EXPECT_EQ(store.next_id(), next + 3);
+  EXPECT_EQ(store.Put(Bytes({2})), BlobId(next + 3));
+  store.CommitPooled(std::move(reservation));
+  EXPECT_EQ(store.blob_count(), 5u);
+}
+
+TEST(BlobStoreTest, ReservedBlobsInvisibleUntilCommit) {
+  BlobStore store;
+  PooledReservation reservation = store.ReservePooled(2, 3);
+  const BlobId a = reservation.id(0);
+  const BlobId b = reservation.id(1);
+  Fill(reservation.slot(0), Bytes({1, 2, 3}));
+  Fill(reservation.slot(1), Bytes({4, 5, 6}));
+  for (const BlobId id : {a, b}) {
+    EXPECT_FALSE(store.Contains(id));
+    auto shared = store.GetShared(id);
+    ASSERT_FALSE(shared.ok());
+    EXPECT_EQ(shared.error().code(), ErrorCode::kNotFound);
+  }
+  EXPECT_EQ(store.blob_count(), 0u);
+  EXPECT_EQ(store.bytes_written(), 0u);
+  EXPECT_EQ(store.total_bytes(), 0u);
+
+  store.CommitPooled(std::move(reservation));
+  EXPECT_TRUE(store.Contains(a));
+  auto got = store.Get(b);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, Bytes({4, 5, 6}));
+  EXPECT_EQ(store.bytes_written(), 6u);
+  EXPECT_EQ(store.total_bytes(), 6u);
+}
+
+TEST(BlobStoreTest, ReserveCommitJournalsEachBlobInIdOrder) {
+  BlobStore store;
+  RecordingJournal journal;
+  store.set_journal(&journal);
+  PooledReservation reservation = store.ReservePooled(3, 2);
+  const BlobId first = reservation.id(0);
+  // Slots are written out of order, the way pool workers finish.
+  for (std::size_t i = reservation.size(); i-- > 0;) {
+    const int v = static_cast<int>(i);
+    Fill(reservation.slot(i), Bytes({v, 10 + v}));
+  }
+  EXPECT_TRUE(journal.puts.empty());  // reserving journals nothing
+  store.CommitPooled(std::move(reservation));
+  ASSERT_EQ(journal.puts.size(), 3u);
+  for (std::size_t i = 0; i < journal.puts.size(); ++i) {
+    const int v = static_cast<int>(i);
+    EXPECT_EQ(journal.puts[i].id, BlobId(first.value() + i));
+    EXPECT_EQ(journal.puts[i].bytes, Bytes({v, 10 + v}));
+  }
+  EXPECT_EQ(journal.deletes, 0u);
+  store.set_journal(nullptr);
+}
+
+TEST(BlobStoreTest, ReserveCommitMatchesPutPooled) {
+  const std::vector<std::vector<std::byte>> payloads = {
+      Bytes({1, 2, 3}), Bytes({4, 5, 6}), Bytes({7, 8, 9})};
+  BlobStore pooled;
+  BlobStore reserved;
+  (void)pooled.Put(Bytes({0}));
+  (void)reserved.Put(Bytes({0}));
+  std::vector<BlobId> pooled_ids;
+  for (const auto& payload : payloads) {
+    pooled_ids.push_back(pooled.PutPooled(payload));
+  }
+  PooledReservation reservation = reserved.ReservePooled(payloads.size(), 3);
+  std::vector<BlobId> reserved_ids;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    Fill(reservation.slot(i), payloads[i]);
+    reserved_ids.push_back(reservation.id(i));
+  }
+  reserved.CommitPooled(std::move(reservation));
+
+  EXPECT_EQ(reserved_ids, pooled_ids);
+  EXPECT_EQ(reserved.next_id(), pooled.next_id());
+  EXPECT_EQ(reserved.bytes_written(), pooled.bytes_written());
+  EXPECT_EQ(reserved.total_bytes(), pooled.total_bytes());
+  for (const BlobId id : pooled_ids) {
+    auto a = pooled.Get(id);
+    auto b = reserved.Get(id);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(*a, *b);
+  }
+}
+
+TEST(BlobStoreTest, ReserveSlotLargerThanSlabGetsItsOwnBlock) {
+  BlobStore store;
+  const BlobId small = store.PutPooled(Bytes({1}));
+  PooledReservation reservation =
+      store.ReservePooled(1, ByteArena::kDefaultBlockBytes + 1);
+  EXPECT_EQ(reservation.slot(0).size(), ByteArena::kDefaultBlockBytes + 1);
+  const BlobId big = reservation.id(0);
+  store.CommitPooled(std::move(reservation));
+  const BlobId after = store.PutPooled(Bytes({2}));
+  EXPECT_EQ(store.arena_blocks_created(), 2u);
+  auto s = store.GetShared(small);
+  auto b = store.GetShared(big);
+  auto a = store.GetShared(after);
+  ASSERT_TRUE(s.ok() && b.ok() && a.ok());
+  EXPECT_EQ(b->size(), ByteArena::kDefaultBlockBytes + 1);
+  EXPECT_NE(b->owner(), s->owner());
+  // The oversized slot left the slab small blobs bump into in place.
+  EXPECT_EQ(a->owner(), s->owner());
+}
+
+ml::LrModel ViewTestModel() {
+  ml::LrModel model(64);
+  model.bias() = -0.75f;
+  for (std::uint32_t i = 0; i < model.dim(); ++i) {
+    model.weights()[i] = static_cast<float>(i) * 0.5f - 7.0f;
+  }
+  return model;
+}
+
+ml::ModelView DecodeView(const BlobStore& store, BlobId id) {
+  flow::Message message;
+  message.payload = id;
+  return BlobModelDecoder(store).Decode(std::move(message)).model;
+}
+
+void ExpectSameBits(const ml::ModelView& view, const ml::LrModel& model) {
+  ASSERT_EQ(view.dim(), model.dim());
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(view.bias()),
+            std::bit_cast<std::uint32_t>(model.bias()));
+  for (std::uint32_t i = 0; i < model.dim(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(view.weights()[i]),
+              std::bit_cast<std::uint32_t>(model.weights()[i]))
+        << "weight " << i;
+  }
+}
+
+TEST(BlobStoreTest, DecodedFp32ViewAliasesTheStoredBlob) {
+  const ml::LrModel model = ViewTestModel();
+  const auto bytes = model.ToBytes();
+  BlobStore store;
+  for (const BlobId id : {store.PutPooled(bytes), store.Put(bytes)}) {
+    const ml::ModelView view = DecodeView(store, id);
+    ASSERT_TRUE(view);
+    auto blob = store.GetShared(id);
+    ASSERT_TRUE(blob.ok());
+    // The weights are the blob's own bytes past the dim + bias header.
+    EXPECT_EQ(static_cast<const void*>(view.weights().data()),
+              static_cast<const void*>(blob->data() + 8));
+    ExpectSameBits(view, model);
+  }
+}
+
+TEST(BlobStoreTest, ReclaimArenaWhileModelViewHeld) {
+  // A staged fp32 update reads its weights straight from an arena slab, so
+  // the view must keep that slab alive and bit-stable across Delete and
+  // ReclaimArena, and the slab is recycled only after the view drops.
+  const ml::LrModel model = ViewTestModel();
+  BlobStore store;
+  const BlobId id = store.PutPooled(model.ToBytes());
+  ml::ModelView view = DecodeView(store, id);
+  ASSERT_TRUE(view);
+  ASSERT_TRUE(store.Delete(id).ok());
+  EXPECT_EQ(store.ReclaimArena(), 0u);  // the view pins the slab
+  const BlobId next = store.PutPooled(model.ToBytes(ml::PayloadCodec::kInt8));
+  EXPECT_EQ(store.arena_blocks_created(), 2u);  // not served from the pin
+  ExpectSameBits(view, model);
+  view = ml::ModelView();
+  EXPECT_EQ(store.ReclaimArena(), 1u);  // released: back on the free list
+  EXPECT_EQ(store.arena_blocks_recycled(), 1u);
+  EXPECT_TRUE(store.Contains(next));
+}
+
+TEST(BlobStoreTest, ModelViewOutlivesStoreDestruction) {
+  const ml::LrModel model = ViewTestModel();
+  ml::ModelView pooled;
+  ml::ModelView standalone;
+  {
+    BlobStore store;
+    pooled = DecodeView(store, store.PutPooled(model.ToBytes()));
+    standalone = DecodeView(store, store.Put(model.ToBytes()));
+    ASSERT_TRUE(pooled);
+    ASSERT_TRUE(standalone);
+  }
+  ExpectSameBits(pooled, model);
+  ExpectSameBits(standalone, model);
+}
+
 TEST(BlobStoreConcurrencyTest, ConcurrentPutGetDeleteStress) {
   // N writers Put/Delete while N readers Get/GetShared and decode — the
   // exact concurrency shape of the decoded payload plane (shard workers

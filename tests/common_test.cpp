@@ -8,6 +8,7 @@
 #include <limits>
 #include <set>
 
+#include "common/arena.h"
 #include "common/det_hash.h"
 #include "common/error.h"
 #include "common/ids.h"
@@ -563,6 +564,58 @@ TEST(ThreadPoolTest, AtLeastOneWorker) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
   EXPECT_EQ(pool.Submit([] { return 1; }).get(), 1);
+}
+
+// ---------- ByteArena ----------
+
+/// One arena "round": `slabs` slab-sized allocations, all released before
+/// the round's Reclaim.
+void ArenaRound(ByteArena& arena, std::size_t slabs) {
+  std::vector<ByteArena::Allocation> held;
+  for (std::size_t i = 0; i < slabs; ++i) {
+    held.push_back(arena.Allocate(arena.block_bytes()));
+  }
+}
+
+TEST(ByteArenaTest, ReclaimCountsOnlyBlocksPutOnTheFreeList) {
+  ByteArena arena(64);
+  {
+    const ByteArena::Allocation slab = arena.Allocate(64);
+    const ByteArena::Allocation oversized = arena.Allocate(65);
+    EXPECT_NE(slab.block, oversized.block);
+  }
+  // The slab goes back on the free list; the oversized one-off block is
+  // freed and is not a reuse.
+  EXPECT_EQ(arena.Reclaim(), 1u);
+  EXPECT_EQ(arena.blocks_recycled(), 1u);
+  EXPECT_EQ(arena.blocks_held(), 1u);
+  EXPECT_EQ(arena.blocks_created(), 2u);
+}
+
+TEST(ByteArenaTest, SteadyStateRoundsCreateNoSlabs) {
+  // The free list keeps every slab the finished round handed out, however
+  // many, so each later round of the same width is served from it.
+  constexpr std::size_t kSlabs = 40;
+  ByteArena arena(64);
+  for (int round = 0; round < 3; ++round) {
+    ArenaRound(arena, kSlabs);
+    EXPECT_EQ(arena.Reclaim(), kSlabs) << "round " << round;
+  }
+  EXPECT_EQ(arena.blocks_created(), kSlabs);
+  EXPECT_EQ(arena.blocks_recycled(), 3 * kSlabs);
+  EXPECT_EQ(arena.blocks_held(), kSlabs);
+}
+
+TEST(ByteArenaTest, FreeListFollowsTheLastRoundsWorkingSet) {
+  ByteArena arena(64);
+  ArenaRound(arena, 20);
+  EXPECT_EQ(arena.Reclaim(), 20u);
+  // A narrower round keeps only the slabs it used; the 15 it left idle on
+  // the free list are freed.
+  ArenaRound(arena, 5);
+  EXPECT_EQ(arena.Reclaim(), 5u);
+  EXPECT_EQ(arena.blocks_held(), 5u);
+  EXPECT_EQ(arena.blocks_created(), 20u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 
 #include "common/rng.h"
 #include "data/synth_avazu.h"
@@ -316,6 +317,96 @@ TEST(LrModelCodecTest, QuantizedBlobValidation) {
   std::memcpy(bad_tag.data() + sizeof(std::uint32_t), &unknown,
               sizeof(unknown));
   EXPECT_FALSE(LrModel::FromBytes(bad_tag).ok());
+}
+
+void ExpectSameBits(const ModelView& view, const LrModel& model) {
+  ASSERT_EQ(view.dim(), model.dim());
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(view.bias()),
+            std::bit_cast<std::uint32_t>(model.bias()));
+  for (std::uint32_t i = 0; i < model.dim(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(view.weights()[i]),
+              std::bit_cast<std::uint32_t>(model.weights()[i]))
+        << "weight " << i;
+  }
+}
+
+/// Where an aliasing fp32 view's weights would start inside `blob`.
+const void* Fp32WeightsIn(std::span<const std::byte> blob) {
+  return blob.data() + sizeof(std::uint32_t) + sizeof(float);
+}
+
+TEST(LrModelCodecTest, FromBytesViewMatchesFromBytes) {
+  const LrModel model = RampModel(32);
+  for (const auto codec :
+       {PayloadCodec::kFp32, PayloadCodec::kFp16, PayloadCodec::kInt8}) {
+    const auto blob =
+        std::make_shared<const std::vector<std::byte>>(model.ToBytes(codec));
+    auto eager = LrModel::FromBytes(*blob);
+    auto view = LrModel::FromBytesView(*blob, blob);
+    ASSERT_TRUE(eager.ok()) << ToString(codec);
+    ASSERT_TRUE(view.ok()) << ToString(codec);
+    ExpectSameBits(*view, *eager);
+    // fp32 weights are read in place; fp16/int8 are dequantized into a
+    // buffer the view owns.
+    EXPECT_EQ(static_cast<const void*>(view->weights().data()) ==
+                  Fp32WeightsIn(*blob),
+              codec == PayloadCodec::kFp32)
+        << ToString(codec);
+  }
+}
+
+TEST(LrModelCodecTest, FromBytesViewCopiesUnownedOrMisalignedInput) {
+  const LrModel model = RampModel(16);
+  const auto bytes = model.ToBytes();
+  // One byte into a larger buffer the weights are no longer float-aligned:
+  // the view must copy them rather than alias.
+  auto storage = std::make_shared<std::vector<std::byte>>(bytes.size() + 1);
+  std::memcpy(storage->data() + 1, bytes.data(), bytes.size());
+  const std::span<const std::byte> shifted(storage->data() + 1, bytes.size());
+  auto misaligned = LrModel::FromBytesView(shifted, storage);
+  ASSERT_TRUE(misaligned.ok());
+  EXPECT_NE(static_cast<const void*>(misaligned->weights().data()),
+            Fp32WeightsIn(shifted));
+  ExpectSameBits(*misaligned, model);
+  // Nothing keeps unowned bytes alive, so those are copied too.
+  auto unowned = LrModel::FromBytesView(bytes, nullptr);
+  ASSERT_TRUE(unowned.ok());
+  EXPECT_NE(static_cast<const void*>(unowned->weights().data()),
+            Fp32WeightsIn(bytes));
+  ExpectSameBits(*unowned, model);
+}
+
+TEST(LrModelCodecTest, FromBytesViewRejectsExactlyWhatFromBytesRejects) {
+  // Every malformed blob of FromBytesRejectsGarbage and
+  // QuantizedBlobValidation, through both decoders.
+  const LrModel model = RampModel(16);
+  std::vector<std::vector<std::byte>> garbage;
+  garbage.emplace_back(3);
+  garbage.push_back(LrModel(16).ToBytes());
+  garbage.back().pop_back();
+  for (const auto codec : {PayloadCodec::kFp16, PayloadCodec::kInt8}) {
+    garbage.push_back(model.ToBytes(codec));
+    garbage.back().pop_back();
+    garbage.push_back(model.ToBytes(codec));
+    garbage.back().push_back(std::byte{0});
+  }
+  garbage.push_back(model.ToBytes(PayloadCodec::kFp16));
+  garbage.back().resize(3 * sizeof(std::uint32_t) + sizeof(float));
+  garbage.push_back(model.ToBytes(PayloadCodec::kFp16));
+  const std::uint32_t unknown = 99;
+  std::memcpy(garbage.back().data() + sizeof(std::uint32_t), &unknown,
+              sizeof(unknown));
+
+  for (std::size_t i = 0; i < garbage.size(); ++i) {
+    const auto blob =
+        std::make_shared<const std::vector<std::byte>>(garbage[i]);
+    auto eager = LrModel::FromBytes(*blob);
+    auto view = LrModel::FromBytesView(*blob, blob);
+    ASSERT_FALSE(eager.ok()) << "case " << i;
+    ASSERT_FALSE(view.ok()) << "case " << i;
+    EXPECT_EQ(view.error().code(), eager.error().code()) << "case " << i;
+    EXPECT_EQ(view.error().message(), eager.error().message()) << "case " << i;
+  }
 }
 
 TEST(LrModelCodecTest, EncodedSizeRatiosAtScale) {
@@ -633,6 +724,8 @@ TEST(FedAvgTest, RejectsMismatchedDimAndZeroSamples) {
   FedAvgAggregator agg(8);
   EXPECT_FALSE(agg.Add(LrModel(4), 1).ok());
   EXPECT_FALSE(agg.Add(LrModel(8), 0).ok());
+  EXPECT_FALSE(agg.Add(std::vector<float>(4), 0.0f, 1).ok());
+  EXPECT_EQ(agg.clients(), 0u);
 }
 
 TEST(FedAvgTest, AggregateWithoutUpdatesFails) {
