@@ -10,7 +10,7 @@
 //   cumulative count follows its integral.
 //
 // Plus the 100k-message fan-in scenario: the same dispatch schedules at
-// 100,000 messages, one MessageBatch event per dispatch tick. Emits OPTIME
+// 100,000 messages, one delivery event per dispatch tick. Emits OPTIME
 // ops that bench/compare.py gates, and self-checks that every message
 // arrives.
 #include <chrono>
@@ -28,14 +28,10 @@ using namespace simdc;
 
 class CountingEndpoint final : public flow::CloudEndpoint {
  public:
-  void Deliver(const flow::Message&, SimTime arrival) override {
-    arrivals.push_back(arrival);
-  }
-  void DeliverBatch(std::span<const flow::Message> messages,
-                    std::span<const SimTime> batch_arrivals) override {
+  void DeliverDecodedBatch(std::span<const flow::DecodedUpdate>,
+                           std::span<const SimTime> batch_arrivals) override {
     // Consume a whole dispatch tick in one call, as cloud::Aggregation
     // does.
-    (void)messages;
     arrivals.insert(arrivals.end(), batch_arrivals.begin(),
                     batch_arrivals.end());
   }

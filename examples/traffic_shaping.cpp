@@ -25,10 +25,13 @@ class HourlyLoadEndpoint final : public flow::CloudEndpoint {
  public:
   explicit HourlyLoadEndpoint(double hours) : per_hour_(static_cast<std::size_t>(hours), 0) {}
 
-  void Deliver(const flow::Message&, SimTime arrival) override {
-    const auto hour = static_cast<std::size_t>(ToSeconds(arrival) / 3600.0);
-    if (hour < per_hour_.size()) ++per_hour_[hour];
-    ++total_;
+  void DeliverDecodedBatch(std::span<const flow::DecodedUpdate>,
+                           std::span<const SimTime> arrivals) override {
+    for (const SimTime arrival : arrivals) {
+      const auto hour = static_cast<std::size_t>(ToSeconds(arrival) / 3600.0);
+      if (hour < per_hour_.size()) ++per_hour_[hour];
+      ++total_;
+    }
   }
 
   const std::vector<std::size_t>& per_hour() const { return per_hour_; }

@@ -95,26 +95,13 @@ void AggregationService::ArmSchedule() {
   });
 }
 
-void AggregationService::Deliver(const flow::Message& message,
-                                 SimTime arrival) {
-  DeliverBatch(std::span<const flow::Message>(&message, 1),
-               std::span<const SimTime>(&arrival, 1));
-}
-
-void AggregationService::DeliverBatch(std::span<const flow::Message> messages,
-                                      std::span<const SimTime> arrivals) {
-  if (stopped_) return;
-  std::vector<flow::DecodedUpdate> updates;
-  updates.reserve(messages.size());
-  for (const flow::Message& message : messages) {
-    updates.push_back(decoder_.Decode(message));
-  }
-  DeliverDecodedBatch(updates, arrivals);
-}
-
 void AggregationService::DeliverDecodedBatch(
     std::span<const flow::DecodedUpdate> updates,
     std::span<const SimTime> arrivals) {
+  SIMDC_CHECK(updates.size() == arrivals.size(),
+              "AggregationService: tick span size mismatch ("
+                  << updates.size() << " updates, " << arrivals.size()
+                  << " arrivals)");
   const std::uint64_t t0 = NowNs();
   const std::uint64_t accumulate0 = serial_accumulate_ns_;
   for (std::size_t i = 0; i < updates.size(); ++i) {
@@ -139,6 +126,9 @@ void AggregationService::DeliverDecodedOne(const flow::DecodedUpdate& update,
   }
 
   if (!update.decoded()) {
+    SIMDC_CHECK(update.failure != flow::DecodedUpdate::Failure::kNone,
+                "AggregationService: update " << update.message.id.ToString()
+                                              << " was never decoded");
     if (update.failure == flow::DecodedUpdate::Failure::kStoreError) {
       ++store_errors_;
       SIMDC_LOG(kWarn, "AggregationService")

@@ -6,7 +6,7 @@
 // aggregation. Common triggers include reaching a threshold of total edge
 // training samples or reaching scheduled times."
 //
-// The service is a DeviceFlow CloudEndpoint: it receives messages,
+// The service is a DeviceFlow CloudEndpoint: it receives dispatch ticks,
 // accumulates the referenced model updates into a FedAvg aggregator, and
 // publishes a new global model whenever its trigger fires
 // (sample-threshold — Fig. 9a — or scheduled — Fig. 9b / Fig. 11). The
@@ -28,7 +28,6 @@
 #include <optional>
 #include <vector>
 
-#include "cloud/payload_decoder.h"
 #include "cloud/storage.h"
 #include "common/clock.h"
 #include "flow/device_flow.h"
@@ -140,25 +139,18 @@ class AggregationService final : public flow::CloudEndpoint {
   /// disabled, so drivers can call it unconditionally.
   void OnRoundOpened(SimTime t0);
 
-  /// Decoded delivery: payloads were fetched + decoded upstream (dispatch
-  /// ticks, possibly on shard workers), so the serial side is only the
-  /// staleness verdict, counter commits and O(1) staging — it never
-  /// touches BlobStore or FromBytes. Updates are admitted in order, each
-  /// with its own arrival stamp, so a threshold-triggered aggregation
-  /// records the triggering update's arrival as the round time. A decode
-  /// failure commits only if the update survives the reject_stale check,
-  /// in delivery order (see flow::DecodedUpdate).
+  /// Takes one tick. Payloads were fetched + decoded upstream (dispatch
+  /// ticks, possibly on shard workers — the dispatcher needs a
+  /// cloud::BlobModelDecoder), so the serial side is only the staleness
+  /// verdict, counter commits and O(1) staging — it never touches
+  /// BlobStore or FromBytes. Updates are admitted in order, each with its
+  /// own arrival stamp, so a threshold-triggered aggregation records the
+  /// triggering update's arrival as the round time. A decode failure
+  /// commits only if the update survives the reject_stale check, in
+  /// delivery order (see flow::DecodedUpdate). Spans of unequal length,
+  /// and a fresh update no decoder ran on, are rejected (SIMDC_CHECK).
   void DeliverDecodedBatch(std::span<const flow::DecodedUpdate> updates,
                            std::span<const SimTime> arrivals) override;
-
-  /// Undecoded delivery (direct callers and decoder-less dispatchers):
-  /// decodes each payload through a BlobModelDecoder on this service's
-  /// store, then admits exactly like DeliverDecodedBatch. Decoding comes
-  /// before the staleness verdict, so stale payloads are fetched too and
-  /// count in BlobStore::bytes_read.
-  void Deliver(const flow::Message& message, SimTime arrival) override;
-  void DeliverBatch(std::span<const flow::Message> messages,
-                    std::span<const SimTime> arrivals) override;
 
   const ml::LrModel& global_model() const { return global_model_; }
   void SetGlobalModel(ml::LrModel model) { global_model_ = std::move(model); }
@@ -258,8 +250,6 @@ class AggregationService final : public flow::CloudEndpoint {
 
   sim::EventLoop& loop_;
   BlobStore& storage_;
-  /// Decodes for the undecoded delivery hooks.
-  BlobModelDecoder decoder_{storage_};
   AggregationConfig config_;
   ml::FedAvgAggregator aggregator_;
   ml::LrModel global_model_;

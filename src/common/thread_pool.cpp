@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 
 namespace simdc {
 
@@ -53,7 +54,17 @@ void ThreadPool::ParallelFor(std::size_t n,
       for (std::size_t i = begin; i < end; ++i) fn(i);
     }));
   }
-  for (auto& f : futures) f.get();
+  // Wait for every chunk before rethrowing: a chunk still running `fn`
+  // must not outlive the caller's frame, which an early throw unwinds.
+  std::exception_ptr first_error;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 std::size_t ThreadPool::pending() const {

@@ -40,6 +40,8 @@ class ThreadPool {
   }
 
   /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
+  /// If chunks throw, every chunk still runs to its end, and then the
+  /// first exception (in chunk order) is rethrown.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   std::size_t size() const { return workers_.size(); }

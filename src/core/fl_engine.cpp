@@ -1,10 +1,7 @@
 #include "core/fl_engine.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
-
-#include "sim/lockstep.h"
 
 namespace simdc::core {
 
@@ -16,21 +13,14 @@ FlEngine::FlEngine(sim::EventLoop& loop, const data::FederatedDataset& dataset,
 
 FlRunResult FlEngine::Run() {
   runtime_->Begin();
-  if (!runtime_->sharded()) {
-    loop_.Run();
-  } else {
-    // Lockstep: cloud events first at each tick, shard loops advanced in
-    // parallel to a bounded horizon, then the merge barrier. The feedback
-    // guard is the engine's floor on upload latency — every event a
-    // drained delivery can schedule (uploads, round-end flush, stall
-    // guard) sits at least compute_seconds after the triggering arrival.
-    sim::LockstepGroup group(loop_, runtime_->ShardLoops(), runtime_->pool());
-    sim::LockstepGroup::Hooks hooks;
-    flow::ShardMerger* merger = runtime_->merger();
-    hooks.next_pending = [merger] { return merger->NextTickTime(); };
-    hooks.drain = [merger](SimTime horizon) { merger->DrainUpTo(horizon); };
-    group.Run(hooks, runtime_->feedback_guard());
-  }
+  // The one-member case of the lockstep loop multi-tenant runs use: cloud
+  // events first at each tick, shard loops advanced in parallel to a
+  // bounded horizon, then the merge barrier. An unsharded runtime has no
+  // shard loops, so the group steps the cloud loop in EventLoop::Run()
+  // order.
+  const std::vector<TaskRuntime*> members{runtime_.get()};
+  sim::LockstepGroup(loop_, runtime_->pool())
+      .Run(LockstepHooks(members), runtime_->feedback_guard());
   return runtime_->Finalize();
 }
 

@@ -15,8 +15,9 @@
 // FlEngine is the single-task facade: all per-task state lives in
 // core::TaskRuntime (so N runtimes can share one cloud loop — see
 // core::MultiTenantEngine); FlEngine owns exactly one runtime and drives
-// its loops to completion, preserving the historical one-call Run() API
-// bit-for-bit.
+// its loops to completion with the same lockstep loop a multi-tenant run
+// uses (core::LockstepHooks over one member), preserving the historical
+// one-call Run() API bit-for-bit.
 #pragma once
 
 #include <memory>

@@ -65,6 +65,12 @@ void MultiTenantEngine::Admit(Tenant& tenant, SimTime now) {
   peak_active_ = std::max(peak_active_, active_);
   tenant.runtime = std::make_unique<TaskRuntime>(
       loop_, *tenant.task.dataset, tenant.task.fl, pool_);
+  const TaskId id = tenant.task.spec.id;
+  admitted_.insert(std::upper_bound(admitted_.begin(), admitted_.end(), id,
+                                    [](TaskId key, const TaskRuntime* r) {
+                                      return key < r->config().task;
+                                    }),
+                   tenant.runtime.get());
   tenant.runtime->set_queue_times(tenant.submitted, now);
   Tenant* slot = &tenant;
   tenant.runtime->set_on_complete(
@@ -124,111 +130,32 @@ void MultiTenantEngine::AdmissionPass(const sched::SchedulePolicy& policy) {
   }
 }
 
-void MultiTenantEngine::Drive() {
-  // Dynamic lockstep — LockstepGroup generalized to N tenants with
-  // changing membership (admissions add shard loops mid-run). Invariants
-  // carried over: cloud plane first at each t0; shard horizons strictly
-  // before the next cloud event and at most one feedback guard past t0;
-  // barrier feedback can only schedule at or after the horizon (the guard
-  // is the min over active tenants, so it under-promises — see below).
-  std::vector<sim::EventLoop*> shard_loops;  // reused across iterations
-  std::vector<std::size_t> executed;
-  const SimDuration guard = global_guard_;
-  for (;;) {
-    // T0: globally earliest pending work — cloud events, any active
-    // tenant's shard events, any buffered merge tick.
-    SimTime t0 = loop_.NextEventTime();
-    shard_loops.clear();
-    for (auto& [id, tenant] : tenants_) {
-      if (!tenant.admitted || !tenant.runtime->sharded()) continue;
-      for (sim::EventLoop* shard : tenant.runtime->ShardLoops()) {
-        t0 = std::min(t0, shard->NextEventTime());
-        shard_loops.push_back(shard);
-      }
-      t0 = std::min(t0, tenant.runtime->merger()->NextTickTime());
-    }
-    if (t0 == sim::EventLoop::kNoEvent) break;
-
-    // 1. Cloud plane first at T0. Unsharded tenants live entirely here;
-    // admission passes and round feedback also fire here.
-    loop_.RunUntil(t0);
-
-    if (shard_loops.empty()) continue;  // re-derive membership + t0
-
-    // 2. Horizon (LockstepGroup's rule, global min-guard): every event
-    // the barrier's feedback can schedule on a shard loop sits at least
-    // min-guard past the global t0 — tenant B's round opening (or first
-    // round after admission) at tick.time >= t0 schedules uploads/flushes
-    // at >= tick.time + compute_B >= t0 + min-guard >= horizon — so a
-    // shorter guard than a tenant's own never lets feedback land behind
-    // its shard clocks; it only shortens how far loops run ahead per
-    // iteration.
-    const SimTime cloud_next = loop_.NextEventTime();
-    SimTime horizon = std::min(
-        cloud_next - 1, t0 > sim::EventLoop::kNoEvent - 1 - guard
-                            ? sim::EventLoop::kNoEvent - 1
-                            : t0 + guard);
-    horizon = std::max(horizon, t0);
-
-    // 3. Advance every active tenant's shard loops to the shared horizon.
-    // Loops touch only their own tenant's state (dispatchers write into
-    // the tenant's own merger channels), so cross-tenant parallelism is
-    // as safe as the intra-tenant kind.
-    if (shard_loops.size() > 1 && pool_ != nullptr) {
-      executed.assign(shard_loops.size(), 0);
-      pool_->ParallelFor(shard_loops.size(), [&](std::size_t s) {
-        executed[s] = shard_loops[s]->RunUntil(horizon);
-      });
-    } else {
-      for (sim::EventLoop* shard : shard_loops) {
-        (void)shard->RunUntil(horizon);
-      }
-    }
-
-    // 4. Cross-tenant merge barrier: forward buffered ticks globally
-    // earliest-first, ties in ascending task-id order, ONE tick at a time.
-    // Each DrainOne mirrors the cloud clock to its tick time before
-    // delivering, so every tenant's aggregator sees Now() == tick time —
-    // the clock its solo run shows it — even when another tenant's later
-    // tick has already been buffered. (Clock::AdvanceTo is monotone, so
-    // an earlier-time tick after a later one would stall the mirror;
-    // global earliest-first makes the mirror sequence non-decreasing.)
-    for (;;) {
-      flow::ShardMerger* best = nullptr;
-      SimTime best_time = sim::EventLoop::kNoEvent;
-      for (auto& [id, tenant] : tenants_) {
-        if (!tenant.admitted || !tenant.runtime->sharded()) continue;
-        flow::ShardMerger* merger = tenant.runtime->merger();
-        const SimTime t = merger->NextTickTime();
-        if (t < best_time) {  // strict less: earliest task id wins ties
-          best_time = t;
-          best = merger;
-        }
-      }
-      if (best == nullptr || best_time > horizon) break;
-      (void)best->DrainOne(horizon);
-    }
-  }
-}
-
 std::vector<TenantResult> MultiTenantEngine::Run(
     const sched::SchedulePolicy& policy) {
   SIMDC_CHECK(!running_, "MultiTenantEngine::Run is not reentrant");
   running_ = true;
   policy_ = policy;
-  global_guard_ = 0;
+  // Lockstep feedback guard: the min over ALL submitted tenants, not just
+  // active ones. A tenant admitted mid-barrier at time τ >= t0 emits its
+  // first shard tick at >= τ + its own compute >= t0 + this guard >=
+  // horizon, so the barrier's cloud-clock mirror stays monotone no matter
+  // when admissions land. Using only the active tenants' min would let a
+  // small-compute late admission produce a tick behind an already
+  // mirrored clock. A shorter guard than a tenant's own only shortens how
+  // far loops run ahead per barrier.
+  SimDuration guard = 0;
   bool first = true;
   for (const auto& [id, tenant] : tenants_) {
-    const SimDuration tenant_guard =
-        std::max<SimDuration>(0, Seconds(tenant.task.fl.compute_seconds));
-    global_guard_ = first ? tenant_guard : std::min(global_guard_,
-                                                    tenant_guard);
+    const SimDuration tenant_guard = FeedbackGuard(tenant.task.fl);
+    guard = first ? tenant_guard : std::min(guard, tenant_guard);
     first = false;
   }
   // Initial arbitration before any event fires: contention-free tenants
   // all start round 0 at time 0, exactly like their solo runs.
   AdmissionPass(policy_);
-  Drive();
+  // Admissions (cloud events) grow admitted_ as the run goes; the group
+  // picks new tenants' shard loops up at the next barrier.
+  sim::LockstepGroup(loop_, pool_).Run(LockstepHooks(admitted_), guard);
   std::vector<TenantResult> results;
   results.reserve(tenants_.size());
   for (auto& [id, tenant] : tenants_) {

@@ -17,11 +17,13 @@
 //     completions re-run admission as cloud events at the completion time;
 //   · the shared cloud loop orders same-time events by schedule FIFO,
 //     which is itself a pure function of (task set, seeds);
-//   · the cross-tenant merge barrier forwards buffered shard ticks
-//     globally earliest-first, ties broken by ascending task id, one tick
-//     at a time (flow::ShardMerger::DrainOne), so each tenant's
-//     aggregator observes exactly the clock and order it would have seen
-//     running solo.
+//   · one sim::LockstepGroup drives the shared cloud loop and every
+//     admitted tenant's shard loops — the same loop a solo FlEngine run
+//     uses — and its cross-tenant merge barrier (core::LockstepHooks)
+//     forwards buffered shard ticks globally earliest-first, ties broken
+//     by ascending task id, one tick at a time (flow::ShardMerger::
+//     DrainOne), so each tenant's aggregator observes exactly the clock
+//     and order it would have seen running solo.
 // Per-task state is fully disjoint (storage, aggregator, dispatchers,
 // RNG), so a fixed seed reproduces bit-identical per-task results at any
 // engine parallelism and any shard width — and a contention-free run is
@@ -120,10 +122,6 @@ class MultiTenantEngine {
   void AdmissionPass(const sched::SchedulePolicy& policy);
   void Admit(Tenant& tenant, SimTime now);
   void OnTenantComplete(Tenant& tenant, SimTime when);
-  /// Dynamic lockstep over the shared cloud loop, every active tenant's
-  /// shard loops, and the cross-tenant merge barrier. Exits at global
-  /// quiescence (no events or buffered ticks anywhere).
-  void Drive();
 
   sim::EventLoop& loop_;
   sched::ResourceManager& resources_;
@@ -133,15 +131,11 @@ class MultiTenantEngine {
   /// Keyed by task id: the fixed iteration order every cross-tenant
   /// decision (barrier ties, result assembly) is made in.
   std::map<TaskId, Tenant> tenants_;
+  /// Every admitted tenant's runtime (completed ones too: their straggler
+  /// events still run), in ascending task-id order — the lockstep
+  /// membership core::LockstepHooks reads.
+  std::vector<TaskRuntime*> admitted_;
   sched::SchedulePolicy policy_;
-  /// Lockstep feedback guard: min over ALL submitted tenants (not just
-  /// active ones). A tenant admitted mid-barrier at time τ >= t0 emits its
-  /// first shard tick at >= τ + its own compute >= t0 + this guard >=
-  /// horizon, so the barrier's cloud-clock mirror stays monotone no matter
-  /// when admissions land. Using only the active tenants' min would let a
-  /// small-compute late admission produce a tick behind an already
-  /// mirrored clock.
-  SimDuration global_guard_ = 0;
   std::size_t active_ = 0;
   std::size_t peak_active_ = 0;
   std::size_t admission_passes_ = 0;

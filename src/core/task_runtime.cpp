@@ -9,6 +9,56 @@
 
 namespace simdc::core {
 
+SimDuration FeedbackGuard(const FlExperimentConfig& config) {
+  return std::max<SimDuration>(0, Seconds(config.compute_seconds));
+}
+
+sim::LockstepGroup::Hooks LockstepHooks(
+    const std::vector<TaskRuntime*>& members) {
+  sim::LockstepGroup::Hooks hooks;
+  hooks.shard_loops = [&members](std::vector<sim::EventLoop*>& out) {
+    for (TaskRuntime* runtime : members) {
+      const std::vector<sim::EventLoop*> loops = runtime->ShardLoops();
+      out.insert(out.end(), loops.begin(), loops.end());
+    }
+  };
+  hooks.next_pending = [&members] {
+    SimTime next = sim::EventLoop::kNoEvent;
+    for (const TaskRuntime* runtime : members) {
+      if (const flow::ShardMerger* merger = runtime->merger()) {
+        next = std::min(next, merger->NextTickTime());
+      }
+    }
+    return next;
+  };
+  hooks.drain = [&members](SimTime horizon) {
+    // One tick at a time: each DrainOne mirrors the cloud clock to its
+    // tick time before delivering, so a member's aggregator sees Now() ==
+    // tick time even when another member's later tick is already buffered.
+    // (Clock::AdvanceTo is monotone, so an earlier tick after a later one
+    // would stall the mirror; global earliest-first keeps the mirrored
+    // sequence non-decreasing.) Members are re-read after every tick: a
+    // delivery can run cloud events through the mirror, and those may
+    // admit new members.
+    for (;;) {
+      flow::ShardMerger* best = nullptr;
+      SimTime best_time = sim::EventLoop::kNoEvent;
+      for (TaskRuntime* runtime : members) {
+        flow::ShardMerger* merger = runtime->merger();
+        if (merger == nullptr) continue;
+        const SimTime t = merger->NextTickTime();
+        if (t < best_time) {  // strict less: earliest task id wins ties
+          best_time = t;
+          best = merger;
+        }
+      }
+      if (best == nullptr || best_time > horizon) return;
+      (void)best->DrainOne(horizon);
+    }
+  };
+  return hooks;
+}
+
 TaskRuntime::TaskRuntime(sim::EventLoop& loop,
                          const data::FederatedDataset& dataset,
                          FlExperimentConfig config, ThreadPool* pool)

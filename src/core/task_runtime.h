@@ -4,13 +4,15 @@
 // plane — extracted from the historical single-task FlEngine so N of them
 // can share one cloud event loop and one device fleet.
 //
-// A TaskRuntime does NOT drive event loops. Callers own the interleaving
-// discipline: FlEngine (the single-task facade) drives one runtime with
-// sim::LockstepGroup; MultiTenantEngine drives many runtimes against one
-// shared cloud loop in fixed (task id, tick) order. Everything the driver
-// needs — shard loops, merger, feedback guard — is exposed read-only, and
-// all per-task state is private to the runtime, which is what makes
-// contention-free multi-tenant runs bit-identical to solo runs.
+// A TaskRuntime does NOT drive event loops. One driver loop does:
+// sim::LockstepGroup, with hooks LockstepHooks builds over a set of
+// runtimes. FlEngine (the single-task facade) runs it over its one
+// runtime, sharded or not; MultiTenantEngine runs it over every admitted
+// tenant against one shared cloud loop, in fixed (task id, tick) order.
+// Everything the driver needs — shard loops, merger, feedback guard — is
+// exposed read-only, and all per-task state is private to the runtime,
+// which is what makes contention-free multi-tenant runs bit-identical to
+// solo runs.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +35,7 @@
 #include "ml/operators.h"
 #include "persist/durable_store.h"
 #include "sim/event_loop.h"
+#include "sim/lockstep.h"
 
 namespace simdc::core {
 
@@ -157,7 +160,7 @@ struct FlExperimentConfig {
   std::size_t parallelism = 0;
   /// Fleet shards (0 or 1 = the single-fleet path). N > 1 partitions the
   /// dataset's devices into N contiguous index ranges; each shard owns its
-  /// own event loop and flow::Dispatcher producing per-tick MessageBatch
+  /// own event loop and flow::Dispatcher producing per-tick delivery
   /// events, advanced in lockstep (sim::LockstepGroup) and funneled into
   /// the one global AggregationService by a flow::ShardMerger in
   /// (tick time, first message id, shard) order. Because shards are
@@ -227,6 +230,12 @@ struct TaskSlaReport {
   double makespan_s = 0.0;
 };
 
+/// Lower bound on the delay between a drained delivery and anything it
+/// schedules — the lockstep feedback guard (see sim::LockstepGroup). Every
+/// event a delivery can trigger (uploads, round-end flush, stall guard)
+/// sits at least compute_seconds after the triggering arrival.
+SimDuration FeedbackGuard(const FlExperimentConfig& config);
+
 class TaskRuntime {
  public:
   /// `loop` is the cloud-plane event loop (shared across tasks in a
@@ -269,11 +278,8 @@ class TaskRuntime {
   const flow::ShardMerger* merger() const { return merger_.get(); }
   /// Training pool after parallelism resolution (may be nullptr).
   ThreadPool* pool() { return pool_; }
-  /// Lower bound on the delay between a drained delivery and anything it
-  /// schedules — the lockstep feedback guard (see sim::LockstepGroup).
-  SimDuration feedback_guard() const {
-    return std::max<SimDuration>(0, Seconds(config_.compute_seconds));
-  }
+  /// FeedbackGuard of this task's config.
+  SimDuration feedback_guard() const { return FeedbackGuard(config_); }
 
   // --- Accessors (FlEngine's public surface delegates here).
   const FlExperimentConfig& config() const { return config_; }
@@ -417,5 +423,19 @@ class TaskRuntime {
   SimTime admitted_at_ = 0;
   SimTime completed_at_ = 0;
 };
+
+/// sim::LockstepGroup hooks over task runtimes sharing one cloud loop:
+/// every member's shard loops, the earliest tick buffered in any member's
+/// merger, and a drain that forwards ticks one at a time
+/// (flow::ShardMerger::DrainOne) — globally earliest first, ties broken
+/// by ascending task id — so each member's aggregator sees exactly the
+/// clock and order of its solo run. An unsharded member has no shard
+/// loops and no merger: it lives entirely on the cloud loop. `members`
+/// must be in ascending task-id order and outlive the group's Run; it may
+/// grow while the group runs (hooks re-read it on every call).
+sim::LockstepGroup::Hooks LockstepHooks(
+    const std::vector<TaskRuntime*>& members);
+/// The hooks keep a reference to `members`: a temporary would dangle.
+sim::LockstepGroup::Hooks LockstepHooks(std::vector<TaskRuntime*>&&) = delete;
 
 }  // namespace simdc::core

@@ -1,4 +1,9 @@
-// Decoded-payload delivery plane.
+// Decoded-payload delivery plane: the unit of flow::CloudEndpoint's one
+// delivery hook. Every dispatch tick reaches its sink as a span of
+// DecodedUpdates. A dispatcher with a PayloadDecoder fills them; one
+// without hands over updates that carry only their message (decoded()
+// false, failure kNone) — the traffic sinks that count arrivals and never
+// read a payload. cloud::AggregationService always sits behind a decoder.
 //
 // §V-A messages carry a *reference* to the payload blob (see message.h),
 // which makes fetch + decode embarrassingly parallel work: nothing about
@@ -31,7 +36,8 @@ namespace simdc::flow {
 
 /// A device→cloud message whose payload blob has already been fetched and
 /// decoded — or whose fetch/decode failed, with the failure captured for
-/// deferred, delivery-ordered accounting at the serial accumulate point.
+/// deferred, delivery-ordered accounting at the serial accumulate point —
+/// or, behind a decoder-less dispatcher, the bare message.
 struct DecodedUpdate {
   /// Where the speculative fetch + decode gave up (kNone on success).
   /// kMissingBlob is strictly "the store answered kNotFound" (reclaimed or
@@ -43,8 +49,9 @@ struct DecodedUpdate {
   Message message;
   /// Decoded payload, read in place from the stored blob (fp32) or from
   /// the view's own dequantized buffer (fp16/int8); empty when failure !=
-  /// kNone. The view shares ownership of its backing bytes, which keeps
-  /// the update cheap to buffer and re-queue through the merge plane.
+  /// kNone or when no decoder ran. The view shares ownership of its
+  /// backing bytes, which keeps the update cheap to buffer and re-queue
+  /// through the merge plane.
   ml::ModelView model;
   Failure failure = Failure::kNone;
   /// Failure detail for the warning the serial side logs on commit.

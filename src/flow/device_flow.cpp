@@ -9,20 +9,6 @@
 
 namespace simdc::flow {
 
-void CloudEndpoint::DeliverDecodedBatch(std::span<const DecodedUpdate> updates,
-                                        std::span<const SimTime> arrivals) {
-  // Fallback for sinks that predate the decoded plane: strip the decode and
-  // hand the bare messages to the undecoded batch hook (which itself falls
-  // back to per-message Deliver). The decode work is discarded, not the
-  // messages — such a sink re-fetches exactly what it would have seen.
-  std::vector<Message> messages;
-  messages.reserve(updates.size());
-  for (const DecodedUpdate& update : updates) {
-    messages.push_back(update.message);
-  }
-  DeliverBatch(std::span<const Message>(messages), arrivals);
-}
-
 std::vector<Message> Shelf::Take(std::size_t count) {
   std::vector<Message> taken;
   TakeInto(count, taken);
@@ -297,14 +283,16 @@ void Dispatcher::DeliverRetried(Message message, SimTime when) {
     ++stats_.batches_truncated;
   }
   if (downstream_ == nullptr) return;
-  if (decoder_ != nullptr) {
-    const DecodedUpdate update = decoder_->Decode(std::move(message));
-    downstream_->DeliverDecodedBatch(std::span<const DecodedUpdate>(&update, 1),
-                                     std::span<const SimTime>(&when, 1));
-  } else {
-    downstream_->DeliverBatch(std::span<const Message>(&message, 1),
-                              std::span<const SimTime>(&when, 1));
-  }
+  const DecodedUpdate update = ToUpdate(std::move(message));
+  downstream_->DeliverDecodedBatch(std::span<const DecodedUpdate>(&update, 1),
+                                   std::span<const SimTime>(&when, 1));
+}
+
+DecodedUpdate Dispatcher::ToUpdate(Message message) const {
+  if (decoder_ != nullptr) return decoder_->Decode(std::move(message));
+  DecodedUpdate update;
+  update.message = std::move(message);
+  return update;
 }
 
 void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
@@ -402,46 +390,34 @@ void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
   const std::size_t sent = survivors.size();
   if (sent > 0 && downstream_ != nullptr) {
     // One event per dispatch tick: the whole capacity window reaches the
-    // sink in a single DeliverBatch call at the window's first arrival,
-    // carrying every message's exact arrival stamp. Round fan-in is
-    // O(ticks), not O(messages).
+    // sink in a single DeliverDecodedBatch call at the window's first
+    // arrival, carrying every message's exact arrival stamp. Round fan-in
+    // is O(ticks), not O(messages). A decoder fetches + decodes every
+    // survivor NOW, at tick time — on the shard loop's worker thread when
+    // fleets advance in lockstep — so the serial side never touches
+    // storage. Blobs are immutable once Put, so decoding ahead of the
+    // delivery timestamp observes the same bytes; failures ride along for
+    // deferred accounting.
     // Delivery events return their buffers to the pool after the sink
     // consumed them; the shared_ptr keeps the pool alive even if this
     // dispatcher is removed before the event fires.
     const SimTime first = arrivals.front();
     CloudEndpoint* sink = downstream_;
     std::shared_ptr<TickBufferPool> pool = tick_pool_;
-    if (decoder_ != nullptr) {
-      // Decoded plane: fetch + decode every survivor NOW, at tick time —
-      // on the shard loop's worker thread when fleets advance in lockstep
-      // — so the delivery event carries ready-to-accumulate updates and
-      // the serial side never touches storage. Blobs are immutable once
-      // Put, so decoding ahead of the delivery timestamp observes the
-      // same bytes; failures ride along for deferred accounting.
-      std::vector<DecodedUpdate> decoded = tick_pool_->decoded.Acquire();
-      decoded.reserve(survivors.size());
-      for (Message& message : survivors) {
-        decoded.push_back(decoder_->Decode(std::move(message)));
-      }
-      tick_pool_->messages.Release(std::move(survivors));
-      loop_.ScheduleAt(first, [sink, pool = std::move(pool),
-                               decoded = std::move(decoded),
-                               arrivals = std::move(arrivals)]() mutable {
-        sink->DeliverDecodedBatch(std::span<const DecodedUpdate>(decoded),
-                                  std::span<const SimTime>(arrivals));
-        pool->decoded.Release(std::move(decoded));
-        pool->arrivals.Release(std::move(arrivals));
-      });
-    } else {
-      loop_.ScheduleAt(first, [sink, pool = std::move(pool),
-                               survivors = std::move(survivors),
-                               arrivals = std::move(arrivals)]() mutable {
-        sink->DeliverBatch(std::span<const Message>(survivors),
-                           std::span<const SimTime>(arrivals));
-        pool->messages.Release(std::move(survivors));
-        pool->arrivals.Release(std::move(arrivals));
-      });
+    std::vector<DecodedUpdate> updates = tick_pool_->decoded.Acquire();
+    updates.reserve(survivors.size());
+    for (Message& message : survivors) {
+      updates.push_back(ToUpdate(std::move(message)));
     }
+    tick_pool_->messages.Release(std::move(survivors));
+    loop_.ScheduleAt(first, [sink, pool = std::move(pool),
+                             updates = std::move(updates),
+                             arrivals = std::move(arrivals)]() mutable {
+      sink->DeliverDecodedBatch(std::span<const DecodedUpdate>(updates),
+                                std::span<const SimTime>(arrivals));
+      pool->decoded.Release(std::move(updates));
+      pool->arrivals.Release(std::move(arrivals));
+    });
   } else {
     tick_pool_->messages.Release(std::move(survivors));
     tick_pool_->arrivals.Release(std::move(arrivals));

@@ -36,30 +36,16 @@ namespace simdc::flow {
 class CloudEndpoint {
  public:
   virtual ~CloudEndpoint() = default;
-  virtual void Deliver(const Message& message, SimTime arrival) = 0;
 
-  /// Batched delivery: one dispatch tick's worth of messages with their
-  /// per-message arrival stamps (arrivals[i] belongs to messages[i]; both
-  /// spans have equal length and arrivals are non-decreasing). The default
-  /// loops over Deliver so sinks that only implement the per-message hook
-  /// keep working; endpoints on the 100k-device hot path override this to
-  /// consume a whole tick in one virtual call.
-  virtual void DeliverBatch(std::span<const Message> messages,
-                            std::span<const SimTime> arrivals) {
-    for (std::size_t i = 0; i < messages.size(); ++i) {
-      Deliver(messages[i], arrivals[i]);
-    }
-  }
-
-  /// Decoded-plane delivery: one dispatch tick whose payloads were already
-  /// fetched + decoded by the dispatcher (see flow::DecodedUpdate for the
-  /// deferred-accounting contract). Same span shape as DeliverBatch. The
-  /// default strips the decode and falls back to DeliverBatch, so sinks
-  /// that still decode for themselves keep working behind a decoding
-  /// dispatcher; endpoints on the hot path (cloud::AggregationService)
-  /// override it and never touch storage in the handler.
+  /// The one delivery hook: one dispatch tick, in a single virtual call.
+  /// updates[i] arrived at arrivals[i]; both spans have equal length and
+  /// arrivals are non-decreasing. A dispatcher with a PayloadDecoder hands
+  /// over fetched + decoded payloads (see flow::DecodedUpdate for the
+  /// deferred-accounting contract); one without hands over updates that
+  /// carry only their message (decoded() false, failure kNone) — the
+  /// traffic sinks that count arrivals and never read a payload.
   virtual void DeliverDecodedBatch(std::span<const DecodedUpdate> updates,
-                                   std::span<const SimTime> arrivals);
+                                   std::span<const SimTime> arrivals) = 0;
 };
 
 /// Default bound on DispatchStats::batches entries (see batch_log_cap).
@@ -193,10 +179,9 @@ class Dispatcher {
 
   /// Arms the decoded payload plane: dispatch ticks fetch + decode every
   /// survivor through `decoder` at tick time (speculatively — see
-  /// flow::DecodedUpdate) and deliver via DeliverDecodedBatch instead of
-  /// DeliverBatch. Sharded fleets call Decode from shard loops advancing in
-  /// parallel, so the decoder must be thread-safe. nullptr (default)
-  /// delivers undecoded messages.
+  /// flow::DecodedUpdate). Sharded fleets call Decode from shard loops
+  /// advancing in parallel, so the decoder must be thread-safe. nullptr
+  /// (default) delivers updates that carry only their message.
   void set_decoder(const PayloadDecoder* decoder) { decoder_ = decoder; }
   const PayloadDecoder* decoder() const { return decoder_; }
 
@@ -267,6 +252,9 @@ class Dispatcher {
   /// Delivers a message that succeeded on a retry attempt, logging it as
   /// its own single-message tick at `when`.
   void DeliverRetried(Message message, SimTime when);
+  /// The update a survivor travels downstream as: decoded through decoder_
+  /// when one is set, else carrying only its message.
+  DecodedUpdate ToUpdate(Message message) const;
   /// Backoff + deterministic jitter before retry `attempt` (1-based).
   SimDuration RetryDelay(std::uint64_t message_id, std::size_t attempt) const;
   void TrackRetryEvent(sim::EventHandle handle);
@@ -280,7 +268,7 @@ class Dispatcher {
   DispatchStrategy strategy_;
   CloudEndpoint* downstream_;
   Rng rng_;
-  /// Decoded-plane fetch + decode hook (nullptr = undecoded delivery).
+  /// Decoded-plane fetch + decode hook (nullptr = message-only updates).
   const PayloadDecoder* decoder_ = nullptr;
   /// Key for per-message transmission-failure draws (see
   /// TransmissionDrop); shared-seed dispatchers derive the same key, so

@@ -6,31 +6,13 @@
 
 namespace simdc::flow {
 
-void ShardChannel::Deliver(const Message& message, SimTime arrival) {
-  DeliverBatch(std::span<const Message>(&message, 1),
-               std::span<const SimTime>(&arrival, 1));
-}
-
-void ShardChannel::DeliverBatch(std::span<const Message> messages,
-                                std::span<const SimTime> arrivals) {
-  SIMDC_CHECK(messages.size() == arrivals.size(),
-              "ShardChannel: batch span size mismatch");
-  if (messages.empty()) return;
-  Tick tick;
-  tick.time = arrivals.front();
-  tick.key = messages.front().id.value();
-  tick.messages.assign(messages.begin(), messages.end());
-  tick.arrivals.assign(arrivals.begin(), arrivals.end());
-  ticks_.push_back(std::move(tick));
-}
-
 void ShardChannel::DeliverDecodedBatch(std::span<const DecodedUpdate> updates,
                                        std::span<const SimTime> arrivals) {
   SIMDC_CHECK(updates.size() == arrivals.size(),
-              "ShardChannel: decoded batch span size mismatch");
+              "ShardChannel: tick span size mismatch");
   if (updates.empty()) return;
-  // Decoded ticks buffer the updates as-is — the models are shared views,
-  // so parking a tick at the barrier costs O(messages) pointer copies, not
+  // Ticks buffer the updates as-is — decoded models are shared views, so
+  // parking a tick at the barrier costs O(messages) pointer copies, not
   // O(messages * dim) payload copies.
   Tick tick;
   tick.time = arrivals.front();
@@ -89,16 +71,10 @@ bool ShardMerger::DrainOne(SimTime horizon) {
   // Mirror the clock a directly-scheduled delivery event would see: the
   // delivery fires at the tick's first arrival.
   if (cloud_loop_ != nullptr) cloud_loop_->RunUntil(tick.time);
-  if (!tick.updates.empty()) {
-    downstream_->DeliverDecodedBatch(
-        std::span<const DecodedUpdate>(tick.updates),
-        std::span<const SimTime>(tick.arrivals));
-  } else {
-    downstream_->DeliverBatch(std::span<const Message>(tick.messages),
-                              std::span<const SimTime>(tick.arrivals));
-  }
+  downstream_->DeliverDecodedBatch(std::span<const DecodedUpdate>(tick.updates),
+                                   std::span<const SimTime>(tick.arrivals));
   ++ticks_merged_;
-  messages_merged_ += tick.messages.size() + tick.updates.size();
+  messages_merged_ += tick.updates.size();
   return true;
 }
 

@@ -1,9 +1,9 @@
 // Deterministic shard-batch merge plane.
 //
 // Each fleet shard runs its own Dispatcher on its own event loop and
-// delivers per-tick MessageBatch events into a ShardChannel instead of
-// straight into the cloud. At every lockstep barrier the ShardMerger
-// forwards the buffered ticks to the real downstream endpoint in
+// delivers each dispatch tick into a ShardChannel instead of straight into
+// the cloud. At every lockstep barrier the ShardMerger forwards the
+// buffered ticks to the real downstream endpoint in
 //
 //     (tick time, first message id, shard index, per-shard FIFO)
 //
@@ -35,8 +35,7 @@
 namespace simdc::flow {
 
 /// Per-shard capture endpoint: a CloudEndpoint that records delivered
-/// ticks (undecoded or decoded) instead of consuming them; a lone Deliver
-/// is captured as a one-message tick.
+/// ticks instead of consuming them.
 /// Single-writer by construction — only its shard's event loop touches it
 /// — so the merger can run shards on a thread pool without locks.
 class ShardChannel final : public CloudEndpoint {
@@ -45,20 +44,15 @@ class ShardChannel final : public CloudEndpoint {
   /// arrivals.front() — which is also the shard loop's clock when the
   /// delivery event fired. `key` is the first message's id: the
   /// equal-time merge key (ids are globally wave- then device-ordered).
-  /// Exactly one of `messages` (undecoded tick) and `updates` (decoded
-  /// tick — payloads already fetched + decoded on this shard's loop) is
-  /// non-empty; the merger forwards through the matching endpoint hook.
+  /// The updates are buffered as delivered (payloads already fetched +
+  /// decoded on this shard's loop when its dispatcher has a decoder).
   struct Tick {
     SimTime time = 0;
     std::uint64_t key = 0;
-    std::vector<Message> messages;
     std::vector<DecodedUpdate> updates;
     std::vector<SimTime> arrivals;
   };
 
-  void Deliver(const Message& message, SimTime arrival) override;
-  void DeliverBatch(std::span<const Message> messages,
-                    std::span<const SimTime> arrivals) override;
   void DeliverDecodedBatch(std::span<const DecodedUpdate> updates,
                            std::span<const SimTime> arrivals) override;
 
@@ -89,7 +83,7 @@ class ShardMerger {
   std::size_t shards() const { return channels_.size(); }
 
   /// Earliest tick buffered across all shards (kNoEvent when none) —
-  /// plugs into sim::LockstepGroup::Hooks::next_pending.
+  /// what the lockstep hooks (core::LockstepHooks) report as pending.
   SimTime NextTickTime() const;
 
   /// Forwards every buffered tick with time <= horizon downstream in
@@ -103,10 +97,10 @@ class ShardMerger {
 
   /// Forwards exactly the single earliest buffered tick if its time is
   /// <= horizon; returns whether one was forwarded. This is the
-  /// single-step building block multi-tenant drivers interleave across
-  /// tasks: globally-earliest-first, ties in fixed task order, one tick at
-  /// a time, so every tenant's downstream observes the same clock and
-  /// order it would have seen running solo.
+  /// single-step building block the lockstep drain (core::LockstepHooks)
+  /// interleaves across tasks: globally-earliest-first, ties in ascending
+  /// task id, one tick at a time, so every task's downstream observes the
+  /// same clock and order it would have seen running solo.
   bool DrainOne(SimTime horizon);
 
   std::size_t ticks_merged() const { return ticks_merged_; }

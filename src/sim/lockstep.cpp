@@ -6,23 +6,21 @@
 
 namespace simdc::sim {
 
-LockstepGroup::LockstepGroup(EventLoop& cloud, std::vector<EventLoop*> shards,
-                             ThreadPool* pool)
-    : cloud_(cloud), shards_(std::move(shards)), pool_(pool) {
-  for (const EventLoop* shard : shards_) {
-    SIMDC_CHECK(shard != nullptr, "LockstepGroup: null shard loop");
-    SIMDC_CHECK(shard != &cloud_, "LockstepGroup: cloud loop listed as shard");
-  }
-}
-
 std::size_t LockstepGroup::Run(const Hooks& hooks,
                                SimDuration feedback_guard) {
   SIMDC_CHECK(feedback_guard >= 0, "LockstepGroup: negative feedback guard");
   std::size_t executed = 0;
-  std::vector<std::size_t> shard_executed(shards_.size(), 0);
+  std::vector<EventLoop*> shards;  // reused across barriers
+  std::vector<std::size_t> shard_executed;
   for (;;) {
+    // 0. Membership, read before the cloud step (which may change it).
+    shards.clear();
+    if (hooks.shard_loops) hooks.shard_loops(shards);
     SimTime t0 = cloud_.NextEventTime();
-    for (EventLoop* shard : shards_) {
+    for (EventLoop* shard : shards) {
+      SIMDC_CHECK(shard != nullptr, "LockstepGroup: null shard loop");
+      SIMDC_CHECK(shard != &cloud_,
+                  "LockstepGroup: cloud loop listed as shard");
       t0 = std::min(t0, shard->NextEventTime());
     }
     if (hooks.next_pending) t0 = std::min(t0, hooks.next_pending());
@@ -41,13 +39,14 @@ std::size_t LockstepGroup::Run(const Hooks& hooks,
                             ? EventLoop::kNoEvent - 1
                             : t0 + feedback_guard);
     horizon = std::max(horizon, t0);
-    if (shards_.size() > 1 && pool_ != nullptr) {
-      pool_->ParallelFor(shards_.size(), [&](std::size_t s) {
-        shard_executed[s] = shards_[s]->RunUntil(horizon);
+    shard_executed.assign(shards.size(), 0);
+    if (shards.size() > 1 && pool_ != nullptr) {
+      pool_->ParallelFor(shards.size(), [&](std::size_t s) {
+        shard_executed[s] = shards[s]->RunUntil(horizon);
       });
     } else {
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        shard_executed[s] = shards_[s]->RunUntil(horizon);
+      for (std::size_t s = 0; s < shards.size(); ++s) {
+        shard_executed[s] = shards[s]->RunUntil(horizon);
       }
     }
     for (const std::size_t n : shard_executed) executed += n;

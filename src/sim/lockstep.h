@@ -28,6 +28,13 @@
 // without the worker pool. Exact-microsecond collisions BETWEEN planes
 // follow the conventions above rather than a global scheduling sequence;
 // see core::FlExperimentConfig::shards for the user-facing contract.
+//
+// This is the one driver loop: solo, sharded and multi-tenant runs all go
+// through it (core::LockstepHooks supplies the hooks over a set of task
+// runtimes). The shard set is read once per barrier, before the cloud
+// step, so it may grow between barriers (multi-tenant admissions add
+// loops). With no shard loops the group steps the cloud loop alone, in
+// exactly EventLoop::Run()'s order.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +49,12 @@ namespace simdc::sim {
 class LockstepGroup {
  public:
   struct Hooks {
+    /// Appends the shard loops to advance at this barrier to `out`
+    /// (handed over empty). Called once per barrier, before the cloud
+    /// step: a loop a cloud event adds at T0 is first advanced at the next
+    /// barrier. Every loop must be non-null, must not be the cloud loop
+    /// and must outlive the barrier. Unset = no shard loops.
+    std::function<void(std::vector<EventLoop*>& out)> shard_loops;
     /// Earliest buffered-but-undelivered shard product (EventLoop::kNoEvent
     /// when none). Counted into the global minimum so a backlogged tick is
     /// never starved behind far-future events.
@@ -53,9 +66,9 @@ class LockstepGroup {
   };
 
   /// `pool` may be nullptr (shards advance sequentially, same results).
-  /// Loops must outlive the group; `cloud` must not appear among `shards`.
-  LockstepGroup(EventLoop& cloud, std::vector<EventLoop*> shards,
-                ThreadPool* pool = nullptr);
+  /// The cloud loop must outlive the group.
+  explicit LockstepGroup(EventLoop& cloud, ThreadPool* pool = nullptr)
+      : cloud_(cloud), pool_(pool) {}
 
   /// Runs all loops to quiescence under the lockstep discipline. Returns
   /// the number of events executed across every loop.
@@ -63,7 +76,6 @@ class LockstepGroup {
 
  private:
   EventLoop& cloud_;
-  std::vector<EventLoop*> shards_;
   ThreadPool* pool_;
 };
 

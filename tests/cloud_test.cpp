@@ -1,12 +1,13 @@
 // Unit tests for the cloud services: blob storage, metrics database,
-// aggregation service with both triggers and both delivery hooks (decoded
-// updates and undecoded messages), checked against the serial FedAvg
-// oracle in reference_fedavg.h.
+// aggregation service with both triggers and its one delivery hook (ticks
+// of updates decoded the way a dispatcher decodes them), checked against
+// the serial FedAvg oracle in reference_fedavg.h.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <cstring>
+#include <span>
 #include <thread>
 
 #include "cloud/aggregation.h"
@@ -575,6 +576,26 @@ class AggregationTest : public ::testing::Test {
     return m;
   }
 
+  /// Fetches + decodes `messages` from `store` the way a decoding
+  /// dispatcher does before it delivers a tick.
+  static std::vector<flow::DecodedUpdate> Decode(
+      const BlobStore& store, std::span<const flow::Message> messages) {
+    BlobModelDecoder decoder(store);
+    std::vector<flow::DecodedUpdate> updates;
+    updates.reserve(messages.size());
+    for (const flow::Message& message : messages) {
+      updates.push_back(decoder.Decode(message));
+    }
+    return updates;
+  }
+
+  /// Delivers `message` as a one-update tick arriving at `arrival`.
+  static void DeliverOne(AggregationService& service, const BlobStore& store,
+                         const flow::Message& message, SimTime arrival) {
+    service.DeliverDecodedBatch(Decode(store, std::span(&message, 1)),
+                                std::span(&arrival, 1));
+  }
+
   sim::EventLoop loop_;
   BlobStore store_;
 };
@@ -587,10 +608,10 @@ TEST_F(AggregationTest, SampleThresholdTriggers) {
   AggregationService service(loop_, store_, config);
   service.Start();
 
-  service.Deliver(Upload(store_, 1.0f, 10, 1), 0);
-  service.Deliver(Upload(store_, 2.0f, 10, 2), 0);
+  DeliverOne(service, store_, Upload(store_, 1.0f, 10, 1), 0);
+  DeliverOne(service, store_, Upload(store_, 2.0f, 10, 2), 0);
   EXPECT_EQ(service.rounds_completed(), 0u);  // 20 < 30
-  service.Deliver(Upload(store_, 3.0f, 10, 3), 0);
+  DeliverOne(service, store_, Upload(store_, 3.0f, 10, 3), 0);
   ASSERT_EQ(service.rounds_completed(), 1u);
   EXPECT_NEAR(service.global_model().weights()[0], 2.0, 1e-6);
   EXPECT_EQ(service.history()[0].clients, 3u);
@@ -599,10 +620,9 @@ TEST_F(AggregationTest, SampleThresholdTriggers) {
 }
 
 TEST_F(AggregationTest, BatchedDeliveryMatchesPerMessage) {
-  // One DeliverBatch call crossing the sample threshold mid-batch must
-  // produce the same rounds as the equivalent Deliver sequence — and the
-  // round timestamp must be the *triggering message's* arrival, not the
-  // batch event's time.
+  // One tick crossing the sample threshold mid-batch must produce the same
+  // rounds as the equivalent one-update ticks — and the round timestamp
+  // must be the *triggering message's* arrival, not the tick's time.
   auto run = [&](bool batched) {
     BlobStore store;
     AggregationConfig config;
@@ -618,10 +638,10 @@ TEST_F(AggregationTest, BatchedDeliveryMatchesPerMessage) {
       arrivals.push_back(Seconds(1.0 + static_cast<double>(i)));
     }
     if (batched) {
-      service.DeliverBatch(messages, arrivals);
+      service.DeliverDecodedBatch(Decode(store, messages), arrivals);
     } else {
       for (std::size_t i = 0; i < messages.size(); ++i) {
-        service.Deliver(messages[i], arrivals[i]);
+        DeliverOne(service, store, messages[i], arrivals[i]);
       }
     }
     return service.history();
@@ -647,13 +667,12 @@ TEST_F(AggregationTest, ScheduledTriggerFiresPeriodically) {
 
   // Deliver a couple of updates before each tick.
   for (int round = 0; round < 3; ++round) {
-    loop_.ScheduleAt(Seconds(10.0 * round + 1),
-                     [&, round] {
-                       service.Deliver(
-                           Upload(store_, static_cast<float>(round), 5,
-                                  static_cast<std::uint64_t>(round * 10 + 1)),
-                           loop_.Now());
-                     });
+    loop_.ScheduleAt(Seconds(10.0 * round + 1), [&, round] {
+      DeliverOne(service, store_,
+                 Upload(store_, static_cast<float>(round), 5,
+                        static_cast<std::uint64_t>(round * 10 + 1)),
+                 loop_.Now());
+    });
   }
   loop_.Run();
   EXPECT_EQ(service.rounds_completed(), 3u);
@@ -670,7 +689,7 @@ TEST_F(AggregationTest, ScheduledTickWithNothingPendingSkips) {
   AggregationService service(loop_, store_, config);
   service.Start();
   loop_.ScheduleAt(Seconds(6.0), [&] {
-    service.Deliver(Upload(store_, 1.0f, 5, 1), loop_.Now());
+    DeliverOne(service, store_, Upload(store_, 1.0f, 5, 1), loop_.Now());
   });
   loop_.RunUntil(Seconds(30.0));
   // First tick (t=5) had nothing; second tick (t=10) aggregated.
@@ -688,7 +707,7 @@ TEST_F(AggregationTest, MissingBlobCountsAsDecodeFailure) {
   m.task = TaskId(1);
   m.payload = BlobId(999);  // never stored
   m.sample_count = 5;
-  service.Deliver(m, 0);
+  DeliverOne(service, store_, m, 0);
   EXPECT_EQ(service.decode_failures(), 1u);
   EXPECT_EQ(service.pending_samples(), 0u);
 }
@@ -706,7 +725,7 @@ TEST_F(AggregationTest, StoreIoErrorBooksAsStoreErrorNotDecodeFailure) {
     return Status::Ok();
   });
 
-  service.Deliver(faulted, 0);
+  DeliverOne(service, store_, faulted, 0);
   EXPECT_EQ(service.store_errors(), 1u);
   EXPECT_EQ(service.decode_failures(), 0u);
   EXPECT_EQ(service.messages_received(), 1u);
@@ -714,13 +733,13 @@ TEST_F(AggregationTest, StoreIoErrorBooksAsStoreErrorNotDecodeFailure) {
 
   // Healthy deliveries still flow, and a genuinely missing blob still books
   // as a decode failure alongside the I/O fault.
-  service.Deliver(good, 0);
+  DeliverOne(service, store_, good, 0);
   EXPECT_EQ(service.pending_samples(), 10u);
   flow::Message missing;
   missing.task = TaskId(1);
   missing.payload = BlobId(999);  // never stored
   missing.sample_count = 5;
-  service.Deliver(missing, 0);
+  DeliverOne(service, store_, missing, 0);
   EXPECT_EQ(service.store_errors(), 1u);
   EXPECT_EQ(service.decode_failures(), 1u);
 }
@@ -774,7 +793,7 @@ TEST_F(AggregationTest, CorruptBlobRejected) {
   m.task = TaskId(1);
   m.payload = store_.Put(Bytes({1, 2, 3}));
   m.sample_count = 5;
-  service.Deliver(m, 0);
+  DeliverOne(service, store_, m, 0);
   EXPECT_EQ(service.decode_failures(), 1u);
 }
 
@@ -787,7 +806,7 @@ TEST_F(AggregationTest, WrongDimensionRejected) {
   m.task = TaskId(1);
   m.payload = store_.Put(other.ToBytes());
   m.sample_count = 5;
-  service.Deliver(m, 0);
+  DeliverOne(service, store_, m, 0);
   EXPECT_EQ(service.decode_failures(), 1u);
 }
 
@@ -804,21 +823,21 @@ TEST_F(AggregationTest, PublishesModelBlobAndCallback) {
         EXPECT_TRUE(store_.Contains(record.model_blob));
         EXPECT_EQ(model.dim(), kDim);
       });
-  service.Deliver(Upload(store_, 4.0f, 5, 1), 0);
+  DeliverOne(service, store_, Upload(store_, 4.0f, 5, 1), 0);
   EXPECT_EQ(callbacks, 1u);
 }
 
 // ---------- Decoded payload plane ----------
 
 /// Same fixture, decoded-delivery cases: the serial service receives
-/// DecodedUpdates (payloads fetched + decoded upstream) or undecoded
-/// messages (decoded by the service itself) and must keep every counter
-/// and every bit identical to the serial decode-in-handler oracle, the
-/// historical legacy plane. Pinned by name in the CI sanitizer job.
+/// DecodedUpdates (payloads fetched + decoded upstream, failures carried
+/// along) and must keep every counter and every bit identical to the
+/// serial decode-in-handler oracle, the historical legacy plane, however
+/// the stream is cut into ticks. Pinned by name in the CI sanitizer job.
 class AggregationDecodedTest : public AggregationTest {
  protected:
-  /// Pushes `messages` through a fresh service, pre-decoded or not, and
-  /// returns what it observed.
+  /// Pushes `messages` through a fresh service in consecutive ticks of at
+  /// most `tick_width` updates and returns what it observed.
   struct Outcome {
     std::size_t received = 0;
     std::size_t decode_failures = 0;
@@ -829,24 +848,19 @@ class AggregationDecodedTest : public AggregationTest {
   };
 
   Outcome Run(BlobStore& store, const std::vector<flow::Message>& messages,
-              const std::vector<SimTime>& arrivals, bool decoded,
-              bool reject_stale) {
+              const std::vector<SimTime>& arrivals, bool reject_stale,
+              std::size_t tick_width) {
     AggregationConfig config;
     config.model_dim = kDim;
     config.trigger = AggregationTrigger::kSampleThreshold;
     config.sample_threshold = 30;
     config.reject_stale = reject_stale;
     AggregationService service(loop_, store, config);
-    if (decoded) {
-      BlobModelDecoder decoder(store);
-      std::vector<flow::DecodedUpdate> updates;
-      updates.reserve(messages.size());
-      for (const auto& message : messages) {
-        updates.push_back(decoder.Decode(message));
-      }
-      service.DeliverDecodedBatch(updates, arrivals);
-    } else {
-      service.DeliverBatch(messages, arrivals);
+    const std::vector<flow::DecodedUpdate> updates = Decode(store, messages);
+    for (std::size_t begin = 0; begin < updates.size(); begin += tick_width) {
+      const std::size_t n = std::min(tick_width, updates.size() - begin);
+      service.DeliverDecodedBatch(std::span(updates).subspan(begin, n),
+                                  std::span(arrivals).subspan(begin, n));
     }
     Outcome out;
     out.received = service.messages_received();
@@ -896,8 +910,9 @@ class AggregationDecodedTest : public AggregationTest {
 TEST_F(AggregationDecodedTest, DecodedBatchMatchesLegacyWithFailures) {
   // A stream mixing valid updates, corrupt blobs, missing blobs, a
   // wrong-dimension model and a threshold crossing mid-batch must produce
-  // identical counters, round records and global-model bits through both
-  // delivery hooks and the serial oracle.
+  // the expected counters and round record, and identical counters,
+  // round records and global-model bits as one tick, as one-update ticks
+  // and through the serial oracle.
   BlobStore store;
   std::vector<flow::Message> messages;
   std::vector<SimTime> arrivals;
@@ -937,21 +952,29 @@ TEST_F(AggregationDecodedTest, DecodedBatchMatchesLegacyWithFailures) {
   push(Upload(store, 3.0f, 10, id));  // crosses the 30-sample threshold
   push(Upload(store, 4.0f, 10, id));  // lands in round 2's accumulator
 
-  const auto legacy = Legacy(store, messages, arrivals, /*reject_stale=*/false);
-  EXPECT_EQ(legacy.decode_failures, 3u);  // corrupt + missing + wrong dim
-  EXPECT_EQ(legacy.stale_rejections, 0u);
-  EXPECT_EQ(legacy.rounds, 1u);
-  ExpectSameOutcome(legacy, Run(store, messages, arrivals, /*decoded=*/true,
-                                /*reject_stale=*/false));
-  ExpectSameOutcome(legacy, Run(store, messages, arrivals, /*decoded=*/false,
-                                /*reject_stale=*/false));
+  const auto one_tick = Run(store, messages, arrivals, /*reject_stale=*/false,
+                            /*tick_width=*/messages.size());
+  EXPECT_EQ(one_tick.received, 7u);
+  EXPECT_EQ(one_tick.decode_failures, 3u);  // corrupt + missing + wrong dim
+  EXPECT_EQ(one_tick.stale_rejections, 0u);
+  ASSERT_EQ(one_tick.rounds, 1u);
+  // Updates 1, 4 and 6 (10 samples each) close the round at update 6's
+  // arrival, mid-tick; update 7 stays pending.
+  EXPECT_EQ(one_tick.history[0].time, Seconds(6.0));
+  EXPECT_EQ(one_tick.history[0].clients, 3u);
+  EXPECT_EQ(one_tick.history[0].samples, 30u);
+  EXPECT_FLOAT_EQ(one_tick.weights[0], 2.0f);  // mean of 1, 2 and 3
+  ExpectSameOutcome(one_tick, Run(store, messages, arrivals,
+                                  /*reject_stale=*/false, /*tick_width=*/1));
+  ExpectSameOutcome(one_tick,
+                    Legacy(store, messages, arrivals, /*reject_stale=*/false));
 }
 
 TEST_F(AggregationDecodedTest, StaleBadPayloadIsStaleNotDecodeFailure) {
   // The accounting-order contract: reject_stale is checked BEFORE the
   // (deferred) decode failure commits, so a stale message with a corrupt
   // or missing payload is a stale rejection — the speculative decode
-  // error must not be booked, whichever side decoded.
+  // error must not be booked.
   BlobStore store;
   std::vector<flow::Message> messages;
   std::vector<SimTime> arrivals;
@@ -1002,10 +1025,9 @@ TEST_F(AggregationDecodedTest, StaleBadPayloadIsStaleNotDecodeFailure) {
   EXPECT_EQ(legacy.stale_rejections, 2u);
   EXPECT_EQ(legacy.decode_failures, 2u);
   EXPECT_EQ(legacy.received, 4u);
-  ExpectSameOutcome(legacy, Run(store, messages, arrivals, /*decoded=*/true,
-                                /*reject_stale=*/true));
-  ExpectSameOutcome(legacy, Run(store, messages, arrivals, /*decoded=*/false,
-                                /*reject_stale=*/true));
+  ExpectSameOutcome(legacy, Run(store, messages, arrivals,
+                                /*reject_stale=*/true,
+                                /*tick_width=*/messages.size()));
 }
 
 TEST_F(AggregationDecodedTest, StoppedServiceIgnoresDecodedDeliveries) {
@@ -1023,20 +1045,40 @@ TEST_F(AggregationDecodedTest, StoppedServiceIgnoresDecodedDeliveries) {
   EXPECT_EQ(service.decode_failures(), 0u);
 }
 
-TEST_F(AggregationTest, UndecodedDeliveryDecodesBeforeStalenessVerdict) {
-  // The undecoded hook decodes through the service's own BlobModelDecoder
-  // before admission, as a decoding dispatcher would: a stale update is
-  // still fetched (bytes_read counts it) but books only as stale.
+TEST_F(AggregationTest, MismatchedTickSpansThrow) {
+  // Every update needs its own arrival stamp: spans of unequal length are
+  // rejected at the hook's entry, before any update is admitted.
   AggregationConfig config;
   config.model_dim = kDim;
-  config.reject_stale = true;
   AggregationService service(loop_, store_, config);
-  const flow::Message stale = Upload(store_, 1.0f, 10, 1, /*round=*/5);
-  const std::size_t read_before = store_.bytes_read();
-  service.Deliver(stale, 0);
-  EXPECT_EQ(service.stale_rejections(), 1u);
+  const std::vector<flow::Message> messages = {Upload(store_, 1.0f, 5, 1),
+                                               Upload(store_, 2.0f, 5, 2)};
+  const std::vector<flow::DecodedUpdate> updates = Decode(store_, messages);
+  const std::vector<SimTime> stamps = {Seconds(1.0), Seconds(2.0),
+                                       Seconds(3.0)};
+  EXPECT_THROW(service.DeliverDecodedBatch(updates, stamps),
+               std::invalid_argument);
+  EXPECT_THROW(
+      service.DeliverDecodedBatch(updates, std::span(stamps).first(1)),
+      std::invalid_argument);
+  EXPECT_EQ(service.messages_received(), 0u);
+  EXPECT_EQ(service.pending_clients(), 0u);
+}
+
+TEST_F(AggregationTest, UpdateWithoutDecodeIsRejected) {
+  // The service sits behind a decoding dispatcher. An update no decoder
+  // ran on (message only, failure kNone) is a wiring error, not a decode
+  // failure to count.
+  AggregationConfig config;
+  config.model_dim = kDim;
+  AggregationService service(loop_, store_, config);
+  flow::DecodedUpdate bare;
+  bare.message = Upload(store_, 1.0f, 5, 1);
+  const SimTime arrival = 0;
+  EXPECT_THROW(service.DeliverDecodedBatch(std::span(&bare, 1),
+                                           std::span(&arrival, 1)),
+               std::invalid_argument);
   EXPECT_EQ(service.decode_failures(), 0u);
-  EXPECT_GT(store_.bytes_read(), read_before);
 }
 
 TEST_F(AggregationTest, StopIgnoresFurtherDeliveries) {
@@ -1046,7 +1088,7 @@ TEST_F(AggregationTest, StopIgnoresFurtherDeliveries) {
   config.sample_threshold = 1;
   AggregationService service(loop_, store_, config);
   service.Stop();
-  service.Deliver(Upload(store_, 4.0f, 5, 1), 0);
+  DeliverOne(service, store_, Upload(store_, 4.0f, 5, 1), 0);
   EXPECT_EQ(service.rounds_completed(), 0u);
   EXPECT_EQ(service.messages_received(), 0u);
 }
@@ -1059,7 +1101,7 @@ TEST_F(AggregationTest, MaxRoundsHonored) {
   config.max_rounds = 2;
   AggregationService service(loop_, store_, config);
   for (std::uint64_t i = 0; i < 5; ++i) {
-    service.Deliver(Upload(store_, 1.0f, 1, i), 0);
+    DeliverOne(service, store_, Upload(store_, 1.0f, 1, i), 0);
   }
   EXPECT_EQ(service.rounds_completed(), 2u);
 }
@@ -1089,13 +1131,7 @@ class AggregationPartialSumTest : public AggregationTest {
   static void DeliverDecoded(AggregationService& service, BlobStore& store,
                              const std::vector<flow::Message>& messages,
                              const std::vector<SimTime>& arrivals) {
-    BlobModelDecoder decoder(store);
-    std::vector<flow::DecodedUpdate> updates;
-    updates.reserve(messages.size());
-    for (const auto& message : messages) {
-      updates.push_back(decoder.Decode(message));
-    }
-    service.DeliverDecodedBatch(updates, arrivals);
+    service.DeliverDecodedBatch(Decode(store, messages), arrivals);
   }
 
   Outcome Run(BlobStore& store, const std::vector<flow::Message>& messages,

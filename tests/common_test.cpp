@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "common/arena.h"
 #include "common/det_hash.h"
@@ -564,6 +568,29 @@ TEST(ThreadPoolTest, AtLeastOneWorker) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
   EXPECT_EQ(pool.Submit([] { return 1; }).get(), 1);
+}
+
+TEST(ThreadPoolTest, ParallelForThrowsOnlyAfterEveryChunkFinished) {
+  // A throwing chunk must not let ParallelFor return while other chunks
+  // still run `fn`: the caller's unwind would destroy what they use.
+  // (Declared before the pool, so even a premature return leaves them
+  // alive until the pool has joined its workers.)
+  std::atomic<int> finished{0};
+  const std::function<void(std::size_t)> fn = [&finished](std::size_t i) {
+    if (i == 0) throw std::runtime_error("chunk 0 failed");
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    finished.fetch_add(1);
+  };
+  ThreadPool pool(4);
+  int seen_at_throw = -1;
+  try {
+    pool.ParallelFor(4, fn);
+    ADD_FAILURE() << "ParallelFor swallowed the chunk's exception";
+  } catch (const std::runtime_error& error) {
+    seen_at_throw = finished.load();
+    EXPECT_STREQ(error.what(), "chunk 0 failed");
+  }
+  EXPECT_EQ(seen_at_throw, 3);
 }
 
 // ---------- ByteArena ----------

@@ -112,7 +112,7 @@ TEST(DeterminismTest, DropoutAndPartialParticipationUnaffectedByWorkers) {
 }
 
 TEST(DeterminismTest, BatchedDeliveryBitIdenticalToPerMessageAtAllWidths) {
-  // One MessageBatch event per dispatch tick must reproduce, bit for bit,
+  // One delivery event per dispatch tick must reproduce, bit for bit,
   // the run the retired one-closure-per-message delivery produced — the
   // golden digest was captured from it — at any parallelism. Exercise real
   // multi-message batches (threshold 5) with dropout, plus a
@@ -362,12 +362,11 @@ struct FailurePlaneOutcome {
   std::vector<float> weights;
 };
 
-/// Runs the failure-mix stream at the given shard width, decoding either in
-/// the dispatchers or in the service's undecoded hook. Messages carry
-/// distinct timestamps and globally ordered ids, so the (tick time, first
-/// id, shard) merge reproduces one canonical delivery order at every width
-/// — counters must not depend on width or on where the decode ran.
-FailurePlaneOutcome RunFailureMix(std::size_t shards, bool decoded_plane) {
+/// Runs the failure-mix stream at the given shard width, decoding in the
+/// dispatchers. Messages carry distinct timestamps and globally ordered
+/// ids, so the (tick time, first id, shard) merge reproduces one canonical
+/// delivery order at every width — counters must not depend on width.
+FailurePlaneOutcome RunFailureMix(std::size_t shards) {
   constexpr std::uint32_t kDim = 16;
   constexpr std::size_t kMessages = 24;
   sim::EventLoop cloud_loop;
@@ -390,7 +389,7 @@ FailurePlaneOutcome RunFailureMix(std::size_t shards, bool decoded_plane) {
         flow::RealtimeAccumulated{{1}, 0.0,
                                   flow::kShardWidthInvariantCapacity},
         &merger.channel(s), /*seed=*/11));
-    if (decoded_plane) dispatchers[s]->set_decoder(&decoder);
+    dispatchers[s]->set_decoder(&decoder);
   }
 
   for (std::size_t i = 0; i < kMessages; ++i) {
@@ -447,36 +446,31 @@ FailurePlaneOutcome RunFailureMix(std::size_t shards, bool decoded_plane) {
 
 TEST(ShardedDeterminismTest, DecodeFailureAccountingParityAcrossPlanes) {
   // Corrupt-blob and missing-blob messages — fresh and stale — must book
-  // the same decode_failures / stale_rejections whether the dispatchers or
-  // the service decode, and in every sharded merge of either, in the same
-  // order (the deferred-accounting contract of flow::DecodedUpdate).
-  const auto reference = RunFailureMix(1, /*decoded_plane=*/false);
-  // The mix by construction: 4 corrupt/missing fresh-round failures
-  // become decode failures only while their round is fresh; round-77/99
-  // messages and post-aggregation round-0 messages are stale.
-  EXPECT_GT(reference.decode_failures, 0u);
-  EXPECT_GT(reference.stale_rejections, 0u);
+  // the expected decode_failures / stale_rejections, and every sharded
+  // merge must book the same ones as the width-1 run, in the same order
+  // (the deferred-accounting contract of flow::DecodedUpdate).
+  const auto reference = RunFailureMix(1);
+  // The mix by construction: the 16 round-0 messages close round 1 at the
+  // sixth valid one (6 x 5 = 30 samples), after 6 corrupt/missing
+  // fresh-round decode failures; the 8 round-77/99 messages and the 4
+  // round-0 messages after the close are stale.
   EXPECT_EQ(reference.received, 24u);
-  EXPECT_GE(reference.rounds, 1u);
+  EXPECT_EQ(reference.decode_failures, 6u);
+  EXPECT_EQ(reference.stale_rejections, 12u);
+  EXPECT_EQ(reference.rounds, 1u);
 
-  for (const std::size_t shards : {1u, 2u, 4u}) {
-    for (const bool decoded : {false, true}) {
-      if (shards == 1 && !decoded) continue;  // the reference itself
-      const auto outcome = RunFailureMix(shards, decoded);
-      EXPECT_EQ(outcome.received, reference.received)
-          << "shards=" << shards << " decoded=" << decoded;
-      EXPECT_EQ(outcome.decode_failures, reference.decode_failures)
-          << "shards=" << shards << " decoded=" << decoded;
-      EXPECT_EQ(outcome.stale_rejections, reference.stale_rejections)
-          << "shards=" << shards << " decoded=" << decoded;
-      EXPECT_EQ(outcome.rounds, reference.rounds)
-          << "shards=" << shards << " decoded=" << decoded;
-      ASSERT_EQ(outcome.weights.size(), reference.weights.size());
-      EXPECT_EQ(0, std::memcmp(outcome.weights.data(),
-                               reference.weights.data(),
-                               reference.weights.size() * sizeof(float)))
-          << "shards=" << shards << " decoded=" << decoded;
-    }
+  for (const std::size_t shards : {2u, 4u}) {
+    const auto outcome = RunFailureMix(shards);
+    EXPECT_EQ(outcome.received, reference.received) << "shards=" << shards;
+    EXPECT_EQ(outcome.decode_failures, reference.decode_failures)
+        << "shards=" << shards;
+    EXPECT_EQ(outcome.stale_rejections, reference.stale_rejections)
+        << "shards=" << shards;
+    EXPECT_EQ(outcome.rounds, reference.rounds) << "shards=" << shards;
+    ASSERT_EQ(outcome.weights.size(), reference.weights.size());
+    EXPECT_EQ(0, std::memcmp(outcome.weights.data(), reference.weights.data(),
+                             reference.weights.size() * sizeof(float)))
+        << "shards=" << shards;
   }
 }
 

@@ -12,9 +12,11 @@
 
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "cloud/aggregation.h"
+#include "cloud/payload_decoder.h"
 #include "core/fl_engine.h"
 #include "data/synth_avazu.h"
 #include "device/behavior.h"
@@ -250,7 +252,10 @@ TEST(UsageTraceTest, TraceOverridesSyntheticCurve) {
 
 class CountingEndpoint final : public flow::CloudEndpoint {
  public:
-  void Deliver(const flow::Message&, SimTime) override { ++delivered; }
+  void DeliverDecodedBatch(std::span<const flow::DecodedUpdate> updates,
+                           std::span<const SimTime>) override {
+    delivered += updates.size();
+  }
   std::size_t delivered = 0;
 };
 
@@ -440,6 +445,16 @@ class QuorumTest : public ::testing::Test {
     return m;
   }
 
+  /// Delivers `message` as a one-update tick, decoded first — the way a
+  /// decoding dispatcher hands it to the service.
+  void DeliverOne(cloud::AggregationService& service,
+                  const flow::Message& message, SimTime arrival) {
+    const flow::DecodedUpdate update =
+        cloud::BlobModelDecoder(store_).Decode(message);
+    service.DeliverDecodedBatch(std::span(&update, 1),
+                                std::span(&arrival, 1));
+  }
+
   cloud::AggregationConfig PolicyConfig() {
     cloud::AggregationConfig config;
     config.model_dim = kDim;
@@ -459,8 +474,8 @@ class QuorumTest : public ::testing::Test {
 TEST_F(QuorumTest, DeadlineCommitsWithQuorumMet) {
   cloud::AggregationService service(loop_, store_, PolicyConfig());
   service.OnRoundOpened(0);
-  service.Deliver(Upload(1.0f, 10, 1), Seconds(1.0));
-  service.Deliver(Upload(3.0f, 10, 2), Seconds(2.0));
+  DeliverOne(service, Upload(1.0f, 10, 1), Seconds(1.0));
+  DeliverOne(service, Upload(3.0f, 10, 2), Seconds(2.0));
   EXPECT_EQ(service.rounds_completed(), 0u);  // threshold unreachable
   loop_.Run();
   ASSERT_EQ(service.rounds_completed(), 1u);
@@ -475,10 +490,10 @@ TEST_F(QuorumTest, DeadlineCommitsWithQuorumMet) {
 TEST_F(QuorumTest, DeadlineExtendsBelowQuorumThenCommits) {
   cloud::AggregationService service(loop_, store_, PolicyConfig());
   service.OnRoundOpened(0);
-  service.Deliver(Upload(1.0f, 10, 1), Seconds(1.0));
+  DeliverOne(service, Upload(1.0f, 10, 1), Seconds(1.0));
   // The second update straggles in during the extension window.
   loop_.ScheduleAt(Seconds(12.0), [&] {
-    service.Deliver(Upload(3.0f, 10, 2), Seconds(12.0));
+    DeliverOne(service, Upload(3.0f, 10, 2), Seconds(12.0));
   });
   loop_.Run();
   ASSERT_EQ(service.rounds_completed(), 1u);
@@ -494,7 +509,8 @@ TEST_F(QuorumTest, AbortsAfterExtensionsExhausted) {
   SimTime aborted_at = -1;
   service.set_on_round_aborted([&](SimTime when) { aborted_at = when; });
   service.OnRoundOpened(0);
-  service.Deliver(Upload(1.0f, 10, 1), Seconds(1.0));  // forever below quorum
+  // Forever below quorum.
+  DeliverOne(service, Upload(1.0f, 10, 1), Seconds(1.0));
   loop_.Run();
   EXPECT_EQ(service.rounds_completed(), 0u);
   EXPECT_EQ(service.round_extensions(), 1u);
@@ -511,8 +527,8 @@ TEST_F(QuorumTest, TriggerClosingOnTimeRetiresTheDeadline) {
   config.sample_threshold = 20;  // reachable before the deadline
   cloud::AggregationService service(loop_, store_, config);
   service.OnRoundOpened(0);
-  service.Deliver(Upload(1.0f, 10, 1), Seconds(1.0));
-  service.Deliver(Upload(3.0f, 10, 2), Seconds(2.0));
+  DeliverOne(service, Upload(1.0f, 10, 1), Seconds(1.0));
+  DeliverOne(service, Upload(3.0f, 10, 2), Seconds(2.0));
   ASSERT_EQ(service.rounds_completed(), 1u);  // threshold closed it
   loop_.Run();  // any stale deadline event must be gone or inert
   EXPECT_EQ(service.rounds_completed(), 1u);
@@ -532,8 +548,8 @@ TEST_F(QuorumTest, DisabledPolicySchedulesNothing) {
 TEST_F(QuorumTest, SnapshotRoundTripsDegradationCounters) {
   cloud::AggregationService service(loop_, store_, PolicyConfig());
   service.OnRoundOpened(0);
-  service.Deliver(Upload(1.0f, 10, 1), Seconds(1.0));
-  service.Deliver(Upload(3.0f, 10, 2), Seconds(2.0));
+  DeliverOne(service, Upload(1.0f, 10, 1), Seconds(1.0));
+  DeliverOne(service, Upload(3.0f, 10, 2), Seconds(2.0));
   loop_.Run();  // one deadline commit
   const cloud::AggregationSnapshot snapshot = service.Snapshot();
   EXPECT_EQ(snapshot.deadline_commits, 1u);

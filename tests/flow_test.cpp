@@ -22,8 +22,11 @@ namespace {
 /// Records every delivered message with its arrival time.
 class RecordingEndpoint final : public CloudEndpoint {
  public:
-  void Deliver(const Message& message, SimTime arrival) override {
-    deliveries.emplace_back(arrival, message);
+  void DeliverDecodedBatch(std::span<const DecodedUpdate> updates,
+                           std::span<const SimTime> arrivals) override {
+    for (std::size_t i = 0; i < updates.size(); ++i) {
+      deliveries.emplace_back(arrivals[i], updates[i].message);
+    }
   }
   std::vector<std::pair<SimTime, Message>> deliveries;
 };
@@ -448,25 +451,40 @@ TEST(IsolationTest, TasksDispatchIndependently) {
 
 // ---------- Batched delivery equivalence ----------
 
-/// Records batch boundaries in addition to every delivery (to check that
-/// the batched path really arrives via DeliverBatch, one call per tick).
+/// Records tick boundaries in addition to every delivery (to check that
+/// delivery really arrives one hook call per tick), and counts updates
+/// that carry only their message (no decoder ran, no failure).
 class BatchAwareEndpoint final : public CloudEndpoint {
  public:
-  void Deliver(const Message& message, SimTime arrival) override {
-    deliveries.emplace_back(arrival, message.id);
-  }
-  void DeliverBatch(std::span<const Message> messages,
-                    std::span<const SimTime> arrivals) override {
-    batch_sizes.push_back(messages.size());
-    CloudEndpoint::DeliverBatch(messages, arrivals);  // default loop
+  void DeliverDecodedBatch(std::span<const DecodedUpdate> updates,
+                           std::span<const SimTime> arrivals) override {
+    batch_sizes.push_back(updates.size());
+    for (std::size_t i = 0; i < updates.size(); ++i) {
+      deliveries.emplace_back(arrivals[i], updates[i].message.id);
+      if (!updates[i].decoded() &&
+          updates[i].failure == DecodedUpdate::Failure::kNone) {
+        ++message_only;
+      }
+    }
   }
   std::vector<std::pair<SimTime, MessageId>> deliveries;
   std::vector<std::size_t> batch_sizes;
+  std::size_t message_only = 0;
 };
+
+/// Message-only updates, as a decoder-less dispatcher delivers them.
+std::vector<DecodedUpdate> Updates(std::span<const Message> messages) {
+  std::vector<DecodedUpdate> updates(messages.size());
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    updates[i].message = messages[i];
+  }
+  return updates;
+}
 
 struct DispatchOutcome {
   std::vector<std::pair<SimTime, MessageId>> deliveries;
   std::vector<std::size_t> batch_sizes;
+  std::size_t message_only = 0;
   std::size_t sent = 0;
   std::size_t dropped = 0;
   std::vector<std::pair<SimTime, std::size_t>> batches;
@@ -491,6 +509,7 @@ DispatchOutcome RunScenario(const DispatchStrategy& strategy, std::size_t n,
   DispatchOutcome out;
   out.deliveries = sink.deliveries;
   out.batch_sizes = sink.batch_sizes;
+  out.message_only = sink.message_only;
   const auto& stats = flow.FindDispatcher(TaskId(1))->stats();
   out.sent = stats.sent;
   out.dropped = stats.dropped;
@@ -532,8 +551,8 @@ TEST(DeliveryEquivalenceTest, AllStrategiesBitIdenticalAcrossModes) {
     const auto batched = RunScenario(strategy, n, 17);
     golden::ExpectGolden(name, batched.digest);
     EXPECT_GT(batched.dropped, 0u) << name;
-    // And delivery really fans in O(ticks): one DeliverBatch call per
-    // non-empty dispatch tick.
+    // And delivery really fans in O(ticks): one hook call per non-empty
+    // dispatch tick, every update carrying only its message.
     std::size_t nonempty_ticks = 0;
     std::size_t in_batches = 0;
     for (const auto& [when, count] : batched.batches) {
@@ -542,27 +561,7 @@ TEST(DeliveryEquivalenceTest, AllStrategiesBitIdenticalAcrossModes) {
     for (const std::size_t size : batched.batch_sizes) in_batches += size;
     EXPECT_EQ(batched.batch_sizes.size(), nonempty_ticks) << name;
     EXPECT_EQ(in_batches, batched.sent) << name;
-  }
-}
-
-TEST(DeliveryEquivalenceTest, DefaultDeliverBatchLoopsOverDeliver) {
-  // An endpoint that only implements Deliver must see every message of a
-  // batched tick, in arrival order.
-  sim::EventLoop loop;
-  DeviceFlow flow(loop);
-  RecordingEndpoint sink;  // no DeliverBatch override
-  ASSERT_TRUE(flow.ConfigureTask(TaskId(1), RealtimeAccumulated{{50}, 0.0},
-                                 &sink).ok());
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(flow.OnMessage(MakeMessage(TaskId(1), i)).ok());
-  }
-  loop.Run();
-  ASSERT_EQ(sink.deliveries.size(), 100u);
-  for (std::size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(sink.deliveries[i].second.id, MessageId(i));
-    if (i > 0) {
-      EXPECT_GE(sink.deliveries[i].first, sink.deliveries[i - 1].first);
-    }
+    EXPECT_EQ(batched.message_only, batched.sent) << name;
   }
 }
 
@@ -685,13 +684,17 @@ TEST(ShardMergerTest, MergesTicksInTimeThenGlobalIdOrder) {
       MakeMessage(TaskId(1), 2), MakeMessage(TaskId(1), 3),
       MakeMessage(TaskId(1), 4)};
   const std::vector<SimTime> t2 = {Seconds(1.0)};
-  merger.channel(2).DeliverBatch(std::span(&m[4], 1), std::span(t2));
+  merger.channel(2).DeliverDecodedBatch(Updates(std::span(&m[4], 1)),
+                                        std::span(t2));
   const std::vector<SimTime> t0a = {Seconds(5.0), Seconds(5.0)};
-  merger.channel(0).DeliverBatch(std::span(&m[0], 2), std::span(t0a));
+  merger.channel(0).DeliverDecodedBatch(Updates(std::span(&m[0], 2)),
+                                        std::span(t0a));
   const std::vector<SimTime> t1 = {Seconds(5.0)};
-  merger.channel(1).DeliverBatch(std::span(&m[3], 1), std::span(t1));
+  merger.channel(1).DeliverDecodedBatch(Updates(std::span(&m[3], 1)),
+                                        std::span(t1));
   const std::vector<SimTime> t0b = {Seconds(6.0)};
-  merger.channel(0).DeliverBatch(std::span(&m[2], 1), std::span(t0b));
+  merger.channel(0).DeliverDecodedBatch(Updates(std::span(&m[2], 1)),
+                                        std::span(t0b));
 
   EXPECT_EQ(merger.NextTickTime(), Seconds(1.0));
   // Partial drain respects the horizon.
@@ -709,12 +712,16 @@ TEST(ShardMergerTest, MergesTicksInTimeThenGlobalIdOrder) {
   EXPECT_EQ(merger.NextTickTime(), sim::EventLoop::kNoEvent);
 }
 
-TEST(ShardMergerTest, PerMessageDeliveriesBecomeSingleTicks) {
-  // A lone Deliver is captured as a one-message tick.
+TEST(ShardMergerTest, EqualTimesResolveByMessageIdNotShard) {
   BatchAwareEndpoint sink;
   ShardMerger merger(2, &sink, nullptr);
-  merger.channel(1).Deliver(MakeMessage(TaskId(1), 7), Seconds(2.0));
-  merger.channel(0).Deliver(MakeMessage(TaskId(1), 8), Seconds(2.0));
+  const std::vector<Message> m = {MakeMessage(TaskId(1), 7),
+                                  MakeMessage(TaskId(1), 8)};
+  const SimTime at = Seconds(2.0);
+  merger.channel(1).DeliverDecodedBatch(Updates(std::span(&m[0], 1)),
+                                        std::span(&at, 1));
+  merger.channel(0).DeliverDecodedBatch(Updates(std::span(&m[1], 1)),
+                                        std::span(&at, 1));
   EXPECT_EQ(merger.DrainUpTo(Seconds(2.0)), 2u);
   ASSERT_EQ(sink.deliveries.size(), 2u);
   // Equal times resolve by message id (the global scheduling order), not

@@ -177,12 +177,15 @@ TEST(IntegrationTest, IntervalDispatchTracksCurveThroughFullStack) {
 
   struct CountingEndpoint final : flow::CloudEndpoint {
     std::vector<std::pair<SimTime, std::size_t>> arrivals;
-    void Deliver(const flow::Message&, SimTime arrival) override {
-      if (!arrivals.empty() &&
-          arrivals.back().first / Seconds(1.0) == arrival / Seconds(1.0)) {
-        arrivals.back().second++;
-      } else {
-        arrivals.emplace_back(arrival, 1);
+    void DeliverDecodedBatch(std::span<const flow::DecodedUpdate>,
+                             std::span<const SimTime> stamps) override {
+      for (const SimTime arrival : stamps) {
+        if (!arrivals.empty() &&
+            arrivals.back().first / Seconds(1.0) == arrival / Seconds(1.0)) {
+          arrivals.back().second++;
+        } else {
+          arrivals.emplace_back(arrival, 1);
+        }
       }
     }
   } endpoint;

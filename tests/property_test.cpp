@@ -20,10 +20,14 @@ namespace {
 
 class CountingEndpoint final : public flow::CloudEndpoint {
  public:
-  void Deliver(const flow::Message&, SimTime arrival) override {
-    EXPECT_GE(arrival, last_arrival_);
-    last_arrival_ = arrival;
-    ++delivered_;
+  void DeliverDecodedBatch(std::span<const flow::DecodedUpdate> updates,
+                           std::span<const SimTime> arrivals) override {
+    EXPECT_EQ(updates.size(), arrivals.size());
+    for (const SimTime arrival : arrivals) {
+      EXPECT_GE(arrival, last_arrival_);
+      last_arrival_ = arrival;
+      ++delivered_;
+    }
   }
   std::size_t delivered() const { return delivered_; }
 

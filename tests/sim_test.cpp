@@ -364,12 +364,6 @@ struct LockstepHarness {
     }
   }
 
-  std::vector<EventLoop*> ShardPtrs() {
-    std::vector<EventLoop*> out;
-    for (auto& shard : shards) out.push_back(shard.get());
-    return out;
-  }
-
   SimTime NextPending() const {
     SimTime t = EventLoop::kNoEvent;
     for (const auto& queue : buffered) {
@@ -396,7 +390,11 @@ struct LockstepHarness {
   }
 
   LockstepGroup::Hooks Hooks() {
-    return {.next_pending = [this] { return NextPending(); },
+    return {.shard_loops =
+                [this](std::vector<EventLoop*>& out) {
+                  for (auto& shard : shards) out.push_back(shard.get());
+                },
+            .next_pending = [this] { return NextPending(); },
             .drain = [this](SimTime h) { Drain(h); }};
   }
 };
@@ -418,7 +416,7 @@ TEST(LockstepGroupTest, MergesShardProductsInTimeThenShardOrder) {
               Seconds(1.0 + s), 10 + s);
         });
   }
-  LockstepGroup group(h.cloud, h.ShardPtrs());
+  LockstepGroup group(h.cloud);
   group.Run(h.Hooks(), /*feedback_guard=*/Seconds(100.0));
   std::vector<std::string> got;
   for (const auto& [time, tag] : h.merged) got.push_back(tag);
@@ -440,7 +438,7 @@ TEST(LockstepGroupTest, CloudEventsRunBeforeShardWindow) {
     h.buffered[1].emplace_back(Seconds(30.0), 2);
   });
   h.cloud.ScheduleAt(Seconds(20.0), [&] { seen_at_cloud = h.merged.size(); });
-  LockstepGroup group(h.cloud, h.ShardPtrs());
+  LockstepGroup group(h.cloud);
   // Large guard: without the cloud-bound on the horizon shard 1 would run
   // (and merge) its t=30 event before the t=20 cloud event.
   group.Run(h.Hooks(), Seconds(1000.0));
@@ -477,7 +475,7 @@ TEST(LockstepGroupTest, DrainFeedbackSchedulesWithinGuard) {
       });
     }
   };
-  LockstepGroup group(h.cloud, h.ShardPtrs());
+  LockstepGroup group(h.cloud);
   group.Run(hooks, guard);
   ASSERT_TRUE(scheduled_feedback);
   // The feedback event ran at its exact timestamp (no clamping forward).
@@ -496,7 +494,7 @@ TEST(LockstepGroupTest, PoolAndSequentialAdvanceAreIdentical) {
         });
       }
     }
-    LockstepGroup group(h.cloud, h.ShardPtrs(), pool);
+    LockstepGroup group(h.cloud, pool);
     group.Run(h.Hooks(), Seconds(1.0));
     return h.merged;
   };
@@ -507,10 +505,98 @@ TEST(LockstepGroupTest, PoolAndSequentialAdvanceAreIdentical) {
   EXPECT_EQ(sequential, parallel);
 }
 
-TEST(LockstepGroupTest, RejectsBadConstruction) {
+TEST(LockstepGroupTest, ShardLoopAddedByCloudEventJoinsAtNextBarrier) {
+  // Membership is read once per barrier, BEFORE the cloud step: a loop a
+  // cloud event adds at T0 sits out that barrier's shard advance and is
+  // first advanced at the next one — at its own event's exact time.
+  LockstepHarness h(0);
+  std::size_t barriers = 0;
+  std::size_t joined_at_barrier = 0;
+  SimTime ran_at = -1;
+  h.cloud.ScheduleAt(Seconds(1.0), [&h, &joined_at_barrier, &barriers,
+                                    &ran_at] {
+    h.shards.push_back(std::make_unique<EventLoop>());
+    h.buffered.emplace_back();
+    EventLoop* added = h.shards.back().get();
+    added->ScheduleAt(Seconds(1.0), [&, added] {
+      joined_at_barrier = barriers;
+      ran_at = added->Now();
+    });
+  });
+  auto hooks = h.Hooks();
+  hooks.drain = [&](SimTime horizon) {
+    h.Drain(horizon);
+    ++barriers;
+  };
+  LockstepGroup group(h.cloud);
+  EXPECT_EQ(group.Run(hooks, Seconds(10.0)), 2u);
+  EXPECT_EQ(joined_at_barrier, 1u);  // not advanced in barrier 0
+  EXPECT_EQ(ran_at, Seconds(1.0));
+}
+
+TEST(LockstepGroupTest, ZeroShardGroupMatchesEventLoopRun) {
+  // With no shard loops the group steps the cloud loop alone: same events,
+  // same order (ties FIFO, same-time and clamped-past reschedules, a
+  // cancellation), same processed() and clock as EventLoop::Run().
+  auto seed = [](EventLoop& loop, std::vector<std::string>& log) {
+    loop.ScheduleAt(Seconds(5.0), [&log] { log.push_back("a@5"); });
+    loop.ScheduleAt(Seconds(1.0), [&log] { log.push_back("b@1"); });
+    loop.ScheduleAt(Seconds(1.0), [&log] { log.push_back("c@1"); });
+    const EventHandle dropped =
+        loop.ScheduleAt(Seconds(3.0), [&log] { log.push_back("cancelled"); });
+    loop.ScheduleAt(Seconds(2.0), [&loop, &log] {
+      log.push_back("d@2");
+      loop.ScheduleAt(Seconds(2.0), [&log] { log.push_back("e@2"); });
+      loop.ScheduleAt(Seconds(0.5), [&log] { log.push_back("f@past"); });
+      loop.ScheduleAt(Seconds(4.0), [&log] { log.push_back("g@4"); });
+    });
+    loop.ScheduleAt(Seconds(2.0), [&log] { log.push_back("h@2"); });
+    loop.Cancel(dropped);
+  };
+  EventLoop reference;
+  std::vector<std::string> expected;
+  seed(reference, expected);
+  const std::size_t ran = reference.Run();
+
+  for (const bool with_hooks : {false, true}) {
+    EventLoop cloud;
+    std::vector<std::string> got;
+    seed(cloud, got);
+    LockstepGroup::Hooks hooks;
+    std::size_t drains = 0;
+    if (with_hooks) {
+      hooks.shard_loops = [](std::vector<EventLoop*>&) {};
+      hooks.next_pending = [] { return EventLoop::kNoEvent; };
+      hooks.drain = [&drains](SimTime) { ++drains; };
+    }
+    LockstepGroup group(cloud);
+    EXPECT_EQ(group.Run(hooks, Seconds(1.0)), ran);
+    EXPECT_EQ(got, expected);
+    EXPECT_EQ(cloud.processed(), reference.processed());
+    EXPECT_EQ(cloud.Now(), reference.Now());
+    if (with_hooks) {
+      EXPECT_GT(drains, 0u);
+    }
+  }
+  EXPECT_EQ(expected, (std::vector<std::string>{"b@1", "c@1", "d@2", "h@2",
+                                                "e@2", "f@past", "g@4",
+                                                "a@5"}));
+}
+
+TEST(LockstepGroupTest, RejectsNullOrCloudShardLoopFromHook) {
   EventLoop cloud;
-  EXPECT_THROW(LockstepGroup(cloud, {nullptr}), std::invalid_argument);
-  EXPECT_THROW(LockstepGroup(cloud, {&cloud}), std::invalid_argument);
+  cloud.ScheduleAt(Seconds(1.0), [] {});
+  LockstepGroup group(cloud);
+  LockstepGroup::Hooks hooks;
+  hooks.shard_loops = [](std::vector<EventLoop*>& out) {
+    out.push_back(nullptr);
+  };
+  EXPECT_THROW(group.Run(hooks, Seconds(1.0)), std::invalid_argument);
+  hooks.shard_loops = [&cloud](std::vector<EventLoop*>& out) {
+    out.push_back(&cloud);
+  };
+  EXPECT_THROW(group.Run(hooks, Seconds(1.0)), std::invalid_argument);
+  EXPECT_EQ(cloud.processed(), 0u);  // rejected before the cloud step
 }
 
 }  // namespace
