@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "bench_util.h"
 #include "cloud/storage.h"
@@ -282,13 +283,21 @@ void EmitAucRankOpTimings() {
   benchmark::DoNotOptimize(sink);
 }
 
+/// Byte equality of two double planes (+0.0 and -0.0 differ).
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 /// Hand-timed OPTIME ops for the FedAvg cascade kernels, plus the
 /// bit-identity asserts between kernel variants: fedavg_add_scalar (span
-/// reference loop) vs fedavg_add_simd (restrict-qualified pointer loop)
-/// must produce equal bits, and shard_reduce_{2,4,8} (k-way partial
-/// aggregators merged ascending) must publish the same model bits as one
-/// serial aggregator. Returns false on any mismatch so the bench exits
-/// non-zero — the same hard gate style as the fig8 equivalence checks.
+/// reference loop) vs fedavg_add_simd (the dispatched CascadeAdd, AVX2
+/// where the CPU has it) must produce equal bytes, and
+/// shard_reduce_{2,4,8} (k-way partial aggregators merged ascending) must
+/// publish the same model bits as one serial aggregator. Returns false on
+/// any mismatch so the bench exits non-zero — the same hard gate style as
+/// the fig8 equivalence checks.
 bool EmitFedAvgKernelOpTimings() {
   constexpr std::uint32_t kDim = 1u << 14;
   constexpr int kRepeats = 40;
@@ -331,11 +340,18 @@ bool EmitFedAvgKernelOpTimings() {
           std::chrono::duration_cast<std::chrono::nanoseconds>(simd_elapsed)
               .count()),
       kRepeats);
-  if (sum_a != sum_b || c1_a != c1_b || c2_a != c2_b) {
+  if (!SameBytes(sum_a, sum_b) || !SameBytes(c1_a, c1_b) ||
+      !SameBytes(c2_a, c2_b)) {
     std::fprintf(stderr,
                  "BIT MISMATCH: fedavg_add_simd != fedavg_add_scalar\n");
     identical = false;
   }
+  std::fprintf(stderr,
+               "fedavg kernel variant: %s (fedavg_add_scalar / "
+               "fedavg_add_simd = %.2fx)\n",
+               ml::kernels::ToString(ml::kernels::DispatchedIsa()),
+               std::chrono::duration<double>(scalar_elapsed).count() /
+                   std::chrono::duration<double>(simd_elapsed).count());
 
   // shard_reduce_{2,4,8}: k partial aggregators + ascending MergeFrom vs
   // one serial aggregator over the same update multiset.

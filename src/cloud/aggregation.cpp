@@ -162,6 +162,7 @@ void AggregationService::DeliverDecodedOne(const flow::DecodedUpdate& update,
   pending_.push_back({update.model, samples});
   staged_samples_ += samples;
   ++staged_clients_;
+  if (update.model.owns_weights()) ++staged_owned_;
 
   if (config_.trigger == AggregationTrigger::kSampleThreshold &&
       pending_samples() >= config_.sample_threshold) {
@@ -172,12 +173,17 @@ void AggregationService::DeliverDecodedOne(const flow::DecodedUpdate& update,
     AggregateAt(std::max(arrival, loop_.Now()));
     return;
   }
-  if (pending_.size() >= kFlushCap) FlushPending();
+  if (staged_owned_ >= kFlushCap) FlushPending();
 }
 
 void AggregationService::FlushPending() {
   if (pending_.empty()) return;
   const std::uint64_t t0 = NowNs();
+  SIMDC_DCHECK(staged_owned_ <= pending_.size(),
+               "FlushPending: " << staged_owned_ << " owning views among "
+                                << pending_.size() << " staged updates");
+  const std::size_t clients_before = aggregator_.clients();
+  const std::size_t samples_before = aggregator_.total_samples();
   const std::size_t lanes =
       pool_ ? std::min({pool_->size(), pending_.size(), kMaxLanes})
             : std::size_t{1};
@@ -214,9 +220,18 @@ void AggregationService::FlushPending() {
       partials_[lane].Reset();
     }
   }
-  pending_.clear();
-  staged_samples_ = 0;
-  staged_clients_ = 0;
+  // Live accounting invariant: the flush moves exactly the staged totals
+  // into the aggregator, whatever the lane split.
+  SIMDC_DCHECK(aggregator_.clients() == clients_before + staged_clients_ &&
+                   aggregator_.total_samples() ==
+                       samples_before + staged_samples_,
+               "FlushPending: aggregator grew by "
+                   << aggregator_.clients() - clients_before << " clients / "
+                   << aggregator_.total_samples() - samples_before
+                   << " samples, staged " << staged_clients_ << " / "
+                   << staged_samples_);
+  ++flushes_;
+  DiscardPending();
   serial_accumulate_ns_ += NowNs() - t0;
 }
 
@@ -224,6 +239,7 @@ void AggregationService::DiscardPending() {
   pending_.clear();
   staged_samples_ = 0;
   staged_clients_ = 0;
+  staged_owned_ = 0;
 }
 
 AggregationSnapshot AggregationService::Snapshot() const {

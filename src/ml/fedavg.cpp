@@ -30,7 +30,128 @@ inline void CascadeStep(double t, double& sum, double& c1, double& c2) {
   c2 += e2;
 }
 
+/// The one loop body of every CascadeAdd variant. Always inlined, so each
+/// variant compiles it for its own target.
+[[gnu::always_inline]] inline void CascadeAddLoop(
+    const float* SIMDC_RESTRICT weights, std::size_t n, double scale,
+    double* SIMDC_RESTRICT sum, double* SIMDC_RESTRICT c1,
+    double* SIMDC_RESTRICT c2) {
+  for (std::size_t i = 0; i < n; ++i) {
+    CascadeStep(scale * static_cast<double>(weights[i]), sum[i], c1[i],
+                c2[i]);
+  }
+}
+
+/// The one loop body of every CascadeMerge variant. Each of the other
+/// cascade's terms is itself a partial-sum term inside the invariance
+/// window, so folding the three through the same cascade keeps the merged
+/// value within the window of the flat serial sum.
+[[gnu::always_inline]] inline void CascadeMergeLoop(
+    const double* SIMDC_RESTRICT other_sum,
+    const double* SIMDC_RESTRICT other_c1,
+    const double* SIMDC_RESTRICT other_c2, std::size_t n,
+    double* SIMDC_RESTRICT sum, double* SIMDC_RESTRICT c1,
+    double* SIMDC_RESTRICT c2) {
+  for (std::size_t i = 0; i < n; ++i) {
+    CascadeStep(other_sum[i], sum[i], c1[i], c2[i]);
+    CascadeStep(other_c1[i], sum[i], c1[i], c2[i]);
+    CascadeStep(other_c2[i], sum[i], c1[i], c2[i]);
+  }
+}
+
+using AddFn = void (*)(const float*, std::size_t, double, double*, double*,
+                       double*);
+using MergeFn = void (*)(const double*, const double*, const double*,
+                         std::size_t, double*, double*, double*);
+
+/// One variant's pair of kernels.
+struct Variant {
+  AddFn add;
+  MergeFn merge;
+};
+
+void CascadeAddPortable(const float* SIMDC_RESTRICT weights, std::size_t n,
+                        double scale, double* SIMDC_RESTRICT sum,
+                        double* SIMDC_RESTRICT c1, double* SIMDC_RESTRICT c2) {
+  CascadeAddLoop(weights, n, scale, sum, c1, c2);
+}
+
+void CascadeMergePortable(const double* SIMDC_RESTRICT other_sum,
+                          const double* SIMDC_RESTRICT other_c1,
+                          const double* SIMDC_RESTRICT other_c2, std::size_t n,
+                          double* SIMDC_RESTRICT sum, double* SIMDC_RESTRICT c1,
+                          double* SIMDC_RESTRICT c2) {
+  CascadeMergeLoop(other_sum, other_c1, other_c2, n, sum, c1, c2);
+}
+
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define SIMDC_CASCADE_AVX2 1
+
+// "avx2" and not "avx2,fma": without fma the compiler has no fused
+// multiply-add to contract scale·w + sum into, so the vector loop rounds
+// exactly where the scalar reference does. (A build whose own flags
+// enable fma may contract the reference and every variant alike; a float
+// times an integer sample count below 2^29 is exact in double, so the
+// bits still agree — CI builds for x86-64-v3 to pin that.)
+__attribute__((target("avx2"))) void CascadeAddAvx2(
+    const float* SIMDC_RESTRICT weights, std::size_t n, double scale,
+    double* SIMDC_RESTRICT sum, double* SIMDC_RESTRICT c1,
+    double* SIMDC_RESTRICT c2) {
+  CascadeAddLoop(weights, n, scale, sum, c1, c2);
+}
+
+__attribute__((target("avx2"))) void CascadeMergeAvx2(
+    const double* SIMDC_RESTRICT other_sum,
+    const double* SIMDC_RESTRICT other_c1,
+    const double* SIMDC_RESTRICT other_c2, std::size_t n,
+    double* SIMDC_RESTRICT sum, double* SIMDC_RESTRICT c1,
+    double* SIMDC_RESTRICT c2) {
+  CascadeMergeLoop(other_sum, other_c1, other_c2, n, sum, c1, c2);
+}
+#endif
+
+Variant VariantFor(Isa isa) {
+  SIMDC_CHECK(Supports(isa), "cascade kernel variant " << ToString(isa)
+                                 << " is not supported on this CPU/build");
+#ifdef SIMDC_CASCADE_AVX2
+  if (isa == Isa::kAvx2) return {CascadeAddAvx2, CascadeMergeAvx2};
+#endif
+  return {CascadeAddPortable, CascadeMergePortable};
+}
+
+const Variant& Dispatched() {
+  static const Variant variant = VariantFor(DispatchedIsa());
+  return variant;
+}
+
 }  // namespace
+
+const char* ToString(Isa isa) {
+  switch (isa) {
+    case Isa::kPortable: return "portable";
+    case Isa::kAvx2: return "avx2";
+  }
+  return "unknown";
+}
+
+bool Supports(Isa isa) {
+  if (isa == Isa::kPortable) return true;
+#ifdef SIMDC_CASCADE_AVX2
+  // Explicit init: the first caller may run inside a static initializer,
+  // before libgcc's own CPU-detection constructor.
+  static const bool avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return avx2;
+#else
+  return false;
+#endif
+}
+
+Isa DispatchedIsa() {
+  return Supports(Isa::kAvx2) ? Isa::kAvx2 : Isa::kPortable;
+}
 
 void CascadeAddScalar(std::span<const float> weights, double scale,
                       std::span<double> sum, std::span<double> c1,
@@ -44,10 +165,13 @@ void CascadeAddScalar(std::span<const float> weights, double scale,
 void CascadeAdd(const float* SIMDC_RESTRICT weights, std::size_t n,
                 double scale, double* SIMDC_RESTRICT sum,
                 double* SIMDC_RESTRICT c1, double* SIMDC_RESTRICT c2) {
-  for (std::size_t i = 0; i < n; ++i) {
-    CascadeStep(scale * static_cast<double>(weights[i]), sum[i], c1[i],
-                c2[i]);
-  }
+  Dispatched().add(weights, n, scale, sum, c1, c2);
+}
+
+void CascadeAdd(Isa isa, const float* SIMDC_RESTRICT weights, std::size_t n,
+                double scale, double* SIMDC_RESTRICT sum,
+                double* SIMDC_RESTRICT c1, double* SIMDC_RESTRICT c2) {
+  VariantFor(isa).add(weights, n, scale, sum, c1, c2);
 }
 
 void CascadeMerge(const double* SIMDC_RESTRICT other_sum,
@@ -55,14 +179,15 @@ void CascadeMerge(const double* SIMDC_RESTRICT other_sum,
                   const double* SIMDC_RESTRICT other_c2, std::size_t n,
                   double* SIMDC_RESTRICT sum, double* SIMDC_RESTRICT c1,
                   double* SIMDC_RESTRICT c2) {
-  // Each of the other cascade's terms is itself a partial-sum term inside
-  // the invariance window, so folding the three through the same cascade
-  // keeps the merged value within the window of the flat serial sum.
-  for (std::size_t i = 0; i < n; ++i) {
-    CascadeStep(other_sum[i], sum[i], c1[i], c2[i]);
-    CascadeStep(other_c1[i], sum[i], c1[i], c2[i]);
-    CascadeStep(other_c2[i], sum[i], c1[i], c2[i]);
-  }
+  Dispatched().merge(other_sum, other_c1, other_c2, n, sum, c1, c2);
+}
+
+void CascadeMerge(Isa isa, const double* SIMDC_RESTRICT other_sum,
+                  const double* SIMDC_RESTRICT other_c1,
+                  const double* SIMDC_RESTRICT other_c2, std::size_t n,
+                  double* SIMDC_RESTRICT sum, double* SIMDC_RESTRICT c1,
+                  double* SIMDC_RESTRICT c2) {
+  VariantFor(isa).merge(other_sum, other_c1, other_c2, n, sum, c1, c2);
 }
 
 }  // namespace kernels

@@ -49,18 +49,47 @@ void CascadeAddScalar(std::span<const float> weights, double scale,
                       std::span<double> sum, std::span<double> c1,
                       std::span<double> c2);
 
-/// Production kernel: the same cascade as CascadeAddScalar over
-/// restrict-qualified contiguous arrays — branch-free TwoSum per lane, no
-/// aliasing checks, auto-vectorizable. Bit-identical to the scalar
-/// reference (bench_micro_kernels asserts it; fedavg_add_scalar vs
-/// fedavg_add_simd measures it).
+/// Instruction-set variants of CascadeAdd and CascadeMerge. Every variant
+/// compiles the one restrict-qualified loop body (branch-free TwoSum per
+/// element) for its own target, with no intrinsics and without fma, so the
+/// compiler can neither reorder nor contract the cascade: each is
+/// bit-identical to CascadeAddScalar (tests/ml_test.cpp and
+/// bench_micro_kernels compare bytes).
+enum class Isa : std::uint8_t {
+  /// Compiled for the build's own target flags: 2 doubles per instruction
+  /// under x86-64's default SSE2. Every CPU runs it.
+  kPortable,
+  /// x86 AVX2: 4 doubles per instruction. Absent from non-x86 builds.
+  kAvx2,
+};
+const char* ToString(Isa isa);
+/// Whether this build has `isa`'s variant and this CPU can run it.
+bool Supports(Isa isa);
+/// The variant the dispatched CascadeAdd/CascadeMerge run: kAvx2 where
+/// Supports(kAvx2), else kPortable. Picked once, from CPUID — no option.
+Isa DispatchedIsa();
+
+/// Production kernel: the cascade of CascadeAddScalar over contiguous
+/// arrays, run by the DispatchedIsa() variant (fedavg_add_scalar vs
+/// fedavg_add_simd in bench_micro_kernels measures the gain).
 void CascadeAdd(const float* SIMDC_RESTRICT weights, std::size_t n,
+                double scale, double* SIMDC_RESTRICT sum,
+                double* SIMDC_RESTRICT c1, double* SIMDC_RESTRICT c2);
+/// Runs the `isa` variant, which must be Supported (SIMDC_CHECK): the
+/// parity tests pin each variant this CPU can run.
+void CascadeAdd(Isa isa, const float* SIMDC_RESTRICT weights, std::size_t n,
                 double scale, double* SIMDC_RESTRICT sum,
                 double* SIMDC_RESTRICT c1, double* SIMDC_RESTRICT c2);
 
 /// Folds another cascade's three terms into (sum, c1, c2) — the exact
-/// shard-reduce step. Restrict-qualified like CascadeAdd.
+/// shard-reduce step — through the DispatchedIsa() variant.
 void CascadeMerge(const double* SIMDC_RESTRICT other_sum,
+                  const double* SIMDC_RESTRICT other_c1,
+                  const double* SIMDC_RESTRICT other_c2, std::size_t n,
+                  double* SIMDC_RESTRICT sum, double* SIMDC_RESTRICT c1,
+                  double* SIMDC_RESTRICT c2);
+/// CascadeMerge through the `isa` variant (must be Supported).
+void CascadeMerge(Isa isa, const double* SIMDC_RESTRICT other_sum,
                   const double* SIMDC_RESTRICT other_c1,
                   const double* SIMDC_RESTRICT other_c2, std::size_t n,
                   double* SIMDC_RESTRICT sum, double* SIMDC_RESTRICT c1,

@@ -328,13 +328,13 @@ Result<ModelView> LrModel::FromBytesView(std::span<const std::byte> bytes,
     const float* weights =
         std::launder(reinterpret_cast<const float*>(layout->payload));
     return ModelView(std::shared_ptr<const float>(std::move(owner), weights),
-                     d, layout->bias);
+                     d, layout->bias, /*owns_weights=*/false);
   }
   std::shared_ptr<float[]> buffer = std::make_shared_for_overwrite<float[]>(d);
   DecodeWeights(*layout, buffer.get());
   const float* weights = buffer.get();
   return ModelView(std::shared_ptr<const float>(std::move(buffer), weights), d,
-                   layout->bias);
+                   layout->bias, /*owns_weights=*/true);
 }
 
 }  // namespace simdc::ml

@@ -43,10 +43,11 @@ const char* ToString(PayloadCodec codec);
 /// Read-only decoded model blob (see LrModel::FromBytesView): the form the
 /// payload plane stages and FedAvg accumulates from. fp32 weights alias
 /// the blob's bytes in place; fp16/int8 weights are dequantized once into
-/// a buffer the view owns. Either way the view shares ownership of what
-/// backs its weights, so it stays valid and bit-stable for as long as it
-/// is held, whatever happens to the store the blob came from. Copying is
-/// one shared_ptr copy.
+/// a buffer the view owns, as are fp32 weights copied from misaligned or
+/// unowned input. Either way the view shares ownership of what backs its
+/// weights, so it stays valid and bit-stable for as long as it is held,
+/// whatever happens to the store the blob came from. Copying is one
+/// shared_ptr copy.
 class ModelView {
  public:
   ModelView() = default;
@@ -54,18 +55,27 @@ class ModelView {
   std::uint32_t dim() const { return dim_; }
   float bias() const { return bias_; }
   std::span<const float> weights() const { return {weights_.get(), dim_}; }
+  /// True when the weights live in a buffer this view allocated; false
+  /// when they alias the blob's bytes (or the view is empty). Holding an
+  /// aliasing view keeps alive only memory its owner keeps anyway, which
+  /// is why cloud::AggregationService's flush cap counts owning views only.
+  bool owns_weights() const { return owns_weights_; }
   /// False only for a default-constructed (empty) view.
   explicit operator bool() const { return weights_ != nullptr; }
 
  private:
   friend class LrModel;
   ModelView(std::shared_ptr<const float> weights, std::uint32_t dim,
-            float bias)
-      : weights_(std::move(weights)), dim_(dim), bias_(bias) {}
+            float bias, bool owns_weights)
+      : weights_(std::move(weights)),
+        dim_(dim),
+        bias_(bias),
+        owns_weights_(owns_weights) {}
 
   std::shared_ptr<const float> weights_;
   std::uint32_t dim_ = 0;
   float bias_ = 0.0f;
+  bool owns_weights_ = false;
 };
 
 class LrModel {
@@ -122,8 +132,8 @@ class LrModel {
   /// when it is set and the fp32 weights are float-aligned in `bytes`, the
   /// view aliases them and holds `owner` — no copy; otherwise (fp16/int8,
   /// no owner, misaligned input) the weights are decoded into a buffer the
-  /// view owns. For kFp16/kInt8 blobs this is where dequantization runs —
-  /// on the shard workers, in parallel.
+  /// view owns (ModelView::owns_weights). For kFp16/kInt8 blobs this is
+  /// where dequantization runs — on the shard workers, in parallel.
   static Result<ModelView> FromBytesView(std::span<const std::byte> bytes,
                                          std::shared_ptr<const void> owner);
 

@@ -563,7 +563,8 @@ class AggregationTest : public ::testing::Test {
   static constexpr std::uint32_t kDim = 16;
 
   flow::Message Upload(BlobStore& store, float weight0, std::size_t samples,
-                       std::uint64_t id, std::size_t round = 0) {
+                       std::uint64_t id, std::size_t round = 0,
+                       ml::PayloadCodec codec = ml::PayloadCodec::kFp32) {
     ml::LrModel model(kDim);
     model.weights()[0] = weight0;
     flow::Message m;
@@ -571,7 +572,7 @@ class AggregationTest : public ::testing::Test {
     m.task = TaskId(1);
     m.device = DeviceId(id);
     m.round = round;
-    m.payload = store.Put(model.ToBytes());
+    m.payload = store.Put(model.ToBytes(codec));
     m.sample_count = samples;
     return m;
   }
@@ -1191,6 +1192,13 @@ class AggregationPartialSumTest : public AggregationTest {
     return out;
   }
 
+  static bool SameBytes(const std::vector<double>& a,
+                        const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+  }
+
   static void ExpectIdentical(const Outcome& a, const Outcome& b) {
     EXPECT_EQ(a.received, b.received);
     EXPECT_EQ(a.decode_failures, b.decode_failures);
@@ -1209,22 +1217,29 @@ class AggregationPartialSumTest : public AggregationTest {
                              a.weights.size() * sizeof(float)));
     EXPECT_EQ(std::bit_cast<std::uint32_t>(a.bias),
               std::bit_cast<std::uint32_t>(b.bias));
-    // Snapshot parity covers the cascade planes bit-for-bit.
-    EXPECT_EQ(a.snapshot.accumulator, b.snapshot.accumulator);
-    EXPECT_EQ(a.snapshot.accumulator_c1, b.snapshot.accumulator_c1);
-    EXPECT_EQ(a.snapshot.accumulator_c2, b.snapshot.accumulator_c2);
-    EXPECT_EQ(a.snapshot.bias_accumulator, b.snapshot.bias_accumulator);
-    EXPECT_EQ(a.snapshot.bias_accumulator_c1, b.snapshot.bias_accumulator_c1);
-    EXPECT_EQ(a.snapshot.bias_accumulator_c2, b.snapshot.bias_accumulator_c2);
+    // Snapshot parity covers the cascade planes bit-for-bit: bytes, not
+    // values, so +0.0 and -0.0 differ.
+    EXPECT_TRUE(SameBytes(a.snapshot.accumulator, b.snapshot.accumulator));
+    EXPECT_TRUE(
+        SameBytes(a.snapshot.accumulator_c1, b.snapshot.accumulator_c1));
+    EXPECT_TRUE(
+        SameBytes(a.snapshot.accumulator_c2, b.snapshot.accumulator_c2));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.snapshot.bias_accumulator),
+              std::bit_cast<std::uint64_t>(b.snapshot.bias_accumulator));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.snapshot.bias_accumulator_c1),
+              std::bit_cast<std::uint64_t>(b.snapshot.bias_accumulator_c1));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.snapshot.bias_accumulator_c2),
+              std::bit_cast<std::uint64_t>(b.snapshot.bias_accumulator_c2));
     EXPECT_EQ(a.snapshot.accumulator_samples, b.snapshot.accumulator_samples);
     EXPECT_EQ(a.snapshot.accumulator_clients, b.snapshot.accumulator_clients);
   }
 
   /// Mixed stream: valid updates with varying magnitudes, a corrupt blob,
   /// a missing blob, a wrong-dimension model, threshold crossings.
-  void BuildAdversarialStream(BlobStore& store, std::size_t valid_count,
-                              std::vector<flow::Message>& messages,
-                              std::vector<SimTime>& arrivals) {
+  void BuildAdversarialStream(
+      BlobStore& store, std::size_t valid_count,
+      std::vector<flow::Message>& messages, std::vector<SimTime>& arrivals,
+      ml::PayloadCodec codec = ml::PayloadCodec::kFp32) {
     std::uint64_t id = 1;
     auto push = [&](flow::Message m) {
       arrivals.push_back(Seconds(static_cast<double>(id)));
@@ -1234,7 +1249,7 @@ class AggregationPartialSumTest : public AggregationTest {
     for (std::size_t k = 0; k < valid_count; ++k) {
       const float w = static_cast<float>((k % 17) * 1000.0 - 8000.0) +
                       static_cast<float>(k) * 1e-4f;
-      push(Upload(store, w, 1 + k % 7, id));
+      push(Upload(store, w, 1 + k % 7, id, /*round=*/0, codec));
       if (k == valid_count / 3) {
         flow::Message corrupt;
         corrupt.id = MessageId(id);
@@ -1260,6 +1275,38 @@ class AggregationPartialSumTest : public AggregationTest {
       }
     }
   }
+
+  /// Flushes of a pooled service fed 600 valid updates (and three bad
+  /// ones) in one round that only AggregateNow closes: before and after
+  /// the close. The closed round must match the serial oracle bit for bit.
+  struct Cadence {
+    std::size_t flushes_before_close = 0;
+    std::size_t flushes_after_close = 0;
+  };
+  Cadence FlushCadence(ml::PayloadCodec codec) {
+    BlobStore store;
+    std::vector<flow::Message> messages;
+    std::vector<SimTime> arrivals;
+    BuildAdversarialStream(store, 600, messages, arrivals, codec);
+    AggregationConfig config;
+    config.model_dim = kDim;
+    config.trigger = AggregationTrigger::kSampleThreshold;
+    config.sample_threshold = 1000000;  // only AggregateNow closes
+    AggregationService service(loop_, store, config);
+    ThreadPool pool(4);
+    service.set_thread_pool(&pool);
+    DeliverDecoded(service, store, messages, arrivals);
+    Cadence cadence;
+    cadence.flushes_before_close = service.flushes();
+    EXPECT_EQ(service.pending_clients(), 600u);
+    EXPECT_TRUE(service.AggregateNow());
+    cadence.flushes_after_close = service.flushes();
+
+    auto replay = reference::ReplayFedAvg(store, kDim, messages, arrivals);
+    EXPECT_TRUE(reference::CloseRound(replay, loop_.Now()));
+    ExpectIdentical(Oracle(replay), Capture(service));
+    return cadence;
+  }
 };
 
 TEST_F(AggregationPartialSumTest, MatchesLegacyPlaneAcrossFailuresAndRounds) {
@@ -1281,8 +1328,10 @@ TEST_F(AggregationPartialSumTest, MatchesLegacyPlaneAcrossFailuresAndRounds) {
 TEST_F(AggregationPartialSumTest, ParallelFlushMatchesLegacyBitForBit) {
   // The pool path: per-lane partials accumulated by ParallelFor and merged
   // ascending must publish the same bits as the serial oracle and as the
-  // pool-less serial flush. More messages than the flush cap (256) so
-  // capacity flushes happen too.
+  // pool-less serial flush. Rounds close at the 900-sample threshold, each
+  // flushing what it staged; fp32 views alias their stored payloads, so
+  // none counts toward the flush cap (the int8 flush-cadence case below
+  // covers capacity flushes).
   BlobStore store;
   std::vector<flow::Message> messages;
   std::vector<SimTime> arrivals;
@@ -1297,6 +1346,22 @@ TEST_F(AggregationPartialSumTest, ParallelFlushMatchesLegacyBitForBit) {
   EXPECT_GT(oracle.history.size(), 0u);
   ExpectIdentical(oracle, pooled);
   ExpectIdentical(serial, pooled);
+}
+
+TEST_F(AggregationPartialSumTest, AliasingFp32ViewsFlushOnceAtRoundClose) {
+  // fp32 views alias payloads the store keeps resident anyway, so staging
+  // them bounds no memory: the round flushes once, when it closes.
+  const Cadence cadence = FlushCadence(ml::PayloadCodec::kFp32);
+  EXPECT_EQ(cadence.flushes_before_close, 0u);
+  EXPECT_EQ(cadence.flushes_after_close, 1u);
+}
+
+TEST_F(AggregationPartialSumTest, OwningInt8ViewsFlushAtCapAndAtClose) {
+  // int8 views own their dequantized buffers: every kFlushCap (256) of
+  // them flushes, and the 88 left over flush at close.
+  const Cadence cadence = FlushCadence(ml::PayloadCodec::kInt8);
+  EXPECT_EQ(cadence.flushes_before_close, 2u);
+  EXPECT_EQ(cadence.flushes_after_close, 3u);
 }
 
 TEST_F(AggregationPartialSumTest, MidRoundSnapshotRestoreContinuesIdentically) {

@@ -7,6 +7,9 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
+#include <string>
+#include <type_traits>
 
 #include "common/rng.h"
 #include "data/synth_avazu.h"
@@ -352,7 +355,10 @@ TEST(LrModelCodecTest, FromBytesViewMatchesFromBytes) {
                   Fp32WeightsIn(*blob),
               codec == PayloadCodec::kFp32)
         << ToString(codec);
+    EXPECT_EQ(view->owns_weights(), codec != PayloadCodec::kFp32)
+        << ToString(codec);
   }
+  EXPECT_FALSE(ModelView().owns_weights());
 }
 
 TEST(LrModelCodecTest, FromBytesViewCopiesUnownedOrMisalignedInput) {
@@ -367,12 +373,14 @@ TEST(LrModelCodecTest, FromBytesViewCopiesUnownedOrMisalignedInput) {
   ASSERT_TRUE(misaligned.ok());
   EXPECT_NE(static_cast<const void*>(misaligned->weights().data()),
             Fp32WeightsIn(shifted));
+  EXPECT_TRUE(misaligned->owns_weights());
   ExpectSameBits(*misaligned, model);
   // Nothing keeps unowned bytes alive, so those are copied too.
   auto unowned = LrModel::FromBytesView(bytes, nullptr);
   ASSERT_TRUE(unowned.ok());
   EXPECT_NE(static_cast<const void*>(unowned->weights().data()),
             Fp32WeightsIn(bytes));
+  EXPECT_TRUE(unowned->owns_weights());
   ExpectSameBits(*unowned, model);
 }
 
@@ -916,9 +924,18 @@ TEST(FedAvgTest, RestoreRoundTripsCascadeStateBitExactly) {
   for (const double v : cont.compensation2()) EXPECT_EQ(v, 0.0);
 }
 
+/// Byte equality of two double planes: unlike ==, tells +0.0 from -0.0
+/// (and would tell NaN payloads apart).
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 TEST(FedAvgKernelTest, RestrictKernelMatchesScalarReferenceBitForBit) {
-  // fedavg_add_simd (CascadeAdd) vs fedavg_add_scalar (CascadeAddScalar):
-  // same cascade, different loop qualification — every output bit equal.
+  // fedavg_add_simd (the dispatched CascadeAdd, FedAvgAggregator's path)
+  // vs fedavg_add_scalar (CascadeAddScalar): same cascade — every byte of
+  // every plane equal.
   Rng rng(0xAB5E);
   const std::size_t n = 1024;
   std::vector<float> weights(n);
@@ -933,10 +950,147 @@ TEST(FedAvgKernelTest, RestrictKernelMatchesScalarReferenceBitForBit) {
     kernels::CascadeAddScalar(weights, scale, sum_a, c1_a, c2_a);
     kernels::CascadeAdd(weights.data(), n, scale, sum_b.data(), c1_b.data(),
                         c2_b.data());
-    EXPECT_EQ(sum_a, sum_b) << "pass " << pass;
-    EXPECT_EQ(c1_a, c1_b) << "pass " << pass;
-    EXPECT_EQ(c2_a, c2_b) << "pass " << pass;
+    EXPECT_TRUE(SameBytes(sum_a, sum_b)) << "pass " << pass;
+    EXPECT_TRUE(SameBytes(c1_a, c1_b)) << "pass " << pass;
+    EXPECT_TRUE(SameBytes(c2_a, c2_b)) << "pass " << pass;
   }
+}
+
+// ---------- Cascade kernel variants ----------
+
+/// Every vector tail: empty, shorter than one 4-double vector, around one
+/// and two vectors, and around a 4096-element body.
+constexpr std::size_t kParityLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9,
+                                          4095, 4096, 4097};
+
+/// Finite values of mixed sign and magnitude (1e-30 to 1e30), subnormals
+/// of T and both zeros, interleaved at random: float weights for
+/// CascadeAdd, double terms for CascadeMerge and for cascade planes.
+template <typename T>
+std::vector<T> ParityValues(std::size_t n, Rng& rng) {
+  using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+  constexpr Bits kMantissaMask =
+      (Bits{1} << (std::numeric_limits<T>::digits - 1)) - 1;
+  std::vector<T> out(n);
+  for (T& x : out) {
+    switch (rng() % 6) {
+      case 0:
+        x = T{0};
+        break;
+      case 1:
+        x = std::bit_cast<T>(static_cast<Bits>(1 + rng() % kMantissaMask));
+        break;
+      default: {
+        const double exponent = static_cast<double>(rng() % 61) - 30.0;
+        const double mantissa =
+            1.0 + static_cast<double>(rng() % 1000000) / 1e6;
+        x = static_cast<T>(mantissa * std::pow(10.0, exponent));
+        break;
+      }
+    }
+    if ((rng() & 1) != 0) x = -x;
+  }
+  return out;
+}
+
+/// Sample-count scales a cascade sees, up to 2^20.
+constexpr double kParityScales[] = {1.0, 1048576.0, 3.0, 997.0, 1048575.0,
+                                    2.0};
+
+/// One cascade's three planes, drawn from ParityValues. A cascade that
+/// starts from zeros never holds -0.0, so random planes are what lets a
+/// variant's zero signs differ from the reference's.
+struct Planes {
+  Planes(std::size_t n, Rng& rng)
+      : sum(ParityValues<double>(n, rng)),
+        c1(ParityValues<double>(n, rng)),
+        c2(ParityValues<double>(n, rng)) {}
+  std::vector<double> sum, c1, c2;
+};
+
+void ExpectSamePlanes(const Planes& a, const Planes& b,
+                      const std::string& where) {
+  EXPECT_TRUE(SameBytes(a.sum, b.sum)) << where << ": sum";
+  EXPECT_TRUE(SameBytes(a.c1, b.c1)) << where << ": c1";
+  EXPECT_TRUE(SameBytes(a.c2, b.c2)) << where << ": c2";
+}
+
+/// Every kernel variant this build has, against the scalar reference:
+/// the AVX2 case skips on a CPU without AVX2 (or a non-x86 build).
+class CascadeKernelParityTest
+    : public ::testing::TestWithParam<kernels::Isa> {
+ protected:
+  void SetUp() override {
+    if (!kernels::Supports(GetParam())) {
+      GTEST_SKIP() << "the " << kernels::ToString(GetParam())
+                   << " cascade variant cannot run here: this CPU lacks the "
+                      "instruction set, or this is not an x86 build";
+    }
+  }
+};
+
+TEST_P(CascadeKernelParityTest, AddMatchesScalarReferenceBytes) {
+  for (const std::size_t n : kParityLengths) {
+    Rng rng(0xCA5C + n);
+    Planes reference(n, rng);
+    Planes variant = reference;
+    for (const double scale : kParityScales) {
+      const std::vector<float> weights = ParityValues<float>(n, rng);
+      kernels::CascadeAddScalar(weights, scale, reference.sum, reference.c1,
+                                reference.c2);
+      kernels::CascadeAdd(GetParam(), weights.data(), n, scale,
+                          variant.sum.data(), variant.c1.data(),
+                          variant.c2.data());
+      ExpectSamePlanes(reference, variant,
+                       "n=" + std::to_string(n) +
+                           " scale=" + std::to_string(scale));
+    }
+  }
+}
+
+TEST_P(CascadeKernelParityTest, MergeMatchesScalarReferenceBytes) {
+  // The scalar merge reference folds each of the other cascade's terms
+  // through CascadeAddScalar as 1.0f × term, which is exact.
+  const float one = 1.0f;
+  for (const std::size_t n : kParityLengths) {
+    Rng rng(0x3E26E + n);
+    Planes reference(n, rng);
+    for (const double scale : kParityScales) {
+      kernels::CascadeAddScalar(ParityValues<float>(n, rng), scale,
+                                reference.sum, reference.c1, reference.c2);
+    }
+    Planes variant = reference;
+    for (int merge = 0; merge < 3; ++merge) {
+      const Planes other(n, rng);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (const double term : {other.sum[i], other.c1[i], other.c2[i]}) {
+          kernels::CascadeAddScalar(std::span(&one, 1), term,
+                                    std::span(&reference.sum[i], 1),
+                                    std::span(&reference.c1[i], 1),
+                                    std::span(&reference.c2[i], 1));
+        }
+      }
+      kernels::CascadeMerge(GetParam(), other.sum.data(), other.c1.data(),
+                            other.c2.data(), n, variant.sum.data(),
+                            variant.c1.data(), variant.c2.data());
+      ExpectSamePlanes(reference, variant,
+                       "n=" + std::to_string(n) +
+                           " merge=" + std::to_string(merge));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Isa, CascadeKernelParityTest,
+    ::testing::Values(kernels::Isa::kPortable, kernels::Isa::kAvx2),
+    [](const ::testing::TestParamInfo<kernels::Isa>& info) {
+      return std::string(kernels::ToString(info.param));
+    });
+
+TEST(FedAvgKernelTest, DispatchPicksAvx2WhereverItRuns) {
+  EXPECT_EQ(kernels::DispatchedIsa(), kernels::Supports(kernels::Isa::kAvx2)
+                                          ? kernels::Isa::kAvx2
+                                          : kernels::Isa::kPortable);
 }
 
 TEST(FedAvgKernelTest, CascadeTracksExactSumOfCancellingTerms) {
