@@ -1,14 +1,11 @@
-// Time abstraction.
+// Virtual time.
 //
 // All timed behaviour (DeviceFlow dispatch schedules, aggregation windows,
-// phone-stage durations) is expressed against a Clock interface so the same
-// code runs either on the discrete-event virtual clock (fast, deterministic;
-// used by every experiment) or on wall time (used by the real-time example).
+// phone-stage durations) runs on the discrete-event loop's virtual clock,
+// in microseconds, so results never depend on wall time.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <thread>
 
 namespace simdc {
 
@@ -30,41 +27,11 @@ constexpr SimDuration Minutes(double m) {
 constexpr double ToSeconds(SimDuration d) { return static_cast<double>(d) / 1e6; }
 constexpr double ToMinutes(SimDuration d) { return static_cast<double>(d) / 60e6; }
 
-/// Read-only clock interface.
-class Clock {
- public:
-  virtual ~Clock() = default;
-  virtual SimTime Now() const = 0;
-};
-
-/// Wall-clock implementation; Now() counts from construction.
-class RealClock final : public Clock {
- public:
-  RealClock() : start_(std::chrono::steady_clock::now()) {}
-
-  SimTime Now() const override {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    return std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-        .count();
-  }
-
-  /// Blocks the calling thread until the given simulation time.
-  void SleepUntil(SimTime t) const {
-    const SimTime now = Now();
-    if (t > now) {
-      std::this_thread::sleep_for(std::chrono::microseconds(t - now));
-    }
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// Manually-advanced clock. The discrete-event scheduler in src/sim owns
 /// one and moves it from event to event.
-class ManualClock final : public Clock {
+class ManualClock {
  public:
-  SimTime Now() const override { return now_; }
+  SimTime Now() const { return now_; }
   void AdvanceTo(SimTime t) {
     if (t > now_) now_ = t;
   }

@@ -54,8 +54,6 @@ class StrongId {
 struct TaskIdTag { static constexpr const char* kPrefix = "task-"; };
 struct DeviceIdTag { static constexpr const char* kPrefix = "dev-"; };
 struct PhoneIdTag { static constexpr const char* kPrefix = "phone-"; };
-struct ActorIdTag { static constexpr const char* kPrefix = "actor-"; };
-struct NodeIdTag { static constexpr const char* kPrefix = "node-"; };
 struct MessageIdTag { static constexpr const char* kPrefix = "msg-"; };
 struct RoundIdTag { static constexpr const char* kPrefix = "round-"; };
 struct BlobIdTag { static constexpr const char* kPrefix = "blob-"; };
@@ -66,10 +64,6 @@ using TaskId = detail::StrongId<TaskIdTag>;
 using DeviceId = detail::StrongId<DeviceIdTag>;
 /// Identifier for a physical phone in the device cluster.
 using PhoneId = detail::StrongId<PhoneIdTag>;
-/// Identifier for a logical-simulation actor.
-using ActorId = detail::StrongId<ActorIdTag>;
-/// Identifier for a worker node hosting actors.
-using NodeId = detail::StrongId<NodeIdTag>;
 /// Identifier for a DeviceFlow message.
 using MessageId = detail::StrongId<MessageIdTag>;
 /// Identifier for a blob in cloud storage.

@@ -100,18 +100,6 @@ double Percentile(std::span<const double> values, double p) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-double Mean(std::span<const double> values) {
-  RunningStats s;
-  for (double v : values) s.Add(v);
-  return s.mean();
-}
-
-double StdDev(std::span<const double> values) {
-  RunningStats s;
-  for (double v : values) s.Add(v);
-  return s.stddev();
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0) {
   if (bins == 0) throw std::invalid_argument("Histogram: bins must be > 0");

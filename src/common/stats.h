@@ -50,9 +50,6 @@ double PearsonCorrelation(std::span<const double> x, std::span<const double> y);
 /// Percentile with linear interpolation; p in [0, 100]. Copies + sorts.
 double Percentile(std::span<const double> values, double p);
 
-double Mean(std::span<const double> values);
-double StdDev(std::span<const double> values);
-
 /// Fixed-bin histogram over [lo, hi); out-of-range values clamp to edge
 /// bins. Non-finite samples are routed explicitly: ±infinity counts into
 /// the corresponding edge bin, NaN is dropped (and tallied in

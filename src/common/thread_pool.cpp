@@ -67,9 +67,4 @@ void ThreadPool::ParallelFor(std::size_t n,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-std::size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
 }  // namespace simdc

@@ -1,7 +1,8 @@
 // Fixed-size worker thread pool.
 //
-// The Logical Simulation's worker "cluster" and the Task Runner's
-// multi-threaded concurrent task processing (paper §III-B) run on this pool.
+// The Logical Simulation's worker "cluster" (paper §IV-A) is this pool:
+// simulated devices train on it, fleet shards advance on it in lockstep,
+// and the FedAvg flush lanes accumulate on it.
 #pragma once
 
 #include <condition_variable>
@@ -46,13 +47,10 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Number of jobs waiting (not yet picked up).
-  std::size_t pending() const;
-
  private:
   void WorkerLoop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <limits>
+#include <optional>
+#include <type_traits>
+#include <utility>
 
 #include "common/string_util.h"
 #include "flow/rate_functions.h"
@@ -14,6 +18,94 @@ std::string Lower(std::string_view s) {
   std::transform(out.begin(), out.end(), out.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   return out;
+}
+
+constexpr std::int64_t kMinInt = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
+constexpr double kMaxReal = std::numeric_limits<double>::max();
+/// The smallest double above 0: a range starting here means "> 0".
+constexpr double kAboveZero = std::numeric_limits<double>::denorm_min();
+/// The longest duration a spec may set, in seconds (about 31,700 years):
+/// its microsecond count fits SimDuration with room to add it to a clock.
+constexpr double kMaxSeconds = 1e12;
+/// One tick of the microsecond clock: the shortest duration, in seconds,
+/// that does not round to zero.
+constexpr double kOneMicrosecond = 1e-6;
+
+/// The rule every optional key follows, given the key's typed read. A
+/// missing key or section yields nullopt, and the caller keeps its
+/// default; a malformed value returns its ParseError.
+template <typename T>
+Result<std::optional<T>> Optional(Result<T> read) {
+  if (read.ok()) return std::optional<T>(std::move(*read));
+  if (read.error().code() == ErrorCode::kNotFound) return std::optional<T>();
+  return read.error();
+}
+
+template <typename V>
+std::string ValueText(V value) {
+  if constexpr (std::is_floating_point_v<V>) return StrFormat("%g", value);
+  else return std::to_string(value);
+}
+
+/// Loads one optional int64 or double key by the Optional rule, and
+/// returns InvalidArgument for a value outside [lo, hi]. The range is
+/// checked on the parsed value, before `store` narrows it to the field's
+/// type, so -1 can never wrap into a count; NaN is outside every range.
+template <typename V, typename Store>
+Status LoadOptional(const IniDocument& doc, const std::string& section,
+                    const std::string& key, V lo, V hi, Store store) {
+  Result<std::optional<V>> value = [&] {
+    if constexpr (std::is_floating_point_v<V>) {
+      return Optional(GetDouble(doc, section, key));
+    } else {
+      return Optional(GetInt(doc, section, key));
+    }
+  }();
+  if (!value.ok()) return value.error();
+  if (!value->has_value()) return Status::Ok();
+  const V v = **value;
+  if (!(v >= lo && v <= hi)) {
+    return InvalidArgument("[" + section + "] " + key + " = " +
+                           ValueText(v) + " is outside [" + ValueText(lo) +
+                           ", " + ValueText(hi) + "]");
+  }
+  store(v);
+  return Status::Ok();
+}
+
+/// An integer field: at least `lo`, and no more than the field can hold.
+template <typename Int>
+Status LoadInt(const IniDocument& doc, const std::string& section,
+               const std::string& key, Int* out,
+               std::int64_t lo = std::numeric_limits<Int>::min()) {
+  constexpr auto kFieldMax = std::numeric_limits<Int>::max();
+  const std::int64_t hi = std::cmp_less(kFieldMax, kMaxInt)
+                              ? static_cast<std::int64_t>(kFieldMax)
+                              : kMaxInt;
+  return LoadOptional(doc, section, key, lo, hi,
+                      [out](std::int64_t v) { *out = static_cast<Int>(v); });
+}
+
+/// A 0|1 switch: any integer, true when non-zero.
+Status LoadFlag(const IniDocument& doc, const std::string& section,
+                const std::string& key, bool* out) {
+  return LoadOptional(doc, section, key, kMinInt, kMaxInt,
+                      [out](std::int64_t v) { *out = v != 0; });
+}
+
+Status LoadReal(const IniDocument& doc, const std::string& section,
+                const std::string& key, double* out, double lo, double hi) {
+  return LoadOptional(doc, section, key, lo, hi,
+                      [out](double v) { *out = v; });
+}
+
+/// A `_s` key: seconds in the spec, a SimDuration in `*out`.
+Status LoadSeconds(const IniDocument& doc, const std::string& section,
+                   const std::string& key, SimDuration* out,
+                   double lo = 0.0) {
+  return LoadOptional(doc, section, key, lo, kMaxSeconds,
+                      [out](double s) { *out = Seconds(s); });
 }
 
 }  // namespace
@@ -124,12 +216,10 @@ Result<sched::TaskSpec> LoadTaskSpec(const IniDocument& doc) {
   if (auto name = GetString(doc, "task", "name"); name.ok()) {
     task.name = *name;
   }
-  if (auto priority = GetInt(doc, "task", "priority"); priority.ok()) {
-    task.priority = static_cast<int>(*priority);
-  }
-  if (auto rounds = GetInt(doc, "task", "rounds"); rounds.ok()) {
-    if (*rounds <= 0) return InvalidArgument("[task] rounds must be >= 1");
-    task.rounds = static_cast<std::size_t>(*rounds);
+  for (const Status& loaded :
+       {LoadInt(doc, "task", "priority", &task.priority),
+        LoadInt(doc, "task", "rounds", &task.rounds, 1)}) {
+    if (!loaded.ok()) return loaded.error();
   }
 
   for (const auto& [section, keys] : doc) {
@@ -147,14 +237,13 @@ Result<sched::TaskSpec> LoadTaskSpec(const IniDocument& doc) {
     if (!count.ok()) return count.error();
     if (*count < 0) return InvalidArgument("[" + section + "] count < 0");
     requirement.num_devices = static_cast<std::size_t>(*count);
-    if (auto q = GetInt(doc, section, "benchmarking"); q.ok()) {
-      requirement.benchmarking_phones = static_cast<std::size_t>(*q);
-    }
-    if (auto f = GetInt(doc, section, "logical_bundles"); f.ok()) {
-      requirement.logical_bundles = static_cast<std::size_t>(*f);
-    }
-    if (auto m = GetInt(doc, section, "phones"); m.ok()) {
-      requirement.phones = static_cast<std::size_t>(*m);
+    for (const Status& loaded :
+         {LoadInt(doc, section, "benchmarking",
+                  &requirement.benchmarking_phones),
+          LoadInt(doc, section, "logical_bundles",
+                  &requirement.logical_bundles),
+          LoadInt(doc, section, "phones", &requirement.phones)}) {
+      if (!loaded.ok()) return loaded.error();
     }
     if (requirement.benchmarking_phones > requirement.num_devices) {
       return InvalidArgument("[" + section + "] benchmarking > count");
@@ -174,18 +263,18 @@ Result<flow::DispatchStrategy> LoadStrategy(const IniDocument& doc) {
 
   if (strategy == "realtime") {
     flow::RealtimeAccumulated realtime;
-    if (auto thresholds = GetSizeList(doc, "traffic", "thresholds");
-        thresholds.ok()) {
-      for (std::size_t t : *thresholds) {
+    auto thresholds = Optional(GetSizeList(doc, "traffic", "thresholds"));
+    if (!thresholds.ok()) return thresholds.error();
+    if (thresholds->has_value()) {
+      for (std::size_t t : **thresholds) {
         if (t == 0) return InvalidArgument("[traffic] threshold 0 invalid");
       }
-      realtime.thresholds = *thresholds;
+      realtime.thresholds = **thresholds;
     }
-    if (auto p = GetDouble(doc, "traffic", "failure_probability"); p.ok()) {
-      if (*p < 0.0 || *p > 1.0) {
-        return InvalidArgument("[traffic] failure_probability out of [0,1]");
-      }
-      realtime.failure_probability = *p;
+    if (Status loaded = LoadReal(doc, "traffic", "failure_probability",
+                                 &realtime.failure_probability, 0.0, 1.0);
+        !loaded.ok()) {
+      return loaded.error();
     }
     return flow::DispatchStrategy(realtime);
   }
@@ -199,15 +288,17 @@ Result<flow::DispatchStrategy> LoadStrategy(const IniDocument& doc) {
       return InvalidArgument("[traffic] at_s and counts length mismatch");
     }
     double failure = 0.0;
-    if (auto p = GetDouble(doc, "traffic", "failure_probability"); p.ok()) {
-      failure = *p;
-    }
     std::size_t discard = 0;
-    if (auto d = GetInt(doc, "traffic", "random_discard"); d.ok()) {
-      discard = static_cast<std::size_t>(*d);
+    for (const Status& loaded :
+         {LoadReal(doc, "traffic", "failure_probability", &failure, 0.0, 1.0),
+          LoadInt(doc, "traffic", "random_discard", &discard)}) {
+      if (!loaded.ok()) return loaded.error();
     }
     flow::TimePointDispatch points;
     for (std::size_t i = 0; i < at->size(); ++i) {
+      if ((*at)[i] > kMaxSeconds) {
+        return InvalidArgument("[traffic] at_s must be <= 1e12");
+      }
       flow::TimePoint point;
       point.when = Seconds(static_cast<double>((*at)[i]));
       point.relative = true;
@@ -222,9 +313,13 @@ Result<flow::DispatchStrategy> LoadStrategy(const IniDocument& doc) {
   if (strategy == "interval") {
     flow::TimeIntervalDispatch interval;
     double sigma = 1.0;
-    if (auto s = GetDouble(doc, "traffic", "sigma"); s.ok()) {
-      if (*s <= 0.0) return InvalidArgument("[traffic] sigma must be > 0");
-      sigma = *s;
+    for (const Status& loaded :
+         {LoadReal(doc, "traffic", "sigma", &sigma, kAboveZero, kMaxReal),
+          LoadSeconds(doc, "traffic", "interval_s", &interval.interval,
+                      kOneMicrosecond),
+          LoadReal(doc, "traffic", "failure_probability",
+                   &interval.failure_probability, 0.0, 1.0)}) {
+      if (!loaded.ok()) return loaded.error();
     }
     auto curve = GetString(doc, "traffic", "curve");
     if (!curve.ok()) return curve.error();
@@ -246,16 +341,6 @@ Result<flow::DispatchStrategy> LoadStrategy(const IniDocument& doc) {
     } else {
       return InvalidArgument("[traffic] unknown curve '" + *curve + "'");
     }
-    if (auto s = GetDouble(doc, "traffic", "interval_s"); s.ok()) {
-      if (*s <= 0.0) return InvalidArgument("[traffic] interval_s must be > 0");
-      interval.interval = Seconds(*s);
-    }
-    if (auto p = GetDouble(doc, "traffic", "failure_probability"); p.ok()) {
-      if (*p < 0.0 || *p > 1.0) {
-        return InvalidArgument("[traffic] failure_probability out of [0,1]");
-      }
-      interval.failure_probability = *p;
-    }
     return flow::DispatchStrategy(interval);
   }
 
@@ -273,8 +358,8 @@ Result<cloud::AggregationConfig> LoadAggregation(const IniDocument& doc,
     config.trigger = cloud::AggregationTrigger::kScheduled;
     auto period = GetDouble(doc, "aggregation", "period_s");
     if (!period.ok()) return period.error();
-    if (*period <= 0.0) {
-      return InvalidArgument("[aggregation] period_s must be > 0");
+    if (!(*period > 0.0 && *period <= kMaxSeconds)) {
+      return InvalidArgument("[aggregation] period_s must be in (0, 1e12]");
     }
     config.schedule_period = Seconds(*period);
   } else if (kind == "sample_threshold") {
@@ -288,8 +373,10 @@ Result<cloud::AggregationConfig> LoadAggregation(const IniDocument& doc,
   } else {
     return InvalidArgument("[aggregation] unknown trigger '" + *trigger + "'");
   }
-  if (auto stale = GetInt(doc, "aggregation", "reject_stale"); stale.ok()) {
-    config.reject_stale = *stale != 0;
+  if (Status loaded =
+          LoadFlag(doc, "aggregation", "reject_stale", &config.reject_stale);
+      !loaded.ok()) {
+    return loaded.error();
   }
   return config;
 }
@@ -297,35 +384,33 @@ Result<cloud::AggregationConfig> LoadAggregation(const IniDocument& doc,
 Result<ExecutionConfig> LoadExecution(const IniDocument& doc) {
   ExecutionConfig config;
   const auto section = doc.find("execution");
-  const bool has_section = section != doc.end();
   // Keys of removed knobs are refused by name instead of being ignored
   // like other unknown keys: a spec that pinned one expects a behavior
   // the engine no longer offers.
   for (const char* removed : {"decode_plane", "aggregate_plane"}) {
-    if (has_section && section->second.contains(removed)) {
+    if (section != doc.end() && section->second.contains(removed)) {
       return InvalidArgument(std::string("[execution] ") + removed +
                              " was removed: every run now decodes at "
                              "dispatch time and aggregates through staged "
                              "partial sums; delete the key");
     }
   }
-  if (auto parallelism = GetInt(doc, "execution", "parallelism");
-      parallelism.ok()) {
-    if (*parallelism < 0) {
-      return InvalidArgument("[execution] parallelism must be >= 0");
-    }
-    config.parallelism = static_cast<std::size_t>(*parallelism);
-  } else if (has_section && parallelism.error().code() != ErrorCode::kNotFound) {
-    return parallelism.error();
+  for (const Status& loaded :
+       {LoadInt(doc, "execution", "parallelism", &config.parallelism),
+        LoadInt(doc, "execution", "shards", &config.shards),
+        LoadFlag(doc, "execution", "reclaim_payload_blobs",
+                 &config.reclaim_payload_blobs),
+        LoadInt(doc, "execution", "round_quorum", &config.round_quorum),
+        LoadSeconds(doc, "execution", "round_deadline_s",
+                    &config.round_deadline),
+        LoadSeconds(doc, "execution", "round_extension_s",
+                    &config.round_extension),
+        LoadInt(doc, "execution", "max_round_extensions",
+                &config.max_round_extensions)}) {
+    if (!loaded.ok()) return loaded.error();
   }
-  if (auto shards = GetInt(doc, "execution", "shards"); shards.ok()) {
-    if (*shards < 0) {
-      return InvalidArgument("[execution] shards must be >= 0");
-    }
-    config.shards = static_cast<std::size_t>(*shards);
-  } else if (has_section && shards.error().code() != ErrorCode::kNotFound) {
-    return shards.error();
-  }
+  // A string key cannot be malformed: GetString fails only when the key
+  // is missing, which keeps the default.
   if (auto codec = GetString(doc, "execution", "payload_codec"); codec.ok()) {
     const std::string name = Lower(*codec);
     if (name == "fp32") {
@@ -339,14 +424,6 @@ Result<ExecutionConfig> LoadExecution(const IniDocument& doc) {
           "[execution] payload_codec must be 'fp32', 'fp16' or 'int8', got '" +
           *codec + "'");
     }
-  } else if (has_section && codec.error().code() != ErrorCode::kNotFound) {
-    return codec.error();
-  }
-  if (auto reclaim = GetInt(doc, "execution", "reclaim_payload_blobs");
-      reclaim.ok()) {
-    config.reclaim_payload_blobs = *reclaim != 0;
-  } else if (has_section && reclaim.error().code() != ErrorCode::kNotFound) {
-    return reclaim.error();
   }
   if (auto durability = GetString(doc, "execution", "durability");
       durability.ok()) {
@@ -363,186 +440,55 @@ Result<ExecutionConfig> LoadExecution(const IniDocument& doc) {
           "got '" +
           *durability + "'");
     }
-  } else if (has_section && durability.error().code() != ErrorCode::kNotFound) {
-    return durability.error();
   }
   if (auto dir = GetString(doc, "execution", "durability_dir"); dir.ok()) {
     config.durability_dir = *dir;
-  } else if (has_section && dir.error().code() != ErrorCode::kNotFound) {
-    return dir.error();
   }
   if (config.durability != persist::DurabilityMode::kOff &&
       config.durability_dir.empty()) {
     return InvalidArgument(
         "[execution] durability_dir is required when durability is not off");
   }
-  if (auto quorum = GetInt(doc, "execution", "round_quorum"); quorum.ok()) {
-    if (*quorum < 0) {
-      return InvalidArgument("[execution] round_quorum must be >= 0");
-    }
-    config.round_quorum = static_cast<std::size_t>(*quorum);
-  } else if (has_section && quorum.error().code() != ErrorCode::kNotFound) {
-    return quorum.error();
-  }
-  if (auto deadline = GetDouble(doc, "execution", "round_deadline_s");
-      deadline.ok()) {
-    if (*deadline < 0.0) {
-      return InvalidArgument("[execution] round_deadline_s must be >= 0");
-    }
-    config.round_deadline = Seconds(*deadline);
-  } else if (has_section && deadline.error().code() != ErrorCode::kNotFound) {
-    return deadline.error();
-  }
-  if (auto extension = GetDouble(doc, "execution", "round_extension_s");
-      extension.ok()) {
-    if (*extension < 0.0) {
-      return InvalidArgument("[execution] round_extension_s must be >= 0");
-    }
-    config.round_extension = Seconds(*extension);
-  } else if (has_section && extension.error().code() != ErrorCode::kNotFound) {
-    return extension.error();
-  }
-  if (auto max_ext = GetInt(doc, "execution", "max_round_extensions");
-      max_ext.ok()) {
-    if (*max_ext < 0) {
-      return InvalidArgument("[execution] max_round_extensions must be >= 0");
-    }
-    config.max_round_extensions = static_cast<std::size_t>(*max_ext);
-  } else if (has_section && max_ext.error().code() != ErrorCode::kNotFound) {
-    return max_ext.error();
-  }
   return config;
 }
 
-namespace {
-
-/// Shared helper for [behavior]/[link] probability knobs: value must lie
-/// in [0, 1]; NotFound keeps the default.
-Result<bool> LoadUnitDouble(const IniDocument& doc, const std::string& section,
-                            const std::string& key, bool has_section,
-                            double* out) {
-  if (auto value = GetDouble(doc, section, key); value.ok()) {
-    if (*value < 0.0 || *value > 1.0) {
-      return InvalidArgument("[" + section + "] " + key + " out of [0,1]");
-    }
-    *out = *value;
-    return true;
-  } else if (has_section && value.error().code() != ErrorCode::kNotFound) {
-    return value.error();
-  }
-  return false;
-}
-
-/// Non-negative duration knob in seconds; NotFound keeps the default.
-Result<bool> LoadDurationS(const IniDocument& doc, const std::string& section,
-                           const std::string& key, bool has_section,
-                           SimDuration* out) {
-  if (auto value = GetDouble(doc, section, key); value.ok()) {
-    if (*value < 0.0) {
-      return InvalidArgument("[" + section + "] " + key + " must be >= 0");
-    }
-    *out = Seconds(*value);
-    return true;
-  } else if (has_section && value.error().code() != ErrorCode::kNotFound) {
-    return value.error();
-  }
-  return false;
-}
-
-}  // namespace
-
 Result<device::BehaviorConfig> LoadBehavior(const IniDocument& doc) {
   device::BehaviorConfig config;
-  const bool has_section = doc.find("behavior") != doc.end();
-  if (!has_section) return config;
-  if (auto enabled = GetInt(doc, "behavior", "enabled"); enabled.ok()) {
-    config.enabled = *enabled != 0;
-  } else if (enabled.error().code() != ErrorCode::kNotFound) {
-    return enabled.error();
-  }
-  if (auto seed = GetInt(doc, "behavior", "seed"); seed.ok()) {
-    if (*seed < 0) return InvalidArgument("[behavior] seed must be >= 0");
-    config.seed = static_cast<std::uint64_t>(*seed);
-  } else if (seed.error().code() != ErrorCode::kNotFound) {
-    return seed.error();
-  }
-  struct UnitKnob {
-    const char* key;
-    double* out;
-  };
-  for (const UnitKnob& knob : std::initializer_list<UnitKnob>{
-           {"mean_availability", &config.mean_availability},
-           {"diurnal_amplitude", &config.diurnal_amplitude},
-           {"diurnal_phase", &config.diurnal_phase},
-           {"churn_rate", &config.churn_rate},
-           {"rejoin_fraction", &config.rejoin_fraction},
-           {"min_battery", &config.min_battery},
-           {"link_base_failure", &config.link_base_failure},
-           {"link_diurnal_swing", &config.link_diurnal_swing}}) {
-    if (auto loaded =
-            LoadUnitDouble(doc, "behavior", knob.key, true, knob.out);
-        !loaded.ok()) {
-      return loaded.error();
-    }
-  }
-  struct DurationKnob {
-    const char* key;
-    SimDuration* out;
-  };
-  for (const DurationKnob& knob : std::initializer_list<DurationKnob>{
-           {"diurnal_period_s", &config.diurnal_period},
-           {"churn_horizon_s", &config.churn_horizon},
-           {"churn_downtime_s", &config.churn_downtime},
-           {"battery_period_s", &config.battery_period}}) {
-    if (auto loaded = LoadDurationS(doc, "behavior", knob.key, true, knob.out);
-        !loaded.ok()) {
-      return loaded.error();
-    }
+  const std::string b = "behavior";
+  for (const Status& loaded :
+       {LoadFlag(doc, b, "enabled", &config.enabled),
+        LoadInt(doc, b, "seed", &config.seed),
+        LoadReal(doc, b, "mean_availability", &config.mean_availability, 0, 1),
+        LoadReal(doc, b, "diurnal_amplitude", &config.diurnal_amplitude, 0, 1),
+        LoadReal(doc, b, "diurnal_phase", &config.diurnal_phase, 0, 1),
+        LoadReal(doc, b, "churn_rate", &config.churn_rate, 0, 1),
+        LoadReal(doc, b, "rejoin_fraction", &config.rejoin_fraction, 0, 1),
+        LoadReal(doc, b, "min_battery", &config.min_battery, 0, 1),
+        LoadReal(doc, b, "link_base_failure", &config.link_base_failure, 0, 1),
+        LoadReal(doc, b, "link_diurnal_swing", &config.link_diurnal_swing, 0,
+                 1),
+        LoadSeconds(doc, b, "diurnal_period_s", &config.diurnal_period),
+        LoadSeconds(doc, b, "churn_horizon_s", &config.churn_horizon),
+        LoadSeconds(doc, b, "churn_downtime_s", &config.churn_downtime),
+        LoadSeconds(doc, b, "battery_period_s", &config.battery_period)}) {
+    if (!loaded.ok()) return loaded.error();
   }
   return config;
 }
 
 Result<flow::LinkPolicy> LoadLinkPolicy(const IniDocument& doc) {
   flow::LinkPolicy policy;
-  const bool has_section = doc.find("link") != doc.end();
-  if (!has_section) return policy;
-  if (auto loaded =
-          LoadUnitDouble(doc, "link", "transient_failure_probability", true,
-                         &policy.transient_failure_probability);
-      !loaded.ok()) {
-    return loaded.error();
-  }
-  if (auto attempts = GetInt(doc, "link", "max_attempts"); attempts.ok()) {
-    if (*attempts < 1) {
-      return InvalidArgument("[link] max_attempts must be >= 1");
-    }
-    policy.max_attempts = static_cast<std::size_t>(*attempts);
-  } else if (attempts.error().code() != ErrorCode::kNotFound) {
-    return attempts.error();
-  }
-  if (auto loaded = LoadDurationS(doc, "link", "backoff_initial_s", true,
-                                  &policy.backoff_initial);
-      !loaded.ok()) {
-    return loaded.error();
-  }
-  if (auto multiplier = GetDouble(doc, "link", "backoff_multiplier");
-      multiplier.ok()) {
-    if (*multiplier < 1.0) {
-      return InvalidArgument("[link] backoff_multiplier must be >= 1");
-    }
-    policy.backoff_multiplier = *multiplier;
-  } else if (multiplier.error().code() != ErrorCode::kNotFound) {
-    return multiplier.error();
-  }
-  if (auto loaded = LoadDurationS(doc, "link", "backoff_max_s", true,
-                                  &policy.backoff_max);
-      !loaded.ok()) {
-    return loaded.error();
-  }
-  if (auto loaded = LoadDurationS(doc, "link", "upload_deadline_s", true,
-                                  &policy.upload_deadline);
-      !loaded.ok()) {
-    return loaded.error();
+  for (const Status& loaded :
+       {LoadReal(doc, "link", "transient_failure_probability",
+                 &policy.transient_failure_probability, 0, 1),
+        LoadInt(doc, "link", "max_attempts", &policy.max_attempts, 1),
+        LoadSeconds(doc, "link", "backoff_initial_s", &policy.backoff_initial),
+        LoadReal(doc, "link", "backoff_multiplier", &policy.backoff_multiplier,
+                 1, kMaxReal),
+        LoadSeconds(doc, "link", "backoff_max_s", &policy.backoff_max),
+        LoadSeconds(doc, "link", "upload_deadline_s",
+                    &policy.upload_deadline)}) {
+    if (!loaded.ok()) return loaded.error();
   }
   return policy;
 }

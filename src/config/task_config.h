@@ -6,6 +6,10 @@
 // need the same information as data; this module parses a small INI-style
 // format into TaskSpec / DispatchStrategy / FL experiment settings, with
 // strict validation so malformed specs are rejected with precise errors.
+// Every optional key follows one rule: a missing key (or section) keeps
+// its default, a malformed value is a ParseError, and a value out of range
+// is InvalidArgument. Counts are non-negative integers, probabilities lie
+// in [0, 1], and `_s` durations are seconds, at most 1e12.
 //
 // Example:
 //

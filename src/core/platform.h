@@ -1,14 +1,14 @@
 // SimDC platform facade — the public entry point tying every subsystem
-// together (paper Fig. 1): Task Manager (queue + greedy scheduler + task
-// runner), Resource Manager, Logical Simulation (actor cluster cost
-// model), Device Simulation (PhoneMgr + simulated phone cluster with ADB
-// measurement), DeviceFlow, and the cloud storage / metrics database.
+// together (paper Fig. 1): Task Manager (queue + greedy scheduler),
+// Resource Manager, Logical Simulation (simulated devices trained in
+// parallel on the worker pool), Device Simulation (PhoneMgr + simulated
+// phone cluster with ADB measurement), DeviceFlow, and the cloud storage /
+// metrics database.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "actor/cluster.h"
 #include "cloud/database.h"
 #include "cloud/storage.h"
 #include "common/error.h"

@@ -35,8 +35,8 @@ sim::LockstepGroup::Hooks LockstepHooks(
     // One tick at a time: each DrainOne mirrors the cloud clock to its
     // tick time before delivering, so a member's aggregator sees Now() ==
     // tick time even when another member's later tick is already buffered.
-    // (Clock::AdvanceTo is monotone, so an earlier tick after a later one
-    // would stall the mirror; global earliest-first keeps the mirrored
+    // (ManualClock::AdvanceTo is monotone, so an earlier tick after a later
+    // one would stall the mirror; global earliest-first keeps the mirrored
     // sequence non-decreasing.) Members are re-read after every tick: a
     // delivery can run cloud events through the mirror, and those may
     // admit new members.

@@ -14,8 +14,6 @@
 #include <cstddef>
 #include <string_view>
 
-#include "actor/resource.h"
-
 namespace simdc::device {
 
 enum class DeviceGrade { kHigh, kLow };
@@ -38,11 +36,8 @@ constexpr DeviceGrade GradeFromIndex(std::size_t index) {
 struct GradeSpec {
   DeviceGrade grade = DeviceGrade::kHigh;
 
-  /// Logical-simulation actor resources for one simulated device of this
-  /// grade (k_i unit bundles of {1 CPU, 1 GB} worth in total).
-  actor::ResourceBundle logical_bundle;
-  /// Number of unit resource bundles the logical_bundle corresponds to
-  /// (k_i in the paper's allocation model).
+  /// k_i: unit resource bundles one simulated device of this grade takes
+  /// in logical simulation (the paper's allocation model).
   std::size_t unit_bundles = 1;
 
   /// α_i: average seconds for one scheduled batch on logical simulation.
@@ -59,7 +54,6 @@ struct GradeSpec {
 constexpr GradeSpec HighGradeSpec() {
   GradeSpec spec;
   spec.grade = DeviceGrade::kHigh;
-  spec.logical_bundle = actor::ResourceBundle{4.0, 12.0};
   spec.unit_bundles = 8;  // paper §IV-B example: k = 8 unit bundles
   spec.alpha_s = 2.4;
   spec.beta_s = 1.6;
@@ -70,7 +64,6 @@ constexpr GradeSpec HighGradeSpec() {
 constexpr GradeSpec LowGradeSpec() {
   GradeSpec spec;
   spec.grade = DeviceGrade::kLow;
-  spec.logical_bundle = actor::ResourceBundle{1.0, 6.0};
   spec.unit_bundles = 4;
   spec.alpha_s = 5.2;
   spec.beta_s = 3.8;

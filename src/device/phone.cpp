@@ -18,7 +18,7 @@ double Clamp01(double x) { return std::clamp(x, 0.0, 1.0); }
 
 }  // namespace
 
-Phone::Phone(PhoneSpec spec, const Clock& clock)
+Phone::Phone(PhoneSpec spec, const ManualClock& clock)
     : spec_(std::move(spec)), clock_(clock), power_(spec_.grade) {}
 
 void Phone::ScheduleRun(RunPlan plan) {

@@ -66,10 +66,10 @@ struct RunPlan {
 
 class Phone {
  public:
-  Phone(PhoneSpec spec, const Clock& clock);
+  Phone(PhoneSpec spec, const ManualClock& clock);
 
   const PhoneSpec& spec() const { return spec_; }
-  const Clock& clock() const { return clock_; }
+  const ManualClock& clock() const { return clock_; }
 
   /// Installs a run plan. A phone may hold several non-overlapping plans
   /// (e.g. the original run plus a post-crash recovery run); plans must be
@@ -135,7 +135,7 @@ class Phone {
   ApkStage StageWithin(const RunPlan& plan, SimTime t) const;
 
   PhoneSpec spec_;
-  const Clock& clock_;
+  const ManualClock& clock_;
   PowerModel power_;
   std::vector<RunPlan> plans_;  // non-overlapping, time-ordered
   bool busy_ = false;

@@ -9,12 +9,6 @@
 
 namespace simdc::flow {
 
-std::vector<Message> Shelf::Take(std::size_t count) {
-  std::vector<Message> taken;
-  TakeInto(count, taken);
-  return taken;
-}
-
 void Shelf::TakeInto(std::size_t count, std::vector<Message>& out) {
   const std::size_t n = std::min(count, messages_.size());
   // Bulk range move + single erase instead of n front-pops: the deque

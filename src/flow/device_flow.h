@@ -137,10 +137,7 @@ class Shelf {
  public:
   void Put(Message message) { messages_.push_back(std::move(message)); }
 
-  /// Removes and returns up to `count` oldest messages.
-  std::vector<Message> Take(std::size_t count);
-
-  /// Allocation-free Take: appends up to `count` oldest messages to `out`
+  /// Removes up to `count` oldest messages and appends them to `out`
   /// (typically a recycled TickBufferPool buffer with warm capacity).
   void TakeInto(std::size_t count, std::vector<Message>& out);
 

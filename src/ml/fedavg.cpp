@@ -263,16 +263,4 @@ void FedAvgAggregator::Reset() {
   clients_ = 0;
 }
 
-Result<LrModel> FedAvg(std::span<const ClientUpdate> updates) {
-  if (updates.empty()) {
-    return InvalidArgument("FedAvg: empty update set");
-  }
-  FedAvgAggregator aggregator(updates.front().model.dim());
-  for (const auto& update : updates) {
-    const Status added = aggregator.Add(update.model, update.sample_count);
-    if (!added.ok()) return added.error();
-  }
-  return aggregator.Aggregate();
-}
-
 }  // namespace simdc::ml

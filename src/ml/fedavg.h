@@ -31,15 +31,6 @@
 
 namespace simdc::ml {
 
-/// One client's contribution to a round.
-struct ClientUpdate {
-  LrModel model;
-  /// Number of local training samples (p_k numerator).
-  std::size_t sample_count = 0;
-  /// Identifier kept for diagnostics.
-  std::uint64_t client_id = 0;
-};
-
 namespace kernels {
 
 /// Scalar reference cascade: for each i, folds scale·weights[i] into the
@@ -183,8 +174,5 @@ class FedAvgAggregator {
     return static_cast<std::uint32_t>(accumulator_.size());
   }
 };
-
-/// One-shot convenience: FedAvg over a batch of updates.
-Result<LrModel> FedAvg(std::span<const ClientUpdate> updates);
 
 }  // namespace simdc::ml

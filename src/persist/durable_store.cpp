@@ -118,11 +118,6 @@ Status DurableStore::CommitLog() {
   return writer_.Commit();
 }
 
-bool DurableStore::HasPendingLog() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return writer_.HasPending();
-}
-
 Status DurableStore::WriteCheckpoint(CheckpointState state) {
   std::lock_guard<std::mutex> lock(mutex_);
   SIMDC_CHECK(config_.mode == DurabilityMode::kLogCheckpoint,

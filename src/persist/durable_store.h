@@ -87,8 +87,6 @@ class DurableStore final : public cloud::BlobJournal {
 
   /// Group commit: flushes buffered mutations as one Append + Sync.
   Status CommitLog();
-  /// True when mutations are buffered but not yet committed.
-  bool HasPendingLog() const;
 
   /// Stamps `state` with the next checkpoint sequence and the current
   /// durable log offset, then publishes it atomically. Callers commit the

@@ -10,9 +10,11 @@ ResourceManager::ResourceManager(
     : logical_total_(logical_bundles), phones_total_(phones) {}
 
 bool ResourceManager::FitsLocked(const ResourceRequest& request) const {
-  if (logical_used_ + request.logical_bundles > logical_total_) return false;
+  // Compare against what is left, never `used + request`: a huge request
+  // would wrap that sum and appear to fit.
+  if (request.logical_bundles > logical_total_ - logical_used_) return false;
   for (std::size_t g = 0; g < device::kNumGrades; ++g) {
-    if (phones_used_[g] + request.phones[g] > phones_total_[g]) return false;
+    if (request.phones[g] > phones_total_[g] - phones_used_[g]) return false;
   }
   return true;
 }

@@ -118,41 +118,4 @@ bool EventLoop::Step() {
   return true;
 }
 
-PeriodicTimer::PeriodicTimer(EventLoop& loop, SimDuration period,
-                             std::function<void(SimTime)> on_tick,
-                             std::size_t max_ticks)
-    : loop_(loop),
-      period_(period > 0 ? period : 1),
-      on_tick_(std::move(on_tick)),
-      max_ticks_(max_ticks) {}
-
-void PeriodicTimer::Start() {
-  if (running_) return;
-  running_ = true;
-  Arm();
-}
-
-void PeriodicTimer::Stop() {
-  if (!running_) return;
-  running_ = false;
-  if (pending_ != 0) {
-    loop_.Cancel(pending_);
-    pending_ = 0;
-  }
-}
-
-void PeriodicTimer::Arm() {
-  pending_ = loop_.ScheduleAfter(period_, [this] {
-    pending_ = 0;
-    if (!running_) return;
-    ++ticks_;
-    on_tick_(loop_.Now());
-    if (max_ticks_ != 0 && ticks_ >= max_ticks_) {
-      running_ = false;
-      return;
-    }
-    if (running_) Arm();
-  });
-}
-
 }  // namespace simdc::sim

@@ -39,7 +39,7 @@ class EventLoop {
 
   /// Current virtual time.
   SimTime Now() const { return clock_.Now(); }
-  const Clock& clock() const { return clock_; }
+  const ManualClock& clock() const { return clock_; }
 
   /// Schedules `fn` at absolute virtual time `t` (clamped to Now()).
   EventHandle ScheduleAt(SimTime t, std::function<void()> fn);
@@ -122,32 +122,6 @@ class EventLoop {
   std::uint64_t next_seq_ = 0;
   EventHandle next_handle_ = 1;
   std::size_t processed_ = 0;
-};
-
-/// Periodic timer helper: reschedules itself on the loop every `period`
-/// until Stop() is called or `ticks_remaining` reaches zero.
-class PeriodicTimer {
- public:
-  /// `max_ticks` == 0 means unbounded.
-  PeriodicTimer(EventLoop& loop, SimDuration period,
-                std::function<void(SimTime)> on_tick,
-                std::size_t max_ticks = 0);
-
-  void Start();
-  void Stop();
-  bool running() const { return running_; }
-  std::size_t ticks() const { return ticks_; }
-
- private:
-  void Arm();
-
-  EventLoop& loop_;
-  SimDuration period_;
-  std::function<void(SimTime)> on_tick_;
-  std::size_t max_ticks_;
-  std::size_t ticks_ = 0;
-  bool running_ = false;
-  EventHandle pending_ = 0;
 };
 
 }  // namespace simdc::sim

@@ -2,6 +2,8 @@
 // substitute for the paper's GUI front-end).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "config/task_config.h"
 #include "core/multi_tenant.h"
 #include "sched/scheduler.h"
@@ -138,6 +140,36 @@ TEST(TaskSpecTest, RejectsInvalidSpecs) {
   EXPECT_FALSE(ParseTaskSpec("[devices.high]\nphones = 3\n").ok());  // no count
 }
 
+TEST(TaskSpecTest, NegativeCountsAreRejectedNotWrapped) {
+  // A negative count is rejected, never cast: as a size_t, -1 is 2^64-1,
+  // and a freeze of that request would raise the free capacity.
+  for (const std::string key : {"benchmarking", "logical_bundles", "phones"}) {
+    auto task = ParseTaskSpec("[devices.high]\ncount = 5\n" + key + " = -1\n");
+    ASSERT_FALSE(task.ok()) << key;
+    EXPECT_EQ(task.error().code(), ErrorCode::kInvalidArgument) << key;
+  }
+  auto doc = ParseIni(
+      "[traffic]\nstrategy = points\nat_s = 1\ncounts = 5\n"
+      "random_discard = -3\n");
+  ASSERT_TRUE(doc.ok());
+  auto strategy = LoadStrategy(*doc);
+  ASSERT_FALSE(strategy.ok());
+  EXPECT_EQ(strategy.error().code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(TaskSpecTest, PriorityOutsideIntIsRejected) {
+  for (const std::string priority : {"2147483648", "-2147483649"}) {
+    auto task = ParseTaskSpec("[task]\npriority = " + priority +
+                              "\n[devices.high]\ncount = 5\n");
+    ASSERT_FALSE(task.ok()) << priority;
+    EXPECT_EQ(task.error().code(), ErrorCode::kInvalidArgument) << priority;
+  }
+  auto edge = ParseTaskSpec(
+      "[task]\npriority = -2147483648\n[devices.high]\ncount = 5\n");
+  ASSERT_TRUE(edge.ok());
+  EXPECT_EQ(edge->priority, std::numeric_limits<int>::min());
+}
+
 // ---------- Strategy loading ----------
 
 TEST(StrategyTest, Realtime) {
@@ -197,6 +229,24 @@ TEST(StrategyTest, RejectsInvalid) {
   EXPECT_TRUE(bad("[traffic]\nstrategy = interval\ncurve = normal\nsigma = -1\n"));
   EXPECT_TRUE(bad("[traffic]\nstrategy = interval\ncurve = normal\ninterval_s = 0\n"));
   EXPECT_TRUE(bad("[missing]\nx = 1\n"));
+}
+
+TEST(StrategyTest, FailureProbabilityMustLieInUnitIntervalForEveryStrategy) {
+  // Every strategy holds failure_probability to [0, 1], and NaN fails it.
+  for (const std::string strategy :
+       {"strategy = points\nat_s = 1\ncounts = 5\n",
+        "strategy = realtime\n",
+        "strategy = interval\ncurve = normal\n"}) {
+    for (const std::string p : {"7.5", "-0.1", "nan"}) {
+      auto doc = ParseIni("[traffic]\n" + strategy +
+                          "failure_probability = " + p + "\n");
+      ASSERT_TRUE(doc.ok());
+      auto loaded = LoadStrategy(*doc);
+      ASSERT_FALSE(loaded.ok()) << strategy << p;
+      EXPECT_EQ(loaded.error().code(), ErrorCode::kInvalidArgument)
+          << strategy << p;
+    }
+  }
 }
 
 // ---------- Aggregation loading ----------
@@ -543,6 +593,60 @@ TEST(TenantSpecTest, MalformedPresentSectionsAreErrors) {
   auto no_devices = ParseIni("[task]\nname = t\nrounds = 1\n");
   ASSERT_TRUE(no_devices.ok());
   EXPECT_FALSE(LoadTenantSpec(*no_devices).ok());
+}
+
+TEST(TenantSpecTest, MalformedOptionalValuesAreParseErrors) {
+  // A present but malformed value is an error in every section, never a
+  // silent default: `rounds = ten` must not run one round.
+  const std::string base = "[task]\nname = t\n[devices.high]\ncount = 10\n";
+  const std::string points = "[traffic]\nstrategy = points\nat_s = 1\n"
+                             "counts = 5\n";
+  const std::string interval = "[traffic]\nstrategy = interval\n"
+                               "curve = normal\n";
+  for (const std::string& extra : {
+           std::string("[task]\nrounds = ten\n"),
+           std::string("[task]\npriority = high\n"),
+           std::string("[devices.high]\nbenchmarking = some\n"),
+           std::string("[devices.high]\nlogical_bundles = 1.5\n"),
+           std::string("[devices.high]\nphones = many\n"),
+           std::string("[traffic]\nstrategy = realtime\nthresholds = a,b\n"),
+           std::string("[traffic]\nstrategy = realtime\n"
+                       "failure_probability = low\n"),
+           points + "random_discard = x\n",
+           points + "failure_probability = p\n",
+           interval + "sigma = wide\n",
+           interval + "interval_s = soon\n",
+           std::string("[aggregation]\ntrigger = scheduled\nperiod_s = 60\n"
+                       "reject_stale = yes\n")}) {
+    auto doc = ParseIni(base + extra);
+    ASSERT_TRUE(doc.ok()) << extra;
+    auto spec = LoadTenantSpec(*doc);
+    ASSERT_FALSE(spec.ok()) << extra;
+    EXPECT_EQ(spec.error().code(), ErrorCode::kParseError) << extra;
+  }
+}
+
+TEST(TenantSpecTest, DurationsOutsideTheClockAreRejected) {
+  // Seconds become int64 microseconds: a duration must fit that count,
+  // and a dispatch interval must not round to 0 us.
+  const std::string base = "[task]\nname = t\n[devices.high]\ncount = 10\n";
+  for (const std::string& extra : {
+           std::string("[execution]\nround_deadline_s = 1e300\n"),
+           std::string("[execution]\nround_extension_s = inf\n"),
+           std::string("[link]\nbackoff_max_s = 1e13\n"),
+           std::string("[behavior]\nchurn_horizon_s = nan\n"),
+           std::string("[traffic]\nstrategy = interval\ncurve = normal\n"
+                       "interval_s = 1e-7\n"),
+           std::string("[traffic]\nstrategy = points\n"
+                       "at_s = 10000000000000\ncounts = 5\n"),
+           std::string("[aggregation]\ntrigger = scheduled\n"
+                       "period_s = nan\n")}) {
+    auto doc = ParseIni(base + extra);
+    ASSERT_TRUE(doc.ok()) << extra;
+    auto spec = LoadTenantSpec(*doc);
+    ASSERT_FALSE(spec.ok()) << extra;
+    EXPECT_EQ(spec.error().code(), ErrorCode::kInvalidArgument) << extra;
+  }
 }
 
 }  // namespace

@@ -49,13 +49,16 @@ TEST(ShelfTest, FifoTake) {
     shelf.Put(MakeMessage(TaskId(1), i));
   }
   EXPECT_EQ(shelf.size(), 5u);
-  auto taken = shelf.Take(3);
+  std::vector<Message> taken;
+  shelf.TakeInto(3, taken);
   ASSERT_EQ(taken.size(), 3u);
   EXPECT_EQ(taken[0].id, MessageId(0));
   EXPECT_EQ(taken[2].id, MessageId(2));
   EXPECT_EQ(shelf.size(), 2u);
-  taken = shelf.Take(10);  // over-ask clamps
-  EXPECT_EQ(taken.size(), 2u);
+  shelf.TakeInto(10, taken);  // appends; over-ask clamps
+  ASSERT_EQ(taken.size(), 5u);
+  EXPECT_EQ(taken[3].id, MessageId(3));
+  EXPECT_EQ(taken[4].id, MessageId(4));
   EXPECT_TRUE(shelf.empty());
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -348,6 +349,38 @@ TEST(ResourceManagerTest, DynamicScaling) {
   EXPECT_EQ(manager.Snapshot().phones_total[1], 5u);
   EXPECT_TRUE(manager.RemovePhones(DeviceGrade::kLow, 5).ok());
   EXPECT_FALSE(manager.RemovePhones(DeviceGrade::kLow, 1).ok());
+}
+
+TEST(ResourceManagerTest, HugeRequestsNeverWrapIntoAFit) {
+  // A spec may ask for 2^63-1 bundles per grade, so two requirements sum
+  // to 2^64-2. With 10 of 100 bundles in use, `used + request` wraps to 8
+  // and would fit, and Freeze would leave 92 free instead of 90.
+  ResourceManager manager(100, {50, 50});
+  ResourceRequest in_use;
+  in_use.logical_bundles = 10;
+  in_use.phones = {5, 5};
+  ASSERT_TRUE(manager.Freeze(in_use).ok());
+
+  constexpr std::size_t kSpecMax = std::numeric_limits<std::int64_t>::max();
+  TaskSpec task = MakeTask(1, 0);
+  task.requirements[0].logical_bundles = kSpecMax;
+  DeviceRequirement low = task.requirements[0];
+  low.grade = DeviceGrade::kLow;
+  task.requirements.push_back(low);
+  const ResourceRequest bundles = RequestFor(task);
+  ASSERT_EQ(bundles.logical_bundles, 2 * kSpecMax);
+  EXPECT_FALSE(manager.Fits(bundles));
+  EXPECT_FALSE(manager.Freeze(bundles).ok());
+  EXPECT_EQ(manager.Snapshot().logical_bundles_free, 90u);
+
+  // The same holds for each phone grade.
+  for (std::size_t g = 0; g < device::kNumGrades; ++g) {
+    ResourceRequest phones;
+    phones.phones[g] = 2 * kSpecMax;
+    EXPECT_FALSE(manager.Fits(phones)) << "grade " << g;
+    EXPECT_FALSE(manager.Freeze(phones).ok()) << "grade " << g;
+    EXPECT_EQ(manager.Snapshot().phones_free[g], 45u) << "grade " << g;
+  }
 }
 
 // ---------- GreedyScheduler ----------

@@ -272,55 +272,6 @@ TEST(EventLoopTest, IsPendingTracksLifecycle) {
   EXPECT_FALSE(loop.IsPending(9999));
 }
 
-TEST(PeriodicTimerTest, TicksAtPeriod) {
-  EventLoop loop;
-  std::vector<SimTime> ticks;
-  PeriodicTimer timer(loop, Seconds(2.0),
-                      [&](SimTime t) { ticks.push_back(t); },
-                      /*max_ticks=*/4);
-  timer.Start();
-  loop.Run();
-  ASSERT_EQ(ticks.size(), 4u);
-  EXPECT_EQ(ticks[0], Seconds(2.0));
-  EXPECT_EQ(ticks[3], Seconds(8.0));
-  EXPECT_FALSE(timer.running());
-}
-
-TEST(PeriodicTimerTest, StopHaltsFutureTicks) {
-  EventLoop loop;
-  int ticks = 0;
-  PeriodicTimer timer(loop, Seconds(1.0), [&](SimTime) { ++ticks; });
-  timer.Start();
-  loop.RunUntil(Seconds(3.5));
-  timer.Stop();
-  loop.Run();
-  EXPECT_EQ(ticks, 3);
-}
-
-TEST(PeriodicTimerTest, StopFromWithinCallback) {
-  EventLoop loop;
-  int ticks = 0;
-  PeriodicTimer* self = nullptr;
-  PeriodicTimer timer(loop, Seconds(1.0), [&](SimTime) {
-    if (++ticks == 2) self->Stop();
-  });
-  self = &timer;
-  timer.Start();
-  loop.Run();
-  EXPECT_EQ(ticks, 2);
-}
-
-TEST(PeriodicTimerTest, UnboundedRunsUntilStopped) {
-  EventLoop loop;
-  int ticks = 0;
-  PeriodicTimer timer(loop, Seconds(1.0), [&](SimTime) { ++ticks; });
-  timer.Start();
-  loop.RunUntil(Seconds(100.0));
-  EXPECT_EQ(ticks, 100);
-  timer.Stop();
-  loop.Run();
-}
-
 // ---------- NextEventTime ----------
 
 TEST(EventLoopTest, NextEventTimeSkipsCancelled) {
