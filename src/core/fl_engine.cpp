@@ -15,9 +15,7 @@ FlRunResult FlEngine::Run() {
   runtime_->Begin();
   // The one-member case of the lockstep loop multi-tenant runs use: cloud
   // events first at each tick, shard loops advanced in parallel to a
-  // bounded horizon, then the merge barrier. An unsharded runtime has no
-  // shard loops, so the group steps the cloud loop in EventLoop::Run()
-  // order.
+  // bounded horizon, then the merge barrier.
   const std::vector<TaskRuntime*> members{runtime_.get()};
   sim::LockstepGroup(loop_, runtime_->pool())
       .Run(LockstepHooks(members), runtime_->feedback_guard());

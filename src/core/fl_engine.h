@@ -14,7 +14,8 @@
 //
 // FlEngine is the single-task facade: all per-task state lives in
 // core::TaskRuntime (so N runtimes can share one cloud loop — see
-// core::MultiTenantEngine); FlEngine owns exactly one runtime and drives
+// core::MultiTenantEngine); FlEngine owns exactly one runtime — its
+// fleet shards (one at the default width) behind one merger — and drives
 // its loops to completion with the same lockstep loop a multi-tenant run
 // uses (core::LockstepHooks over one member), preserving the historical
 // one-call Run() API bit-for-bit.
@@ -59,10 +60,6 @@ class FlEngine {
   const cloud::AggregationService& aggregation() const {
     return runtime_->aggregation();
   }
-  /// Single-fleet flow service; holds no tasks when the run is sharded.
-  const flow::DeviceFlow& device_flow() const {
-    return runtime_->device_flow();
-  }
   const cloud::BlobStore& storage() const { return runtime_->storage(); }
   /// Behavior model, or nullptr when config.behavior.enabled is false.
   /// Mutable so callers can LoadTrace (Fig. 5 replay) before Run().
@@ -73,20 +70,13 @@ class FlEngine {
 
   /// Resolved fleet width (config.shards clamped to the device count).
   std::size_t shards() const { return runtime_->shards(); }
-  /// Shard `s`'s device range under the resolved partition.
-  const data::ShardRange& shard_range(std::size_t s) const {
-    return runtime_->shard_range(s);
-  }
-  /// Task dispatch accounting, identical in shape for both topologies:
-  /// single-fleet runs return the one dispatcher's stats; sharded runs
-  /// return per-shard stats merged with summed counters and batch logs
-  /// interleaved in (tick time, first message id, shard) order — the same
-  /// order the unsharded dispatcher logs, so the result is width-invariant
-  /// whenever
-  /// the run itself is AND no per-shard log hit its cap (the batch-log
-  /// cap is split across fleets to keep total memory at the single-fleet
-  /// bound, so truncation points are per-fleet; batches_truncated > 0
-  /// flags a capped — and therefore width-sensitive — log).
+  /// Task dispatch accounting: per-shard stats merged with summed counters
+  /// and batch logs interleaved in (tick time, first message id, shard)
+  /// order, so the result is width-invariant whenever the run itself is
+  /// AND no per-shard log hit its cap (the batch-log cap is split across
+  /// fleets to keep total memory at the one-fleet bound, so truncation
+  /// points are per-fleet; batches_truncated > 0 flags a capped — and
+  /// therefore width-sensitive — log).
   flow::DispatchStats dispatch_stats() const {
     return runtime_->dispatch_stats();
   }

@@ -18,8 +18,9 @@
 //   · the shared cloud loop orders same-time events by schedule FIFO,
 //     which is itself a pure function of (task set, seeds);
 //   · one sim::LockstepGroup drives the shared cloud loop and every
-//     admitted tenant's shard loops — the same loop a solo FlEngine run
-//     uses — and its cross-tenant merge barrier (core::LockstepHooks)
+//     admitted tenant's shard loops (one or more per tenant) — the same
+//     loop a solo FlEngine run uses — and its cross-tenant merge barrier
+//     (core::LockstepHooks)
 //     forwards buffered shard ticks globally earliest-first, ties broken
 //     by ascending task id, one tick at a time (flow::ShardMerger::
 //     DrainOne), so each tenant's aggregator observes exactly the clock

@@ -45,7 +45,19 @@ std::vector<TaskReport> Platform::RunQueuedTasks(const ExecOptions& options) {
 }
 
 void Platform::SchedulerPass(const ExecOptions& options) {
-  for (auto& task : scheduler_.SchedulePass(queue_)) {
+  sched::ScheduleDecision decision = scheduler_.SchedulePassEx(queue_, {});
+  // Admission control removed these from the queue for good: report each
+  // as failed now instead of dropping it.
+  for (const sched::TaskSpec& task : decision.rejected) {
+    TaskReport report;
+    report.id = task.id;
+    report.detail =
+        "rejected by admission control: demand exceeds the platform's "
+        "total resources";
+    report.started = report.finished = loop_.Now();
+    finished_reports_.push_back(std::move(report));
+  }
+  for (auto& task : decision.launched) {
     LaunchTask(std::move(task), options);
   }
 }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "cloud/database.h"
-#include "cloud/storage.h"
 #include "common/error.h"
 #include "core/fl_engine.h"
 #include "core/multi_tenant.h"
@@ -82,18 +81,20 @@ class Platform {
 
   /// Runs scheduler passes and executes every queued task to completion on
   /// the virtual clock, honoring priorities and resource limits. Returns
-  /// one report per executed task (submission order).
+  /// one report per queued task, in completion order; a task admission
+  /// control can never fit is reported as failed (ok = false) at the time
+  /// of the pass that rejected it.
   std::vector<TaskReport> RunQueuedTasks(const ExecOptions& options = {});
 
   /// Runs a federated-learning experiment end-to-end (training, DeviceFlow
   /// traffic shaping, cloud aggregation) on the platform's event loop.
   /// Local training uses the platform worker pool unless
   /// `config.parallelism` pins a different width; results are identical
-  /// either way (see FlExperimentConfig::parallelism). When
-  /// `config.shards` > 1 the device population splits into that many
-  /// fleet shards whose flow planes advance in lockstep on the same pool,
-  /// merged deterministically into the one aggregator — still
-  /// bit-identical to the single-fleet run (see FlExperimentConfig::shards).
+  /// either way (see FlExperimentConfig::parallelism). The device
+  /// population splits into `config.shards` fleet shards (one by default)
+  /// whose flow planes advance in lockstep on the same pool, merged
+  /// deterministically into the one aggregator — bit-identical at every
+  /// width (see FlExperimentConfig::shards).
   /// Payload blobs are decoded at dispatch-tick time (parallel across
   /// shards), so the serial aggregator only admits and stages updates.
   FlRunResult RunFlExperiment(const data::FederatedDataset& dataset,
@@ -118,7 +119,6 @@ class Platform {
   sched::ResourceManager& resources() { return resources_; }
   sched::TaskQueue& queue() { return queue_; }
   cloud::MetricsDatabase& metrics() { return metrics_; }
-  cloud::BlobStore& storage() { return storage_; }
   ThreadPool& worker_pool() { return workers_; }
 
  private:
@@ -142,7 +142,6 @@ class Platform {
   sched::TaskQueue queue_;
   sched::GreedyScheduler scheduler_;
   cloud::MetricsDatabase metrics_;
-  cloud::BlobStore storage_;
   std::uint64_t next_task_id_ = 1;
   std::vector<TaskReport> finished_reports_;
 };

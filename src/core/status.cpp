@@ -34,10 +34,8 @@ std::string RenderStatus(Platform& platform) {
                      task.TotalPhones(), task.name.c_str());
   }
 
-  out += StrFormat("cloud: %zu perf samples, %zu blobs (%zu KB) stored\n",
-                   platform.metrics().sample_count(),
-                   platform.storage().blob_count(),
-                   platform.storage().total_bytes() / 1024);
+  out += StrFormat("cloud: %zu perf samples\n",
+                   platform.metrics().sample_count());
   out += StrFormat("event loop: %zu events processed, %zu pending\n",
                    platform.loop().processed(), platform.loop().pending());
   return out;

@@ -6,6 +6,7 @@
 
 #include "common/log.h"
 #include "common/stats.h"
+#include "data/sharding.h"
 
 namespace simdc::core {
 
@@ -25,9 +26,7 @@ sim::LockstepGroup::Hooks LockstepHooks(
   hooks.next_pending = [&members] {
     SimTime next = sim::EventLoop::kNoEvent;
     for (const TaskRuntime* runtime : members) {
-      if (const flow::ShardMerger* merger = runtime->merger()) {
-        next = std::min(next, merger->NextTickTime());
-      }
+      next = std::min(next, runtime->merger()->NextTickTime());
     }
     return next;
   };
@@ -45,7 +44,6 @@ sim::LockstepGroup::Hooks LockstepHooks(
       SimTime best_time = sim::EventLoop::kNoEvent;
       for (TaskRuntime* runtime : members) {
         flow::ShardMerger* merger = runtime->merger();
-        if (merger == nullptr) continue;
         const SimTime t = merger->NextTickTime();
         if (t < best_time) {  // strict less: earliest task id wins ties
           best_time = t;
@@ -106,40 +104,28 @@ TaskRuntime::TaskRuntime(sim::EventLoop& loop,
     durable_ = std::make_unique<persist::DurableStore>(config_.durability);
   }
 
+  // Contiguous device ranges, one event loop and one dispatcher per fleet
+  // (width 1 included), all funneling into the global service through the
+  // (tick time, message id, shard)-ordered merger.
   const std::size_t width = std::clamp<std::size_t>(
       config_.shards == 0 ? 1 : config_.shards, 1, dataset.devices.size());
-  if (width > 1) {
-    // Sharded topology: contiguous device ranges, one event loop and one
-    // dispatcher per fleet, all funneling into the global service through
-    // the (tick time, message id, shard)-ordered merger.
-    shard_ranges_ = data::PartitionDevices(dataset.devices.size(), width);
-    merger_ = std::make_unique<flow::ShardMerger>(width, service_.get(),
-                                                  &loop_);
-    shards_.reserve(width);
-    for (std::size_t s = 0; s < width; ++s) {
-      FleetShard shard;
-      shard.loop = std::make_unique<sim::EventLoop>();
-      // Same seed for every shard: per-message draws (TransmissionDrop)
-      // then agree across widths on each message's fate.
-      shard.dispatcher = std::make_unique<flow::Dispatcher>(
-          *shard.loop, config_.task, config_.strategy, &merger_->channel(s),
-          config_.seed);
-      // Split the batch-log cap across fleets so total log memory keeps
-      // the single-fleet bound instead of scaling with shard count.
-      shard.dispatcher->set_batch_log_cap(
-          std::max<std::size_t>(1, flow::kDefaultBatchLogCap / width));
-      shard.dispatcher->set_decoder(&decoder_);
-      ConfigureLinkPlane(*shard.dispatcher);
-      shards_.push_back(std::move(shard));
-    }
-  } else {
-    const Status configured = flow_.ConfigureTask(
-        config_.task, config_.strategy, service_.get(), config_.seed);
-    SIMDC_CHECK(configured.ok(),
-                "TaskRuntime: DeviceFlow configuration failed");
-    flow::Dispatcher& dispatcher = *flow_.FindDispatcher(config_.task);
-    dispatcher.set_decoder(&decoder_);
-    ConfigureLinkPlane(dispatcher);
+  merger_ = std::make_unique<flow::ShardMerger>(width, service_.get(), &loop_);
+  shards_.reserve(width);
+  for (std::size_t s = 0; s < width; ++s) {
+    FleetShard shard;
+    shard.loop = std::make_unique<sim::EventLoop>();
+    // Same seed for every shard: per-message draws (TransmissionDrop) then
+    // agree across widths on each message's fate.
+    shard.dispatcher = std::make_unique<flow::Dispatcher>(
+        *shard.loop, config_.task, config_.strategy, &merger_->channel(s),
+        config_.seed);
+    // Split the batch-log cap across fleets so total log memory keeps the
+    // one-fleet bound instead of scaling with shard count.
+    shard.dispatcher->set_batch_log_cap(
+        std::max<std::size_t>(1, flow::kDefaultBatchLogCap / width));
+    shard.dispatcher->set_decoder(&decoder_);
+    ConfigureLinkPlane(*shard.dispatcher);
+    shards_.push_back(std::move(shard));
   }
 
   // Build the train-evaluation pool: a deterministic, capped sample of the
@@ -207,8 +193,12 @@ void TaskRuntime::Begin() {
       [this](const cloud::AggregationRecord& record, const ml::LrModel& model) {
         RecordRound(record, model);
       });
-  service_->set_on_round_aborted(
-      [this](SimTime when) { OnRoundAborted(when); });
+  service_->set_on_round_aborted([this](SimTime when) {
+    if (metrics_ != nullptr) {
+      metrics_->RecordScalar("fl/round_aborted", when, 1.0);
+    }
+    CloseEmptyRound(when);
+  });
   if (durable_ != nullptr && !resume_pending_) {
     // Fresh durable run: wipe any previous run's log/checkpoints, then
     // attach the journal so every Put/Delete from here on is logged.
@@ -222,7 +212,7 @@ void TaskRuntime::Begin() {
     resume_pending_ = false;
     StartRoundFrom(resume_round_, resume_t0_);
   } else {
-    StartRound(0);
+    StartRoundFrom(0, loop_.Now());
   }
 }
 
@@ -240,39 +230,23 @@ FlRunResult TaskRuntime::Finalize() {
 }
 
 flow::DispatchStats TaskRuntime::dispatch_stats() const {
-  flow::DispatchStats current = LocalDispatchStats();
-  if (!has_restored_stats_) return current;
   // Recovered engines report the checkpointed prefix followed by this
-  // process's ticks. Every post-resume tick stamps at or after the
-  // checkpoint time, so simple concatenation IS the global merge order.
+  // process's ticks (a fresh run's prefix is empty). Every post-resume
+  // tick stamps at or after the checkpoint time, so appending IS the
+  // global merge order.
   flow::DispatchStats merged = restored_stats_;
-  merged.AddCounters(current);
-  merged.batches.insert(merged.batches.end(), current.batches.begin(),
-                        current.batches.end());
-  merged.batch_keys.insert(merged.batch_keys.end(),
-                           current.batch_keys.begin(),
-                           current.batch_keys.end());
-  return merged;
-}
-
-flow::DispatchStats TaskRuntime::LocalDispatchStats() const {
-  if (!sharded()) {
-    const auto* dispatcher = flow_.FindDispatcher(config_.task);
-    return dispatcher != nullptr ? dispatcher->stats() : flow::DispatchStats{};
-  }
-  flow::DispatchStats merged;
   std::vector<std::size_t> cursors(shards_.size(), 0);
   std::size_t remaining = 0;
   for (const FleetShard& shard : shards_) {
     merged.AddCounters(shard.dispatcher->stats());
     remaining += shard.dispatcher->stats().batches.size();
   }
-  merged.batches.reserve(remaining);
-  merged.batch_keys.reserve(remaining);
+  merged.batches.reserve(merged.batches.size() + remaining);
+  merged.batch_keys.reserve(merged.batch_keys.size() + remaining);
   // Per-shard logs are time-sorted (appended in loop order); a strict-less
   // k-way merge interleaves them in (tick time, first message id, shard)
-  // order — the same equal-timestamp key the ShardMerger uses, which is
-  // the order the single-fleet dispatcher would have logged.
+  // order — the same equal-timestamp key the ShardMerger uses, so the log
+  // is the same at every width.
   while (remaining > 0) {
     std::size_t best_shard = shards_.size();
     SimTime best_time = 0;
@@ -300,16 +274,12 @@ flow::DispatchStats TaskRuntime::LocalDispatchStats() const {
 
 flow::DispatchStats TaskRuntime::DispatchCounters() const {
   flow::DispatchStats counters;
-  if (sharded()) {
-    for (const FleetShard& shard : shards_) {
-      counters.AddCounters(shard.dispatcher->stats());
-    }
-  } else if (const auto* dispatcher = flow_.FindDispatcher(config_.task)) {
-    counters.AddCounters(dispatcher->stats());
+  for (const FleetShard& shard : shards_) {
+    counters.AddCounters(shard.dispatcher->stats());
   }
   // A resumed run's pre-crash counters live in the checkpointed prefix,
   // not in this process's dispatchers.
-  if (has_restored_stats_) counters.AddCounters(restored_stats_);
+  counters.AddCounters(restored_stats_);
   return counters;
 }
 
@@ -385,27 +355,22 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
     round_blob_ids_.clear();
     (void)storage_.ReclaimArena();
   }
-  if (sharded()) {
-    // Round-start runs as a shard-loop EVENT, not synchronously: called
-    // directly, the pump for leftover shelf messages (multi-message
-    // thresholds) would read a shard clock that can sit BEHIND t0 and
-    // stamp arrivals before the aggregation that opened the round.
-    // ScheduleAt clamps to the shard clock, so the pump fires at
-    // max(t0, shard clock): exactly t0 when the round opens from the
-    // cloud plane (scheduled triggers — shards have not reached t0 yet),
-    // and at most one feedback guard past t0 when it opens mid-drain
-    // (shards already advanced to the barrier horizon). Stamps are thus
-    // always >= t0; the residual lag is only observable outside the
-    // width-invariance regime (pass-through strategies keep the shelf
-    // empty, making the pump a no-op).
-    for (FleetShard& shard : shards_) {
-      flow::Dispatcher* dispatcher = shard.dispatcher.get();
-      shard.loop->ScheduleAt(t0, [dispatcher, round] {
-        dispatcher->OnRoundStart(round);
-      });
-    }
-  } else {
-    (void)flow_.OnRoundStart(config_.task, round);
+  // Round-start runs as a shard-loop EVENT, not synchronously: called
+  // directly, the pump for leftover shelf messages (multi-message
+  // thresholds) would read a shard clock that can sit BEHIND t0 and stamp
+  // arrivals before the aggregation that opened the round. ScheduleAt
+  // clamps to the shard clock, so the pump fires at max(t0, shard clock):
+  // exactly t0 when the round opens from the cloud plane (scheduled
+  // triggers — shards have not reached t0 yet), and at most one feedback
+  // guard past t0 when it opens mid-drain (shards already advanced to the
+  // barrier horizon). Stamps are thus always >= t0; the residual lag is
+  // only observable outside the width-invariance regime (pass-through
+  // strategies keep the shelf empty, making the pump a no-op).
+  for (FleetShard& shard : shards_) {
+    flow::Dispatcher* dispatcher = shard.dispatcher.get();
+    shard.loop->ScheduleAt(t0, [dispatcher, round] {
+      dispatcher->OnRoundStart(round);
+    });
   }
 
   // Open the round for the quorum/deadline policy (no-op when disabled).
@@ -493,22 +458,19 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
     }
   }
 
-  // Emit upload events: a message into the flow plane at the device's
-  // response time, referencing its payload blob. Messages carry the
-  // *aggregation* round they were trained against (what a staleness-
-  // filtering cloud checks), which can lag the engine's round index when a
-  // round closed empty. Message ids, blob ids and emit accounting are all
-  // assigned in slot (device-index) order, so the fired closures touch
-  // only their own shard's state — the property that lets shard loops
-  // advance on pool threads without locks.
+  // Emit upload events: a message into the owning shard's flow plane at
+  // the device's response time, referencing its payload blob. Messages
+  // carry the *aggregation* round they were trained against (what a
+  // staleness-filtering cloud checks), which can lag the engine's round
+  // index when a round closed empty. Message ids, blob ids and emit
+  // accounting are all assigned in slot (device-index) order, so the fired
+  // closures touch only their own shard's state — the property that lets
+  // shard loops advance on pool threads without locks. Participants are
+  // sorted by device index and shards are contiguous ranges, so each
+  // shard's list keeps global slot order and the (time, shard, FIFO)
+  // merge gives the same tie-breaks at every width.
   const std::size_t aggregation_round = service_->rounds_completed();
   SimDuration max_delay = 0;
-  std::vector<sim::TimedEvent> uploads;
-  uploads.reserve(participants.size());
-  // Sharded: per-shard event lists; participants are sorted by device
-  // index and shards are contiguous ranges, so each shard's list keeps
-  // global slot order and the (time, shard, FIFO) merge reproduces the
-  // single-loop FIFO tie-breaks.
   std::vector<std::vector<sim::TimedEvent>> shard_uploads(shards_.size());
   for (std::size_t slot = 0; slot < participants.size(); ++slot) {
     const TrainedUpdate& trained = results[slot];
@@ -527,45 +489,31 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
     message.sample_count = trained.samples;
     message.created = when;  // == loop time when the upload event fires
     ++result_.messages_emitted;
-    if (sharded()) {
-      const std::size_t s = data::ShardOf(
-          participants[slot], dataset_.devices.size(), shards_.size());
-      flow::Dispatcher* dispatcher = shards_[s].dispatcher.get();
-      shard_uploads[s].push_back(
-          {when, [dispatcher, message = std::move(message)]() mutable {
-             dispatcher->OnMessage(std::move(message));
-           }});
-    } else {
-      uploads.push_back(
-          {when, [this, message = std::move(message)]() mutable {
-             (void)flow_.OnMessage(std::move(message));
-           }});
-    }
+    const std::size_t s = data::ShardOf(participants[slot],
+                                        dataset_.devices.size(), shards_.size());
+    flow::Dispatcher* dispatcher = shards_[s].dispatcher.get();
+    shard_uploads[s].push_back(
+        {when, [dispatcher, message = std::move(message)]() mutable {
+           dispatcher->OnMessage(std::move(message));
+         }});
   }
   // Publish the round's payloads before any upload can fire: one journal
   // record per blob, in id order.
   storage_.CommitPooled(std::move(payloads));
   // One heap rebuild per loop for the round's uploads (O(N + H), same
   // FIFO tie-breaks as scheduling them one by one).
-  (void)loop_.ScheduleBulk(std::move(uploads));
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     (void)shards_[s].loop->ScheduleBulk(std::move(shard_uploads[s]));
   }
 
   // Device-side round completion → rule-based strategies fire. The global
-  // round end (max delay over ALL shards) flushes every shard, exactly
-  // when the single-fleet dispatcher would flush.
+  // round end (max delay over ALL shards) flushes every shard at once, so
+  // the flush time does not depend on the width.
   const SimTime round_end = t0 + max_delay;
-  if (sharded()) {
-    for (FleetShard& shard : shards_) {
-      flow::Dispatcher* dispatcher = shard.dispatcher.get();
-      shard.loop->ScheduleAt(round_end, [dispatcher, round] {
-        dispatcher->OnRoundEnd(round);
-      });
-    }
-  } else {
-    loop_.ScheduleAt(round_end, [this, round] {
-      (void)flow_.OnRoundEnd(config_.task, round);
+  for (FleetShard& shard : shards_) {
+    flow::Dispatcher* dispatcher = shard.dispatcher.get();
+    shard.loop->ScheduleAt(round_end, [dispatcher, round] {
+      dispatcher->OnRoundEnd(round);
     });
   }
 
@@ -576,21 +524,7 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
       round_end + config_.stall_timeout, [this, round] {
         stall_event_ = 0;
         if (last_recorded_round_ > round) return;  // already closed
-        if (!service_->AggregateNow()) {
-          RoundMetrics metrics;
-          metrics.round = result_.rounds.size() + 1;
-          metrics.time = loop_.Now();
-          const auto eval_test = ml::Evaluate(
-              service_->global_model(),
-              std::span(dataset_.test_set.data(),
-                        std::min(dataset_.test_set.size(), config_.eval_cap)));
-          metrics.test_accuracy = eval_test.accuracy;
-          metrics.test_logloss = eval_test.logloss;
-          result_.rounds.push_back(metrics);
-          last_recorded_round_ = round + 1;
-          RecordRoundLatency(metrics.time);
-          StartRound(round + 1);
-        }
+        if (!service_->AggregateNow()) CloseEmptyRound(loop_.Now());
       });
 
   // Group-commit the round's durable mutations (payload puts, reclaim
@@ -605,14 +539,14 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
   }
 }
 
-void TaskRuntime::OnRoundAborted(SimTime when) {
+void TaskRuntime::CloseEmptyRound(SimTime when) {
   if (stall_event_ != 0) {
     loop_.Cancel(stall_event_);
     stall_event_ = 0;
   }
-  // The abort analogue of the stall guard's empty-round close: the global
-  // model did not move, but the round still books an evaluation row so the
-  // accuracy curve shows the hole where the aborted round would have been.
+  // The global model did not move, but the round still books an evaluation
+  // row so the accuracy curve shows the hole where the round would have
+  // been.
   RoundMetrics metrics;
   metrics.round = result_.rounds.size() + 1;
   metrics.time = when;
@@ -625,9 +559,6 @@ void TaskRuntime::OnRoundAborted(SimTime when) {
   result_.rounds.push_back(metrics);
   last_recorded_round_ = rounds_started_;
   RecordRoundLatency(when);
-  if (metrics_ != nullptr) {
-    metrics_->RecordScalar("fl/round_aborted", when, 1.0);
-  }
   StartRoundFrom(rounds_started_, std::max(loop_.Now(), when));
 }
 
@@ -784,7 +715,6 @@ Status TaskRuntime::RestoreFromRecovery() {
   }
   service_->RestoreSnapshot(cp.aggregation);
   restored_stats_ = cp.dispatch;
-  has_restored_stats_ = true;
   if (metrics_ != nullptr) {
     metrics_->Restore(cp.perf_samples, cp.scalars);
   }

@@ -4,11 +4,13 @@
 // plane — extracted from the historical single-task FlEngine so N of them
 // can share one cloud event loop and one device fleet.
 //
-// A TaskRuntime does NOT drive event loops. One driver loop does:
-// sim::LockstepGroup, with hooks LockstepHooks builds over a set of
-// runtimes. FlEngine (the single-task facade) runs it over its one
-// runtime, sharded or not; MultiTenantEngine runs it over every admitted
-// tenant against one shared cloud loop, in fixed (task id, tick) order.
+// Every runtime has one topology: N >= 1 fleet shards, each with its own
+// event loop and dispatcher, feeding one flow::ShardMerger in front of the
+// task's AggregationService. A TaskRuntime does NOT drive event loops. One
+// driver loop does: sim::LockstepGroup, with hooks LockstepHooks builds
+// over a set of runtimes. FlEngine (the single-task facade) runs it over
+// its one runtime; MultiTenantEngine runs it over every admitted tenant
+// against one shared cloud loop, in fixed (task id, tick) order.
 // Everything the driver needs — shard loops, merger, feedback guard — is
 // exposed read-only, and all per-task state is private to the runtime,
 // which is what makes contention-free multi-tenant runs bit-identical to
@@ -27,7 +29,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "data/example.h"
-#include "data/sharding.h"
 #include "device/behavior.h"
 #include "flow/device_flow.h"
 #include "flow/shard_merger.h"
@@ -158,27 +159,32 @@ struct FlExperimentConfig {
   /// from its own seed-derived RNG stream and updates are reduced in fixed
   /// client-index order on the event loop.
   std::size_t parallelism = 0;
-  /// Fleet shards (0 or 1 = the single-fleet path). N > 1 partitions the
-  /// dataset's devices into N contiguous index ranges; each shard owns its
-  /// own event loop and flow::Dispatcher producing per-tick delivery
-  /// events, advanced in lockstep (sim::LockstepGroup) and funneled into
-  /// the one global AggregationService by a flow::ShardMerger in
-  /// (tick time, first message id, shard) order. Because shards are
-  /// contiguous ranges — so per-shard streams stay sorted by the global
-  /// (wave, device) message-id order — and transmission-failure draws are
-  /// message-keyed, FlRunResult,
-  /// arrival stamps, drop counts and merged dispatch stats are
-  /// bit-identical at every width — provided dispatch ticks carry one
-  /// message (pass-through thresholds) and the strategy's
-  /// capacity_per_second keeps the per-shard rate limiter disengaged
-  /// (flow::kShardWidthInvariantCapacity); multi-message ticks and biting
-  /// rate limits make per-shard state semantically per-fleet, which stays
-  /// deterministic at a fixed width but is not width-invariant. Shard
-  /// loops advance on the training pool when one is available, so the
-  /// flow plane parallelizes across fleets; the merge stays single-
-  /// threaded and fixed-order (the parameter-server reduction
-  /// discipline). Exact-microsecond cross-plane collisions resolve
-  /// cloud-plane-first, then shard order (see sim::LockstepGroup).
+  /// Fleet shards (0 counts as 1; clamped to the device count). The
+  /// dataset's devices split into N contiguous index ranges; each shard
+  /// owns its own event loop and flow::Dispatcher producing per-tick
+  /// delivery events, advanced in lockstep (sim::LockstepGroup) and
+  /// funneled into the one global AggregationService by a
+  /// flow::ShardMerger in (tick time, first message id, shard) order.
+  /// Width 1 is one such shard: every width runs the same code. Because
+  /// shards are contiguous ranges — so per-shard streams stay sorted by
+  /// the global (wave, device) message-id order — and transmission-failure
+  /// draws are message-keyed, FlRunResult, arrival stamps, drop counts and
+  /// merged dispatch stats are bit-identical at every width — provided
+  /// dispatch ticks carry one message (pass-through thresholds) and the
+  /// strategy's capacity_per_second keeps the per-shard rate limiter
+  /// disengaged (flow::kShardWidthInvariantCapacity); multi-message ticks
+  /// and biting rate limits make per-shard state semantically per-fleet,
+  /// which stays deterministic at a fixed width but is not
+  /// width-invariant. Round start restarts a RealtimeAccumulated threshold
+  /// cycle as a shard-loop event at max(t0, shard clock), width 1
+  /// included; engines that ran width 1 on the cloud loop restarted it at
+  /// t0, so a multi-threshold cycle under a sample-threshold trigger now
+  /// closes later rounds at other times than there. Shard loops advance
+  /// on the training pool when one is available, so the flow plane
+  /// parallelizes across fleets; the merge stays single-threaded and
+  /// fixed-order (the parameter-server reduction discipline).
+  /// Exact-microsecond cross-plane collisions resolve cloud-plane-first,
+  /// then shard order (see sim::LockstepGroup).
   std::size_t shards = 1;
   /// Durability plane (spec: [execution] durability = off | log |
   /// log+checkpoint, durability_dir = path). kOff (default) keeps the
@@ -269,11 +275,12 @@ class TaskRuntime {
   void set_metrics_database(cloud::MetricsDatabase* db) { metrics_ = db; }
 
   // --- Driver surface.
-  bool sharded() const { return !shards_.empty(); }
-  /// Shard-plane event loops (empty on the single-fleet path); stable for
-  /// the runtime's lifetime.
+  /// Always true; only benchmark/src/repetition.cpp still reads it.
+  bool sharded() const { return true; }
+  /// One event loop per fleet shard (at least one); stable for the
+  /// runtime's lifetime.
   std::vector<sim::EventLoop*> ShardLoops();
-  /// Shard merger, or nullptr on the single-fleet path.
+  /// The merger every shard delivers into; never null.
   flow::ShardMerger* merger() { return merger_.get(); }
   const flow::ShardMerger* merger() const { return merger_.get(); }
   /// Training pool after parallelism resolution (may be nullptr).
@@ -285,16 +292,14 @@ class TaskRuntime {
   const FlExperimentConfig& config() const { return config_; }
   const persist::DurableStore* durable_store() const { return durable_.get(); }
   const cloud::AggregationService& aggregation() const { return *service_; }
+  /// An empty DeviceFlow; only benchmark/src/repetition.cpp still reads it.
   const flow::DeviceFlow& device_flow() const { return flow_; }
   const cloud::BlobStore& storage() const { return storage_; }
   device::BehaviorModel* behavior_model() { return behavior_.get(); }
   const device::BehaviorModel* behavior_model() const {
     return behavior_.get();
   }
-  std::size_t shards() const { return sharded() ? shards_.size() : 1; }
-  const data::ShardRange& shard_range(std::size_t s) const {
-    return shard_ranges_.at(s);
-  }
+  std::size_t shards() const { return shards_.size(); }
   flow::DispatchStats dispatch_stats() const;
 
   /// Per-task SLA row from the run so far: round-latency percentiles via
@@ -318,17 +323,16 @@ class TaskRuntime {
     std::unique_ptr<flow::Dispatcher> dispatcher;
   };
 
-  void StartRound(std::size_t round) { StartRoundFrom(round, loop_.Now()); }
   /// `t0` anchors the round's upload schedule. Threshold-triggered rounds
   /// pass the aggregation record time: the triggering update's arrival,
   /// which can sit ahead of loop time inside a delivery tick.
   void StartRoundFrom(std::size_t round, SimTime t0);
   void RecordRound(const cloud::AggregationRecord& record,
                    const ml::LrModel& model);
-  /// Quorum/deadline abort handler: records the degraded round (current
-  /// model, no aggregation) and advances to the next round — the abort
-  /// analogue of the stall guard's empty-round close.
-  void OnRoundAborted(SimTime when);
+  /// Closes the open round without an aggregation — the stall guard with
+  /// nothing pending, or a quorum/deadline abort: books an evaluation row
+  /// of the unchanged model at `when` and starts the next round there.
+  void CloseEmptyRound(SimTime when);
   /// Binds the fault plane (link policy, availability and link-probability
   /// hooks) onto one dispatcher; called for every dispatcher at setup.
   void ConfigureLinkPlane(flow::Dispatcher& dispatcher);
@@ -342,9 +346,6 @@ class TaskRuntime {
   /// failures are logged and the run continues (durability degrades; the
   /// simulation result is unaffected).
   void PersistRoundBoundary(const cloud::AggregationRecord& record);
-  /// Dispatch stats of this process's run, before the restored-prefix
-  /// merge that dispatch_stats() applies on recovered engines.
-  flow::DispatchStats LocalDispatchStats() const;
   /// dispatch_stats() without the batch logs: counters summed over every
   /// dispatcher plus the restored prefix, O(shards), no log copied.
   flow::DispatchStats DispatchCounters() const;
@@ -363,16 +364,16 @@ class TaskRuntime {
   /// Fetch-and-decode hook every dispatcher runs at dispatch-tick time
   /// (thread-safe; shared by every shard's dispatcher).
   cloud::BlobModelDecoder decoder_{storage_};
+  /// Never configured; kept only for device_flow().
   flow::DeviceFlow flow_;
   std::unique_ptr<cloud::AggregationService> service_;
   /// Behavior model (null when config_.behavior.enabled is false). Shared
   /// by round-start participant filtering and every dispatcher's hooks;
   /// safe because all queries are const + pure after setup.
   std::unique_ptr<device::BehaviorModel> behavior_;
-  /// Sharded topology (empty on the single-fleet path). merger_ is
-  /// declared before shards_ so dispatchers — whose downstream_ points at
-  /// the merger's channels — are destroyed before the channels they feed.
-  std::vector<data::ShardRange> shard_ranges_;
+  /// Fleet topology. merger_ is declared before shards_ so dispatchers —
+  /// whose downstream_ points at the merger's channels — are destroyed
+  /// before the channels they feed.
   std::unique_ptr<flow::ShardMerger> merger_;
   std::vector<FleetShard> shards_;
   Rng rng_;
@@ -404,12 +405,12 @@ class TaskRuntime {
   std::unique_ptr<persist::DurableStore> durable_;
   /// Optional metrics sink included in checkpoints (not owned).
   cloud::MetricsDatabase* metrics_ = nullptr;
-  /// Dispatch stats recovered from the checkpoint; dispatch_stats()
-  /// prepends them to this process's stats so a resumed run reports the
-  /// same merged log as an uninterrupted one (every post-checkpoint tick
-  /// stamps >= the checkpoint time, so prefix order is global order).
+  /// Dispatch stats recovered from the checkpoint (empty on a fresh run);
+  /// dispatch_stats() prepends them to this process's stats so a resumed
+  /// run reports the same merged log as an uninterrupted one (every
+  /// post-checkpoint tick stamps >= the checkpoint time, so prefix order is
+  /// global order).
   flow::DispatchStats restored_stats_;
-  bool has_restored_stats_ = false;
   /// Set by RestoreFromRecovery; Begin() consumes it to re-enter mid-run.
   bool resume_pending_ = false;
   std::size_t resume_round_ = 0;
@@ -429,10 +430,9 @@ class TaskRuntime {
 /// merger, and a drain that forwards ticks one at a time
 /// (flow::ShardMerger::DrainOne) — globally earliest first, ties broken
 /// by ascending task id — so each member's aggregator sees exactly the
-/// clock and order of its solo run. An unsharded member has no shard
-/// loops and no merger: it lives entirely on the cloud loop. `members`
-/// must be in ascending task-id order and outlive the group's Run; it may
-/// grow while the group runs (hooks re-read it on every call).
+/// clock and order of its solo run. `members` must be in ascending
+/// task-id order and outlive the group's Run; it may grow while the group
+/// runs (hooks re-read it on every call).
 sim::LockstepGroup::Hooks LockstepHooks(
     const std::vector<TaskRuntime*>& members);
 /// The hooks keep a reference to `members`: a temporary would dangle.

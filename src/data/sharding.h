@@ -1,12 +1,11 @@
 // Deterministic device-shard partitioning for multi-fleet execution.
 //
-// The sharded engine splits a FederatedDataset's device list across
-// process-level workers ("fleets"). The partition is the determinism
-// anchor of the whole shard plane: shards are CONTIGUOUS index ranges, so
-// per-shard message streams stay sorted by the globally (wave, device)-
-// ordered message ids and a merge keyed on (tick time, first message id,
-// shard) reproduces exactly the order the unsharded path uses for its
-// FIFO tie-breaks. Any non-contiguous assignment (round-robin, hashing)
+// The engine splits a FederatedDataset's device list across one or more
+// fleet shards. The partition is the determinism anchor of the whole
+// shard plane: shards are CONTIGUOUS index ranges, so per-shard message
+// streams stay sorted by the globally (wave, device)-ordered message ids
+// and a merge keyed on (tick time, first message id, shard) reproduces at
+// every width exactly the FIFO tie-breaks of a single shard. Any non-contiguous assignment (round-robin, hashing)
 // would break that per-stream sortedness.
 #pragma once
 

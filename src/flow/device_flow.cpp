@@ -204,8 +204,8 @@ Dispatcher::AttemptOutcome Dispatcher::TryAttempt(const Message& message,
 SimDuration Dispatcher::RetryDelay(std::uint64_t message_id,
                                    std::size_t attempt) const {
   // Exponential backoff, capped, plus deterministic jitter in [0, base/4]
-  // so equal-time retry collisions across messages are measure-zero (the
-  // merged shard log and the unsharded log tie-break equal stamps
+  // so equal-time retry collisions across messages are measure-zero
+  // (merged shard logs at different widths tie-break equal stamps
   // differently; jitter keeps that divergence out of reach).
   double base = ToSeconds(link_.backoff_initial);
   for (std::size_t k = 1; k < attempt; ++k) {

@@ -113,7 +113,8 @@ struct DispatchStats {
   /// Parallel to `batches`: the first shelved message id of each logged
   /// tick. Ids are assigned globally in wave- then device-order, so this
   /// is the equal-timestamp merge key that lets per-shard logs interleave
-  /// back into the single-fleet logging order (FlEngine::dispatch_stats).
+  /// into one order that is the same at every width
+  /// (FlEngine::dispatch_stats).
   std::vector<std::uint64_t> batch_keys;
   /// Executed ticks not recorded in `batches` because the cap was reached.
   std::size_t batches_truncated = 0;

@@ -45,7 +45,7 @@ std::size_t ShardMerger::DrainUpTo(SimTime horizon) {
 
 bool ShardMerger::DrainOne(SimTime horizon) {
   // Equal tick times resolve by first-message id (globally wave- then
-  // device-ordered — the single-loop scheduling order), then by shard
+  // device-ordered — the global scheduling order), then by shard
   // index; strict-less keeps per-shard FIFO as the final tie-break.
   SimTime best = sim::EventLoop::kNoEvent;
   std::uint64_t best_key = 0;

@@ -8,13 +8,13 @@
 //     (tick time, first message id, shard index, per-shard FIFO)
 //
 // order. Message ids are assigned globally at round start in
-// device-index order, so at any timestamp they encode exactly the
-// single-loop scheduling order: device order within one upload wave, and
-// wave order when two rounds' waves collide on the same microsecond
-// (e.g. two threshold rounds closing at one instant anchor both next
-// waves at the same time). With shards as CONTIGUOUS device-index ranges
-// (data::PartitionDevices), the merge therefore reproduces the global
-// FIFO order the unsharded dispatcher would have produced, making the
+// device-index order, so at any timestamp they encode one global
+// scheduling order: device order within one upload wave, and wave order
+// when two rounds' waves collide on the same microsecond (e.g. two
+// threshold rounds closing at one instant anchor both next waves at the
+// same time). With shards as CONTIGUOUS device-index ranges
+// (data::PartitionDevices), the merge therefore reproduces at every width
+// the FIFO order of one fleet (width 1, one channel), making the
 // reduction order into the aggregator — and every bit of the result —
 // independent of the shard width. This is the parameter-server-style
 // fixed-order reduction discipline: parallelism in the plane that

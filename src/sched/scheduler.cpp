@@ -47,10 +47,6 @@ ResourceRequest RequestFor(const TaskSpec& task) {
   return request;
 }
 
-std::vector<TaskSpec> GreedyScheduler::SchedulePass(TaskQueue& queue) {
-  return SchedulePassEx(queue, SchedulePolicy{}).launched;
-}
-
 ScheduleDecision GreedyScheduler::SchedulePassEx(TaskQueue& queue,
                                                  const SchedulePolicy& policy) {
   ScheduleDecision decision;

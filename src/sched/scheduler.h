@@ -61,14 +61,11 @@ class GreedyScheduler {
       : resources_(resources) {}
 
   /// One scheduling pass: walks the queue in priority order, freezing
-  /// resources for every task that fits. Returns the tasks to launch now
-  /// (their resources are already frozen; the caller must Release them
-  /// when each task finishes).
-  std::vector<TaskSpec> SchedulePass(TaskQueue& queue);
-
-  /// Policy-aware pass: kPriority reproduces SchedulePass exactly (plus
-  /// admission rejection when max_fleet_share is set); kWeightedFair
-  /// bounds each tenant's grab of the idle phones to its fair share.
+  /// resources for every task that fits, and removes the tasks no future
+  /// pass can satisfy. Launched tasks' resources are already frozen; the
+  /// caller must Release them when each task finishes. kPriority is the
+  /// paper's greedy pass; kWeightedFair bounds each tenant's grab of the
+  /// idle phones to its fair share.
   ScheduleDecision SchedulePassEx(TaskQueue& queue,
                                   const SchedulePolicy& policy);
 

@@ -1,8 +1,8 @@
 // Lockstep execution of one cloud-plane event loop plus N shard-plane
 // event loops against a per-tick merge barrier.
 //
-// The sharded-fleet topology splits a simulation's flow plane (device
-// uploads, dispatch ticks) across independent per-shard EventLoops while
+// The fleet-shard topology splits a simulation's flow plane (device
+// uploads, dispatch ticks) across one or more per-shard EventLoops while
 // cloud-side events (scheduled aggregations, stall guards, round
 // bookkeeping) stay on one global loop. Correctness then hinges on a
 // fixed interleaving discipline, which this executor owns:
@@ -29,12 +29,13 @@
 // follow the conventions above rather than a global scheduling sequence;
 // see core::FlExperimentConfig::shards for the user-facing contract.
 //
-// This is the one driver loop: solo, sharded and multi-tenant runs all go
-// through it (core::LockstepHooks supplies the hooks over a set of task
-// runtimes). The shard set is read once per barrier, before the cloud
-// step, so it may grow between barriers (multi-tenant admissions add
-// loops). With no shard loops the group steps the cloud loop alone, in
-// exactly EventLoop::Run()'s order.
+// This is the one driver loop: every FL run, solo or multi-tenant, at any
+// width, goes through it (core::LockstepHooks supplies the hooks over a
+// set of task runtimes, each with at least one shard loop). The shard set
+// is read once per barrier, before the cloud step, so it may grow between
+// barriers (multi-tenant admissions add loops). With no shard loops (no
+// runtime admitted) the group steps the cloud loop alone, in exactly
+// EventLoop::Run()'s order.
 #pragma once
 
 #include <cstddef>

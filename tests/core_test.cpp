@@ -7,6 +7,7 @@
 #include "core/platform.h"
 #include "data/synth_avazu.h"
 #include "flow/rate_functions.h"
+#include "golden_digest.h"
 
 namespace simdc::core {
 namespace {
@@ -143,6 +144,22 @@ TEST(FlEngineTest, FullDropoutSurvivesViaStallGuard) {
   // Rounds recorded as empty instead of hanging.
   ASSERT_EQ(result.rounds.size(), 2u);
   EXPECT_EQ(result.rounds[0].clients, 0u);
+  // Pins the stall guard's empty-round close: times, evaluation rows and
+  // the next round's anchor.
+  golden::ExpectGolden("core.stall_guard", golden::RunDigest(engine, result));
+}
+
+TEST(FlEngineTest, WidthOneRunsAsOneShardBehindTheMerger) {
+  // Every width takes the same topology: width 1 is one shard loop with
+  // one dispatcher feeding the merger, like any other width.
+  sim::EventLoop loop;
+  const auto dataset = SmallDataset(data::LabelDistribution::kNatural, 30);
+  auto config = BaseConfig();
+  config.shards = 1;
+  FlEngine engine(loop, dataset, config);
+  EXPECT_EQ(engine.shards(), 1u);
+  EXPECT_EQ(engine.runtime().ShardLoops().size(), 1u);
+  EXPECT_NE(engine.runtime().merger(), nullptr);
 }
 
 TEST(FlEngineTest, PartialParticipation) {
@@ -264,6 +281,36 @@ TEST(PlatformTest, PriorityOrderUnderContention) {
   std::set<std::uint64_t> seen;
   for (const auto& report : reports) seen.insert(report.id.value());
   EXPECT_EQ(seen.size(), 6u);
+}
+
+TEST(PlatformTest, RejectedTaskIsReported) {
+  // A task that can never fit the platform is refused by admission
+  // control; RunQueuedTasks must report it as failed instead of dropping
+  // it, next to the task that ran.
+  Platform platform;
+  auto fits = SimpleTask(40);
+  fits.id = platform.NextTaskId();
+  auto too_big = SimpleTask(40);
+  too_big.id = platform.NextTaskId();
+  too_big.requirements[0].logical_bundles = 100000;
+  ASSERT_TRUE(platform.SubmitTask(fits).ok());
+  ASSERT_TRUE(platform.SubmitTask(too_big).ok());
+  const auto reports = platform.RunQueuedTasks();
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(platform.queue().size(), 0u);
+  std::size_t rejected = 0;
+  for (const auto& report : reports) {
+    if (report.id == too_big.id) {
+      ++rejected;
+      EXPECT_FALSE(report.ok);
+      EXPECT_FALSE(report.detail.empty());
+      EXPECT_EQ(report.started, report.finished);
+    } else {
+      EXPECT_EQ(report.id, fits.id);
+      EXPECT_TRUE(report.ok);
+    }
+  }
+  EXPECT_EQ(rejected, 1u);
 }
 
 TEST(PlatformTest, FixedRatioExecution) {

@@ -144,6 +144,8 @@ struct ShardedOutcome {
   std::size_t messages_received = 0;
   std::size_t decode_failures = 0;
   std::size_t stale_rejections = 0;
+  /// golden::RunDigest of the run.
+  std::uint64_t digest = 0;
 };
 
 FlExperimentConfig ShardableConfig() {
@@ -169,6 +171,7 @@ ShardedOutcome RunShardedWith(const data::FederatedDataset& dataset,
   out.messages_received = engine.aggregation().messages_received();
   out.decode_failures = engine.aggregation().decode_failures();
   out.stale_rejections = engine.aggregation().stale_rejections();
+  out.digest = golden::RunDigest(engine, out.result);
   return out;
 }
 
@@ -188,8 +191,8 @@ void ExpectStatsIdentical(const flow::DispatchStats& a,
 
 TEST(ShardedDeterminismTest, WidthsBitIdenticalToUnshardedScheduled) {
   // Scheduled aggregation: rounds close on the cloud plane while uploads
-  // stream through per-shard dispatchers. shards=1 takes the unsharded
-  // code path (single loop, no merger) and is the reference.
+  // stream through per-shard dispatchers. shards=1 is the reference; the
+  // golden digest "determinism.shardable_scheduled" pins its bits.
   const auto dataset = Dataset();
   const auto reference = RunShardedWith(dataset, ShardableConfig(), 1);
   ASSERT_EQ(reference.result.rounds.size(), 3u);
@@ -246,14 +249,20 @@ TEST(ShardedDeterminismTest, PoolAdvancedShardsMatchSequential) {
   config.participants_per_round = 80;
   const auto sequential = RunShardedWith(dataset, config, 4, /*parallelism=*/1);
   EXPECT_GT(sequential.result.messages_dropped, 0u);
+  golden::ExpectGolden("determinism.partial_participation", sequential.digest,
+                       "shards=4 parallelism=1");
   for (const std::size_t parallelism : {2u, 4u, 8u}) {
     const auto pooled = RunShardedWith(dataset, config, 4, parallelism);
     ExpectIdentical(sequential.result, pooled.result, parallelism);
     ExpectStatsIdentical(sequential.stats, pooled.stats, parallelism);
+    golden::ExpectGolden("determinism.partial_participation", pooled.digest,
+                         "shards=4 parallelism=" + std::to_string(parallelism));
   }
-  // And the pooled sharded run still equals the unsharded reference.
+  // And width 1 gives the same run, pinned by the same golden digest.
   const auto reference = RunShardedWith(dataset, config, 1);
   ExpectIdentical(reference.result, sequential.result, 4);
+  golden::ExpectGolden("determinism.partial_participation", reference.digest,
+                       "shards=1");
 }
 
 TEST(ShardedDeterminismTest, SimultaneousUploadsStayWidthInvariant) {
@@ -273,33 +282,40 @@ TEST(ShardedDeterminismTest, SimultaneousUploadsStayWidthInvariant) {
   const auto reference = RunShardedWith(dataset, config, 1);
   ASSERT_EQ(reference.result.rounds.size(), 3u);
   EXPECT_GT(reference.result.messages_dropped, 0u);
+  golden::ExpectGolden("determinism.simultaneous_uploads", reference.digest,
+                       "shards=1");
   for (const std::size_t shards : {2u, 4u, 8u}) {
     const auto sharded = RunShardedWith(dataset, config, shards);
     ExpectIdentical(reference.result, sharded.result, shards);
     ExpectStatsIdentical(reference.stats, sharded.stats, shards);
+    golden::ExpectGolden("determinism.simultaneous_uploads", sharded.digest,
+                         "shards=" + std::to_string(shards));
   }
 }
 
 TEST(ShardedDeterminismTest, MultiMessageTicksDeterministicAtFixedWidth) {
   // Outside the width-invariance regime — multi-message thresholds and a
-  // finite (default 700/s) capacity — sharded runs must still be fully
+  // finite (default 700/s) capacity — runs must still be fully
   // deterministic at a fixed width, round-start pumps must stamp at the
   // round time (never a lockstep-barrier artifact behind it), and round
-  // timestamps must stay monotone.
+  // timestamps must stay monotone. Width 1 runs the same shard code as
+  // width 4, including the round-start pump as a shard-loop event.
   const auto dataset = Dataset();
   auto config = BaseConfig();
   config.strategy = flow::RealtimeAccumulated{{20, 100, 50}, 0.15};
   config.trigger = cloud::AggregationTrigger::kSampleThreshold;
   config.sample_threshold = 400;
-  const auto first = RunShardedWith(dataset, config, 4);
-  const auto again = RunShardedWith(dataset, config, 4);
-  ExpectIdentical(first.result, again.result, 4);
-  ExpectStatsIdentical(first.stats, again.stats, 4);
-  ASSERT_EQ(first.result.rounds.size(), 3u);
-  SimTime last = 0;
-  for (const auto& round : first.result.rounds) {
-    EXPECT_GE(round.time, last);
-    last = round.time;
+  for (const std::size_t shards : {1u, 4u}) {
+    const auto first = RunShardedWith(dataset, config, shards);
+    const auto again = RunShardedWith(dataset, config, shards);
+    ExpectIdentical(first.result, again.result, shards);
+    ExpectStatsIdentical(first.stats, again.stats, shards);
+    ASSERT_EQ(first.result.rounds.size(), 3u) << "shards=" << shards;
+    SimTime last = 0;
+    for (const auto& round : first.result.rounds) {
+      EXPECT_GE(round.time, last) << "shards=" << shards;
+      last = round.time;
+    }
   }
 }
 
@@ -476,7 +492,7 @@ TEST(ShardedDeterminismTest, DecodeFailureAccountingParityAcrossPlanes) {
 
 TEST(ShardedDeterminismTest, ShardCountClampsToDevices) {
   // More fleets than devices must degrade gracefully to one device per
-  // fleet, still bit-identical to the unsharded run.
+  // fleet, still bit-identical to the width-1 run.
   const auto dataset = Dataset(6);
   auto config = ShardableConfig();
   config.rounds = 2;

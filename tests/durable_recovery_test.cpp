@@ -811,9 +811,9 @@ TEST(DurableRecoveryMatrixTest, AllShardWidthsAndCodecsRecoverBitIdentical) {
 
 TEST(DurableRecoveryTest, SlaCountersMatchDispatchStats) {
   // Sla() sums dispatcher counters without touching the batch logs; the
-  // sums must equal the full dispatch_stats() merge on the unsharded and
-  // sharded paths, and on a resumed engine whose counters include the
-  // checkpointed prefix.
+  // sums must equal the full dispatch_stats() merge at widths 1 and 4,
+  // and on a resumed engine whose counters include the checkpointed
+  // prefix.
   const auto dataset = SmallDataset();
   FlExperimentConfig config = BaseConfig();
   config.strategy = flow::RealtimeAccumulated{{1}, 0.1};

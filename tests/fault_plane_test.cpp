@@ -615,6 +615,8 @@ struct FaultOutcome {
   std::size_t messages_received = 0;
   std::size_t decode_failures = 0;
   std::size_t stale_rejections = 0;
+  /// golden::RunDigest of the run.
+  std::uint64_t digest = 0;
 };
 
 FaultOutcome RunFault(const data::FederatedDataset& dataset,
@@ -628,6 +630,7 @@ FaultOutcome RunFault(const data::FederatedDataset& dataset,
   out.messages_received = engine.aggregation().messages_received();
   out.decode_failures = engine.aggregation().decode_failures();
   out.stale_rejections = engine.aggregation().stale_rejections();
+  out.digest = golden::RunDigest(engine, out.result);
   return out;
 }
 
@@ -754,10 +757,14 @@ TEST(FaultPlaneEngineTest, QuorumDeadlineDegradesRoundsGracefully) {
   for (const auto& round : outcome.result.rounds) {
     EXPECT_GE(round.clients, 10u);  // every commit carried quorum
   }
+  golden::ExpectGolden("fault_plane.quorum_degraded", outcome.digest,
+                       "shards=1");
   // Degradation under faults is ALSO width-invariant.
   for (const std::size_t shards : {2u, 4u}) {
-    ExpectOutcomesIdentical(outcome, RunFault(dataset, config, shards),
-                            shards);
+    const auto sharded = RunFault(dataset, config, shards);
+    ExpectOutcomesIdentical(outcome, sharded, shards);
+    golden::ExpectGolden("fault_plane.quorum_degraded", sharded.digest,
+                         "shards=" + std::to_string(shards));
   }
 }
 
@@ -777,6 +784,9 @@ TEST(FaultPlaneEngineTest, QuorumNeverMetAbortsEveryRound) {
   for (const auto& round : outcome.result.rounds) {
     EXPECT_EQ(round.clients, 0u);  // nothing aggregated
   }
+  // Pins the abort path's empty-round close: times, evaluation rows and
+  // the next round's anchor.
+  golden::ExpectGolden("fault_plane.quorum_abort", outcome.digest);
 }
 
 TEST(FaultPlaneEngineTest, TraceReplayGatesParticipation) {

@@ -15,6 +15,7 @@
 #include "core/multi_tenant.h"
 #include "data/synth_avazu.h"
 #include "flow/rate_functions.h"
+#include "golden_digest.h"
 
 namespace simdc::core {
 namespace {
@@ -171,10 +172,18 @@ TEST(MultiTenantTest, ContentionFreeTenantsMatchSoloInSequence) {
 
 // ---------- Shard-width / parallelism invariance ----------
 
+/// golden::AddRun over every tenant's result, in task-id order.
+std::uint64_t TenantsDigest(const std::vector<TenantResult>& results) {
+  golden::Digest d;
+  for (const TenantResult& tenant : results) golden::AddRun(d, tenant.result);
+  return d.value();
+}
+
 TEST(MultiTenantTest, ShardWidthsBitIdenticalAcrossTenants) {
   // All tenants sharded at width w, for w in {1, 2, 4, 8}: per-task
-  // results must match the all-unsharded reference bit for bit — the
-  // cross-tenant merge barrier must not perturb any tenant's stream.
+  // results must match the width-1 reference bit for bit — the
+  // cross-tenant merge barrier must not perturb any tenant's stream — and
+  // every width must reproduce the golden digest over all four tenants.
   const auto dataset = Dataset();
   auto make_tasks = [&](std::size_t shards) {
     std::vector<TenantTask> tasks;
@@ -187,6 +196,8 @@ TEST(MultiTenantTest, ShardWidthsBitIdenticalAcrossTenants) {
   };
   const auto reference = RunTenants(make_tasks(1));
   ASSERT_EQ(reference.results.size(), 4u);
+  golden::ExpectGolden("multi_tenant.width_sweep",
+                       TenantsDigest(reference.results), "shards=1");
   for (const std::size_t shards : {2u, 4u, 8u}) {
     auto run = RunTenants(make_tasks(shards));
     ASSERT_EQ(run.results.size(), 4u);
@@ -196,6 +207,8 @@ TEST(MultiTenantTest, ShardWidthsBitIdenticalAcrossTenants) {
                       "shards=" + std::to_string(shards) + " task " +
                           std::to_string(i + 1));
     }
+    golden::ExpectGolden("multi_tenant.width_sweep", TenantsDigest(run.results),
+                         "shards=" + std::to_string(shards));
   }
 }
 
@@ -214,8 +227,8 @@ TEST(MultiTenantTest, MixedShardWidthsEachMatchSolo) {
   ASSERT_EQ(run.results.size(), 4u);
   for (std::uint64_t id = 1; id <= 4; ++id) {
     ASSERT_TRUE(run.results[id - 1].completed);
-    // Solo sharded == solo unsharded (existing contract), so the
-    // unsharded solo run is the reference for every width.
+    // A solo run is width-invariant (existing contract), so the solo
+    // run at the default width 1 is the reference for every width.
     ExpectIdentical(RunSolo(dataset, BaseFl(id)), run.results[id - 1].result,
                     "mixed width task " + std::to_string(id));
   }

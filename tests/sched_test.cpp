@@ -396,7 +396,7 @@ TEST(GreedySchedulerTest, LaunchesHighestPriorityThatFits) {
   ASSERT_TRUE(queue.Submit(MakeTask(1, 1)).ok());
   ASSERT_TRUE(queue.Submit(big).ok());
 
-  const auto launched = scheduler.SchedulePass(queue);
+  const auto launched = scheduler.SchedulePassEx(queue, {}).launched;
   // Big task frozen first (priority), small one no longer fits.
   ASSERT_EQ(launched.size(), 1u);
   EXPECT_EQ(launched[0].id, TaskId(2));
@@ -404,7 +404,7 @@ TEST(GreedySchedulerTest, LaunchesHighestPriorityThatFits) {
 
   // After releasing, the next pass launches the small task.
   ASSERT_TRUE(manager.Release(RequestFor(launched[0])).ok());
-  const auto second = scheduler.SchedulePass(queue);
+  const auto second = scheduler.SchedulePassEx(queue, {}).launched;
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second[0].id, TaskId(1));
 }
@@ -415,7 +415,7 @@ TEST(GreedySchedulerTest, LaunchesMultipleWhenAllFit) {
   TaskQueue queue;
   ASSERT_TRUE(queue.Submit(MakeTask(1, 1)).ok());
   ASSERT_TRUE(queue.Submit(MakeTask(2, 2)).ok());
-  const auto launched = scheduler.SchedulePass(queue);
+  const auto launched = scheduler.SchedulePassEx(queue, {}).launched;
   EXPECT_EQ(launched.size(), 2u);
   EXPECT_TRUE(queue.empty());
 }
