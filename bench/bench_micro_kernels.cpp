@@ -1,10 +1,11 @@
 // Google-benchmark microbenchmarks for SimDC's hot kernels: local LR
 // training (both operators), FedAvg accumulation, model serialization,
-// AUC discretization and ranking, event-loop throughput, and synthetic
+// rate discretization, evaluation, event-loop throughput, and synthetic
 // data generation. These quantify the per-device costs that the Fig. 7/8
 // cost models parameterize. After the google-benchmark run, a custom main
-// hand-times the AUC rank paths and emits OPTIME lines so the
-// bench/compare.py regression gate sees them.
+// hand-times the FedAvg cascade kernels, checks that their variants agree
+// bit for bit, and emits OPTIME lines so the bench/compare.py regression
+// gate sees them.
 #include <benchmark/benchmark.h>
 
 #include <bit>
@@ -12,7 +13,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "bench_util.h"
@@ -136,7 +136,7 @@ void BM_EventLoopThroughput(benchmark::State& state) {
 BENCHMARK(BM_EventLoopThroughput)->Arg(1024)->Arg(65536);
 
 void BM_Evaluate(benchmark::State& state) {
-  // Single-pass Evaluate: accuracy + logloss + AUC from one forward pass.
+  // Single-pass Evaluate: accuracy + logloss from one forward pass.
   const auto& dataset = Shards();
   ml::LrModel model(dataset.hash_dim);
   ml::ServerLrOperator op;
@@ -147,45 +147,12 @@ void BM_Evaluate(benchmark::State& state) {
   }
   for (auto _ : state) {
     const auto report = ml::Evaluate(model, pool);
-    benchmark::DoNotOptimize(report.auc);
+    benchmark::DoNotOptimize(report.logloss);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(pool.size()));
 }
 BENCHMARK(BM_Evaluate);
-
-void BM_AucRankPath(benchmark::State& state) {
-  // The AUC rank statistic at eval-cap scale, pinned to one sort path:
-  // Arg(0) = comparison pair-sort, Arg(1) = LSD radix over order-
-  // preserving keys. Identical bits, different wall time.
-  const auto n = static_cast<std::size_t>(state.range(1));
-  data::SynthConfig config;
-  config.num_devices = 64;
-  config.records_per_device_mean = n / 64 + 1;
-  config.hash_dim = 1u << 14;
-  config.seed = 11;
-  const auto dataset = data::GenerateSyntheticAvazu(config);
-  ml::LrModel model(dataset.hash_dim);
-  ml::ServerLrOperator op;
-  op.Train(model, dataset.devices[0].examples, {});
-  std::vector<data::Example> pool;
-  for (const auto& device : dataset.devices) {
-    for (const auto& example : device.examples) {
-      if (pool.size() < n) pool.push_back(example);
-    }
-  }
-  const std::size_t saved = ml::GetAucRadixThreshold();
-  ml::SetAucRadixThreshold(
-      state.range(0) == 0 ? std::numeric_limits<std::size_t>::max() : 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ml::Auc(model, pool));
-  }
-  ml::SetAucRadixThreshold(saved);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(pool.size()));
-}
-BENCHMARK(BM_AucRankPath)
-    ->ArgsProduct({{0, 1}, {4096, 20000}});
 
 void BM_SolveHybridAllocation(benchmark::State& state) {
   // Fig. 7 solver: candidate generation dominates at large device counts.
@@ -242,46 +209,6 @@ void BM_SyntheticDataGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SyntheticDataGeneration)->Arg(100)->Arg(1000);
-
-/// Hand-timed OPTIME ops for the compare.py gate: the AUC rank statistic
-/// at eval-cap scale (20k scores — FlEngine's default eval_cap) on each
-/// sort path. Deterministic inputs; enough repeats to clear the gate's
-/// 1 ms noise floor.
-void EmitAucRankOpTimings() {
-  data::SynthConfig config;
-  config.num_devices = 64;
-  config.records_per_device_mean = 320;
-  config.hash_dim = 1u << 14;
-  config.seed = 23;
-  const auto dataset = data::GenerateSyntheticAvazu(config);
-  ml::LrModel model(dataset.hash_dim);
-  ml::ServerLrOperator op;
-  op.Train(model, dataset.devices[0].examples, {});
-  std::vector<data::Example> pool;
-  for (const auto& device : dataset.devices) {
-    for (const auto& example : device.examples) {
-      if (pool.size() < 20000) pool.push_back(example);
-    }
-  }
-  const std::size_t saved = ml::GetAucRadixThreshold();
-  constexpr int kRepeats = 50;
-  double sink = 0.0;
-  for (const bool radix : {false, true}) {
-    ml::SetAucRadixThreshold(
-        radix ? 0 : std::numeric_limits<std::size_t>::max());
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < kRepeats; ++i) sink += ml::Auc(model, pool);
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    bench::OpTimings::Instance().Record(
-        radix ? "auc_rank_radix_20k" : "auc_rank_sort_20k",
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count()),
-        kRepeats);
-  }
-  ml::SetAucRadixThreshold(saved);
-  benchmark::DoNotOptimize(sink);
-}
 
 /// Byte equality of two double planes (+0.0 and -0.0 differ).
 bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
@@ -425,7 +352,6 @@ int main(int argc, char** argv) {
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
-  EmitAucRankOpTimings();
   const bool kernels_identical = EmitFedAvgKernelOpTimings();
   simdc::bench::EmitOpTimings();
   return kernels_identical ? 0 : 1;

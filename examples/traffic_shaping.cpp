@@ -66,7 +66,6 @@ int main() {
     m.id = MessageId(i + 1);
     m.task = TaskId(1);
     m.device = DeviceId(i);
-    m.payload_bytes = 33 * 1024;
     if (!device_flow.OnMessage(std::move(m)).ok()) return 1;
   }
   if (!device_flow.OnRoundEnd(TaskId(1), 0).ok()) return 1;

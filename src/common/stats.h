@@ -73,7 +73,8 @@ class Histogram {
   /// empty histogram; p clamps to [0, 1].
   double ApproxPercentile(double p) const;
 
-  /// Renders a compact ASCII bar chart (used by bench binaries).
+  /// Renders a compact ASCII bar chart: one "[lo, hi) count ###" row per
+  /// bin, bars scaled to `width` at the fullest bin.
   std::string ToAscii(std::size_t width = 40) const;
 
  private:

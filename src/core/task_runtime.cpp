@@ -481,13 +481,11 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
     message.task = config_.task;
     message.device = trained.device;
     message.round = aggregation_round;
-    message.payload_bytes = static_cast<std::int64_t>(payload_bytes);
     message.payload = payloads.id(slot);
     if (config_.reclaim_payload_blobs) {
       round_blob_ids_.push_back(message.payload);
     }
     message.sample_count = trained.samples;
-    message.created = when;  // == loop time when the upload event fires
     ++result_.messages_emitted;
     const std::size_t s = data::ShardOf(participants[slot],
                                         dataset_.devices.size(), shards_.size());

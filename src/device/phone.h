@@ -120,12 +120,6 @@ class Phone {
   /// Exact bytes communicated in [t0, t1).
   std::int64_t CommBytesBetween(SimTime t0, SimTime t1) const;
 
-  // --- Occupancy bookkeeping used by PhoneMgr ---
-  bool busy() const { return busy_; }
-  void set_busy(bool busy) { busy_ = busy; }
-  bool benchmarking() const { return benchmarking_; }
-  void set_benchmarking(bool b) { benchmarking_ = b; }
-
  private:
   Rng NoiseAt(SimTime t, std::uint64_t salt) const {
     return Rng(spec_.seed).Split(static_cast<std::uint64_t>(t) ^ salt);
@@ -138,8 +132,6 @@ class Phone {
   const ManualClock& clock_;
   PowerModel power_;
   std::vector<RunPlan> plans_;  // non-overlapping, time-ordered
-  bool busy_ = false;
-  bool benchmarking_ = false;
 };
 
 }  // namespace simdc::device

@@ -206,13 +206,16 @@ SimDuration Dispatcher::RetryDelay(std::uint64_t message_id,
   // Exponential backoff, capped, plus deterministic jitter in [0, base/4]
   // so equal-time retry collisions across messages are measure-zero
   // (merged shard logs at different widths tie-break equal stamps
-  // differently; jitter keeps that divergence out of reach).
+  // differently; jitter keeps that divergence out of reach). The cap test
+  // runs on the double: a huge multiplier takes `base` past SimDuration's
+  // range, where Seconds() would overflow.
+  const double cap_us = static_cast<double>(link_.backoff_max);
   double base = ToSeconds(link_.backoff_initial);
-  for (std::size_t k = 1; k < attempt; ++k) {
+  for (std::size_t k = 1; k < attempt && base * 1e6 < cap_us; ++k) {
     base *= link_.backoff_multiplier;
-    if (Seconds(base) >= link_.backoff_max) break;
   }
-  SimDuration backoff = std::min(link_.backoff_max, Seconds(base));
+  SimDuration backoff =
+      base * 1e6 < cap_us ? Seconds(base) : link_.backoff_max;
   if (backoff < 1) backoff = 1;
   const std::uint64_t jitter_draw =
       DeterministicHash(retry_seed_, message_id, attempt * 2 + 1);

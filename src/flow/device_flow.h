@@ -214,13 +214,6 @@ class Dispatcher {
   /// closures capture `this` and are cancelled on destruction.
   std::size_t pending_retries() const;
 
-  /// Tick-buffer recycling telemetry: how many buffer acquisitions across
-  /// all kinds were served from the pool instead of the heap.
-  std::size_t tick_buffer_reuses() const {
-    return tick_pool_->messages.reuses() + tick_pool_->arrivals.reuses() +
-           tick_pool_->decoded.reuses();
-  }
-
  private:
   /// Takes up to `count` from the shelf, applies dropout, rate-limits
   /// delivery to the downstream endpoint.

@@ -5,12 +5,14 @@
 // messages to cloud services. Cloud services then retrieve the
 // corresponding data from storage based on the received messages." A
 // Message therefore carries a *reference* to the payload blob, not the
-// payload itself.
+// payload itself. Every dispatch tick copies its messages through tick
+// buffers and DecodedUpdates, so a Message holds only what the flow plane
+// and the cloud read: routing keys, the blob reference and the sample
+// count.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
-#include "common/clock.h"
 #include "common/ids.h"
 
 namespace simdc::flow {
@@ -24,12 +26,9 @@ struct Message {
   std::size_t round = 0;
   /// Blob in cloud storage holding the uploaded result (model update).
   BlobId payload;
-  std::int64_t payload_bytes = 0;
   /// Local training samples behind this update (drives sample-threshold
   /// aggregation, Fig. 9a).
   std::size_t sample_count = 0;
-  /// When the device produced the result.
-  SimTime created = 0;
 };
 
 }  // namespace simdc::flow

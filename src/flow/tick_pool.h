@@ -29,14 +29,14 @@
 namespace simdc::flow {
 
 /// Free list of retired std::vector<T> buffers. Acquire hands back a
-/// recycled buffer (cleared, capacity intact) when one is available.
+/// recycled buffer (cleared, capacity intact) when one is available, a
+/// fresh one otherwise. Both calls sit on every dispatch tick, so the pool
+/// keeps no statistics.
 template <typename T>
 class VectorPool {
  public:
   std::vector<T> Acquire() {
-    ++acquires_;
     if (free_.empty()) return {};
-    ++reuses_;
     std::vector<T> out = std::move(free_.back());
     free_.pop_back();
     return out;
@@ -51,17 +51,11 @@ class VectorPool {
     }
   }
 
-  /// Telemetry: total acquisitions and how many were satisfied by reuse.
-  std::size_t acquires() const { return acquires_; }
-  std::size_t reuses() const { return reuses_; }
-
  private:
   /// Bounds idle memory: a dispatcher has at most a few ticks in flight
   /// (dispatch + scheduled deliveries), so a short list captures them all.
   static constexpr std::size_t kMaxFree = 8;
   std::vector<std::vector<T>> free_;
-  std::size_t acquires_ = 0;
-  std::size_t reuses_ = 0;
 };
 
 /// The three buffer kinds a dispatch tick cycles through.

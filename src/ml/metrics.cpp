@@ -1,26 +1,10 @@
 #include "ml/metrics.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
-#include <limits>
-#include <vector>
+#include <cstddef>
 
 namespace simdc::ml {
-
-namespace {
-// Crossover measured on the dev container (bench_micro_kernels
-// auc_rank_{sort,radix} ops): radix wins clearly by a few thousand
-// scores; below that std::sort's cache locality is competitive.
-std::size_t g_auc_radix_threshold = 4096;
-}  // namespace
-
-std::size_t GetAucRadixThreshold() { return g_auc_radix_threshold; }
-void SetAucRadixThreshold(std::size_t min_examples) {
-  g_auc_radix_threshold = min_examples;
-}
 
 double Accuracy(const LrModel& model, std::span<const data::Example> examples,
                 double threshold) {
@@ -45,140 +29,26 @@ double LogLoss(const LrModel& model,
   return total / static_cast<double>(examples.size());
 }
 
-namespace {
-
-/// Monotone 64-bit key for a (finite) double: key(a) < key(b) iff a < b,
-/// except -0.0 < +0.0 (numerically equal; the tie walk below compares
-/// scores, not keys, so the pair still lands in one tie group). Sign bit
-/// flipped for non-negatives, all bits flipped for negatives — the
-/// classic order-preserving IEEE-754 remap.
-std::uint64_t OrderedKey(double value) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return (bits & 0x8000000000000000ull) != 0 ? ~bits
-                                             : bits ^ 0x8000000000000000ull;
-}
-
-/// Stable LSD radix sort of (score, positive) pairs by ascending score.
-/// 8 digit histograms are built in one pass; passes whose digit is
-/// constant across all keys (common: CTR scores share exponent bytes)
-/// are skipped outright.
-void RadixSortByScore(std::vector<std::pair<double, bool>>& scored) {
-  const std::size_t n = scored.size();
-  if (n < 2) return;
-  struct Keyed {
-    std::uint64_t key;
-    std::pair<double, bool> value;
-  };
-  std::vector<Keyed> from(n);
-  std::vector<Keyed> to(n);
-  constexpr std::size_t kDigits = 8;
-  std::array<std::array<std::size_t, 256>, kDigits> counts{};
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t key = OrderedKey(scored[i].first);
-    from[i] = {key, scored[i]};
-    for (std::size_t d = 0; d < kDigits; ++d) {
-      ++counts[d][(key >> (8 * d)) & 0xff];
-    }
-  }
-  Keyed* src = from.data();
-  Keyed* dst = to.data();
-  for (std::size_t d = 0; d < kDigits; ++d) {
-    auto& count = counts[d];
-    const std::size_t first_bucket = (src[0].key >> (8 * d)) & 0xff;
-    if (count[first_bucket] == n) continue;  // constant digit: no-op pass
-    std::array<std::size_t, 256> offsets;
-    std::size_t running = 0;
-    for (std::size_t b = 0; b < 256; ++b) {
-      offsets[b] = running;
-      running += count[b];
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[offsets[(src[i].key >> (8 * d)) & 0xff]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
-  for (std::size_t i = 0; i < n; ++i) scored[i] = src[i].value;
-}
-
-/// Tie-averaged rank statistic over (score, is_positive) pairs. Sorts
-/// `scored` in place — radix at GetAucRadixThreshold() scores and above,
-/// comparison sort below; identical bits either way. The caller has
-/// already ruled out the degenerate single-class / empty cases.
-double AucFromScored(std::vector<std::pair<double, bool>>& scored,
-                     std::size_t positives) {
-  if (scored.size() >= GetAucRadixThreshold()) {
-    RadixSortByScore(scored);
-  } else {
-    std::sort(scored.begin(), scored.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-  }
-
-  // Sum of ranks of positives, averaging ranks across tied scores.
-  double positive_rank_sum = 0.0;
-  std::size_t i = 0;
-  while (i < scored.size()) {
-    std::size_t j = i;
-    while (j < scored.size() && scored[j].first == scored[i].first) ++j;
-    const double avg_rank = (static_cast<double>(i + 1) + static_cast<double>(j)) / 2.0;
-    for (std::size_t k = i; k < j; ++k) {
-      if (scored[k].second) positive_rank_sum += avg_rank;
-    }
-    i = j;
-  }
-  const auto np = static_cast<double>(positives);
-  const auto nn = static_cast<double>(scored.size() - positives);
-  return (positive_rank_sum - np * (np + 1.0) / 2.0) / (np * nn);
-}
-
-}  // namespace
-
-double Auc(const LrModel& model, std::span<const data::Example> examples) {
-  // Cheap label-only pass first: a single-class (or empty) set is 0.5 by
-  // definition and needs neither the scoring pass nor the pair-sort buffer.
-  std::size_t positives = 0;
-  for (const auto& example : examples) positives += example.label > 0.5f ? 1 : 0;
-  if (positives == 0 || positives == examples.size()) return 0.5;
-
-  std::vector<std::pair<double, bool>> scored;
-  scored.reserve(examples.size());
-  for (const auto& example : examples) {
-    scored.emplace_back(model.Score(example), example.label > 0.5f);
-  }
-  return AucFromScored(scored, positives);
-}
-
 EvalReport Evaluate(const LrModel& model,
                     std::span<const data::Example> examples) {
   // Hot path (called twice per FL round): score every example exactly once
-  // and derive all three metrics from that single forward pass, instead of
-  // the three independent passes Accuracy/LogLoss/Auc would make.
+  // and derive both metrics from that single forward pass, instead of the
+  // two independent passes Accuracy/LogLoss would make.
   EvalReport report;
-  report.examples = examples.size();
-  report.auc = 0.5;
   if (examples.empty()) return report;
 
-  std::vector<std::pair<double, bool>> scored;
-  scored.reserve(examples.size());
   std::size_t correct = 0;
-  std::size_t positives = 0;
   double total_logloss = 0.0;
   for (const auto& example : examples) {
-    const double score = model.Score(example);
-    const double probability = 1.0 / (1.0 + std::exp(-score));
+    const double probability = 1.0 / (1.0 + std::exp(-model.Score(example)));
     const bool actual = example.label > 0.5f;
     correct += (probability >= 0.5) == actual ? 1 : 0;
     const double p = std::clamp(probability, 1e-12, 1.0 - 1e-12);
     total_logloss += actual ? -std::log(p) : -std::log(1.0 - p);
-    positives += actual ? 1 : 0;
-    scored.emplace_back(score, actual);
   }
   const auto n = static_cast<double>(examples.size());
   report.accuracy = static_cast<double>(correct) / n;
   report.logloss = total_logloss / n;
-  if (positives > 0 && positives < examples.size()) {
-    report.auc = AucFromScored(scored, positives);
-  }
   return report;
 }
 

@@ -1,24 +1,12 @@
-// Evaluation metrics for the CTR task: accuracy, log-loss and AUC.
+// Evaluation metrics for the CTR task: accuracy and log-loss.
 #pragma once
 
-#include <cstddef>
 #include <span>
 
 #include "data/example.h"
 #include "ml/lr_model.h"
 
 namespace simdc::ml {
-
-/// Score count at or above which the AUC rank statistic ranks via an LSD
-/// radix sort over order-preserving 64-bit score keys instead of the
-/// comparison pair-sort (the eval bottleneck once scoring was cut to one
-/// pass). Both paths are EXACT and produce bit-identical AUC — the radix
-/// key is the IEEE-754 bit pattern monotonically remapped, not a lossy
-/// quantization, and tie groups are still detected by score equality (so
-/// -0.0/+0.0 stay one group). Below the cap the comparison sort's cache
-/// behavior wins; 0 forces radix everywhere, SIZE_MAX disables it.
-std::size_t GetAucRadixThreshold();
-void SetAucRadixThreshold(std::size_t min_examples);
 
 /// Fraction of examples where thresholded prediction matches the label.
 double Accuracy(const LrModel& model, std::span<const data::Example> examples,
@@ -27,20 +15,14 @@ double Accuracy(const LrModel& model, std::span<const data::Example> examples,
 /// Mean binary cross-entropy (clamped probabilities).
 double LogLoss(const LrModel& model, std::span<const data::Example> examples);
 
-/// Area under the ROC curve via the rank statistic (ties averaged).
-/// Returns 0.5 when one class is absent.
-double Auc(const LrModel& model, std::span<const data::Example> examples);
-
 struct EvalReport {
   double accuracy = 0.0;
   double logloss = 0.0;
-  double auc = 0.0;
-  std::size_t examples = 0;
 };
 
-/// Computes all three metrics from a single scoring pass over `examples`
-/// (identical results to calling Accuracy/LogLoss/Auc individually, at a
-/// third of the forward-pass cost).
+/// Computes both metrics from a single scoring pass over `examples`
+/// (identical results to calling Accuracy/LogLoss individually, at half
+/// the forward-pass cost).
 EvalReport Evaluate(const LrModel& model,
                     std::span<const data::Example> examples);
 

@@ -16,7 +16,7 @@ constexpr double kClosureSeconds = 15.0;  // Table I stage 5: 0.25 min
 
 PhoneId PhoneMgr::RegisterPhone(const PhoneSpec& spec) {
   // First registration wins: a second phone with the same id would be
-  // unreachable through every id-keyed path (FindPhone, MarkBusy,
+  // unreachable through every id-keyed path (FindPhone, CountersFor,
   // ReleasePhone) and would desynchronize the idle free-lists, so it is
   // not admitted at all.
   if (store_.SlotOf(spec.id.value()) != npos) return spec.id;
@@ -73,16 +73,9 @@ std::optional<PhonePerfCounters> PhoneMgr::CountersFor(PhoneId id) const {
   return store_.counters(slot);
 }
 
-void PhoneMgr::MarkBusy(std::size_t slot) {
-  phone_slots_[slot]->set_busy(true);
-  store_.SetBusy(slot, true);
-}
-
 void PhoneMgr::ReleasePhone(PhoneId id) {
   const std::size_t slot = store_.SlotOf(id.value());
   if (slot == npos) return;  // unregistered while its job wound down
-  phone_slots_[slot]->set_busy(false);
-  phone_slots_[slot]->set_benchmarking(false);
   store_.SetOwner(slot, TaskId());
   store_.SetBusy(slot, false);
 }
@@ -118,10 +111,7 @@ Result<PhoneJobHandle> PhoneMgr::SubmitJob(const PhoneJob& job) {
   handle.task = job.task;
   InstallPlans(job, computing, benchmarking, handle);
 
-  for (const std::size_t slot : benchmarking) {
-    phone_slots_[slot]->set_benchmarking(true);
-    ArmSampler(slot, job);
-  }
+  for (const std::size_t slot : benchmarking) ArmSampler(slot, job);
 
   // Completion: free phones and fire the callback at the latest closure.
   std::vector<PhoneId> all_ids = handle.computing;
@@ -238,7 +228,7 @@ void PhoneMgr::InstallPlans(const PhoneJob& job,
       end = plan.closure_end;
       phone.ScheduleRun(std::move(plan));
     }
-    MarkBusy(slot);
+    store_.SetBusy(slot, true);
     store_.SetOwner(slot, job.task);
     ++store_.counters(slot).jobs_assigned;
     handle.finish_time = std::max(handle.finish_time, end);

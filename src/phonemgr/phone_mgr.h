@@ -154,9 +154,6 @@ class PhoneMgr {
   void RunSampler(adb::AdbServer* shell, Phone* phone, std::string process,
                   TaskId task, PhoneId phone_id, SimDuration period,
                   SimTime end);
-  /// Busy-flag transitions routed through the manager so the store's idle
-  /// free-lists stay in sync with Phone::busy().
-  void MarkBusy(std::size_t slot);
   void ReleasePhone(PhoneId id);
 
   static constexpr std::size_t npos = FleetStore::npos;

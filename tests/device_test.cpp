@@ -227,16 +227,6 @@ TEST(PhoneTest, EnergyIntegralMatchesTableI) {
   EXPECT_NEAR(total, split, 1e-9);
 }
 
-TEST(PhoneTest, BusyAndBenchmarkingFlags) {
-  ManualClock clock;
-  Phone phone(HighSpec(), clock);
-  EXPECT_FALSE(phone.busy());
-  phone.set_busy(true);
-  phone.set_benchmarking(true);
-  EXPECT_TRUE(phone.busy());
-  EXPECT_TRUE(phone.benchmarking());
-}
-
 // ---------- fleets ----------
 
 TEST(FleetTest, DefaultClusterMatchesPaper) {

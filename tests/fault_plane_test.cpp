@@ -390,6 +390,30 @@ TEST(LinkPolicyTest, RetryScheduleIsSeedDeterministic) {
   EXPECT_NE(a.batches, c.batches);  // the seed actually matters
 }
 
+TEST(LinkPolicyTest, HugeBackoffMultiplierCapsAtBackoffMax) {
+  // The second retry's base is 1e300 s, far past SimDuration's range: it
+  // must cap at backoff_max (60 s), which lands past the 30 s deadline.
+  sim::EventLoop loop;
+  CountingEndpoint sink;
+  flow::Dispatcher dispatcher(loop, TaskId(1),
+                              flow::RealtimeAccumulated{{1}, 0.0}, &sink, 21);
+  flow::LinkPolicy link;
+  link.transient_failure_probability = 1.0;
+  link.max_attempts = 3;
+  link.backoff_initial = Seconds(1.0);
+  link.backoff_multiplier = 1e300;
+  link.backoff_max = Seconds(60.0);
+  link.upload_deadline = Seconds(30.0);
+  dispatcher.set_link_policy(link);
+  dispatcher.OnMessage(LinkMessage(1));
+  loop.Run();
+  const flow::DispatchStats& stats = dispatcher.stats();
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.deadline_drops, 1u);
+  EXPECT_EQ(stats.dropped, 1u);
+  EXPECT_EQ(stats.sent, 0u);
+}
+
 TEST(ChurnRegressionTest, UnregisterPhoneWithPendingRetriesNoDangling) {
   // The churn scenario with dangling potential: a device leaves the fleet
   // (PhoneMgr::UnregisterPhone) while its dispatcher still has in-flight

@@ -559,44 +559,17 @@ TEST(MetricsTest, LogLossOfZeroModelIsLn2) {
   EXPECT_NEAR(LogLoss(model, examples), std::log(2.0), 1e-9);
 }
 
-TEST(MetricsTest, AucPerfectRanking) {
-  LrModel model(4);
-  model.weights()[0] = 3.0f;
-  std::vector<data::Example> examples = {
-      MakeExample({0}, 1), MakeExample({0}, 1), MakeExample({1}, 0),
-      MakeExample({2}, 0)};
-  EXPECT_DOUBLE_EQ(Auc(model, examples), 1.0);
-}
-
-TEST(MetricsTest, AucRandomScoresNearHalf) {
-  LrModel model(4);  // all-zero: every score ties → AUC 0.5 by convention
-  std::vector<data::Example> examples;
-  for (int i = 0; i < 100; ++i) {
-    examples.push_back(MakeExample({static_cast<std::uint32_t>(i % 4)},
-                                   i % 3 == 0 ? 1.0f : 0.0f));
-  }
-  EXPECT_NEAR(Auc(model, examples), 0.5, 1e-9);
-}
-
-TEST(MetricsTest, AucSingleClassIsHalf) {
-  LrModel model(4);
-  std::vector<data::Example> examples = {MakeExample({0}, 1),
-                                         MakeExample({1}, 1)};
-  EXPECT_DOUBLE_EQ(Auc(model, examples), 0.5);
-}
-
 TEST(MetricsTest, EvaluateBundlesAll) {
   LrModel model(4);
   std::vector<data::Example> examples = {MakeExample({0}, 1),
                                          MakeExample({1}, 0)};
   const auto report = Evaluate(model, examples);
-  EXPECT_EQ(report.examples, 2u);
   EXPECT_NEAR(report.logloss, std::log(2.0), 1e-9);
 }
 
 TEST(MetricsTest, SinglePassEvaluateMatchesIndividualMetrics) {
-  // Evaluate scores each example once and derives all three metrics from
-  // that pass; it must agree exactly with the three standalone functions.
+  // Evaluate scores each example once and derives both metrics from that
+  // pass; it must agree exactly with the two standalone functions.
   LrModel model(16);
   Rng rng(99);
   for (auto& w : model.weights()) {
@@ -613,90 +586,19 @@ TEST(MetricsTest, SinglePassEvaluateMatchesIndividualMetrics) {
   const auto report = Evaluate(model, examples);
   EXPECT_DOUBLE_EQ(report.accuracy, Accuracy(model, examples));
   EXPECT_DOUBLE_EQ(report.logloss, LogLoss(model, examples));
-  EXPECT_DOUBLE_EQ(report.auc, Auc(model, examples));
 }
 
 TEST(MetricsTest, EvaluateDegenerateInputs) {
   LrModel model(4);
   const auto empty = Evaluate(model, {});
-  EXPECT_EQ(empty.examples, 0u);
   EXPECT_DOUBLE_EQ(empty.accuracy, 0.0);
   EXPECT_DOUBLE_EQ(empty.logloss, 0.0);
-  EXPECT_DOUBLE_EQ(empty.auc, 0.5);
 
-  // Single-class pools skip the rank computation but keep the rest.
   std::vector<data::Example> positives = {MakeExample({0}, 1),
                                           MakeExample({1}, 1)};
   const auto report = Evaluate(model, positives);
-  EXPECT_DOUBLE_EQ(report.auc, 0.5);
   EXPECT_DOUBLE_EQ(report.accuracy, Accuracy(model, positives));
   EXPECT_NEAR(report.logloss, std::log(2.0), 1e-9);
-}
-
-/// Runs `body` once per AUC rank path (comparison sort, radix) and
-/// restores the threshold afterwards.
-template <typename Body>
-void ForEachAucRankPath(Body body) {
-  const std::size_t saved = GetAucRadixThreshold();
-  SetAucRadixThreshold(std::numeric_limits<std::size_t>::max());
-  body();
-  SetAucRadixThreshold(0);
-  body();
-  SetAucRadixThreshold(saved);
-}
-
-TEST(MetricsTest, RadixAucBitIdenticalToComparisonSort) {
-  // The radix rank path must be EXACT — same bits as the pair-sort, not
-  // an approximation — on data with heavy score ties (small feature
-  // space), negative scores and both labels.
-  LrModel model(32);
-  Rng rng(2024);
-  for (auto& w : model.weights()) {
-    w = static_cast<float>(rng.Normal(0.0, 1.5));
-  }
-  model.bias() = -0.3f;
-  std::vector<data::Example> examples;
-  for (int i = 0; i < 3000; ++i) {
-    examples.push_back(MakeExample(
-        {static_cast<std::uint32_t>(rng.UniformInt(0, 31)),
-         static_cast<std::uint32_t>(rng.UniformInt(0, 31))},
-        rng.Bernoulli(0.3) ? 1 : 0));
-  }
-  std::vector<double> auc_by_path;
-  std::vector<double> eval_auc_by_path;
-  ForEachAucRankPath([&] {
-    auc_by_path.push_back(Auc(model, examples));
-    eval_auc_by_path.push_back(Evaluate(model, examples).auc);
-  });
-  ASSERT_EQ(auc_by_path.size(), 2u);
-  EXPECT_EQ(auc_by_path[0], auc_by_path[1]);            // bit-identical
-  EXPECT_EQ(eval_auc_by_path[0], eval_auc_by_path[1]);  // bit-identical
-  EXPECT_EQ(auc_by_path[0], eval_auc_by_path[0]);
-  EXPECT_GT(auc_by_path[0], 0.0);
-  EXPECT_LT(auc_by_path[0], 1.0);
-}
-
-TEST(MetricsTest, RadixAucExactOnAllTiesAndExtremes) {
-  // Degenerate shapes both paths must agree on: every score identical
-  // (one giant tie group) and a perfectly separated set.
-  LrModel tie_model(4);  // all-zero: every score ties
-  std::vector<data::Example> tied;
-  for (int i = 0; i < 64; ++i) {
-    tied.push_back(MakeExample({static_cast<std::uint32_t>(i % 4)},
-                               i % 2 == 0 ? 1.0f : 0.0f));
-  }
-  LrModel split_model(4);
-  split_model.weights()[0] = 7.0f;
-  std::vector<data::Example> separable;
-  for (int i = 0; i < 64; ++i) {
-    const bool positive = i % 2 == 0;
-    separable.push_back(
-        MakeExample({positive ? 0u : 1u}, positive ? 1.0f : 0.0f));
-  }
-  ForEachAucRankPath([&] {
-    EXPECT_NEAR(Auc(tie_model, tied), 0.5, 1e-12);
-    EXPECT_DOUBLE_EQ(Auc(split_model, separable), 1.0);
-  });
 }
 
 // ---------- FedAvg ----------
