@@ -93,9 +93,9 @@ int main(int argc, char** argv) {
     spec_texts = {kNightlySpec, kSmokeSpec};
   }
 
-  // Load each spec into its own complete per-task configuration: the
-  // sched-plane TaskSpec plus every policy section the tenant pins.
-  std::vector<config::TenantSpecConfig> specs;
+  // Load each spec into its own tenant: the sched-plane TaskSpec plus the
+  // experiment every policy section of the spec configures.
+  std::vector<core::TenantTask> tenants;
   for (const auto& text : spec_texts) {
     auto doc = config::ParseIni(text);
     if (!doc.ok()) {
@@ -103,13 +103,13 @@ int main(int argc, char** argv) {
                    doc.error().ToString().c_str());
       return 1;
     }
-    auto spec = config::LoadTenantSpec(*doc);
-    if (!spec.ok()) {
+    auto tenant = config::LoadTenantSpec(*doc);
+    if (!tenant.ok()) {
       std::fprintf(stderr, "spec rejected: %s\n",
-                   spec.error().ToString().c_str());
+                   tenant.error().ToString().c_str());
       return 1;
     }
-    specs.push_back(std::move(*spec));
+    tenants.push_back(std::move(*tenant));
   }
 
   core::Platform platform;
@@ -121,23 +121,18 @@ int main(int argc, char** argv) {
   data_config.hash_dim = 1u << 12;
   const auto dataset = data::GenerateSyntheticAvazu(data_config);
 
-  std::vector<core::TenantTask> tenants;
-  for (auto& spec : specs) {
-    spec.spec.id = platform.NextTaskId();
-    core::TenantTask tenant;
-    tenant.fl = core::ExperimentFromTenantSpec(
-        spec, /*seed=*/1000 + spec.spec.id.value());
-    tenant.spec = spec.spec;
+  for (core::TenantTask& tenant : tenants) {
+    tenant.spec.id = platform.NextTaskId();
+    tenant.fl.seed = 1000 + tenant.spec.id.value();
     tenant.dataset = &dataset;
+    const sched::TaskSpec& spec = tenant.spec;
     std::printf(
         "submitting '%s' as %s (priority %d, %zu devices) — link retries "
         "x%zu @ p=%.2f, round_quorum %zu, shards %zu\n",
-        spec.spec.name.c_str(), spec.spec.id.ToString().c_str(),
-        spec.spec.priority, spec.spec.TotalDevices(),
-        spec.link.max_attempts, spec.link.transient_failure_probability,
-        spec.execution.round_quorum,
-        std::max<std::size_t>(1, spec.execution.shards));
-    tenants.push_back(std::move(tenant));
+        spec.name.c_str(), spec.id.ToString().c_str(), spec.priority,
+        spec.TotalDevices(), tenant.fl.link.max_attempts,
+        tenant.fl.link.transient_failure_probability, tenant.fl.round_quorum,
+        std::max<std::size_t>(1, tenant.fl.shards));
   }
 
   std::printf("\n%s\n", core::RenderStatus(platform).c_str());

@@ -90,6 +90,19 @@ struct AggregationRecord {
   BlobId model_blob;
 };
 
+/// One evaluated round: the engine's per-round result row
+/// (core::RoundMetrics), which checkpoints carry as is.
+struct RoundMetrics {
+  std::size_t round = 0;
+  SimTime time = 0;
+  double test_accuracy = 0.0;
+  double test_logloss = 0.0;
+  double train_accuracy = 0.0;
+  double train_logloss = 0.0;
+  std::size_t clients = 0;
+  std::size_t samples = 0;
+};
+
 /// Bit-exact image of an AggregationService mid-experiment — everything a
 /// checkpoint needs to resume aggregation at a round boundary: completed
 /// history, failure counters, the published global model's bits, and the

@@ -28,6 +28,9 @@ enum class ErrorCode : std::uint8_t {
   kParseError,
   kTimeout,
   kInternal,
+  /// Stored data that should be there is gone or corrupt (e.g. a blob
+  /// log shorter than the prefix its checkpoint pins).
+  kDataLoss,
 };
 
 /// Human-readable name for an ErrorCode.
@@ -42,6 +45,7 @@ constexpr const char* ToString(ErrorCode code) {
     case ErrorCode::kParseError: return "ParseError";
     case ErrorCode::kTimeout: return "Timeout";
     case ErrorCode::kInternal: return "Internal";
+    case ErrorCode::kDataLoss: return "DataLoss";
   }
   return "Unknown";
 }
@@ -174,6 +178,9 @@ inline Error Timeout(std::string msg) {
 }
 inline Error Internal(std::string msg) {
   return Error(ErrorCode::kInternal, std::move(msg));
+}
+inline Error DataLoss(std::string msg) {
+  return Error(ErrorCode::kDataLoss, std::move(msg));
 }
 
 /// Precondition check: throws std::invalid_argument on failure.

@@ -381,8 +381,8 @@ Result<cloud::AggregationConfig> LoadAggregation(const IniDocument& doc,
   return config;
 }
 
-Result<ExecutionConfig> LoadExecution(const IniDocument& doc) {
-  ExecutionConfig config;
+Result<core::FlExperimentConfig> LoadExecution(const IniDocument& doc) {
+  core::FlExperimentConfig config;
   const auto section = doc.find("execution");
   // Keys of removed knobs are refused by name instead of being ignored
   // like other unknown keys: a spec that pinned one expects a behavior
@@ -429,11 +429,11 @@ Result<ExecutionConfig> LoadExecution(const IniDocument& doc) {
       durability.ok()) {
     const std::string name = Lower(*durability);
     if (name == "off") {
-      config.durability = persist::DurabilityMode::kOff;
+      config.durability.mode = persist::DurabilityMode::kOff;
     } else if (name == "log") {
-      config.durability = persist::DurabilityMode::kLog;
+      config.durability.mode = persist::DurabilityMode::kLog;
     } else if (name == "log+checkpoint") {
-      config.durability = persist::DurabilityMode::kLogCheckpoint;
+      config.durability.mode = persist::DurabilityMode::kLogCheckpoint;
     } else {
       return InvalidArgument(
           "[execution] durability must be 'off', 'log' or 'log+checkpoint', "
@@ -442,10 +442,10 @@ Result<ExecutionConfig> LoadExecution(const IniDocument& doc) {
     }
   }
   if (auto dir = GetString(doc, "execution", "durability_dir"); dir.ok()) {
-    config.durability_dir = *dir;
+    config.durability.dir = *dir;
   }
-  if (config.durability != persist::DurabilityMode::kOff &&
-      config.durability_dir.empty()) {
+  if (config.durability.mode != persist::DurabilityMode::kOff &&
+      config.durability.dir.empty()) {
     return InvalidArgument(
         "[execution] durability_dir is required when durability is not off");
   }
@@ -499,37 +499,39 @@ Result<sched::TaskSpec> ParseTaskSpec(std::string_view text) {
   return LoadTaskSpec(*doc);
 }
 
-Result<TenantSpecConfig> LoadTenantSpec(const IniDocument& doc) {
-  TenantSpecConfig config;
+Result<core::TenantTask> LoadTenantSpec(const IniDocument& doc) {
+  core::TenantTask tenant;
   auto spec = LoadTaskSpec(doc);
   if (!spec.ok()) return spec.error();
-  config.spec = std::move(*spec);
-  if (doc.find("traffic") != doc.end()) {
-    auto strategy = LoadStrategy(doc);
-    if (!strategy.ok()) return strategy.error();
-    config.strategy = std::move(*strategy);
-    config.has_strategy = true;
-  }
+  tenant.spec = std::move(*spec);
+  // Sections load in a fixed order, so a spec with several bad sections
+  // always reports the same one.
+  auto strategy = doc.contains("traffic")
+                      ? LoadStrategy(doc)
+                      : Result<flow::DispatchStrategy>(tenant.fl.strategy);
+  if (!strategy.ok()) return strategy.error();
   auto link = LoadLinkPolicy(doc);
   if (!link.ok()) return link.error();
-  config.link = *link;
   auto behavior = LoadBehavior(doc);
   if (!behavior.ok()) return behavior.error();
-  config.behavior = *behavior;
-  auto execution = LoadExecution(doc);
-  if (!execution.ok()) return execution.error();
-  config.execution = std::move(*execution);
-  if (doc.find("aggregation") != doc.end()) {
-    // model_dim is the dataset's business, not the spec's; 0 here, the
-    // engine fills it when the experiment is assembled.
+  auto fl = LoadExecution(doc);
+  if (!fl.ok()) return fl.error();
+  tenant.fl = std::move(*fl);
+  tenant.fl.rounds = tenant.spec.rounds;
+  tenant.fl.strategy = std::move(*strategy);
+  tenant.fl.link = *link;
+  tenant.fl.behavior = *behavior;
+  if (doc.contains("aggregation")) {
+    // model_dim is the dataset's business, not the spec's; the engine
+    // fills it from the dataset.
     auto aggregation = LoadAggregation(doc, 0);
     if (!aggregation.ok()) return aggregation.error();
-    config.trigger = aggregation->trigger;
-    config.sample_threshold = aggregation->sample_threshold;
-    config.schedule_period = aggregation->schedule_period;
-    config.reject_stale = aggregation->reject_stale;
+    tenant.fl.trigger = aggregation->trigger;
+    tenant.fl.sample_threshold = aggregation->sample_threshold;
+    tenant.fl.schedule_period = aggregation->schedule_period;
+    tenant.fl.reject_stale = aggregation->reject_stale;
   }
-  return config;
+  return tenant;
 }
 
 }  // namespace simdc::config

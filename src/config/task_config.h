@@ -1,11 +1,12 @@
-// Textual task specifications.
+// Spec front end: textual task specifications.
 //
 // In the paper, users configure "device simulation targets, cloud service
 // parameters, resource requirements, and operator flow configurations via
 // the front-end graphical user interface" (§III-C). Headless deployments
 // need the same information as data; this module parses a small INI-style
-// format into TaskSpec / DispatchStrategy / FL experiment settings, with
-// strict validation so malformed specs are rejected with precise errors.
+// format straight into the engine's types — sched::TaskSpec and
+// core::FlExperimentConfig, one core::TenantTask per spec — with strict
+// validation so malformed specs are rejected with precise errors.
 // Every optional key follows one rule: a missing key (or section) keeps
 // its default, a malformed value is a ParseError, and a value out of range
 // is InvalidArgument. Counts are non-negative integers, probabilities lie
@@ -48,11 +49,10 @@
 
 #include "cloud/aggregation.h"
 #include "common/error.h"
+#include "core/multi_tenant.h"
 #include "device/behavior.h"
 #include "flow/device_flow.h"
 #include "flow/strategy.h"
-#include "ml/lr_model.h"
-#include "persist/durable_store.h"
 #include "sched/task.h"
 
 namespace simdc::config {
@@ -96,56 +96,16 @@ Result<flow::DispatchStrategy> LoadStrategy(const IniDocument& doc);
 Result<cloud::AggregationConfig> LoadAggregation(const IniDocument& doc,
                                                  std::uint32_t model_dim);
 
-/// Execution knobs from the optional [execution] section.
-struct ExecutionConfig {
-  /// Worker threads for CPU-bound local training: 0 = inherit the
-  /// platform's pool, 1 = sequential, N > 1 = exactly N workers
-  /// (FlExperimentConfig::parallelism semantics; results are identical
-  /// at every width).
-  std::size_t parallelism = 0;
-  /// Fleet shards: 0 or 1 = single fleet, N > 1 = partition the device
-  /// population into N contiguous fleets with per-shard dispatchers
-  /// merged deterministically (FlExperimentConfig::shards semantics;
-  /// clamped to the device count by the engine).
-  std::size_t shards = 0;
-  /// Wire precision for device→cloud update payloads: fp32 (default —
-  /// bit-identical to the historical format), fp16 (~2× smaller), or int8
-  /// (per-tensor scale, ~4× smaller). Quantized payloads trade a bounded
-  /// amount of update precision for memory/bandwidth at million-device
-  /// scale (FlExperimentConfig::payload_codec semantics).
-  ml::PayloadCodec payload_codec = ml::PayloadCodec::kFp32;
-  /// When set, the engine deletes each round's update payload blobs at the
-  /// round boundary and recycles the BlobStore arena, bounding steady-state
-  /// blob memory to one round's working set. Off by default to preserve
-  /// historical post-run storage accounting.
-  bool reclaim_payload_blobs = false;
-  /// Durability plane: off (default — in-memory store, bit-identical to
-  /// the historical engine), log (append-only blob log, store contents
-  /// survive a crash), or log+checkpoint (plus round-boundary aggregator
-  /// checkpoints; a crashed run resumes bit-identically). See
-  /// persist::DurableStore.
-  persist::DurabilityMode durability = persist::DurabilityMode::kOff;
-  /// Directory for the blob log and checkpoints; required when durability
-  /// is not off.
-  std::string durability_dir;
-  /// Graceful round degradation (FlExperimentConfig semantics): a round
-  /// past round_deadline_s commits if at least round_quorum updates
-  /// arrived, else extends up to max_round_extensions times, else aborts.
-  /// Engages only when both round_quorum and round_deadline_s are set.
-  std::size_t round_quorum = 0;
-  SimDuration round_deadline = 0;
-  SimDuration round_extension = 0;
-  std::size_t max_round_extensions = 1;
-};
-
-/// Reads [execution] (parallelism = N, shards = N,
-/// payload_codec = fp32|fp16|int8,
-/// reclaim_payload_blobs = 0|1, durability = off|log|log+checkpoint,
-/// durability_dir = path, round_quorum = N, round_deadline_s = S,
-/// round_extension_s = S, max_round_extensions = N). A missing section or
-/// key yields the defaults; malformed or negative values are rejected, and
-/// so are the removed decode_plane / aggregate_plane keys.
-Result<ExecutionConfig> LoadExecution(const IniDocument& doc);
+/// Reads the optional [execution] section into the FlExperimentConfig
+/// fields it names: parallelism = N, shards = N,
+/// payload_codec = fp32|fp16|int8, reclaim_payload_blobs = 0|1,
+/// durability = off|log|log+checkpoint and durability_dir = path (into
+/// durability.mode and .dir; a durable mode needs a dir), round_quorum = N,
+/// round_deadline_s = S, round_extension_s = S, max_round_extensions = N.
+/// Every other field, and every missing key, keeps its default; malformed
+/// or negative values are rejected, and so are the removed decode_plane /
+/// aggregate_plane keys.
+Result<core::FlExperimentConfig> LoadExecution(const IniDocument& doc);
 
 /// Reads the optional [behavior] section into a device::BehaviorConfig
 /// (enabled = 0|1, seed, mean_availability, diurnal_amplitude,
@@ -164,32 +124,14 @@ Result<flow::LinkPolicy> LoadLinkPolicy(const IniDocument& doc);
 /// One-call convenience: parse text and build the TaskSpec.
 Result<sched::TaskSpec> ParseTaskSpec(std::string_view text);
 
-/// Everything one tenant's spec pins, loaded per spec — the multi-tenant
-/// plane gives EACH task its own copy of these (its own Dispatcher link
-/// policy, its own AggregationService quorum/deadline knobs), where the
-/// single-task workflow historically applied one global set.
-struct TenantSpecConfig {
-  sched::TaskSpec spec;
-  /// From [traffic]; pass-through default when the section is absent
-  /// (has_strategy distinguishes "absent" from an explicit realtime{1}).
-  flow::DispatchStrategy strategy = flow::RealtimeAccumulated{{1}, 0.0};
-  bool has_strategy = false;
-  /// From [link] / [behavior] / [execution]; inactive defaults when absent.
-  flow::LinkPolicy link;
-  device::BehaviorConfig behavior;
-  ExecutionConfig execution;
-  /// From [aggregation]; scheduled/60s default when absent.
-  cloud::AggregationTrigger trigger = cloud::AggregationTrigger::kScheduled;
-  std::size_t sample_threshold = 1000;
-  SimDuration schedule_period = Seconds(60.0);
-  bool reject_stale = false;
-};
-
-/// Loads one tenant's complete per-task configuration from a spec
-/// document: [task]/[devices.*] (required), plus [traffic], [link],
-/// [behavior], [execution] and [aggregation] (each optional, defaulting
-/// as documented on TenantSpecConfig). Malformed present sections are
-/// errors, never silently defaulted.
-Result<TenantSpecConfig> LoadTenantSpec(const IniDocument& doc);
+/// Loads one tenant from a spec document: `spec` from [task]/[devices.*]
+/// (required), and the experiment it runs in `fl` — `rounds` from [task],
+/// then [traffic], [link], [behavior], [execution] and [aggregation], each
+/// optional. An absent section keeps FlExperimentConfig's default (for
+/// [traffic], the pass-through RealtimeAccumulated{{1}}); a malformed
+/// present section is an error, never silently defaulted. Each spec loads
+/// into its own TenantTask, so two specs run two policies side by side.
+/// The caller sets the seed, the task id and the dataset.
+Result<core::TenantTask> LoadTenantSpec(const IniDocument& doc);
 
 }  // namespace simdc::config

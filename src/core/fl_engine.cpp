@@ -7,19 +7,17 @@ namespace simdc::core {
 
 FlEngine::FlEngine(sim::EventLoop& loop, const data::FederatedDataset& dataset,
                    FlExperimentConfig config, ThreadPool* pool)
-    : loop_(loop),
-      runtime_(std::make_unique<TaskRuntime>(loop, dataset, std::move(config),
-                                             pool)) {}
+    : TaskRuntime(loop, dataset, std::move(config), pool), loop_(loop) {}
 
 FlRunResult FlEngine::Run() {
-  runtime_->Begin();
+  Begin();
   // The one-member case of the lockstep loop multi-tenant runs use: cloud
   // events first at each tick, shard loops advanced in parallel to a
   // bounded horizon, then the merge barrier.
-  const std::vector<TaskRuntime*> members{runtime_.get()};
-  sim::LockstepGroup(loop_, runtime_->pool())
-      .Run(LockstepHooks(members), runtime_->feedback_guard());
-  return runtime_->Finalize();
+  const std::vector<TaskRuntime*> members{this};
+  sim::LockstepGroup(loop_, pool())
+      .Run(LockstepHooks(members), feedback_guard());
+  return Finalize();
 }
 
 }  // namespace simdc::core

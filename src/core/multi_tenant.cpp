@@ -7,33 +7,6 @@
 
 namespace simdc::core {
 
-FlExperimentConfig ExperimentFromTenantSpec(
-    const config::TenantSpecConfig& spec, std::uint64_t seed) {
-  FlExperimentConfig fl;
-  fl.task = spec.spec.id;
-  fl.rounds = spec.spec.rounds;
-  fl.seed = seed;
-  if (spec.has_strategy) fl.strategy = spec.strategy;
-  fl.link = spec.link;
-  fl.behavior = spec.behavior;
-  fl.trigger = spec.trigger;
-  fl.sample_threshold = spec.sample_threshold;
-  fl.schedule_period = spec.schedule_period;
-  fl.reject_stale = spec.reject_stale;
-  const config::ExecutionConfig& exec = spec.execution;
-  fl.parallelism = exec.parallelism;
-  fl.shards = exec.shards == 0 ? 1 : exec.shards;
-  fl.payload_codec = exec.payload_codec;
-  fl.reclaim_payload_blobs = exec.reclaim_payload_blobs;
-  fl.durability.mode = exec.durability;
-  fl.durability.dir = exec.durability_dir;
-  fl.round_quorum = exec.round_quorum;
-  fl.round_deadline = exec.round_deadline;
-  fl.round_extension = exec.round_extension;
-  fl.max_round_extensions = exec.max_round_extensions;
-  return fl;
-}
-
 MultiTenantEngine::MultiTenantEngine(sim::EventLoop& loop,
                                      sched::ResourceManager& resources,
                                      ThreadPool* pool)

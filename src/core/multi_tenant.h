@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "config/task_config.h"
 #include "core/task_runtime.h"
 #include "sched/resource_manager.h"
 #include "sched/scheduler.h"
@@ -44,21 +43,11 @@
 
 namespace simdc::core {
 
-/// Maps one tenant's parsed spec onto the experiment it runs: [traffic]
-/// strategy, [link] policy, [behavior] model, [aggregation] trigger and
-/// the [execution] knobs (shards, parallelism, codec, durability,
-/// quorum/deadline) all land in the PER-TASK FlExperimentConfig — two
-/// specs with different [link] or round_quorum sections genuinely run two
-/// different policies side by side (historically the first spec's set was
-/// applied globally). `seed` feeds the task's RNG streams; rounds come
-/// from the spec's [task] section.
-FlExperimentConfig ExperimentFromTenantSpec(
-    const config::TenantSpecConfig& spec, std::uint64_t seed);
-
 /// One tenant's submission: the sched-plane spec (priority, per-grade
 /// resource requirements — what admission arbitrates) plus the FL
 /// experiment the tenant runs once admitted (per-task policies: strategy,
-/// LinkPolicy, quorum/deadline, shards, seed).
+/// LinkPolicy, quorum/deadline, shards, seed). config::LoadTenantSpec
+/// loads one from a spec file.
 struct TenantTask {
   sched::TaskSpec spec;
   FlExperimentConfig fl;

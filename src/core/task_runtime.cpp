@@ -636,24 +636,9 @@ void TaskRuntime::PersistRoundBoundary(const cloud::AggregationRecord& record) {
   state.messages_emitted = result_.messages_emitted;
   state.storage_bytes_written = storage_.bytes_written();
   state.storage_bytes_read = storage_.bytes_read();
-  state.pending_delete_blobs.reserve(round_blob_ids_.size());
-  for (const BlobId id : round_blob_ids_) {
-    state.pending_delete_blobs.push_back(id.value());
-  }
+  state.pending_delete_blobs = round_blob_ids_;
   state.aggregation = service_->Snapshot();
-  state.rounds.reserve(result_.rounds.size());
-  for (const RoundMetrics& m : result_.rounds) {
-    persist::CheckpointRound row;
-    row.round = m.round;
-    row.time = m.time;
-    row.test_accuracy = m.test_accuracy;
-    row.test_logloss = m.test_logloss;
-    row.train_accuracy = m.train_accuracy;
-    row.train_logloss = m.train_logloss;
-    row.clients = m.clients;
-    row.samples = m.samples;
-    state.rounds.push_back(row);
-  }
+  state.rounds = result_.rounds;
   state.dispatch = dispatch_stats();
   if (metrics_ != nullptr) {
     (void)metrics_->Flush();
@@ -692,25 +677,8 @@ Status TaskRuntime::RestoreFromRecovery() {
   rounds_started_ = static_cast<std::size_t>(cp.rounds_started);
   last_recorded_round_ = static_cast<std::size_t>(cp.last_recorded_round);
   result_.messages_emitted = static_cast<std::size_t>(cp.messages_emitted);
-  result_.rounds.clear();
-  result_.rounds.reserve(cp.rounds.size());
-  for (const persist::CheckpointRound& row : cp.rounds) {
-    RoundMetrics m;
-    m.round = static_cast<std::size_t>(row.round);
-    m.time = row.time;
-    m.test_accuracy = row.test_accuracy;
-    m.test_logloss = row.test_logloss;
-    m.train_accuracy = row.train_accuracy;
-    m.train_logloss = row.train_logloss;
-    m.clients = static_cast<std::size_t>(row.clients);
-    m.samples = static_cast<std::size_t>(row.samples);
-    result_.rounds.push_back(m);
-  }
-  round_blob_ids_.clear();
-  round_blob_ids_.reserve(cp.pending_delete_blobs.size());
-  for (const std::uint64_t id : cp.pending_delete_blobs) {
-    round_blob_ids_.push_back(BlobId(id));
-  }
+  result_.rounds = cp.rounds;
+  round_blob_ids_ = cp.pending_delete_blobs;
   service_->RestoreSnapshot(cp.aggregation);
   restored_stats_ = cp.dispatch;
   if (metrics_ != nullptr) {

@@ -1,16 +1,17 @@
 // Per-task FL runtime: every piece of state one federated-learning task
 // owns — model/aggregator wiring, round state machine, per-task
 // Dispatcher/LinkPolicy instances, RNG streams, dispatch stats, durability
-// plane — extracted from the historical single-task FlEngine so N of them
-// can share one cloud event loop and one device fleet.
+// plane — so N of them can share one cloud event loop and one device
+// fleet.
 //
 // Every runtime has one topology: N >= 1 fleet shards, each with its own
 // event loop and dispatcher, feeding one flow::ShardMerger in front of the
 // task's AggregationService. A TaskRuntime does NOT drive event loops. One
 // driver loop does: sim::LockstepGroup, with hooks LockstepHooks builds
-// over a set of runtimes. FlEngine (the single-task facade) runs it over
-// its one runtime; MultiTenantEngine runs it over every admitted tenant
-// against one shared cloud loop, in fixed (task id, tick) order.
+// over a set of runtimes. FlEngine, the TaskRuntime that drives its own
+// loops, runs it over itself; MultiTenantEngine runs it over every
+// admitted tenant against one shared cloud loop, in fixed (task id, tick)
+// order.
 // Everything the driver needs — shard loops, merger, feedback guard — is
 // exposed read-only, and all per-task state is private to the runtime,
 // which is what makes contention-free multi-tenant runs bit-identical to
@@ -40,17 +41,8 @@
 
 namespace simdc::core {
 
-/// Per-round evaluation record.
-struct RoundMetrics {
-  std::size_t round = 0;
-  SimTime time = 0;
-  double test_accuracy = 0.0;
-  double test_logloss = 0.0;
-  double train_accuracy = 0.0;
-  double train_logloss = 0.0;
-  std::size_t clients = 0;
-  std::size_t samples = 0;
-};
+/// Per-round evaluation record; checkpoints carry the same rows.
+using RoundMetrics = cloud::RoundMetrics;
 
 struct FlRunResult {
   std::vector<RoundMetrics> rounds;
@@ -269,9 +261,21 @@ class TaskRuntime {
     on_complete_ = std::move(on_complete);
   }
 
-  /// See FlEngine::RestoreFromRecovery.
+  /// Prepares this (freshly constructed) runtime to resume a crashed
+  /// log+checkpoint run from `config.durability.dir`: loads the latest
+  /// valid checkpoint, replays the blob log's valid prefix into the store
+  /// (truncating any torn tail), restores aggregator / metrics / dispatch
+  /// state, fast-forwards every event loop to the checkpoint time, and
+  /// arms Begin() to re-enter at the interrupted round. Must be called
+  /// before Begin() (FlEngine: before Run()) on a runtime that has not run
+  /// yet. Returns NotFound when no checkpoint exists (caller should run
+  /// fresh instead), and DataLoss when the log no longer holds the prefix
+  /// the checkpoint pins (see persist::DurableStore::BeginResume).
   Status RestoreFromRecovery();
 
+  /// Optional metrics sink checkpointed alongside the aggregator (the
+  /// platform wires its MetricsDatabase here). Checkpoints capture the
+  /// database's rows in insertion order; RestoreFromRecovery replays them.
   void set_metrics_database(cloud::MetricsDatabase* db) { metrics_ = db; }
 
   // --- Driver surface.
@@ -288,18 +292,29 @@ class TaskRuntime {
   /// FeedbackGuard of this task's config.
   SimDuration feedback_guard() const { return FeedbackGuard(config_); }
 
-  // --- Accessors (FlEngine's public surface delegates here).
+  // --- Accessors.
   const FlExperimentConfig& config() const { return config_; }
+  /// Durability plane, or nullptr when config.durability.mode == kOff.
   const persist::DurableStore* durable_store() const { return durable_.get(); }
   const cloud::AggregationService& aggregation() const { return *service_; }
   /// An empty DeviceFlow; only benchmark/src/repetition.cpp still reads it.
   const flow::DeviceFlow& device_flow() const { return flow_; }
   const cloud::BlobStore& storage() const { return storage_; }
+  /// Behavior model, or nullptr when config.behavior.enabled is false.
+  /// Mutable so callers can LoadTrace (Fig. 5 replay) before Begin().
   device::BehaviorModel* behavior_model() { return behavior_.get(); }
   const device::BehaviorModel* behavior_model() const {
     return behavior_.get();
   }
+  /// Resolved fleet width (config.shards clamped to the device count).
   std::size_t shards() const { return shards_.size(); }
+  /// Task dispatch accounting: per-shard stats merged with summed counters
+  /// and batch logs interleaved in (tick time, first message id, shard)
+  /// order, so the result is width-invariant whenever the run itself is
+  /// AND no per-shard log hit its cap (the batch-log cap is split across
+  /// fleets to keep total memory at the one-fleet bound, so truncation
+  /// points are per-fleet; batches_truncated > 0 flags a capped — and
+  /// therefore width-sensitive — log).
   flow::DispatchStats dispatch_stats() const;
 
   /// Per-task SLA row from the run so far: round-latency percentiles via

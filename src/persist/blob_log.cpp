@@ -53,8 +53,11 @@ void BlobLogWriter::AppendDelete(BlobId id) {
 Status BlobLogWriter::Commit() {
   if (pending_.empty()) return Status::Ok();
   if (Status appended = io_.Append(path_, pending_); !appended.ok()) {
-    // Nothing reached the file; keep the records buffered for a retry at
-    // the next commit point.
+    // A failed append may still have written part of the batch (a short
+    // write, then ENOSPC). Cut the file back to the durable size so the
+    // retry at the next commit point starts on a record boundary; if the
+    // cut fails too, recovery refuses the mismatched prefix.
+    (void)io_.TruncateTo(path_, durable_size_);
     return appended;
   }
   // The bytes are in the file whether or not the sync below succeeds, and

@@ -56,11 +56,12 @@ class BlobLogWriter {
   void AppendDelete(BlobId id);
 
   /// Group commit: one Append + one Sync for everything buffered since the
-  /// last commit. When the append itself fails the buffered records are
-  /// kept for a retry; once the append succeeds the buffer is consumed and
-  /// durable_size() advances even if the sync then fails (the bytes are in
-  /// the file — re-appending them would duplicate records on replay — so
-  /// only the returned status reports the degraded durability barrier).
+  /// last commit. When the append fails, the file is cut back to
+  /// durable_size() (dropping any partial write) and the buffered records
+  /// are kept for a retry. Once the append succeeds the buffer is consumed
+  /// and durable_size() advances even if the sync then fails (the bytes are
+  /// in the file — re-appending them would duplicate records on replay —
+  /// so only the returned status reports the degraded durability barrier).
   Status Commit();
 
   bool HasPending() const { return !pending_.empty(); }

@@ -156,8 +156,8 @@ std::vector<std::byte> SerializeCheckpoint(const CheckpointState& s) {
   w.Put<std::uint64_t>(s.storage_bytes_written);
   w.Put<std::uint64_t>(s.storage_bytes_read);
   w.Put<std::uint64_t>(s.pending_delete_blobs.size());
-  for (const std::uint64_t id : s.pending_delete_blobs) {
-    w.Put<std::uint64_t>(id);
+  for (const BlobId id : s.pending_delete_blobs) {
+    w.Put<std::uint64_t>(id.value());
   }
   PutAggregation(w, s.aggregation);
   w.Put<std::uint64_t>(s.rounds.size());
@@ -231,12 +231,12 @@ Result<CheckpointState> DeserializeCheckpoint(
   s.storage_bytes_read = r.Get<std::uint64_t>();
   const auto pending = r.Get<std::uint64_t>();
   for (std::uint64_t i = 0; r.ok() && i < pending; ++i) {
-    s.pending_delete_blobs.push_back(r.Get<std::uint64_t>());
+    s.pending_delete_blobs.push_back(BlobId(r.Get<std::uint64_t>()));
   }
   s.aggregation = GetAggregation(r);
   const auto rounds = r.Get<std::uint64_t>();
   for (std::uint64_t i = 0; r.ok() && i < rounds; ++i) {
-    CheckpointRound row;
+    cloud::RoundMetrics row;
     row.round = r.Get<std::uint64_t>();
     row.time = r.Get<std::int64_t>();
     row.test_accuracy = r.Get<double>();

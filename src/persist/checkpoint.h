@@ -3,11 +3,11 @@
 // A checkpoint is one flat CRC-framed image of everything the cloud plane
 // needs to resume an experiment at a round boundary: the engine's round /
 // id cursors, the AggregationService (history, counters, accumulated
-// FedAvg state, published global model bits), recorded round metrics, the
-// merged dispatch-stats prefix, and the cloud metrics database rows. The
-// blob store itself is NOT in the checkpoint — its contents are the blob
-// log's job; the checkpoint only pins `log_offset`, the durable log size
-// its state corresponds to.
+// FedAvg state, published global model bits), the engine's own round rows
+// (cloud::RoundMetrics; no mirror type), the merged dispatch-stats prefix,
+// and the cloud metrics database rows. The blob store itself is NOT in
+// the checkpoint — its contents are the blob log's job; the checkpoint
+// only pins `log_offset`, the durable log size its state corresponds to.
 //
 // File image:
 //
@@ -35,19 +35,6 @@
 
 namespace simdc::persist {
 
-/// One recorded round (mirror of core::RoundMetrics; persist sits below
-/// core in the layer order, so it carries its own row type).
-struct CheckpointRound {
-  std::uint64_t round = 0;
-  SimTime time = 0;
-  double test_accuracy = 0.0;
-  double test_logloss = 0.0;
-  double train_accuracy = 0.0;
-  double train_logloss = 0.0;
-  std::uint64_t clients = 0;
-  std::uint64_t samples = 0;
-};
-
 /// Everything a resumed engine restores before re-entering the round loop.
 struct CheckpointState {
   /// Monotonic checkpoint number (diagnostics; recovery picks by file
@@ -55,7 +42,8 @@ struct CheckpointState {
   std::uint64_t sequence = 0;
   /// Durable blob-log bytes this state corresponds to. Resume truncates
   /// the log here: records past it belong to the partial round that will
-  /// be deterministically re-executed.
+  /// be deterministically re-executed. A log that validates fewer bytes
+  /// is refused (DurableStore::BeginResume).
   std::uint64_t log_offset = 0;
   /// Virtual time of the checkpoint (the recorded round's time).
   SimTime time = 0;
@@ -77,9 +65,10 @@ struct CheckpointState {
   std::uint64_t storage_bytes_read = 0;
   /// Payload blob ids of the round preceding `next_round`, pending
   /// deletion at its start (reclaim_payload_blobs bookkeeping).
-  std::vector<std::uint64_t> pending_delete_blobs;
+  std::vector<BlobId> pending_delete_blobs;
   cloud::AggregationSnapshot aggregation;
-  std::vector<CheckpointRound> rounds;
+  /// The engine's recorded rounds (core::RoundMetrics) up to the boundary.
+  std::vector<cloud::RoundMetrics> rounds;
   /// Merged dispatch-stats prefix up to the boundary; the resumed engine
   /// concatenates its fresh stats after it (all later ticks stamp >= time,
   /// so prefix order is the global merge order).

@@ -90,6 +90,15 @@ Result<RecoveredState> DurableStore::BeginResume(cloud::BlobStore& store) {
   out.log_bytes = replay->valid_bytes;
   out.log_records = replay->records;
   out.truncated_tail = replay->truncated_tail;
+  // The checkpoint describes the store as of log_offset; a shorter valid
+  // prefix lost records it references. Refuse before the cut below, so
+  // nothing under the pin is deleted from disk.
+  if (out.has_checkpoint && replay->valid_bytes < out.checkpoint.log_offset) {
+    return DataLoss("blob log validates " +
+                    std::to_string(replay->valid_bytes) +
+                    " bytes, but its checkpoint pins " +
+                    std::to_string(out.checkpoint.log_offset));
+  }
   // Drop the torn tail on disk so future appends extend a valid prefix
   // instead of burying garbage mid-file.
   if (replay->truncated_tail) {

@@ -9,7 +9,9 @@
 // the remaining valid prefix into a fresh BlobStore — and the engine
 // re-executes the partial round deterministically, landing bit-identical
 // to an uninterrupted run (DurableRecoveryTest proves it under injected
-// crashes, torn writes, short reads, and fsync failures).
+// crashes, torn writes, short reads, and fsync failures). A log whose
+// valid prefix is shorter than the pinned offset is refused as kDataLoss,
+// not resumed.
 //
 // Modes ([execution] durability):
 //   off             — today's in-memory store, nothing written, bit-
@@ -80,7 +82,10 @@ class DurableStore final : public cloud::BlobJournal {
   /// log+checkpoint mode), truncates the log to the offset it pins —
   /// records past it belong to the partial round the engine re-executes —
   /// then replays the remaining valid log prefix into `store`
-  /// (RestoreBlob / Delete), dropping any torn tail. Restores the store's
+  /// (RestoreBlob / Delete), dropping any torn tail. Returns DataLoss, and
+  /// cuts nothing under the pin, when that valid prefix is shorter than
+  /// the pinned offset (records the checkpoint references are gone; `store`
+  /// is then partly replayed and must be discarded). Restores the store's
   /// id cursor and traffic counters. Call BEFORE attaching the journal so
   /// replayed mutations are not re-logged.
   Result<RecoveredState> BeginResume(cloud::BlobStore& store);

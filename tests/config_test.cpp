@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <variant>
+#include <vector>
 
 #include "config/task_config.h"
-#include "core/multi_tenant.h"
 #include "sched/scheduler.h"
 
 namespace simdc::config {
@@ -294,7 +295,7 @@ TEST(ExecutionConfigTest, ParsesParallelism) {
   auto config = LoadExecution(*doc);
   ASSERT_TRUE(config.ok());
   EXPECT_EQ(config->parallelism, 4u);
-  EXPECT_EQ(config->shards, 0u);  // single fleet unless asked
+  EXPECT_EQ(config->shards, 1u);  // single fleet unless asked
 }
 
 TEST(ExecutionConfigTest, ParsesShards) {
@@ -335,7 +336,7 @@ TEST(ExecutionConfigTest, MissingSectionOrKeyYieldsDefaults) {
   auto bare_config = LoadExecution(*bare);
   ASSERT_TRUE(bare_config.ok());
   EXPECT_EQ(bare_config->parallelism, 0u);
-  EXPECT_EQ(bare_config->shards, 0u);
+  EXPECT_EQ(bare_config->shards, 1u);
 }
 
 TEST(ExecutionConfigTest, RejectsInvalidParallelism) {
@@ -426,29 +427,30 @@ TEST(ExecutionConfigTest, ParsesDurability) {
   ASSERT_TRUE(log.ok());
   auto log_config = LoadExecution(*log);
   ASSERT_TRUE(log_config.ok());
-  EXPECT_EQ(log_config->durability, persist::DurabilityMode::kLog);
-  EXPECT_EQ(log_config->durability_dir, "/tmp/d");
+  EXPECT_EQ(log_config->durability.mode, persist::DurabilityMode::kLog);
+  EXPECT_EQ(log_config->durability.dir, "/tmp/d");
 
   auto ckpt = ParseIni(
       "[execution]\ndurability = LOG+CHECKPOINT\ndurability_dir = state\n");
   ASSERT_TRUE(ckpt.ok());  // case-folded like the other enum keys
   auto ckpt_config = LoadExecution(*ckpt);
   ASSERT_TRUE(ckpt_config.ok());
-  EXPECT_EQ(ckpt_config->durability, persist::DurabilityMode::kLogCheckpoint);
+  EXPECT_EQ(ckpt_config->durability.mode,
+            persist::DurabilityMode::kLogCheckpoint);
 
   auto off = ParseIni("[execution]\ndurability = off\n");
   ASSERT_TRUE(off.ok());
   auto off_config = LoadExecution(*off);
   ASSERT_TRUE(off_config.ok());  // off needs no directory
-  EXPECT_EQ(off_config->durability, persist::DurabilityMode::kOff);
+  EXPECT_EQ(off_config->durability.mode, persist::DurabilityMode::kOff);
 
   // Missing key keeps the zero-overhead default.
   auto missing = ParseIni("[execution]\nparallelism = 2\n");
   ASSERT_TRUE(missing.ok());
   auto missing_config = LoadExecution(*missing);
   ASSERT_TRUE(missing_config.ok());
-  EXPECT_EQ(missing_config->durability, persist::DurabilityMode::kOff);
-  EXPECT_TRUE(missing_config->durability_dir.empty());
+  EXPECT_EQ(missing_config->durability.mode, persist::DurabilityMode::kOff);
+  EXPECT_TRUE(missing_config->durability.dir.empty());
 }
 
 TEST(ExecutionConfigTest, RejectsBadDurability) {
@@ -494,17 +496,39 @@ count = 50
 logical_bundles = 40
 phones = 4
 
+[traffic]
+strategy = realtime
+thresholds = 5,10
+failure_probability = 0.25
+
 [link]
 transient_failure_probability = 0.2
 max_attempts = 4
 backoff_initial_s = 2
 upload_deadline_s = 120
 
+[behavior]
+enabled = 1
+seed = 9
+churn_rate = 0.1
+link_base_failure = 0.05
+
+[aggregation]
+trigger = sample_threshold
+threshold = 400
+reject_stale = 1
+
 [execution]
+parallelism = 3
 shards = 2
+payload_codec = int8
+reclaim_payload_blobs = 1
+durability = log+checkpoint
+durability_dir = lossy-state
 round_quorum = 25
 round_deadline_s = 90
 round_extension_s = 30
+max_round_extensions = 4
 )";
 
 constexpr const char* kCleanTenantSpec = R"(
@@ -532,36 +556,114 @@ TEST(TenantSpecTest, TwoSpecsYieldTwoDistinctPolicies) {
   ASSERT_TRUE(lossy.ok());
   ASSERT_TRUE(clean.ok());
 
+  // Every section of the lossy spec lands in its own experiment.
   EXPECT_EQ(lossy->spec.name, "lossy-tenant");
-  EXPECT_DOUBLE_EQ(lossy->link.transient_failure_probability, 0.2);
-  EXPECT_EQ(lossy->link.max_attempts, 4u);
-  EXPECT_EQ(lossy->link.upload_deadline, Seconds(120.0));
-  EXPECT_TRUE(lossy->link.active());
-  EXPECT_EQ(lossy->execution.round_quorum, 25u);
-  EXPECT_EQ(lossy->execution.round_deadline, Seconds(90.0));
-  EXPECT_EQ(lossy->execution.shards, 2u);
+  const core::FlExperimentConfig& fl = lossy->fl;
+  EXPECT_EQ(fl.rounds, 3u);
+  const auto* realtime = std::get_if<flow::RealtimeAccumulated>(&fl.strategy);
+  ASSERT_NE(realtime, nullptr);
+  EXPECT_EQ(realtime->thresholds, (std::vector<std::size_t>{5, 10}));
+  EXPECT_DOUBLE_EQ(realtime->failure_probability, 0.25);
+  EXPECT_DOUBLE_EQ(fl.link.transient_failure_probability, 0.2);
+  EXPECT_EQ(fl.link.max_attempts, 4u);
+  EXPECT_EQ(fl.link.backoff_initial, Seconds(2.0));
+  EXPECT_EQ(fl.link.upload_deadline, Seconds(120.0));
+  EXPECT_TRUE(fl.link.active());
+  EXPECT_TRUE(fl.behavior.enabled);
+  EXPECT_EQ(fl.behavior.seed, 9u);
+  EXPECT_DOUBLE_EQ(fl.behavior.churn_rate, 0.1);
+  EXPECT_DOUBLE_EQ(fl.behavior.link_base_failure, 0.05);
+  EXPECT_EQ(fl.trigger, cloud::AggregationTrigger::kSampleThreshold);
+  EXPECT_EQ(fl.sample_threshold, 400u);
+  EXPECT_TRUE(fl.reject_stale);
+  EXPECT_EQ(fl.parallelism, 3u);
+  EXPECT_EQ(fl.shards, 2u);
+  EXPECT_EQ(fl.payload_codec, ml::PayloadCodec::kInt8);
+  EXPECT_TRUE(fl.reclaim_payload_blobs);
+  EXPECT_EQ(fl.durability.mode, persist::DurabilityMode::kLogCheckpoint);
+  EXPECT_EQ(fl.durability.dir, "lossy-state");
+  EXPECT_EQ(fl.round_quorum, 25u);
+  EXPECT_EQ(fl.round_deadline, Seconds(90.0));
+  EXPECT_EQ(fl.round_extension, Seconds(30.0));
+  EXPECT_EQ(fl.max_round_extensions, 4u);
 
+  // A scheduled trigger carries its period.
+  auto scheduled_doc = ParseIni(std::string(kCleanTenantSpec) +
+                                "[aggregation]\ntrigger = scheduled\n"
+                                "period_s = 45\n");
+  ASSERT_TRUE(scheduled_doc.ok());
+  auto scheduled = LoadTenantSpec(*scheduled_doc);
+  ASSERT_TRUE(scheduled.ok());
+  EXPECT_EQ(scheduled->fl.trigger, cloud::AggregationTrigger::kScheduled);
+  EXPECT_EQ(scheduled->fl.schedule_period, Seconds(45.0));
+
+  // The clean spec sets only [task] and [devices.*]: its experiment is the
+  // default one, field for field, except the rounds [task] asks for.
   EXPECT_EQ(clean->spec.name, "clean-tenant");
-  EXPECT_DOUBLE_EQ(clean->link.transient_failure_probability, 0.0);
-  EXPECT_EQ(clean->link.max_attempts, 1u);
-  EXPECT_FALSE(clean->link.active());
-  EXPECT_EQ(clean->execution.round_quorum, 0u);
-  EXPECT_EQ(clean->execution.shards, 0u);
-
-  // And the mapping into per-task experiments preserves the split.
-  const auto lossy_fl = core::ExperimentFromTenantSpec(*lossy, 1);
-  const auto clean_fl = core::ExperimentFromTenantSpec(*clean, 2);
-  EXPECT_DOUBLE_EQ(lossy_fl.link.transient_failure_probability, 0.2);
-  EXPECT_EQ(lossy_fl.round_quorum, 25u);
-  EXPECT_EQ(lossy_fl.shards, 2u);
-  EXPECT_EQ(lossy_fl.rounds, 3u);
-  EXPECT_DOUBLE_EQ(clean_fl.link.transient_failure_probability, 0.0);
-  EXPECT_EQ(clean_fl.round_quorum, 0u);
-  EXPECT_EQ(clean_fl.shards, 1u);  // 0 in the spec → single fleet
-  EXPECT_EQ(clean_fl.rounds, 1u);
+  const core::FlExperimentConfig d;
+  const core::FlExperimentConfig& c = clean->fl;
+  EXPECT_EQ(c.rounds, 1u);
+  EXPECT_EQ(c.train.learning_rate, d.train.learning_rate);
+  EXPECT_EQ(c.train.epochs, d.train.epochs);
+  EXPECT_EQ(c.train.shuffle, d.train.shuffle);
+  EXPECT_EQ(c.train.shuffle_seed, d.train.shuffle_seed);
+  EXPECT_EQ(c.time_window, d.time_window);
+  EXPECT_EQ(c.logical_fraction, d.logical_fraction);
+  const auto* pass = std::get_if<flow::RealtimeAccumulated>(&c.strategy);
+  const auto& pass_default = std::get<flow::RealtimeAccumulated>(d.strategy);
+  ASSERT_NE(pass, nullptr);
+  EXPECT_EQ(pass->thresholds, pass_default.thresholds);
+  EXPECT_EQ(pass->failure_probability, pass_default.failure_probability);
+  EXPECT_EQ(pass->capacity_per_second, pass_default.capacity_per_second);
+  EXPECT_EQ(c.payload_codec, d.payload_codec);
+  EXPECT_EQ(c.reclaim_payload_blobs, d.reclaim_payload_blobs);
+  EXPECT_EQ(c.trigger, d.trigger);
+  EXPECT_EQ(c.sample_threshold, d.sample_threshold);
+  EXPECT_EQ(c.schedule_period, d.schedule_period);
+  EXPECT_EQ(c.reject_stale, d.reject_stale);
+  EXPECT_EQ(c.behavior.enabled, d.behavior.enabled);
+  EXPECT_EQ(c.behavior.seed, d.behavior.seed);
+  EXPECT_EQ(c.behavior.mean_availability, d.behavior.mean_availability);
+  EXPECT_EQ(c.behavior.diurnal_amplitude, d.behavior.diurnal_amplitude);
+  EXPECT_EQ(c.behavior.diurnal_period, d.behavior.diurnal_period);
+  EXPECT_EQ(c.behavior.diurnal_phase, d.behavior.diurnal_phase);
+  EXPECT_EQ(c.behavior.churn_rate, d.behavior.churn_rate);
+  EXPECT_EQ(c.behavior.churn_horizon, d.behavior.churn_horizon);
+  EXPECT_EQ(c.behavior.rejoin_fraction, d.behavior.rejoin_fraction);
+  EXPECT_EQ(c.behavior.churn_downtime, d.behavior.churn_downtime);
+  EXPECT_EQ(c.behavior.min_battery, d.behavior.min_battery);
+  EXPECT_EQ(c.behavior.battery_period, d.behavior.battery_period);
+  EXPECT_EQ(c.behavior.link_base_failure, d.behavior.link_base_failure);
+  EXPECT_EQ(c.behavior.link_diurnal_swing, d.behavior.link_diurnal_swing);
+  EXPECT_EQ(c.link.transient_failure_probability,
+            d.link.transient_failure_probability);
+  EXPECT_EQ(c.link.max_attempts, d.link.max_attempts);
+  EXPECT_EQ(c.link.backoff_initial, d.link.backoff_initial);
+  EXPECT_EQ(c.link.backoff_multiplier, d.link.backoff_multiplier);
+  EXPECT_EQ(c.link.backoff_max, d.link.backoff_max);
+  EXPECT_EQ(c.link.upload_deadline, d.link.upload_deadline);
+  EXPECT_FALSE(c.link.active());
+  EXPECT_EQ(c.round_quorum, d.round_quorum);
+  EXPECT_EQ(c.round_deadline, d.round_deadline);
+  EXPECT_EQ(c.round_extension, d.round_extension);
+  EXPECT_EQ(c.max_round_extensions, d.max_round_extensions);
+  EXPECT_FALSE(c.delay_fn);
+  EXPECT_EQ(c.participants_per_round, d.participants_per_round);
+  EXPECT_EQ(c.compute_seconds, d.compute_seconds);
+  EXPECT_EQ(c.stall_timeout, d.stall_timeout);
+  EXPECT_EQ(c.eval_cap, d.eval_cap);
+  EXPECT_EQ(c.parallelism, d.parallelism);
+  EXPECT_EQ(c.shards, d.shards);
+  EXPECT_EQ(c.durability.mode, d.durability.mode);
+  EXPECT_EQ(c.durability.dir, d.durability.dir);
+  EXPECT_EQ(c.durability.io, d.durability.io);
+  EXPECT_EQ(c.seed, d.seed);
+  EXPECT_EQ(c.task, d.task);
 }
 
 TEST(TenantSpecTest, StrategyPresenceIsTracked) {
+  // A [traffic] section lands in fl.strategy; without one the experiment
+  // keeps the pass-through RealtimeAccumulated{{1}}.
   auto with_traffic = ParseIni(
       "[task]\nname = t\nrounds = 1\n"
       "[devices.high]\ncount = 10\nlogical_bundles = 8\nphones = 1\n"
@@ -569,7 +671,10 @@ TEST(TenantSpecTest, StrategyPresenceIsTracked) {
   ASSERT_TRUE(with_traffic.ok());
   auto spec = LoadTenantSpec(*with_traffic);
   ASSERT_TRUE(spec.ok());
-  EXPECT_TRUE(spec->has_strategy);
+  const auto* realtime =
+      std::get_if<flow::RealtimeAccumulated>(&spec->fl.strategy);
+  ASSERT_NE(realtime, nullptr);
+  EXPECT_EQ(realtime->thresholds, std::vector<std::size_t>{5});
 
   auto without_traffic = ParseIni(
       "[task]\nname = t\nrounds = 1\n"
@@ -577,7 +682,11 @@ TEST(TenantSpecTest, StrategyPresenceIsTracked) {
   ASSERT_TRUE(without_traffic.ok());
   auto defaulted = LoadTenantSpec(*without_traffic);
   ASSERT_TRUE(defaulted.ok());
-  EXPECT_FALSE(defaulted->has_strategy);
+  const auto* pass =
+      std::get_if<flow::RealtimeAccumulated>(&defaulted->fl.strategy);
+  ASSERT_NE(pass, nullptr);
+  EXPECT_EQ(pass->thresholds, std::vector<std::size_t>{1});
+  EXPECT_EQ(pass->failure_probability, 0.0);
 }
 
 TEST(TenantSpecTest, MalformedPresentSectionsAreErrors) {

@@ -323,6 +323,81 @@ TEST(BlobLogTest, CorruptRecordTruncatesFromThatPoint) {
   EXPECT_TRUE(replay->truncated_tail);
 }
 
+/// Passes every call through to the real file system, except that its
+/// second Append writes half its bytes and then fails: a short write that
+/// ran into ENOSPC.
+class HalfWriteOnSecondAppend final : public persist::FileIo {
+ public:
+  Status Append(const std::string& path,
+                std::span<const std::byte> bytes) override {
+    if (++appends_ != 2) return real_.Append(path, bytes);
+    (void)real_.Append(path, bytes.first(bytes.size() / 2));
+    return Unavailable("write '" + path + "': no space left on device");
+  }
+  Status Sync(const std::string& path) override { return real_.Sync(path); }
+  Status WriteFile(const std::string& path,
+                   std::span<const std::byte> bytes) override {
+    return real_.WriteFile(path, bytes);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return real_.Rename(from, to);
+  }
+  Result<std::vector<std::byte>> ReadFile(const std::string& path) override {
+    return real_.ReadFile(path);
+  }
+  Result<std::uint64_t> FileSize(const std::string& path) override {
+    return real_.FileSize(path);
+  }
+  Status TruncateTo(const std::string& path, std::uint64_t size) override {
+    return real_.TruncateTo(path, size);
+  }
+  bool Exists(const std::string& path) override { return real_.Exists(path); }
+  Status Remove(const std::string& path) override { return real_.Remove(path); }
+  Status CreateDirs(const std::string& path) override {
+    return real_.CreateDirs(path);
+  }
+
+ private:
+  RealFileIo& real_ = RealFileIo::Instance();
+  int appends_ = 0;
+};
+
+TEST(BlobLogTest, FailedAppendLeavesNoPartialFrame) {
+  // A failed append that wrote part of its batch must not leave those
+  // bytes in the file: the retry would land after them, and every offset
+  // a checkpoint pins from then on would miss the record boundaries.
+  const std::string dir = FreshDir("");
+  const std::string path = persist::BlobLogPath(dir);
+  HalfWriteOnSecondAppend io;
+  const std::vector<std::byte> payload(100, std::byte{0x42});
+
+  BlobLogWriter writer(io, path);
+  writer.AppendPut(BlobId(1), payload);
+  ASSERT_TRUE(writer.Commit().ok());
+  writer.AppendPut(BlobId(2), payload);
+  EXPECT_EQ(writer.Commit().error().code(), ErrorCode::kUnavailable);
+  EXPECT_TRUE(writer.HasPending());
+  writer.AppendPut(BlobId(3), payload);
+  ASSERT_TRUE(writer.Commit().ok());
+
+  // Each record is an 8-byte frame header, 17 bytes of kind, id and
+  // length, and the 100 payload bytes.
+  constexpr std::uint64_t kRecord = 8 + 17 + 100;
+  std::vector<std::uint64_t> ids;
+  auto replay = persist::ReplayBlobLog(
+      io, path, [&](const BlobLogRecord& record) {
+        ids.push_back(record.id.value());
+      });
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(replay->valid_bytes, 3 * kRecord);
+  EXPECT_FALSE(replay->truncated_tail);
+  EXPECT_EQ(writer.durable_size(), 3 * kRecord);
+  auto size = io.FileSize(path);
+  ASSERT_TRUE(size.ok());
+  EXPECT_EQ(*size, 3 * kRecord);
+}
+
 persist::CheckpointState SampleState() {
   persist::CheckpointState state;
   state.time = Seconds(120.0);
@@ -336,7 +411,7 @@ persist::CheckpointState SampleState() {
   state.messages_emitted = 48;
   state.storage_bytes_written = 4096;
   state.storage_bytes_read = 2048;
-  state.pending_delete_blobs = {44, 45, 46};
+  state.pending_delete_blobs = {BlobId(44), BlobId(45), BlobId(46)};
   state.aggregation.messages_received = 48;
   state.aggregation.model_dim = 4;
   state.aggregation.global_weights = {0.5f, -1.25f, 0.0f, 3.75f};
@@ -358,7 +433,7 @@ persist::CheckpointState SampleState() {
   record.samples = 240;
   record.model_blob = BlobId(25);
   state.aggregation.history.push_back(record);
-  persist::CheckpointRound round;
+  RoundMetrics round;
   round.round = 1;
   round.time = Seconds(60.0);
   round.test_accuracy = 0.75;
@@ -665,6 +740,68 @@ TEST(DurableRecoveryTest, ShortReadFallsBackToOlderCheckpoint) {
   ASSERT_TRUE(engine.RestoreFromRecovery().ok());
   const RunOutcome recovered = CollectOutcome(engine, engine.Run());
   ExpectOutcomeIdentical(reference, recovered, "short-read fallback");
+}
+
+TEST(DurableRecoveryTest, CorruptPinnedLogPrefixIsRefused) {
+  // The checkpoint describes the store as of the log offset it pins. A
+  // log that no longer validates that far lost records the checkpoint
+  // references: recovery must refuse it as DataLoss, not resume, and must
+  // not cut the damaged log under the pin. Both variants leave no
+  // checkpoint whose pin the log still covers, so no older checkpoint
+  // could resume them either.
+  const auto dataset = SmallDataset();
+  const IoProfile profile = ProfileCleanRun(dataset, FreshDir("profile"));
+  RealFileIo& io = RealFileIo::Instance();
+  struct Variant {
+    std::string label;
+    bool flip;  // else cut the log to half of checkpoint.prev's pin
+  };
+  for (const Variant& variant :
+       {Variant{"bit-flip", true}, Variant{"cut", false}}) {
+    SCOPED_TRACE(variant.label);
+    const std::string dir = FreshDir(variant.label);
+    FaultPlan crash;
+    crash.crash_on_append = profile.appends;  // last commit of the run
+    FaultInjector faulty(crash);
+    ASSERT_TRUE(CrashRun(
+        dataset, DurableConfig(DurabilityMode::kLogCheckpoint, dir, &faulty)));
+    auto latest = persist::LoadLatestCheckpoint(io, dir);
+    ASSERT_TRUE(latest.ok());
+    const std::uint64_t pin = latest->log_offset;
+    auto prev_image = io.ReadFile(persist::CheckpointPrevPath(dir));
+    ASSERT_TRUE(prev_image.ok());
+    auto prev = persist::DeserializeCheckpoint(*prev_image);
+    ASSERT_TRUE(prev.ok());
+    ASSERT_GT(prev->log_offset, 0u);
+    ASSERT_LT(prev->log_offset, pin);
+
+    const std::string log = persist::BlobLogPath(dir);
+    if (variant.flip) {
+      auto bytes = io.ReadFile(log);
+      ASSERT_TRUE(bytes.ok());
+      ASSERT_GT(bytes->size(), 16u);
+      (*bytes)[16] ^= std::byte{0x01};
+      ASSERT_TRUE(io.WriteFile(log, *bytes).ok());
+    } else {
+      ASSERT_TRUE(io.TruncateTo(log, prev->log_offset / 2).ok());
+    }
+
+    sim::EventLoop loop;
+    FlEngine engine(loop, dataset,
+                    DurableConfig(DurabilityMode::kLogCheckpoint, dir));
+    const Status restored = engine.RestoreFromRecovery();
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.error().code(), ErrorCode::kDataLoss)
+        << restored.ToString();
+    EXPECT_NE(restored.error().message().find(std::to_string(pin)),
+              std::string::npos)
+        << restored.ToString();
+    if (variant.flip) {
+      auto size = io.FileSize(log);
+      ASSERT_TRUE(size.ok());
+      EXPECT_GE(*size, pin);
+    }
+  }
 }
 
 TEST(DurableRecoveryTest, EngineLogTornAtEveryByteOfFinalRecordRecovers) {
