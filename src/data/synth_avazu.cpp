@@ -1,10 +1,14 @@
 #include "data/synth_avazu.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
+#include <span>
+#include <thread>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "data/schema.h"
 
 namespace simdc::data {
@@ -36,8 +40,7 @@ class ZipfSampler {
 };
 
 /// Ground-truth logistic weight for a (field, value) pair, derived
-/// deterministically from a hash so labels are globally consistent without
-/// materializing a weight table.
+/// deterministically from a hash so labels are globally consistent.
 double GroundTruthWeight(std::uint32_t field, std::uint32_t value) {
   const std::uint64_t h =
       SplitMix64((static_cast<std::uint64_t>(field) << 32) ^ value ^
@@ -52,6 +55,32 @@ double GroundTruthWeight(std::uint32_t field, std::uint32_t value) {
   // Keep per-example score stddev ~0.5 over 22 fields.
   constexpr double kWeightStd = 0.105;
   return kWeightStd * normal;
+}
+
+/// Where field f's values start in the flat ground-truth weight table.
+constexpr std::array<std::uint32_t, kAvazuFields.size()> kWeightOffsets = [] {
+  std::array<std::uint32_t, kAvazuFields.size()> offsets{};
+  std::uint32_t next = 0;
+  for (std::size_t f = 0; f < kAvazuFields.size(); ++f) {
+    offsets[f] = next;
+    next += kAvazuFields[f].cardinality;
+  }
+  return offsets;
+}();
+
+/// GroundTruthWeight(f, v) for every (field, value), at
+/// kWeightOffsets[f] + v: a record then costs 22 loads, not 22 log/sqrt/cos.
+const std::vector<double>& GroundTruthWeights() {
+  static const std::vector<double> weights = [] {
+    std::vector<double> out;
+    for (std::uint32_t f = 0; f < kAvazuFields.size(); ++f) {
+      for (std::uint32_t v = 0; v < kAvazuFields[f].cardinality; ++v) {
+        out.push_back(GroundTruthWeight(f, v));
+      }
+    }
+    return out;
+  }();
+  return weights;
 }
 
 double Logit(double p) {
@@ -73,10 +102,13 @@ const std::vector<ZipfSampler>& FieldSamplers() {
   return samplers;
 }
 
-/// Per-device state: field preferences and CTR bias.
+/// Per-device state: field preferences and CTR bias. Fixed-size, so the
+/// generation workers never allocate.
 struct DeviceProfile {
-  /// Preferred values for device-affine fields (indexed by field).
-  std::vector<std::vector<std::uint32_t>> preferences;
+  /// Preferred values for device-affine fields (indexed by field): the
+  /// first `preference_count[f]` entries, none for the other fields.
+  std::array<std::array<std::uint32_t, 3>, kAvazuFields.size()> preferences{};
+  std::array<std::uint32_t, kAvazuFields.size()> preference_count{};
   double ctr_target = 0.0;
   double bias = 0.0;
 };
@@ -84,15 +116,15 @@ struct DeviceProfile {
 DeviceProfile MakeProfile(Rng& rng, const SynthConfig& config,
                           std::size_t device_index) {
   DeviceProfile profile;
-  profile.preferences.resize(kAvazuFields.size());
   const auto& samplers = FieldSamplers();
   for (std::size_t f = 0; f < kAvazuFields.size(); ++f) {
     if (!kAvazuFields[f].device_affine) continue;
     // A device concentrates on a handful of values per affine field.
-    const std::size_t prefs = 1 + static_cast<std::size_t>(rng.UniformInt(0, 2));
-    for (std::size_t p = 0; p < prefs; ++p) {
-      profile.preferences[f].push_back(samplers[f].Sample(rng));
+    const auto prefs = static_cast<std::uint32_t>(1 + rng.UniformInt(0, 2));
+    for (std::uint32_t p = 0; p < prefs; ++p) {
+      profile.preferences[f][p] = samplers[f].Sample(rng);
     }
+    profile.preference_count[f] = prefs;
   }
 
   switch (config.distribution) {
@@ -119,30 +151,29 @@ DeviceProfile MakeProfile(Rng& rng, const SynthConfig& config,
   return profile;
 }
 
-Example MakeExample(Rng& rng, const DeviceProfile& profile,
-                    std::uint32_t hash_dim) {
-  Example example;
-  example.features.reserve(kAvazuFields.size());
+/// Draws one record into `example`, whose features the caller reserved.
+void FillExample(Rng& rng, const DeviceProfile& profile,
+                 std::uint32_t hash_dim, Example& example) {
   const auto& samplers = FieldSamplers();
+  const auto& weights = GroundTruthWeights();
   double score = 0.0;
   for (std::size_t f = 0; f < kAvazuFields.size(); ++f) {
     std::uint32_t value;
-    const auto& prefs = profile.preferences[f];
+    const std::uint32_t prefs = profile.preference_count[f];
     // Device-affine fields reuse the device's preferred values 80% of the
     // time; everything else draws from the global popularity distribution.
-    if (!prefs.empty() && rng.Uniform() < 0.8) {
-      value = prefs[static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<std::int64_t>(prefs.size()) - 1))];
+    if (prefs != 0 && rng.Uniform() < 0.8) {
+      value = profile.preferences[f][static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(prefs) - 1))];
     } else {
       value = samplers[f].Sample(rng);
     }
     example.features.push_back(
         HashFeature(static_cast<std::uint32_t>(f), value, hash_dim));
-    score += GroundTruthWeight(static_cast<std::uint32_t>(f), value);
+    score += weights[kWeightOffsets[f] + value];
   }
   const double click_probability = Sigmoid(score + profile.bias);
   example.label = rng.Bernoulli(click_probability) ? 1.0f : 0.0f;
-  return example;
 }
 
 std::size_t DrawRecordCount(Rng& rng, double mean) {
@@ -153,44 +184,80 @@ std::size_t DrawRecordCount(Rng& rng, double mean) {
   return std::max<std::size_t>(1, static_cast<std::size_t>(std::lround(draw)));
 }
 
+/// Each generation worker gets at least this many devices, so small
+/// datasets (most tests) start one or two threads, not one per core.
+constexpr std::size_t kMinDevicesPerWorker = 32;
+
+std::size_t GenerationWorkers(std::size_t devices) {
+  const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  return std::clamp<std::size_t>(devices / kMinDevicesPerWorker, 1, cores);
+}
+
 }  // namespace
 
 FederatedDataset GenerateSyntheticAvazu(const SynthConfig& config) {
   SIMDC_CHECK(config.num_devices > 0, "need at least one device");
   SIMDC_CHECK(config.hash_dim >= 1024, "hash_dim too small for 22 fields");
-  FederatedDataset dataset;
-  dataset.hash_dim = config.hash_dim;
-  dataset.devices.reserve(config.num_devices);
-
   const Rng root(config.seed);
   const std::size_t total_devices = config.num_devices + config.num_test_devices;
-  for (std::size_t i = 0; i < total_devices; ++i) {
+  // Device i draws only from root.Split(i) and writes only its own slots,
+  // so the dataset is the same at any worker count.
+  ThreadPool pool(GenerationWorkers(total_devices));
+
+  // Pass 1: each device's record count.
+  std::vector<std::size_t> records(total_devices);
+  pool.ParallelFor(total_devices, [&](std::size_t i) {
+    Rng device_rng = root.Split(i);
+    (void)MakeProfile(device_rng, config, i);
+    records[i] = DrawRecordCount(device_rng, config.records_per_device_mean);
+  });
+
+  // Every Example buffer is allocated here, on the calling thread, in
+  // device order. Buffers the workers allocated would sit in their own
+  // malloc arenas, which keep the memory of freed datasets resident.
+  FederatedDataset dataset;
+  dataset.hash_dim = config.hash_dim;
+  dataset.devices.resize(config.num_devices);
+  std::vector<std::span<Example>> slots(total_devices);
+  const auto reserve_features = [](std::span<Example> examples) {
+    for (Example& example : examples) {
+      example.features.reserve(kFeaturesPerExample);
+    }
+  };
+  for (std::size_t i = 0; i < config.num_devices; ++i) {
+    std::vector<Example>& examples = dataset.devices[i].examples;
+    examples.resize(records[i]);
+    reserve_features(examples);
+    slots[i] = examples;
+  }
+  // Test devices' records, back to back in device order.
+  dataset.test_set.resize(std::accumulate(
+      records.begin() + static_cast<std::ptrdiff_t>(config.num_devices),
+      records.end(), std::size_t{0}));
+  reserve_features(dataset.test_set);
+  for (std::size_t i = config.num_devices, next = 0; i < total_devices; ++i) {
+    slots[i] = std::span(dataset.test_set).subspan(next, records[i]);
+    next += records[i];
+  }
+
+  // Pass 2: replay each device's stream from the start and fill its slots.
+  pool.ParallelFor(total_devices, [&](std::size_t i) {
     Rng device_rng = root.Split(i);
     const DeviceProfile profile = MakeProfile(device_rng, config, i);
-    const std::size_t records =
-        DrawRecordCount(device_rng, config.records_per_device_mean);
-
+    (void)DrawRecordCount(device_rng, config.records_per_device_mean);
     if (i < config.num_devices) {
-      DeviceData device;
+      DeviceData& device = dataset.devices[i];
       device.device = DeviceId(i);
       device.true_ctr = profile.ctr_target;
       // Higher-CTR devices respond faster (Fig. 9 scenario); the default
       // delay is the positive tail of a unit normal, shifted by CTR rank.
       device.response_delay_s =
           std::abs(device_rng.Normal()) * (1.2 - profile.ctr_target);
-      device.examples.reserve(records);
-      for (std::size_t r = 0; r < records; ++r) {
-        device.examples.push_back(
-            MakeExample(device_rng, profile, config.hash_dim));
-      }
-      dataset.devices.push_back(std::move(device));
-    } else {
-      for (std::size_t r = 0; r < records; ++r) {
-        dataset.test_set.push_back(
-            MakeExample(device_rng, profile, config.hash_dim));
-      }
     }
-  }
+    for (Example& example : slots[i]) {
+      FillExample(device_rng, profile, config.hash_dim, example);
+    }
+  });
   return dataset;
 }
 

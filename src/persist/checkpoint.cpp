@@ -307,8 +307,9 @@ Status WriteCheckpoint(FileIo& io, const std::string& dir,
   return io.Rename(tmp, bin);
 }
 
-Result<CheckpointState> LoadLatestCheckpoint(FileIo& io,
+std::vector<CheckpointImage> LoadCheckpoints(FileIo& io,
                                              const std::string& dir) {
+  std::vector<CheckpointImage> images;
   for (const std::string& path :
        {CheckpointPath(dir), CheckpointTmpPath(dir),
         CheckpointPrevPath(dir)}) {
@@ -316,9 +317,16 @@ Result<CheckpointState> LoadLatestCheckpoint(FileIo& io,
     auto image = io.ReadFile(path);
     if (!image.ok()) continue;
     auto state = DeserializeCheckpoint(*image);
-    if (state.ok()) return state;
+    if (state.ok()) images.push_back({path, std::move(*state)});
   }
-  return NotFound("no valid checkpoint in '" + dir + "'");
+  return images;
+}
+
+Result<CheckpointState> LoadLatestCheckpoint(FileIo& io,
+                                             const std::string& dir) {
+  std::vector<CheckpointImage> images = LoadCheckpoints(io, dir);
+  if (images.empty()) return NotFound("no valid checkpoint in '" + dir + "'");
+  return std::move(images.front().state);
 }
 
 }  // namespace simdc::persist

@@ -16,9 +16,9 @@
 // Publication is atomic: write checkpoint.tmp (+fsync), demote the
 // previous checkpoint.bin to checkpoint.prev, rename tmp -> bin. Recovery
 // tries bin, then tmp (crash landed between the two renames), then prev —
-// any image whose CRC validates is a consistent resume point, because the
-// log is append-only and an older checkpoint just replays a longer
-// suffix.
+// any image whose CRC validates, and whose pinned log prefix still
+// validates, is a consistent resume point, because the log is append-only
+// and an older checkpoint just replays a longer suffix.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +42,9 @@ struct CheckpointState {
   std::uint64_t sequence = 0;
   /// Durable blob-log bytes this state corresponds to. Resume truncates
   /// the log here: records past it belong to the partial round that will
-  /// be deterministically re-executed. A log that validates fewer bytes
-  /// is refused (DurableStore::BeginResume).
+  /// be deterministically re-executed. A checkpoint whose log validates
+  /// fewer bytes is passed over for an older one
+  /// (DurableStore::BeginResume).
   std::uint64_t log_offset = 0;
   /// Virtual time of the checkpoint (the recorded round's time).
   SimTime time = 0;
@@ -96,8 +97,20 @@ std::string BlobLogPath(const std::string& dir);
 Status WriteCheckpoint(FileIo& io, const std::string& dir,
                        const CheckpointState& state);
 
-/// Loads the newest checkpoint image that validates (bin, then tmp, then
-/// prev). kNotFound when no file yields a valid image.
+/// One checkpoint file whose image validates.
+struct CheckpointImage {
+  std::string path;
+  CheckpointState state;
+};
+
+/// Every checkpoint image in `dir` that validates, in recovery precedence
+/// (bin, then tmp, then prev). Unreadable, torn or corrupt files are
+/// skipped.
+std::vector<CheckpointImage> LoadCheckpoints(FileIo& io,
+                                             const std::string& dir);
+
+/// The first of LoadCheckpoints. kNotFound when no file yields a valid
+/// image.
 Result<CheckpointState> LoadLatestCheckpoint(FileIo& io,
                                              const std::string& dir);
 

@@ -1,5 +1,6 @@
 #include "persist/durable_store.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -54,21 +55,42 @@ Result<RecoveredState> DurableStore::BeginResume(cloud::BlobStore& store) {
   const std::string log = BlobLogPath(config_.dir);
   RecoveredState out;
 
+  // Checkpoints newer than the one resumed from, whose pin the log no
+  // longer validates.
+  std::vector<std::string> unpinned;
   if (config_.mode == DurabilityMode::kLogCheckpoint) {
-    auto checkpoint = LoadLatestCheckpoint(*io_, config_.dir);
-    if (checkpoint.ok()) {
-      out.checkpoint = std::move(*checkpoint);
+    std::vector<CheckpointImage> images = LoadCheckpoints(*io_, config_.dir);
+    if (!images.empty()) {
+      // Each image describes the store as of the log offset it pins.
+      // Resume from the first (bin, tmp, prev) whose pin the log still
+      // validates: an older image re-executes more rounds, a newer one
+      // references lost records.
+      auto validated = ReplayBlobLog(*io_, log, [](const BlobLogRecord&) {});
+      if (!validated.ok()) return validated.error();
+      const auto chosen = std::find_if(
+          images.begin(), images.end(), [&](const CheckpointImage& image) {
+            return image.state.log_offset <= validated->valid_bytes;
+          });
+      // Refused before any cut, so nothing under a pin is deleted.
+      if (chosen == images.end()) {
+        return DataLoss("blob log validates " +
+                        std::to_string(validated->valid_bytes) +
+                        " bytes, but its checkpoint pins " +
+                        std::to_string(images.front().state.log_offset));
+      }
+      for (auto it = images.begin(); it != chosen; ++it) {
+        unpinned.push_back(std::move(it->path));
+      }
+      out.checkpoint = std::move(chosen->state);
       out.has_checkpoint = true;
       // Log records past the checkpoint's offset belong to the partial
       // round the engine will re-execute; replaying them would duplicate
       // its blob ids. Drop them before replay.
-      if (io_->Exists(log)) {
-        auto size = io_->FileSize(log);
-        if (size.ok() && *size > out.checkpoint.log_offset) {
-          if (Status cut = io_->TruncateTo(log, out.checkpoint.log_offset);
-              !cut.ok()) {
-            return cut.error();
-          }
+      auto size = io_->FileSize(log);
+      if (size.ok() && *size > out.checkpoint.log_offset) {
+        if (Status cut = io_->TruncateTo(log, out.checkpoint.log_offset);
+            !cut.ok()) {
+          return cut.error();
         }
       }
     }
@@ -90,9 +112,10 @@ Result<RecoveredState> DurableStore::BeginResume(cloud::BlobStore& store) {
   out.log_bytes = replay->valid_bytes;
   out.log_records = replay->records;
   out.truncated_tail = replay->truncated_tail;
-  // The checkpoint describes the store as of log_offset; a shorter valid
-  // prefix lost records it references. Refuse before the cut below, so
-  // nothing under the pin is deleted from disk.
+  // The checkpoint describes the store as of log_offset, which lay inside
+  // the prefix validated above; a log that now reads back shorter lost
+  // records it references. Refuse before the cut below, so nothing under
+  // the pin is deleted from disk.
   if (out.has_checkpoint && replay->valid_bytes < out.checkpoint.log_offset) {
     return DataLoss("blob log validates " +
                     std::to_string(replay->valid_bytes) +
@@ -118,6 +141,13 @@ Result<RecoveredState> DurableStore::BeginResume(cloud::BlobStore& store) {
     // Log-only reload: written traffic is exactly the replayed put bytes
     // (reads are not logged); the id cursor was advanced by RestoreBlob.
     store.RestoreTrafficCounters(static_cast<std::size_t>(put_bytes), 0);
+  }
+  // Those newer checkpoints pin records the cut above removed; a later
+  // crash must not load one ahead of the checkpoint resumed from.
+  for (const std::string& path : unpinned) {
+    if (Status removed = io_->Remove(path); !removed.ok()) {
+      return removed.error();
+    }
   }
   return out;
 }

@@ -9,9 +9,10 @@
 // the remaining valid prefix into a fresh BlobStore — and the engine
 // re-executes the partial round deterministically, landing bit-identical
 // to an uninterrupted run (DurableRecoveryTest proves it under injected
-// crashes, torn writes, short reads, and fsync failures). A log whose
-// valid prefix is shorter than the pinned offset is refused as kDataLoss,
-// not resumed.
+// crashes, torn writes, short reads, and fsync failures). When the log's
+// valid prefix is shorter than the newest checkpoint's pinned offset,
+// recovery falls back to the newest older checkpoint whose pin it still
+// covers; with none, it refuses the log as kDataLoss instead of resuming.
 //
 // Modes ([execution] durability):
 //   off             — today's in-memory store, nothing written, bit-
@@ -78,15 +79,17 @@ class DurableStore final : public cloud::BlobJournal {
   /// journal; never called on the resume path (which must read them).
   Status BeginFresh();
 
-  /// Resume initialization: loads the newest valid checkpoint (in
-  /// log+checkpoint mode), truncates the log to the offset it pins —
-  /// records past it belong to the partial round the engine re-executes —
-  /// then replays the remaining valid log prefix into `store`
-  /// (RestoreBlob / Delete), dropping any torn tail. Returns DataLoss, and
-  /// cuts nothing under the pin, when that valid prefix is shorter than
-  /// the pinned offset (records the checkpoint references are gone; `store`
-  /// is then partly replayed and must be discarded). Restores the store's
-  /// id cursor and traffic counters. Call BEFORE attaching the journal so
+  /// Resume initialization: in log+checkpoint mode, validates the log and
+  /// loads the first valid checkpoint (bin, then tmp, then prev) whose
+  /// pinned offset lies inside the valid prefix, truncates the log to that
+  /// offset — records past it belong to the partial round the engine
+  /// re-executes — then replays the log into `store` (RestoreBlob /
+  /// Delete), dropping any torn tail. Newer checkpoints whose pin the log
+  /// no longer covers are removed before returning OK. Returns DataLoss,
+  /// naming the newest checkpoint's pin and cutting nothing, when no
+  /// checkpoint's pin lies inside the valid prefix (records they reference
+  /// are gone; `store` must then be discarded). Restores the store's id
+  /// cursor and traffic counters. Call BEFORE attaching the journal so
   /// replayed mutations are not re-logged.
   Result<RecoveredState> BeginResume(cloud::BlobStore& store);
 

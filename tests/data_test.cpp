@@ -6,6 +6,7 @@
 #include "data/schema.h"
 #include "data/sharding.h"
 #include "data/synth_avazu.h"
+#include "golden_digest.h"
 
 namespace simdc::data {
 namespace {
@@ -165,6 +166,65 @@ TEST(SynthAvazuTest, RejectsBadConfig) {
   config.num_devices = 10;
   config.hash_dim = 16;  // too small
   EXPECT_THROW(GenerateSyntheticAvazu(config), std::invalid_argument);
+}
+
+/// Every bit of a dataset: its shape, each device's id, CTR and delay, and
+/// every feature and label, test set included.
+std::uint64_t DatasetDigest(const FederatedDataset& dataset) {
+  golden::Digest d;
+  const auto add_examples = [&d](const std::vector<Example>& examples) {
+    d.Add(examples.size());
+    for (const Example& example : examples) {
+      d.Add(example.features.size());
+      for (const std::uint32_t feature : example.features) d.Add(feature);
+      d.Add(example.label);
+    }
+  };
+  d.Add(dataset.hash_dim);
+  d.Add(dataset.devices.size());
+  for (const DeviceData& device : dataset.devices) {
+    d.Add(device.device.value());
+    d.Add(device.true_ctr);
+    d.Add(device.response_delay_s);
+    add_examples(device.examples);
+  }
+  add_examples(dataset.test_set);
+  return d.value();
+}
+
+TEST(SynthAvazuTest, GoldenDigests) {
+  // Captured from the one-device-at-a-time generator. The parallel one
+  // must reproduce every bit at any core count and ISA level.
+  struct Case {
+    const char* name;
+    std::size_t devices;
+    double records;
+    std::size_t test_devices;
+    std::uint32_t hash_dim;
+    LabelDistribution distribution;
+  };
+  const Case cases[] = {
+      {"data.synth_iid", 64, 8, 8, 1u << 12, LabelDistribution::kIid},
+      // Enough devices for every generation worker.
+      {"data.synth_natural", 600, 20, 20, 1u << 16,
+       LabelDistribution::kNatural},
+      {"data.synth_polarized_dim5000", 200, 10, 10, 5000,
+       LabelDistribution::kPolarized},
+      // Fewer devices than workers, and no test set.
+      {"data.synth_three_devices", 3, 30, 0, 1u << 10,
+       LabelDistribution::kNatural},
+  };
+  std::uint64_t seed = 100;
+  for (const Case& c : cases) {
+    SynthConfig config;
+    config.num_devices = c.devices;
+    config.records_per_device_mean = c.records;
+    config.num_test_devices = c.test_devices;
+    config.hash_dim = c.hash_dim;
+    config.distribution = c.distribution;
+    config.seed = ++seed;
+    golden::ExpectGolden(c.name, DatasetDigest(GenerateSyntheticAvazu(config)));
+  }
 }
 
 TEST(RepartitionIidTest, PreservesTotalsAndShardSizes) {

@@ -13,6 +13,7 @@
 #include <bit>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -802,6 +803,57 @@ TEST(DurableRecoveryTest, CorruptPinnedLogPrefixIsRefused) {
       EXPECT_GE(*size, pin);
     }
   }
+}
+
+TEST(DurableRecoveryTest, FallsBackToOlderCheckpointWhosePinValidates) {
+  // The log is cut just past checkpoint.prev's pin, under checkpoint.bin's:
+  // bin references lost records, prev does not. Recovery must resume from
+  // prev (re-executing one more round), drop bin so a later crash cannot
+  // load it first, and finish bit-identical to an uninterrupted run.
+  const auto dataset = SmallDataset();
+  const RunOutcome reference = RunToCompletion(dataset, BaseConfig());
+  const IoProfile profile = ProfileCleanRun(dataset, FreshDir("profile"));
+  const std::string dir = FreshDir("");
+  FaultPlan crash;
+  crash.crash_on_append = profile.appends;  // last commit of the run
+  FaultInjector faulty(crash);
+  ASSERT_TRUE(CrashRun(
+      dataset, DurableConfig(DurabilityMode::kLogCheckpoint, dir, &faulty)));
+
+  RealFileIo& io = RealFileIo::Instance();
+  auto bin = persist::LoadLatestCheckpoint(io, dir);
+  ASSERT_TRUE(bin.ok());
+  auto prev_image = io.ReadFile(persist::CheckpointPrevPath(dir));
+  ASSERT_TRUE(prev_image.ok());
+  auto prev = persist::DeserializeCheckpoint(*prev_image);
+  ASSERT_TRUE(prev.ok());
+  const std::string log = persist::BlobLogPath(dir);
+  auto bytes = io.ReadFile(log);
+  ASSERT_TRUE(bytes.ok());
+  // The first record boundary past prev's pin: walk the frames' lengths.
+  std::uint64_t cut = 0;
+  while (cut <= prev->log_offset) {
+    persist::ByteReader header(
+        std::span<const std::byte>(*bytes).subspan(cut, 8));
+    cut += 8 + header.Get<std::uint32_t>();
+  }
+  ASSERT_LT(cut, bin->log_offset);
+  ASSERT_TRUE(io.TruncateTo(log, cut).ok());
+
+  sim::EventLoop loop;
+  FlEngine engine(loop, dataset,
+                  DurableConfig(DurabilityMode::kLogCheckpoint, dir));
+  const Status restored = engine.RestoreFromRecovery();
+  ASSERT_TRUE(restored.ok()) << restored.ToString();
+  auto latest = persist::LoadLatestCheckpoint(io, dir);
+  ASSERT_TRUE(latest.ok());
+  EXPECT_EQ(latest->sequence, prev->sequence);
+  EXPECT_EQ(latest->log_offset, prev->log_offset);
+  auto size = io.FileSize(log);
+  ASSERT_TRUE(size.ok());
+  EXPECT_EQ(*size, prev->log_offset);
+  const RunOutcome recovered = CollectOutcome(engine, engine.Run());
+  ExpectOutcomeIdentical(reference, recovered, "fallback to prev");
 }
 
 TEST(DurableRecoveryTest, EngineLogTornAtEveryByteOfFinalRecordRecovers) {
