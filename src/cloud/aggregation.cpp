@@ -267,17 +267,7 @@ AggregationSnapshot AggregationService::Snapshot() const {
     SIMDC_CHECK(added.ok(), "Snapshot: staged add failed: "
                                 << added.error().ToString());
   }
-  s.accumulator.assign(merged.accumulator().begin(),
-                       merged.accumulator().end());
-  s.accumulator_c1.assign(merged.compensation1().begin(),
-                          merged.compensation1().end());
-  s.accumulator_c2.assign(merged.compensation2().begin(),
-                          merged.compensation2().end());
-  s.bias_accumulator = merged.bias_accumulator();
-  s.bias_accumulator_c1 = merged.bias_compensation1();
-  s.bias_accumulator_c2 = merged.bias_compensation2();
-  s.accumulator_samples = merged.total_samples();
-  s.accumulator_clients = merged.clients();
+  static_cast<ml::FedAvgAggregator::State&>(s) = merged.state();
   return s;
 }
 
@@ -302,12 +292,7 @@ void AggregationService::RestoreSnapshot(const AggregationSnapshot& snapshot) {
   // entries folded in at Snapshot time), so recovery starts with nothing
   // staged.
   DiscardPending();
-  aggregator_.Restore(snapshot.accumulator, snapshot.accumulator_c1,
-                      snapshot.accumulator_c2, snapshot.bias_accumulator,
-                      snapshot.bias_accumulator_c1,
-                      snapshot.bias_accumulator_c2,
-                      static_cast<std::size_t>(snapshot.accumulator_samples),
-                      static_cast<std::size_t>(snapshot.accumulator_clients));
+  aggregator_.Restore(snapshot);
 }
 
 bool AggregationService::AggregateAt(SimTime when) {

@@ -106,9 +106,9 @@ struct RoundMetrics {
 /// Bit-exact image of an AggregationService mid-experiment — everything a
 /// checkpoint needs to resume aggregation at a round boundary: completed
 /// history, failure counters, the published global model's bits, and the
-/// FedAvg accumulator (empty at quiescent boundaries, carried anyway so
-/// the snapshot is a total function of the service).
-struct AggregationSnapshot {
+/// FedAvg cascade it derives from (empty at quiescent boundaries, carried
+/// anyway so the snapshot is a total function of the service).
+struct AggregationSnapshot : ml::FedAvgAggregator::State {
   std::vector<AggregationRecord> history;
   std::uint64_t messages_received = 0;
   std::uint64_t decode_failures = 0;
@@ -121,16 +121,6 @@ struct AggregationSnapshot {
   std::uint32_t model_dim = 0;
   std::vector<float> global_weights;
   float global_bias = 0.0f;
-  std::vector<double> accumulator;
-  /// Compensation planes of the order-invariant cascade (ml/fedavg.h);
-  /// carried bit-exactly so recovery resumes the same represented sum.
-  std::vector<double> accumulator_c1;
-  std::vector<double> accumulator_c2;
-  double bias_accumulator = 0.0;
-  double bias_accumulator_c1 = 0.0;
-  double bias_accumulator_c2 = 0.0;
-  std::uint64_t accumulator_samples = 0;
-  std::uint64_t accumulator_clients = 0;
 };
 
 class AggregationService final : public flow::CloudEndpoint {

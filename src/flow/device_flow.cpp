@@ -176,11 +176,6 @@ bool Dispatcher::TransmissionDrop(const Message& message,
          failure_probability;
 }
 
-bool Dispatcher::LinkFaultsActive() const {
-  return link_.active() || availability_ != nullptr ||
-         link_probability_ != nullptr;
-}
-
 Dispatcher::AttemptOutcome Dispatcher::TryAttempt(const Message& message,
                                                   SimTime when,
                                                   std::size_t attempt) const {
@@ -342,49 +337,37 @@ void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
           ? 0
           : std::max<SimDuration>(1, static_cast<SimDuration>(1e6 / capacity));
 
-  std::vector<Message> survivors = tick_pool_->messages.Acquire();
   std::vector<SimTime> arrivals = tick_pool_->arrivals.Acquire();
-  const bool link_active = LinkFaultsActive();
   next_send_time_ = std::max(next_send_time_, now);
-  if (failure_probability <= 0.0 && !link_active) {
-    // No transmission-failure draws: the whole batch survives, so adopt it
-    // wholesale instead of moving message-by-message (same zero RNG draws
-    // and the same arrival arithmetic as the general loop below).
-    arrivals.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      arrivals.push_back(next_send_time_);
-      next_send_time_ += per_message;
+  arrivals.reserve(batch.size());
+  // Survivors move up to the front of the batch, in order, so a tick that
+  // loses nothing moves nothing.
+  std::size_t sent = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    Message& message = batch[i];
+    // Dropout method 1: per-message transmission failure (message-keyed
+    // draw — see TransmissionDrop; none when the probability is 0).
+    if (TransmissionDrop(message, failure_probability)) {
+      ++stats_.dropped;
+      continue;
     }
-    std::swap(survivors, batch);
-  } else {
-    survivors.reserve(batch.size());
-    arrivals.reserve(batch.size());
-    for (auto& message : batch) {
-      // Dropout method 1: per-message transmission failure (message-keyed
-      // draw — see TransmissionDrop).
-      if (TransmissionDrop(message, failure_probability)) {
-        ++stats_.dropped;
-        continue;
-      }
-      // Transient-link fault plane: attempt 0 happens at the message's
-      // would-be arrival stamp. A failed first attempt neither counts as
-      // sent nor advances the rate limiter — the message leaves the tick
-      // and lives on its own retry schedule (or books its loss).
-      if (link_active) {
-        const AttemptOutcome outcome =
-            TryAttempt(message, next_send_time_, 0);
-        if (outcome != AttemptOutcome::kDelivered) {
-          OnAttemptFailed(std::move(message), next_send_time_, 0,
-                          outcome == AttemptOutcome::kChurn);
-          continue;
-        }
-      }
-      arrivals.push_back(next_send_time_);
-      next_send_time_ += per_message;
-      survivors.push_back(std::move(message));
+    // Transient-link fault plane: attempt 0 happens at the message's
+    // would-be arrival stamp. A failed first attempt neither counts as
+    // sent nor advances the rate limiter — the message leaves the tick
+    // and lives on its own retry schedule (or books its loss). With no
+    // hooks and an inactive policy every attempt delivers, without a draw.
+    const AttemptOutcome outcome = TryAttempt(message, next_send_time_, 0);
+    if (outcome != AttemptOutcome::kDelivered) {
+      OnAttemptFailed(std::move(message), next_send_time_, 0,
+                      outcome == AttemptOutcome::kChurn);
+      continue;
     }
+    arrivals.push_back(next_send_time_);
+    next_send_time_ += per_message;
+    if (sent != i) batch[sent] = std::move(message);
+    ++sent;
   }
-  const std::size_t sent = survivors.size();
+  batch.resize(sent);
   if (sent > 0 && downstream_ != nullptr) {
     // One event per dispatch tick: the whole capacity window reaches the
     // sink in a single DeliverDecodedBatch call at the window's first
@@ -402,11 +385,10 @@ void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
     CloudEndpoint* sink = downstream_;
     std::shared_ptr<TickBufferPool> pool = tick_pool_;
     std::vector<DecodedUpdate> updates = tick_pool_->decoded.Acquire();
-    updates.reserve(survivors.size());
-    for (Message& message : survivors) {
+    updates.reserve(sent);
+    for (Message& message : batch) {
       updates.push_back(ToUpdate(std::move(message)));
     }
-    tick_pool_->messages.Release(std::move(survivors));
     loop_.ScheduleAt(first, [sink, pool = std::move(pool),
                              updates = std::move(updates),
                              arrivals = std::move(arrivals)]() mutable {
@@ -416,7 +398,6 @@ void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
       pool->arrivals.Release(std::move(arrivals));
     });
   } else {
-    tick_pool_->messages.Release(std::move(survivors));
     tick_pool_->arrivals.Release(std::move(arrivals));
   }
   tick_pool_->messages.Release(std::move(batch));

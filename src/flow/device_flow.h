@@ -225,10 +225,6 @@ class Dispatcher {
   /// partitioned across dispatchers or grouped into ticks — the property
   /// that keeps sharded fleets bit-identical at every width.
   bool TransmissionDrop(const Message& message, double failure_probability);
-  /// Whether any link-fault mechanism (policy, availability hook, link
-  /// probability hook) can alter a message's fate; false keeps DispatchBatch
-  /// on the exact pre-fault-plane path.
-  bool LinkFaultsActive() const;
   /// One upload attempt's verdict at `when` (attempt 0 = the dispatch
   /// tick itself). Draws are keyed on (retry seed, message id, attempt) —
   /// pure functions, no sequential RNG state.

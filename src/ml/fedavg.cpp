@@ -194,7 +194,8 @@ void CascadeMerge(Isa isa, const double* SIMDC_RESTRICT other_sum,
 
 Status FedAvgAggregator::Add(std::span<const float> weights, float bias,
                              std::size_t sample_count) {
-  if (weights.size() != accumulator_.size()) {
+  State& s = state_;
+  if (weights.size() != s.accumulator.size()) {
     return InvalidArgument("FedAvg: model dim " +
                            std::to_string(weights.size()) +
                            " != aggregator dim " + std::to_string(dim()));
@@ -203,64 +204,65 @@ Status FedAvgAggregator::Add(std::span<const float> weights, float bias,
     return InvalidArgument("FedAvg: client update with zero samples");
   }
   const auto w = static_cast<double>(sample_count);
-  kernels::CascadeAdd(weights.data(), accumulator_.size(), w,
-                      accumulator_.data(), compensation1_.data(),
-                      compensation2_.data());
-  kernels::CascadeStep(w * static_cast<double>(bias), bias_accumulator_,
-                       bias_compensation1_, bias_compensation2_);
-  total_samples_ += sample_count;
-  ++clients_;
+  kernels::CascadeAdd(weights.data(), s.accumulator.size(), w,
+                      s.accumulator.data(), s.accumulator_c1.data(),
+                      s.accumulator_c2.data());
+  kernels::CascadeStep(w * static_cast<double>(bias), s.bias_accumulator,
+                       s.bias_accumulator_c1, s.bias_accumulator_c2);
+  s.accumulator_samples += sample_count;
+  ++s.accumulator_clients;
   return Status::Ok();
 }
 
 void FedAvgAggregator::MergeFrom(const FedAvgAggregator& other) {
   SIMDC_CHECK(other.dim() == dim(),
               "FedAvgAggregator::MergeFrom: dimension mismatch");
-  kernels::CascadeMerge(other.accumulator_.data(), other.compensation1_.data(),
-                        other.compensation2_.data(), accumulator_.size(),
-                        accumulator_.data(), compensation1_.data(),
-                        compensation2_.data());
-  kernels::CascadeStep(other.bias_accumulator_, bias_accumulator_,
-                       bias_compensation1_, bias_compensation2_);
-  kernels::CascadeStep(other.bias_compensation1_, bias_accumulator_,
-                       bias_compensation1_, bias_compensation2_);
-  kernels::CascadeStep(other.bias_compensation2_, bias_accumulator_,
-                       bias_compensation1_, bias_compensation2_);
-  total_samples_ += other.total_samples_;
-  clients_ += other.clients_;
+  State& s = state_;
+  const State& o = other.state_;
+  kernels::CascadeMerge(o.accumulator.data(), o.accumulator_c1.data(),
+                        o.accumulator_c2.data(), s.accumulator.size(),
+                        s.accumulator.data(), s.accumulator_c1.data(),
+                        s.accumulator_c2.data());
+  kernels::CascadeStep(o.bias_accumulator, s.bias_accumulator,
+                       s.bias_accumulator_c1, s.bias_accumulator_c2);
+  kernels::CascadeStep(o.bias_accumulator_c1, s.bias_accumulator,
+                       s.bias_accumulator_c1, s.bias_accumulator_c2);
+  kernels::CascadeStep(o.bias_accumulator_c2, s.bias_accumulator,
+                       s.bias_accumulator_c1, s.bias_accumulator_c2);
+  s.accumulator_samples += o.accumulator_samples;
+  s.accumulator_clients += o.accumulator_clients;
 }
 
 Result<LrModel> FedAvgAggregator::Aggregate() const {
-  if (total_samples_ == 0) {
+  const State& s = state_;
+  if (s.accumulator_samples == 0) {
     return FailedPrecondition("FedAvg: no client updates to aggregate");
   }
   LrModel model(dim());
-  const auto total = static_cast<double>(total_samples_);
+  const auto total = static_cast<double>(s.accumulator_samples);
   auto weights = model.weights();
-  const double* SIMDC_RESTRICT sum = accumulator_.data();
-  const double* SIMDC_RESTRICT c1 = compensation1_.data();
-  const double* SIMDC_RESTRICT c2 = compensation2_.data();
+  const double* SIMDC_RESTRICT sum = s.accumulator.data();
+  const double* SIMDC_RESTRICT c1 = s.accumulator_c1.data();
+  const double* SIMDC_RESTRICT c2 = s.accumulator_c2.data();
   float* SIMDC_RESTRICT out = weights.data();
-  for (std::size_t i = 0; i < accumulator_.size(); ++i) {
+  for (std::size_t i = 0; i < s.accumulator.size(); ++i) {
     out[i] =
         static_cast<float>(kernels::CascadeValue(sum[i], c1[i], c2[i]) / total);
   }
   model.bias() = static_cast<float>(
-      kernels::CascadeValue(bias_accumulator_, bias_compensation1_,
-                            bias_compensation2_) /
+      kernels::CascadeValue(s.bias_accumulator, s.bias_accumulator_c1,
+                            s.bias_accumulator_c2) /
       total);
   return model;
 }
 
 void FedAvgAggregator::Reset() {
-  std::fill(accumulator_.begin(), accumulator_.end(), 0.0);
-  std::fill(compensation1_.begin(), compensation1_.end(), 0.0);
-  std::fill(compensation2_.begin(), compensation2_.end(), 0.0);
-  bias_accumulator_ = 0.0;
-  bias_compensation1_ = 0.0;
-  bias_compensation2_ = 0.0;
-  total_samples_ = 0;
-  clients_ = 0;
+  State& s = state_;
+  std::fill(s.accumulator.begin(), s.accumulator.end(), 0.0);
+  std::fill(s.accumulator_c1.begin(), s.accumulator_c1.end(), 0.0);
+  std::fill(s.accumulator_c2.begin(), s.accumulator_c2.end(), 0.0);
+  s.bias_accumulator = s.bias_accumulator_c1 = s.bias_accumulator_c2 = 0.0;
+  s.accumulator_samples = s.accumulator_clients = 0;
 }
 
 }  // namespace simdc::ml

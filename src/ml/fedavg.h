@@ -20,7 +20,6 @@
 // shard splits.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -101,8 +100,25 @@ inline double CascadeValue(double sum, double c1, double c2) {
 /// the same published model as one serial aggregator fed every update.
 class FedAvgAggregator {
  public:
+  /// The whole cascade, as a value: per element, `accumulator` carries the
+  /// primary sums of weight·sample_count terms and accumulator_c1/_c2 the
+  /// two error planes (see kernels::CascadeAdd); the bias has its own
+  /// triple. cloud::AggregationSnapshot derives from it, so checkpoints
+  /// carry the cascade bit-exactly by assignment.
+  struct State {
+    std::vector<double> accumulator;
+    std::vector<double> accumulator_c1;
+    std::vector<double> accumulator_c2;
+    double bias_accumulator = 0.0;
+    double bias_accumulator_c1 = 0.0;
+    double bias_accumulator_c2 = 0.0;
+    std::uint64_t accumulator_samples = 0;
+    std::uint64_t accumulator_clients = 0;
+  };
+
   explicit FedAvgAggregator(std::uint32_t dim)
-      : accumulator_(dim), compensation1_(dim), compensation2_(dim) {}
+      : state_{std::vector<double>(dim), std::vector<double>(dim),
+               std::vector<double>(dim)} {}
 
   /// Adds one client update — its weights and bias — weighted by its
   /// sample count. `weights` may alias a stored payload blob (ModelView).
@@ -123,55 +139,25 @@ class FedAvgAggregator {
 
   void Reset();
 
-  std::size_t clients() const { return clients_; }
-  std::size_t total_samples() const { return total_samples_; }
+  std::size_t clients() const { return state_.accumulator_clients; }
+  std::size_t total_samples() const { return state_.accumulator_samples; }
 
-  /// Raw cascade state, exposed bit-exactly for checkpointing: the primary
-  /// sums and the two compensation planes.
-  std::span<const double> accumulator() const { return accumulator_; }
-  std::span<const double> compensation1() const { return compensation1_; }
-  std::span<const double> compensation2() const { return compensation2_; }
-  double bias_accumulator() const { return bias_accumulator_; }
-  double bias_compensation1() const { return bias_compensation1_; }
-  double bias_compensation2() const { return bias_compensation2_; }
-
-  /// Restores cascade state from a checkpoint. All three spans must match
+  /// The cascade bit for bit, for checkpointing.
+  const State& state() const { return state_; }
+  /// Restores the cascade from a checkpoint. All three planes must match
   /// this aggregator's dimension.
-  void Restore(std::span<const double> accumulator,
-               std::span<const double> compensation1,
-               std::span<const double> compensation2, double bias_accumulator,
-               double bias_compensation1, double bias_compensation2,
-               std::size_t total_samples, std::size_t clients) {
-    SIMDC_CHECK(accumulator.size() == accumulator_.size() &&
-                    compensation1.size() == accumulator_.size() &&
-                    compensation2.size() == accumulator_.size(),
+  void Restore(const State& state) {
+    SIMDC_CHECK(state.accumulator.size() == dim() &&
+                    state.accumulator_c1.size() == dim() &&
+                    state.accumulator_c2.size() == dim(),
                 "FedAvgAggregator::Restore: dimension mismatch");
-    std::copy(accumulator.begin(), accumulator.end(), accumulator_.begin());
-    std::copy(compensation1.begin(), compensation1.end(),
-              compensation1_.begin());
-    std::copy(compensation2.begin(), compensation2.end(),
-              compensation2_.begin());
-    bias_accumulator_ = bias_accumulator;
-    bias_compensation1_ = bias_compensation1;
-    bias_compensation2_ = bias_compensation2;
-    total_samples_ = total_samples;
-    clients_ = clients;
+    state_ = state;
   }
 
  private:
-  /// Per-element cascade: accumulator_ carries the primary sums of
-  /// weight·sample_count terms, compensation1_/compensation2_ the two
-  /// error planes (see kernels::CascadeAdd).
-  std::vector<double> accumulator_;
-  std::vector<double> compensation1_;
-  std::vector<double> compensation2_;
-  double bias_accumulator_ = 0.0;
-  double bias_compensation1_ = 0.0;
-  double bias_compensation2_ = 0.0;
-  std::size_t total_samples_ = 0;
-  std::size_t clients_ = 0;
+  State state_;
   std::uint32_t dim() const {
-    return static_cast<std::uint32_t>(accumulator_.size());
+    return static_cast<std::uint32_t>(state_.accumulator.size());
   }
 };
 

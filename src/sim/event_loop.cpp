@@ -35,34 +35,18 @@ std::vector<EventHandle> EventLoop::ScheduleBulk(std::vector<TimedEvent> events)
 
 bool EventLoop::Cancel(EventHandle handle) {
   // Only handles that are still pending can be cancelled; fired, already
-  // cancelled and never-issued handles all fail. We cannot remove from the
-  // middle of a priority_queue, so record a tombstone that PopNext consumes.
-  if (pending_handles_.erase(handle) == 0) return false;
-  cancelled_.insert(handle);
-  return true;
+  // cancelled and never-issued handles all fail. The heap entry stays
+  // behind as a tombstone (its handle is no longer pending), which
+  // NextEventTime and Step discard when it surfaces.
+  return pending_handles_.erase(handle) > 0;
 }
 
 SimTime EventLoop::NextEventTime() {
-  while (!heap_.empty()) {
-    if (!cancelled_.contains(heap_.front().handle)) return heap_.front().time;
-    // Consume the tombstone so the heap and cancelled-set stay bounded.
+  while (!heap_.empty() && !pending_handles_.contains(heap_.front().handle)) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    cancelled_.erase(heap_.back().handle);
     heap_.pop_back();
   }
-  return kNoEvent;
-}
-
-bool EventLoop::PopNext(Event& out) {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event event = std::move(heap_.back());
-    heap_.pop_back();
-    if (cancelled_.erase(event.handle) > 0) continue;  // tombstoned
-    out = std::move(event);
-    return true;
-  }
-  return false;
+  return heap_.empty() ? kNoEvent : heap_.front().time;
 }
 
 void EventLoop::FastForwardTo(SimTime t) {
@@ -74,48 +58,30 @@ void EventLoop::FastForwardTo(SimTime t) {
 
 std::size_t EventLoop::Run() {
   std::size_t executed = 0;
-  Event event;
-  while (PopNext(event)) {
-    clock_.AdvanceTo(event.time);
-    pending_handles_.erase(event.handle);
-    ++processed_;
-    ++executed;
-    event.fn();
-  }
+  while (Step()) ++executed;
   return executed;
 }
 
 std::size_t EventLoop::RunUntil(SimTime t) {
   std::size_t executed = 0;
-  for (;;) {
-    if (heap_.empty()) break;
-    // Peek through tombstones.
-    Event event;
-    if (!PopNext(event)) break;
-    if (event.time > t) {
-      // Put it back (re-push preserves ordering; seq already assigned).
-      heap_.push_back(std::move(event));
-      std::push_heap(heap_.begin(), heap_.end(), Later{});
-      break;
-    }
-    clock_.AdvanceTo(event.time);
-    pending_handles_.erase(event.handle);
-    ++processed_;
-    ++executed;
-    event.fn();
-  }
+  // Step's own check ends the loop when t == kNoEvent and nothing is left.
+  while (NextEventTime() <= t && Step()) ++executed;
   clock_.AdvanceTo(t);
   return executed;
 }
 
 bool EventLoop::Step() {
-  Event event;
-  if (!PopNext(event)) return false;
-  clock_.AdvanceTo(event.time);
-  pending_handles_.erase(event.handle);
-  ++processed_;
-  event.fn();
-  return true;
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Event event = std::move(heap_.back());
+    heap_.pop_back();
+    if (pending_handles_.erase(event.handle) == 0) continue;  // tombstone
+    clock_.AdvanceTo(event.time);
+    ++processed_;
+    event.fn();
+    return true;
+  }
+  return false;
 }
 
 }  // namespace simdc::sim

@@ -65,7 +65,7 @@ class EventLoop {
   }
 
   /// Timestamp of the earliest pending (non-cancelled) event, or
-  /// `kNoEvent` when the loop is empty. Prunes cancelled heap tops as a
+  /// `kNoEvent` when the loop is empty. Pops cancelled heap tops as a
   /// side effect, so repeated peeks stay O(1) amortized.
   static constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::max();
   SimTime NextEventTime();
@@ -105,20 +105,17 @@ class EventLoop {
     }
   };
 
-  bool PopNext(Event& out);
-
   ManualClock clock_;
   /// Binary min-heap on (time, seq) managed with std::push_heap/pop_heap —
   /// an explicit vector (rather than std::priority_queue) so ScheduleBulk
   /// can append N events and restore the invariant with one make_heap.
   std::vector<Event> heap_;
   /// Handles scheduled but not yet fired or cancelled. Membership makes
-  /// Cancel() exact (false for fired/unknown handles) and O(1), and doubles
-  /// as the pending()/empty() bookkeeping.
+  /// Cancel() exact (false for fired/unknown handles) and O(1), doubles
+  /// as the pending()/empty() bookkeeping, and marks tombstones: a heap
+  /// entry whose handle is not pending was cancelled. Handles are never
+  /// reused, so the mark is exact.
   std::unordered_set<EventHandle> pending_handles_;
-  /// Tombstones for cancelled events still sitting in the heap; PopNext
-  /// consumes them with an O(1) lookup instead of a linear scan.
-  std::unordered_set<EventHandle> cancelled_;
   std::uint64_t next_seq_ = 0;
   EventHandle next_handle_ = 1;
   std::size_t processed_ = 0;

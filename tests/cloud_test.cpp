@@ -1178,17 +1178,7 @@ class AggregationPartialSumTest : public AggregationTest {
     const ml::FedAvgAggregator& open = replay.open;
     out.pending_samples = open.total_samples();
     out.pending_clients = open.clients();
-    AggregationSnapshot& s = out.snapshot;
-    s.accumulator.assign(open.accumulator().begin(), open.accumulator().end());
-    s.accumulator_c1.assign(open.compensation1().begin(),
-                            open.compensation1().end());
-    s.accumulator_c2.assign(open.compensation2().begin(),
-                            open.compensation2().end());
-    s.bias_accumulator = open.bias_accumulator();
-    s.bias_accumulator_c1 = open.bias_compensation1();
-    s.bias_accumulator_c2 = open.bias_compensation2();
-    s.accumulator_samples = open.total_samples();
-    s.accumulator_clients = open.clients();
+    static_cast<ml::FedAvgAggregator::State&>(out.snapshot) = open.state();
     return out;
   }
 

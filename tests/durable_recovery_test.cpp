@@ -25,6 +25,7 @@
 #include "persist/durable_store.h"
 #include "persist/file_io.h"
 #include "persist/wire.h"
+#include "golden_digest.h"
 #include "reference_fedavg.h"
 #include "sim/event_loop.h"
 
@@ -399,21 +400,31 @@ TEST(BlobLogTest, FailedAppendLeavesNoPartialFrame) {
   EXPECT_EQ(*size, 3 * kRecord);
 }
 
+// Every field holds a distinct non-default value, so the round trip and
+// the golden image below see a field that moves, swaps or changes width.
 persist::CheckpointState SampleState() {
   persist::CheckpointState state;
+  state.sequence = 7;
+  state.log_offset = 206858;
   state.time = Seconds(120.0);
-  state.resume_t0 = Seconds(120.0);
+  state.resume_t0 = Seconds(125.0);
   state.next_round = 2;
-  state.quiescent = true;
+  state.quiescent = false;
   state.next_message_id = 49;
   state.next_blob_id = 51;
-  state.rounds_started = 2;
-  state.last_recorded_round = 2;
+  state.rounds_started = 3;
+  state.last_recorded_round = 1;
   state.messages_emitted = 48;
   state.storage_bytes_written = 4096;
   state.storage_bytes_read = 2048;
   state.pending_delete_blobs = {BlobId(44), BlobId(45), BlobId(46)};
-  state.aggregation.messages_received = 48;
+  state.aggregation.messages_received = 47;
+  state.aggregation.decode_failures = 5;
+  state.aggregation.stale_rejections = 6;
+  state.aggregation.store_errors = 8;
+  state.aggregation.deadline_commits = 9;
+  state.aggregation.round_extensions = 10;
+  state.aggregation.aborted_rounds = 11;
   state.aggregation.model_dim = 4;
   state.aggregation.global_weights = {0.5f, -1.25f, 0.0f, 3.75f};
   state.aggregation.global_bias = -0.125f;
@@ -436,22 +447,35 @@ persist::CheckpointState SampleState() {
   state.aggregation.history.push_back(record);
   RoundMetrics round;
   round.round = 1;
-  round.time = Seconds(60.0);
+  round.time = Seconds(61.0);
   round.test_accuracy = 0.75;
   round.test_logloss = 0.5;
-  round.clients = 24;
-  round.samples = 240;
+  round.train_accuracy = 0.8125;
+  round.train_logloss = 0.4375;
+  round.clients = 23;
+  round.samples = 230;
   state.rounds.push_back(round);
-  state.dispatch.received = 48;
-  state.dispatch.sent = 48;
+  state.dispatch.received = 50;
+  state.dispatch.sent = 46;
+  state.dispatch.dropped = 4;
+  state.dispatch.retries = 7;
+  state.dispatch.retry_successes = 3;
+  state.dispatch.deadline_drops = 1;
+  state.dispatch.churn_losses = 2;
+  state.dispatch.batches_truncated = 13;
   state.dispatch.batches = {{Seconds(3.0), 1}, {Seconds(4.0), 2}};
-  state.dispatch.batch_keys = {1, 2};
-  state.scalars.push_back({"loss", Seconds(60.0), 0.5});
+  state.dispatch.batch_keys = {17, 19};
+  state.scalars.push_back({"loss", Seconds(62.0), 0.375});
   device::PerfSample sample;
-  sample.phone = PhoneId(3);
-  sample.task = TaskId(1);
+  sample.phone = PhoneId(31);
+  sample.task = TaskId(37);
   sample.time = Seconds(10.0);
-  sample.current_ua = 150000;
+  sample.current_ua = -150000;
+  sample.voltage_mv = 3850.5;
+  sample.cpu_percent = 37.25;
+  sample.memory_kb = 524288;
+  sample.bandwidth_bytes = 1048577;
+  sample.stage = device::ApkStage::kTraining;
   state.perf_samples.push_back(sample);
   return state;
 }
@@ -494,7 +518,24 @@ TEST(CheckpointTest, SerializeDeserializeRoundTrips) {
   ASSERT_EQ(decoded->scalars.size(), 1u);
   EXPECT_EQ(decoded->scalars[0].series, "loss");
   ASSERT_EQ(decoded->perf_samples.size(), 1u);
-  EXPECT_EQ(decoded->perf_samples[0].current_ua, 150000);
+  EXPECT_EQ(decoded->perf_samples[0].current_ua, -150000);
+  EXPECT_EQ(decoded->perf_samples[0].stage, device::ApkStage::kTraining);
+  // Fields the checks above skip: re-serializing the decoded state must
+  // reproduce the image byte for byte.
+  EXPECT_EQ(persist::SerializeCheckpoint(*decoded), image);
+}
+
+TEST(CheckpointTest, GoldenV3Image) {
+  // One field walk writes and reads the image, so a round trip cannot see
+  // a field that moved or changed width in both directions at once. The
+  // digest pins SampleState()'s v3 bytes as the codec wrote them before
+  // the walk existed.
+  const std::vector<std::byte> image =
+      persist::SerializeCheckpoint(SampleState());
+  golden::Digest d;
+  d.Add(image.size());
+  for (const std::byte b : image) d.Add(static_cast<std::uint8_t>(b));
+  golden::ExpectGolden("persist.checkpoint_v3_image", d.value());
 }
 
 TEST(CheckpointTest, TornOrCorruptImagesAreRejectedNotUB) {

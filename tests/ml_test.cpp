@@ -764,7 +764,7 @@ TEST(FedAvgTest, MergeFromMatchesSerialBitForBit) {
 }
 
 TEST(FedAvgTest, RestoreRoundTripsCascadeStateBitExactly) {
-  // The checkpoint seam: accessor -> Restore must reproduce the aggregator
+  // The checkpoint seam: state() -> Restore must reproduce the aggregator
   // exactly, including both compensation planes, so a recovered run
   // publishes the same bits.
   const auto updates = AdversarialUpdates(40, 16, 0xD00F);
@@ -774,11 +774,7 @@ TEST(FedAvgTest, RestoreRoundTripsCascadeStateBitExactly) {
   }
 
   FedAvgAggregator restored(16);
-  restored.Restore(original.accumulator(), original.compensation1(),
-                   original.compensation2(), original.bias_accumulator(),
-                   original.bias_compensation1(),
-                   original.bias_compensation2(), original.total_samples(),
-                   original.clients());
+  restored.Restore(original.state());
   EXPECT_EQ(restored.clients(), original.clients());
   EXPECT_EQ(restored.total_samples(), original.total_samples());
 
@@ -800,9 +796,14 @@ TEST(FedAvgTest, RestoreRoundTripsCascadeStateBitExactly) {
   EXPECT_EQ(cont.clients(), 0u);
   EXPECT_EQ(cont.total_samples(), 0u);
   EXPECT_FALSE(cont.Aggregate().ok());
-  for (const double v : cont.accumulator()) EXPECT_EQ(v, 0.0);
-  for (const double v : cont.compensation1()) EXPECT_EQ(v, 0.0);
-  for (const double v : cont.compensation2()) EXPECT_EQ(v, 0.0);
+  const FedAvgAggregator::State& reset = cont.state();
+  for (const auto* plane :
+       {&reset.accumulator, &reset.accumulator_c1, &reset.accumulator_c2}) {
+    for (const double v : *plane) EXPECT_EQ(v, 0.0);
+  }
+  EXPECT_EQ(reset.bias_accumulator, 0.0);
+  EXPECT_EQ(reset.bias_accumulator_c1, 0.0);
+  EXPECT_EQ(reset.bias_accumulator_c2, 0.0);
 }
 
 /// Byte equality of two double planes: unlike ==, tells +0.0 from -0.0
