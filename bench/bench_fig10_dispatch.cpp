@@ -28,12 +28,12 @@ using namespace simdc;
 
 class CountingEndpoint final : public flow::CloudEndpoint {
  public:
-  void DeliverDecodedBatch(std::span<const flow::DecodedUpdate>,
-                           std::span<const SimTime> batch_arrivals) override {
+  void DeliverDecodedBatch(std::vector<flow::DecodedUpdate> updates) override {
     // Consume a whole dispatch tick in one call, as cloud::Aggregation
     // does.
-    arrivals.insert(arrivals.end(), batch_arrivals.begin(),
-                    batch_arrivals.end());
+    for (const flow::DecodedUpdate& update : updates) {
+      arrivals.push_back(update.arrival);
+    }
   }
   std::vector<SimTime> arrivals;
 

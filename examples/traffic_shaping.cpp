@@ -25,10 +25,10 @@ class HourlyLoadEndpoint final : public flow::CloudEndpoint {
  public:
   explicit HourlyLoadEndpoint(double hours) : per_hour_(static_cast<std::size_t>(hours), 0) {}
 
-  void DeliverDecodedBatch(std::span<const flow::DecodedUpdate>,
-                           std::span<const SimTime> arrivals) override {
-    for (const SimTime arrival : arrivals) {
-      const auto hour = static_cast<std::size_t>(ToSeconds(arrival) / 3600.0);
+  void DeliverDecodedBatch(std::vector<flow::DecodedUpdate> updates) override {
+    for (const flow::DecodedUpdate& update : updates) {
+      const auto hour =
+          static_cast<std::size_t>(ToSeconds(update.arrival) / 3600.0);
       if (hour < per_hour_.size()) ++per_hour_[hour];
       ++total_;
     }

@@ -96,24 +96,16 @@ void AggregationService::ArmSchedule() {
 }
 
 void AggregationService::DeliverDecodedBatch(
-    std::span<const flow::DecodedUpdate> updates,
-    std::span<const SimTime> arrivals) {
-  SIMDC_CHECK(updates.size() == arrivals.size(),
-              "AggregationService: tick span size mismatch ("
-                  << updates.size() << " updates, " << arrivals.size()
-                  << " arrivals)");
+    std::vector<flow::DecodedUpdate> updates) {
   const std::uint64_t t0 = NowNs();
   const std::uint64_t accumulate0 = serial_accumulate_ns_;
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    DeliverDecodedOne(updates[i], arrivals[i]);
-  }
+  for (flow::DecodedUpdate& update : updates) DeliverDecodedOne(update);
   const std::uint64_t total = NowNs() - t0;
   const std::uint64_t accumulate = serial_accumulate_ns_ - accumulate0;
   serial_bookkeeping_ns_ += total > accumulate ? total - accumulate : 0;
 }
 
-void AggregationService::DeliverDecodedOne(const flow::DecodedUpdate& update,
-                                           SimTime arrival) {
+void AggregationService::DeliverDecodedOne(flow::DecodedUpdate& update) {
   if (stopped_) return;
   ++messages_received_;
 
@@ -159,10 +151,10 @@ void AggregationService::DeliverDecodedOne(const flow::DecodedUpdate& update,
     ++decode_failures_;
     return;
   }
-  pending_.push_back({update.model, samples});
+  if (update.model.owns_weights()) ++staged_owned_;
+  pending_.push_back({std::move(update.model), samples});
   staged_samples_ += samples;
   ++staged_clients_;
-  if (update.model.owns_weights()) ++staged_owned_;
 
   if (config_.trigger == AggregationTrigger::kSampleThreshold &&
       pending_samples() >= config_.sample_threshold) {
@@ -170,7 +162,7 @@ void AggregationService::DeliverDecodedOne(const flow::DecodedUpdate& update,
     // later updates in the tick see the advanced round for their staleness
     // verdicts. Its timestamp is that update's arrival: inside a tick the
     // loop clock still sits at the tick start.
-    AggregateAt(std::max(arrival, loop_.Now()));
+    AggregateAt(std::max(update.arrival, loop_.Now()));
     return;
   }
   if (staged_owned_ >= kFlushCap) FlushPending();

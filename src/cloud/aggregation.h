@@ -151,14 +151,14 @@ class AggregationService final : public flow::CloudEndpoint {
   /// ticks, possibly on shard workers — the dispatcher needs a
   /// cloud::BlobModelDecoder), so the serial side is only the staleness
   /// verdict, counter commits and O(1) staging — it never touches
-  /// BlobStore or FromBytes. Updates are admitted in order, each with its
+  /// BlobStore or FromBytes. Updates are admitted in order, each at its
   /// own arrival stamp, so a threshold-triggered aggregation records the
-  /// triggering update's arrival as the round time. A decode failure
-  /// commits only if the update survives the reject_stale check, in
-  /// delivery order (see flow::DecodedUpdate). Spans of unequal length,
-  /// and a fresh update no decoder ran on, are rejected (SIMDC_CHECK).
-  void DeliverDecodedBatch(std::span<const flow::DecodedUpdate> updates,
-                           std::span<const SimTime> arrivals) override;
+  /// triggering update's arrival as the round time; each admitted model
+  /// view moves into staging. A decode failure commits only if the update
+  /// survives the reject_stale check, in delivery order (see
+  /// flow::DecodedUpdate). A fresh update no decoder ran on is rejected
+  /// (SIMDC_CHECK).
+  void DeliverDecodedBatch(std::vector<flow::DecodedUpdate> updates) override;
 
   const ml::LrModel& global_model() const { return global_model_; }
   void SetGlobalModel(ml::LrModel model) { global_model_ = std::move(model); }
@@ -234,9 +234,10 @@ class AggregationService final : public flow::CloudEndpoint {
   void ArmSchedule();
   /// The one admission body: staleness verdict, deferred decode-failure
   /// commit, O(1) staging, the sample-threshold check on the combined
-  /// (flushed + staged) totals, and the capacity-bounded flush. `arrival`
-  /// is the update's wire stamp, possibly ahead of loop time inside a tick.
-  void DeliverDecodedOne(const flow::DecodedUpdate& update, SimTime arrival);
+  /// (flushed + staged) totals, and the capacity-bounded flush. The
+  /// update's arrival may lie ahead of loop time inside a tick. Staging
+  /// moves the update's model view out.
+  void DeliverDecodedOne(flow::DecodedUpdate& update);
   /// Drains staged entries into the aggregator: serially without a pool,
   /// else via per-lane partials on the pool merged in ascending-lane order.
   /// Bit-invisible either way (order-invariant cascade).

@@ -74,15 +74,14 @@ Status LoadOptional(const IniDocument& doc, const std::string& section,
   return Status::Ok();
 }
 
-/// An integer field: at least `lo`, and no more than the field can hold.
+/// An integer field in [lo, hi], and no more than the field can hold.
 template <typename Int>
 Status LoadInt(const IniDocument& doc, const std::string& section,
                const std::string& key, Int* out,
-               std::int64_t lo = std::numeric_limits<Int>::min()) {
+               std::int64_t lo = std::numeric_limits<Int>::min(),
+               std::int64_t hi = kMaxInt) {
   constexpr auto kFieldMax = std::numeric_limits<Int>::max();
-  const std::int64_t hi = std::cmp_less(kFieldMax, kMaxInt)
-                              ? static_cast<std::int64_t>(kFieldMax)
-                              : kMaxInt;
+  if (std::cmp_less(kFieldMax, hi)) hi = static_cast<std::int64_t>(kFieldMax);
   return LoadOptional(doc, section, key, lo, hi,
                       [out](std::int64_t v) { *out = static_cast<Int>(v); });
 }
@@ -396,7 +395,8 @@ Result<core::FlExperimentConfig> LoadExecution(const IniDocument& doc) {
     }
   }
   for (const Status& loaded :
-       {LoadInt(doc, "execution", "parallelism", &config.parallelism),
+       {LoadInt(doc, "execution", "parallelism", &config.parallelism, 0,
+                kMaxParallelism),
         LoadInt(doc, "execution", "shards", &config.shards),
         LoadFlag(doc, "execution", "reclaim_payload_blobs",
                  &config.reclaim_payload_blobs),

@@ -96,8 +96,14 @@ Result<flow::DispatchStrategy> LoadStrategy(const IniDocument& doc);
 Result<cloud::AggregationConfig> LoadAggregation(const IniDocument& doc,
                                                  std::uint32_t model_dim);
 
+/// Upper bound on [execution] parallelism: the engine builds a ThreadPool
+/// with exactly that many threads, so the loader refuses a larger value
+/// (InvalidArgument) instead of asking for a million threads. A machine
+/// with more cores than this still runs with this many workers.
+inline constexpr std::size_t kMaxParallelism = 1024;
+
 /// Reads the optional [execution] section into the FlExperimentConfig
-/// fields it names: parallelism = N, shards = N,
+/// fields it names: parallelism = N (at most kMaxParallelism), shards = N,
 /// payload_codec = fp32|fp16|int8, reclaim_payload_blobs = 0|1,
 /// durability = off|log|log+checkpoint and durability_dir = path (into
 /// durability.mode and .dir; a durable mode needs a dir), round_quorum = N,

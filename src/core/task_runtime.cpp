@@ -672,6 +672,13 @@ Status TaskRuntime::RestoreFromRecovery() {
                     "'; run fresh instead");
   }
   const persist::CheckpointState& cp = recovered->checkpoint;
+  if (cp.aggregation.model_dim != dataset_.hash_dim) {
+    return FailedPrecondition(
+        "checkpoint in '" + config_.durability.dir + "' holds a dim-" +
+        std::to_string(cp.aggregation.model_dim) +
+        " model; this run's dataset hashes to dim " +
+        std::to_string(dataset_.hash_dim));
+  }
 
   next_message_id_ = cp.next_message_id;
   rounds_started_ = static_cast<std::size_t>(cp.rounds_started);

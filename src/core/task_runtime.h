@@ -269,8 +269,10 @@ class TaskRuntime {
   /// arms Begin() to re-enter at the interrupted round. Must be called
   /// before Begin() (FlEngine: before Run()) on a runtime that has not run
   /// yet. Returns NotFound when no checkpoint exists (caller should run
-  /// fresh instead), and DataLoss when the log no longer holds the prefix
-  /// the checkpoint pins (see persist::DurableStore::BeginResume).
+  /// fresh instead), DataLoss when the log no longer holds the prefix the
+  /// checkpoint pins (see persist::DurableStore::BeginResume), and
+  /// FailedPrecondition, before restoring anything, when the checkpoint's
+  /// model dimension is not the dataset's hash_dim.
   Status RestoreFromRecovery();
 
   /// Optional metrics sink checkpointed alongside the aggregator (the

@@ -1,9 +1,11 @@
 // Decoded-payload delivery plane: the unit of flow::CloudEndpoint's one
-// delivery hook. Every dispatch tick reaches its sink as a span of
-// DecodedUpdates. A dispatcher with a PayloadDecoder fills them; one
-// without hands over updates that carry only their message (decoded()
-// false, failure kNone) — the traffic sinks that count arrivals and never
-// read a payload. cloud::AggregationService always sits behind a decoder.
+// delivery hook. Every dispatch tick reaches its sink as one owned vector
+// of DecodedUpdates, built once by the dispatcher and moved to whatever
+// consumes it; each update carries its own arrival stamp. A dispatcher
+// with a PayloadDecoder fills the payloads; one without hands over updates
+// that carry only their message and stamp (decoded() false, failure
+// kNone) — the traffic sinks that count arrivals and never read a payload.
+// cloud::AggregationService always sits behind a decoder.
 //
 // §V-A messages carry a *reference* to the payload blob (see message.h),
 // which makes fetch + decode embarrassingly parallel work: nothing about
@@ -28,6 +30,7 @@
 //      a stale rejection, never a decode failure.
 #pragma once
 
+#include "common/clock.h"
 #include "common/error.h"
 #include "flow/message.h"
 #include "ml/lr_model.h"
@@ -47,11 +50,13 @@ struct DecodedUpdate {
   enum class Failure { kNone, kMissingBlob, kUndecodable, kStoreError };
 
   Message message;
+  /// When the update reaches the cloud: its capacity-spaced slot in the
+  /// dispatch tick, or the time of the retry that delivered it.
+  SimTime arrival = 0;
   /// Decoded payload, read in place from the stored blob (fp32) or from
   /// the view's own dequantized buffer (fp16/int8); empty when failure !=
   /// kNone or when no decoder ran. The view shares ownership of its
-  /// backing bytes, which keeps the update cheap to buffer and re-queue
-  /// through the merge plane.
+  /// backing bytes; the cloud moves it into its staging list.
   ml::ModelView model;
   Failure failure = Failure::kNone;
   /// Failure detail for the warning the serial side logs on commit.

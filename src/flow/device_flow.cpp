@@ -2,22 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 
 #include "common/det_hash.h"
 #include "common/log.h"
 
 namespace simdc::flow {
-
-void Shelf::TakeInto(std::size_t count, std::vector<Message>& out) {
-  const std::size_t n = std::min(count, messages_.size());
-  // Bulk range move + single erase instead of n front-pops: the deque
-  // shrinks in one splice-like pass.
-  out.reserve(out.size() + n);
-  const auto end = messages_.begin() + static_cast<std::ptrdiff_t>(n);
-  std::move(messages_.begin(), end, std::back_inserter(out));
-  messages_.erase(messages_.begin(), end);
-}
 
 Dispatcher::Dispatcher(sim::EventLoop& loop, TaskId task,
                        DispatchStrategy strategy, CloudEndpoint* downstream,
@@ -275,48 +264,40 @@ void Dispatcher::DeliverRetried(Message message, SimTime when) {
     ++stats_.batches_truncated;
   }
   if (downstream_ == nullptr) return;
-  const DecodedUpdate update = ToUpdate(std::move(message));
-  downstream_->DeliverDecodedBatch(std::span<const DecodedUpdate>(&update, 1),
-                                   std::span<const SimTime>(&when, 1));
+  std::vector<DecodedUpdate> tick;
+  tick.push_back(ToUpdate(std::move(message), when));
+  downstream_->DeliverDecodedBatch(std::move(tick));
 }
 
-DecodedUpdate Dispatcher::ToUpdate(Message message) const {
-  if (decoder_ != nullptr) return decoder_->Decode(std::move(message));
+DecodedUpdate Dispatcher::ToUpdate(Message message, SimTime arrival) const {
   DecodedUpdate update;
-  update.message = std::move(message);
+  if (decoder_ != nullptr) {
+    update = decoder_->Decode(std::move(message));
+  } else {
+    update.message = std::move(message);
+  }
+  update.arrival = arrival;
   return update;
 }
 
 void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
                                std::size_t random_discard) {
-  // Every vector this tick touches comes from (and returns to) the
-  // dispatcher's buffer pool; steady-state ticks allocate nothing.
-  std::vector<Message> batch = tick_pool_->messages.Acquire();
-  shelf_.TakeInto(count, batch);
-  if (batch.empty()) {
-    tick_pool_->messages.Release(std::move(batch));
-    return;
-  }
+  const std::size_t n = std::min(count, shelf_.size());
+  if (n == 0) return;
   const SimTime now = loop_.Now();
-  // Log key for this tick (see DispatchStats::batch_keys); captured
-  // before drops and moves below can disturb the batch.
-  const std::uint64_t batch_key = batch.front().id.value();
+  // Log key for this tick (see DispatchStats::batch_keys).
+  const std::uint64_t batch_key = shelf_.front().id.value();
 
-  // Dropout method 2: randomly discard a fixed number of messages.
-  if (random_discard > 0 && !batch.empty()) {
-    const std::size_t discard = std::min(random_discard, batch.size());
-    const auto victims =
-        rng_.SampleWithoutReplacement(batch.size(), discard);
-    std::vector<bool> dead(batch.size(), false);
-    for (std::size_t v : victims) dead[v] = true;
-    std::vector<Message> kept = tick_pool_->messages.Acquire();
-    kept.reserve(batch.size() - discard);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (!dead[i]) kept.push_back(std::move(batch[i]));
+  // Dropout method 2: randomly discard a fixed number of messages, drawn
+  // before any message is taken.
+  std::vector<bool> discarded;
+  if (random_discard > 0) {
+    const std::size_t discard = std::min(random_discard, n);
+    discarded.resize(n);
+    for (const std::size_t v : rng_.SampleWithoutReplacement(n, discard)) {
+      discarded[v] = true;
     }
     stats_.dropped += discard;
-    std::swap(batch, kept);
-    tick_pool_->messages.Release(std::move(kept));
   }
 
   // Capacity limit: each message occupies one 1/capacity slot on the
@@ -337,14 +318,19 @@ void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
           ? 0
           : std::max<SimDuration>(1, static_cast<SimDuration>(1e6 / capacity));
 
-  std::vector<SimTime> arrivals = tick_pool_->arrivals.Acquire();
   next_send_time_ = std::max(next_send_time_, now);
-  arrivals.reserve(batch.size());
-  // Survivors move up to the front of the batch, in order, so a tick that
-  // loses nothing moves nothing.
+  // The tick, built once and moved to the sink. A decoder fetches +
+  // decodes every survivor NOW, at tick time — on the shard loop's worker
+  // thread when fleets advance in lockstep — so the serial side never
+  // touches storage. Blobs are immutable once Put, so decoding ahead of
+  // the delivery timestamp observes the same bytes; failures ride along
+  // for deferred accounting.
+  std::vector<DecodedUpdate> updates;
+  updates.reserve(n);
   std::size_t sent = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Message& message = batch[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    Message message = shelf_.Take();
+    if (i < discarded.size() && discarded[i]) continue;
     // Dropout method 1: per-message transmission failure (message-keyed
     // draw — see TransmissionDrop; none when the probability is 0).
     if (TransmissionDrop(message, failure_probability)) {
@@ -362,45 +348,22 @@ void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
                       outcome == AttemptOutcome::kChurn);
       continue;
     }
-    arrivals.push_back(next_send_time_);
+    if (downstream_ != nullptr) {
+      updates.push_back(ToUpdate(std::move(message), next_send_time_));
+    }
     next_send_time_ += per_message;
-    if (sent != i) batch[sent] = std::move(message);
     ++sent;
   }
-  batch.resize(sent);
-  if (sent > 0 && downstream_ != nullptr) {
+  if (!updates.empty()) {
     // One event per dispatch tick: the whole capacity window reaches the
     // sink in a single DeliverDecodedBatch call at the window's first
-    // arrival, carrying every message's exact arrival stamp. Round fan-in
-    // is O(ticks), not O(messages). A decoder fetches + decodes every
-    // survivor NOW, at tick time — on the shard loop's worker thread when
-    // fleets advance in lockstep — so the serial side never touches
-    // storage. Blobs are immutable once Put, so decoding ahead of the
-    // delivery timestamp observes the same bytes; failures ride along for
-    // deferred accounting.
-    // Delivery events return their buffers to the pool after the sink
-    // consumed them; the shared_ptr keeps the pool alive even if this
-    // dispatcher is removed before the event fires.
-    const SimTime first = arrivals.front();
-    CloudEndpoint* sink = downstream_;
-    std::shared_ptr<TickBufferPool> pool = tick_pool_;
-    std::vector<DecodedUpdate> updates = tick_pool_->decoded.Acquire();
-    updates.reserve(sent);
-    for (Message& message : batch) {
-      updates.push_back(ToUpdate(std::move(message)));
-    }
-    loop_.ScheduleAt(first, [sink, pool = std::move(pool),
-                             updates = std::move(updates),
-                             arrivals = std::move(arrivals)]() mutable {
-      sink->DeliverDecodedBatch(std::span<const DecodedUpdate>(updates),
-                                std::span<const SimTime>(arrivals));
-      pool->decoded.Release(std::move(updates));
-      pool->arrivals.Release(std::move(arrivals));
+    // arrival. Round fan-in is O(ticks), not O(messages).
+    const SimTime first = updates.front().arrival;
+    loop_.ScheduleAt(first, [sink = downstream_,
+                             updates = std::move(updates)]() mutable {
+      sink->DeliverDecodedBatch(std::move(updates));
     });
-  } else {
-    tick_pool_->arrivals.Release(std::move(arrivals));
   }
-  tick_pool_->messages.Release(std::move(batch));
   stats_.sent += sent;
   if (stats_.batches.size() < batch_log_cap_) {
     stats_.batches.emplace_back(now, sent);

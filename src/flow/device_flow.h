@@ -16,7 +16,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -27,7 +26,6 @@
 #include "flow/decoded_update.h"
 #include "flow/message.h"
 #include "flow/strategy.h"
-#include "flow/tick_pool.h"
 #include "sim/event_loop.h"
 
 namespace simdc::flow {
@@ -37,15 +35,14 @@ class CloudEndpoint {
  public:
   virtual ~CloudEndpoint() = default;
 
-  /// The one delivery hook: one dispatch tick, in a single virtual call.
-  /// updates[i] arrived at arrivals[i]; both spans have equal length and
-  /// arrivals are non-decreasing. A dispatcher with a PayloadDecoder hands
+  /// The one delivery hook: one dispatch tick, in a single virtual call,
+  /// handed over whole. Each update carries its own arrival stamp, and the
+  /// stamps are non-decreasing. A dispatcher with a PayloadDecoder hands
   /// over fetched + decoded payloads (see flow::DecodedUpdate for the
   /// deferred-accounting contract); one without hands over updates that
   /// carry only their message (decoded() false, failure kNone) — the
   /// traffic sinks that count arrivals and never read a payload.
-  virtual void DeliverDecodedBatch(std::span<const DecodedUpdate> updates,
-                                   std::span<const SimTime> arrivals) = 0;
+  virtual void DeliverDecodedBatch(std::vector<DecodedUpdate> updates) = 0;
 };
 
 /// Default bound on DispatchStats::batches entries (see batch_log_cap).
@@ -138,9 +135,14 @@ class Shelf {
  public:
   void Put(Message message) { messages_.push_back(std::move(message)); }
 
-  /// Removes up to `count` oldest messages and appends them to `out`
-  /// (typically a recycled TickBufferPool buffer with warm capacity).
-  void TakeInto(std::size_t count, std::vector<Message>& out);
+  /// The oldest message; the shelf must not be empty.
+  const Message& front() const { return messages_.front(); }
+  /// Removes and returns the oldest message; the shelf must not be empty.
+  Message Take() {
+    Message message = std::move(messages_.front());
+    messages_.pop_front();
+    return message;
+  }
 
   std::size_t size() const { return messages_.size(); }
   bool empty() const { return messages_.empty(); }
@@ -216,7 +218,8 @@ class Dispatcher {
 
  private:
   /// Takes up to `count` from the shelf, applies dropout, rate-limits
-  /// delivery to the downstream endpoint.
+  /// delivery to the downstream endpoint: one pass builds the tick that
+  /// one delivery event hands over.
   void DispatchBatch(std::size_t count, double failure_probability,
                      std::size_t random_discard);
   /// Transmission-failure draw for one message. Keyed by (dispatcher
@@ -239,9 +242,10 @@ class Dispatcher {
   /// Delivers a message that succeeded on a retry attempt, logging it as
   /// its own single-message tick at `when`.
   void DeliverRetried(Message message, SimTime when);
-  /// The update a survivor travels downstream as: decoded through decoder_
-  /// when one is set, else carrying only its message.
-  DecodedUpdate ToUpdate(Message message) const;
+  /// The update a survivor travels downstream as, stamped with its
+  /// arrival: decoded through decoder_ when one is set, else carrying only
+  /// its message.
+  DecodedUpdate ToUpdate(Message message, SimTime arrival) const;
   /// Backoff + deterministic jitter before retry `attempt` (1-based).
   SimDuration RetryDelay(std::uint64_t message_id, std::size_t attempt) const;
   void TrackRetryEvent(sim::EventHandle handle);
@@ -273,11 +277,6 @@ class Dispatcher {
   std::vector<sim::EventHandle> retry_events_;
   Shelf shelf_;
   DispatchStats stats_;
-  /// Recycled tick buffers (see flow/tick_pool.h). shared_ptr: in-flight
-  /// delivery events return their buffers through it and may outlive the
-  /// dispatcher when a task is removed mid-tick.
-  std::shared_ptr<TickBufferPool> tick_pool_ =
-      std::make_shared<TickBufferPool>();
   std::size_t batch_log_cap_ = kDefaultBatchLogCap;
   /// Pending OnRoundEnd time-point/slot events (their closures capture
   /// `this`); cancelled on destruction.

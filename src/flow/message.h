@@ -5,10 +5,9 @@
 // messages to cloud services. Cloud services then retrieve the
 // corresponding data from storage based on the received messages." A
 // Message therefore carries a *reference* to the payload blob, not the
-// payload itself. Every dispatch tick copies its messages through tick
-// buffers and DecodedUpdates, so a Message holds only what the flow plane
-// and the cloud read: routing keys, the blob reference and the sample
-// count.
+// payload itself. Every delivered message travels inside a
+// DecodedUpdate, so a Message holds only what the flow plane and the
+// cloud read: routing keys, the blob reference and the sample count.
 #pragma once
 
 #include <cstddef>

@@ -6,20 +6,8 @@
 
 namespace simdc::flow {
 
-void ShardChannel::DeliverDecodedBatch(std::span<const DecodedUpdate> updates,
-                                       std::span<const SimTime> arrivals) {
-  SIMDC_CHECK(updates.size() == arrivals.size(),
-              "ShardChannel: tick span size mismatch");
-  if (updates.empty()) return;
-  // Ticks buffer the updates as-is — decoded models are shared views, so
-  // parking a tick at the barrier costs O(messages) pointer copies, not
-  // O(messages * dim) payload copies.
-  Tick tick;
-  tick.time = arrivals.front();
-  tick.key = updates.front().message.id.value();
-  tick.updates.assign(updates.begin(), updates.end());
-  tick.arrivals.assign(arrivals.begin(), arrivals.end());
-  ticks_.push_back(std::move(tick));
+void ShardChannel::DeliverDecodedBatch(std::vector<DecodedUpdate> updates) {
+  if (!updates.empty()) ticks_.push_back(std::move(updates));
 }
 
 ShardMerger::ShardMerger(std::size_t shards, CloudEndpoint* downstream,
@@ -53,8 +41,9 @@ bool ShardMerger::DrainOne(SimTime horizon) {
   for (std::size_t s = 0; s < channels_.size(); ++s) {
     const ShardChannel& channel = channels_[s];
     if (channel.ticks_.empty()) continue;
-    const SimTime t = channel.ticks_.front().time;
-    const std::uint64_t key = channel.ticks_.front().key;
+    const DecodedUpdate& head = channel.ticks_.front().front();
+    const SimTime t = head.arrival;
+    const std::uint64_t key = head.message.id.value();
     if (t < best || (t == best && key < best_key)) {
       best = t;
       best_key = key;
@@ -65,16 +54,16 @@ bool ShardMerger::DrainOne(SimTime horizon) {
 
   // Pop before forwarding: downstream feedback may re-enter
   // NextTickTime() (via the lockstep hooks) and must not see this tick.
-  ShardChannel::Tick tick = std::move(channels_[shard].ticks_.front());
+  std::vector<DecodedUpdate> tick = std::move(channels_[shard].ticks_.front());
   channels_[shard].ticks_.pop_front();
+  const std::size_t messages = tick.size();
 
   // Mirror the clock a directly-scheduled delivery event would see: the
   // delivery fires at the tick's first arrival.
-  if (cloud_loop_ != nullptr) cloud_loop_->RunUntil(tick.time);
-  downstream_->DeliverDecodedBatch(std::span<const DecodedUpdate>(tick.updates),
-                                   std::span<const SimTime>(tick.arrivals));
+  if (cloud_loop_ != nullptr) cloud_loop_->RunUntil(best);
+  downstream_->DeliverDecodedBatch(std::move(tick));
   ++ticks_merged_;
-  messages_merged_ += tick.updates.size();
+  messages_merged_ += messages;
   return true;
 }
 

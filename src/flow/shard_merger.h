@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <span>
 #include <vector>
 
 #include "common/clock.h"
@@ -34,37 +33,30 @@
 
 namespace simdc::flow {
 
-/// Per-shard capture endpoint: a CloudEndpoint that records delivered
-/// ticks instead of consuming them.
+/// Per-shard capture endpoint: a CloudEndpoint that buffers delivered
+/// ticks instead of consuming them. Each tick is the dispatcher's own
+/// vector, moved in and later moved on, so buffering copies no update.
 /// Single-writer by construction — only its shard's event loop touches it
 /// — so the merger can run shards on a thread pool without locks.
 class ShardChannel final : public CloudEndpoint {
  public:
-  /// One captured dispatch tick. `time` is the tick's wire time —
-  /// arrivals.front() — which is also the shard loop's clock when the
-  /// delivery event fired. `key` is the first message's id: the
-  /// equal-time merge key (ids are globally wave- then device-ordered).
-  /// The updates are buffered as delivered (payloads already fetched +
-  /// decoded on this shard's loop when its dispatcher has a decoder).
-  struct Tick {
-    SimTime time = 0;
-    std::uint64_t key = 0;
-    std::vector<DecodedUpdate> updates;
-    std::vector<SimTime> arrivals;
-  };
-
-  void DeliverDecodedBatch(std::span<const DecodedUpdate> updates,
-                           std::span<const SimTime> arrivals) override;
+  void DeliverDecodedBatch(std::vector<DecodedUpdate> updates) override;
 
   bool empty() const { return ticks_.empty(); }
   /// Earliest buffered tick time (sim::EventLoop::kNoEvent when empty).
   SimTime NextTickTime() const {
-    return ticks_.empty() ? sim::EventLoop::kNoEvent : ticks_.front().time;
+    return ticks_.empty() ? sim::EventLoop::kNoEvent
+                          : ticks_.front().front().arrival;
   }
 
  private:
   friend class ShardMerger;
-  std::deque<Tick> ticks_;
+  /// Buffered ticks, none empty. A tick's time is its first update's
+  /// arrival, which is also the shard loop's clock when the delivery event
+  /// fired; its equal-time merge key is that update's message id (ids are
+  /// globally wave- then device-ordered). Payloads were already fetched +
+  /// decoded on this shard's loop when its dispatcher has a decoder.
+  std::deque<std::vector<DecodedUpdate>> ticks_;
 };
 
 /// Funnels N ShardChannels into one downstream CloudEndpoint in

@@ -197,6 +197,18 @@ Result<CheckpointState> DeserializeCheckpoint(
   CheckpointState s;
   Walk(r, s);
   if (!r.done()) return ParseError("checkpoint payload malformed");
+  // Recovery copies these lists into model_dim-sized planes (the cascade's
+  // two compensation planes were read at the accumulator's length).
+  const auto& a = s.aggregation;
+  if (a.global_weights.size() != a.model_dim ||
+      a.accumulator.size() != a.model_dim) {
+    return ParseError("checkpoint lists disagree with model_dim " +
+                      std::to_string(a.model_dim) + ": " +
+                      std::to_string(a.global_weights.size()) +
+                      " global weights, " +
+                      std::to_string(a.accumulator.size()) +
+                      " accumulator elements");
+  }
   return s;
 }
 

@@ -82,7 +82,9 @@ struct CheckpointState {
 std::vector<std::byte> SerializeCheckpoint(const CheckpointState& state);
 
 /// Validates magic/version/CRC and decodes. Any malformed image — torn,
-/// truncated, bit-flipped — returns an error, never UB.
+/// truncated, bit-flipped, or CRC-valid with a global-weight or
+/// accumulator list whose length is not aggregation.model_dim — returns
+/// an error, never UB.
 Result<CheckpointState> DeserializeCheckpoint(
     std::span<const std::byte> bytes);
 

@@ -577,15 +577,17 @@ class AggregationTest : public ::testing::Test {
     return m;
   }
 
-  /// Fetches + decodes `messages` from `store` the way a decoding
-  /// dispatcher does before it delivers a tick.
+  /// Fetches + decodes `messages` from `store` and stamps each with its
+  /// arrival, the way a decoding dispatcher builds a tick.
   static std::vector<flow::DecodedUpdate> Decode(
-      const BlobStore& store, std::span<const flow::Message> messages) {
+      const BlobStore& store, std::span<const flow::Message> messages,
+      std::span<const SimTime> arrivals) {
     BlobModelDecoder decoder(store);
     std::vector<flow::DecodedUpdate> updates;
     updates.reserve(messages.size());
-    for (const flow::Message& message : messages) {
-      updates.push_back(decoder.Decode(message));
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      updates.push_back(decoder.Decode(messages[i]));
+      updates.back().arrival = arrivals[i];
     }
     return updates;
   }
@@ -593,8 +595,8 @@ class AggregationTest : public ::testing::Test {
   /// Delivers `message` as a one-update tick arriving at `arrival`.
   static void DeliverOne(AggregationService& service, const BlobStore& store,
                          const flow::Message& message, SimTime arrival) {
-    service.DeliverDecodedBatch(Decode(store, std::span(&message, 1)),
-                                std::span(&arrival, 1));
+    service.DeliverDecodedBatch(
+        Decode(store, std::span(&message, 1), std::span(&arrival, 1)));
   }
 
   sim::EventLoop loop_;
@@ -639,7 +641,7 @@ TEST_F(AggregationTest, BatchedDeliveryMatchesPerMessage) {
       arrivals.push_back(Seconds(1.0 + static_cast<double>(i)));
     }
     if (batched) {
-      service.DeliverDecodedBatch(Decode(store, messages), arrivals);
+      service.DeliverDecodedBatch(Decode(store, messages, arrivals));
     } else {
       for (std::size_t i = 0; i < messages.size(); ++i) {
         DeliverOne(service, store, messages[i], arrivals[i]);
@@ -777,9 +779,7 @@ TEST_F(AggregationTest, DecoderMapsStoreFaultsToDistinctFailures) {
   AggregationConfig config;
   config.model_dim = kDim;
   AggregationService service(loop_, store_, config);
-  const std::vector<flow::DecodedUpdate> updates = {decoded, io_fault, gone};
-  const std::vector<SimTime> arrivals = {0, 0, 0};
-  service.DeliverDecodedBatch(updates, arrivals);
+  service.DeliverDecodedBatch({decoded, io_fault, gone});
   EXPECT_EQ(service.messages_received(), 3u);
   EXPECT_EQ(service.store_errors(), 1u);
   EXPECT_EQ(service.decode_failures(), 1u);
@@ -857,11 +857,11 @@ class AggregationDecodedTest : public AggregationTest {
     config.sample_threshold = 30;
     config.reject_stale = reject_stale;
     AggregationService service(loop_, store, config);
-    const std::vector<flow::DecodedUpdate> updates = Decode(store, messages);
-    for (std::size_t begin = 0; begin < updates.size(); begin += tick_width) {
-      const std::size_t n = std::min(tick_width, updates.size() - begin);
-      service.DeliverDecodedBatch(std::span(updates).subspan(begin, n),
-                                  std::span(arrivals).subspan(begin, n));
+    for (std::size_t begin = 0; begin < messages.size(); begin += tick_width) {
+      const std::size_t n = std::min(tick_width, messages.size() - begin);
+      service.DeliverDecodedBatch(Decode(store,
+                                         std::span(messages).subspan(begin, n),
+                                         std::span(arrivals).subspan(begin, n)));
     }
     Outcome out;
     out.received = service.messages_received();
@@ -1037,33 +1037,9 @@ TEST_F(AggregationDecodedTest, StoppedServiceIgnoresDecodedDeliveries) {
   config.model_dim = kDim;
   AggregationService service(loop_, store, config);
   service.Stop();
-  BlobModelDecoder decoder(store);
-  const std::vector<flow::DecodedUpdate> updates = {
-      decoder.Decode(Upload(store, 1.0f, 5, 1))};
-  const std::vector<SimTime> arrivals = {Seconds(1.0)};
-  service.DeliverDecodedBatch(updates, arrivals);
+  DeliverOne(service, store, Upload(store, 1.0f, 5, 1), Seconds(1.0));
   EXPECT_EQ(service.messages_received(), 0u);
   EXPECT_EQ(service.decode_failures(), 0u);
-}
-
-TEST_F(AggregationTest, MismatchedTickSpansThrow) {
-  // Every update needs its own arrival stamp: spans of unequal length are
-  // rejected at the hook's entry, before any update is admitted.
-  AggregationConfig config;
-  config.model_dim = kDim;
-  AggregationService service(loop_, store_, config);
-  const std::vector<flow::Message> messages = {Upload(store_, 1.0f, 5, 1),
-                                               Upload(store_, 2.0f, 5, 2)};
-  const std::vector<flow::DecodedUpdate> updates = Decode(store_, messages);
-  const std::vector<SimTime> stamps = {Seconds(1.0), Seconds(2.0),
-                                       Seconds(3.0)};
-  EXPECT_THROW(service.DeliverDecodedBatch(updates, stamps),
-               std::invalid_argument);
-  EXPECT_THROW(
-      service.DeliverDecodedBatch(updates, std::span(stamps).first(1)),
-      std::invalid_argument);
-  EXPECT_EQ(service.messages_received(), 0u);
-  EXPECT_EQ(service.pending_clients(), 0u);
 }
 
 TEST_F(AggregationTest, UpdateWithoutDecodeIsRejected) {
@@ -1073,11 +1049,9 @@ TEST_F(AggregationTest, UpdateWithoutDecodeIsRejected) {
   AggregationConfig config;
   config.model_dim = kDim;
   AggregationService service(loop_, store_, config);
-  flow::DecodedUpdate bare;
-  bare.message = Upload(store_, 1.0f, 5, 1);
-  const SimTime arrival = 0;
-  EXPECT_THROW(service.DeliverDecodedBatch(std::span(&bare, 1),
-                                           std::span(&arrival, 1)),
+  std::vector<flow::DecodedUpdate> bare(1);
+  bare[0].message = Upload(store_, 1.0f, 5, 1);
+  EXPECT_THROW(service.DeliverDecodedBatch(std::move(bare)),
                std::invalid_argument);
   EXPECT_EQ(service.decode_failures(), 0u);
 }
@@ -1132,7 +1106,7 @@ class AggregationPartialSumTest : public AggregationTest {
   static void DeliverDecoded(AggregationService& service, BlobStore& store,
                              const std::vector<flow::Message>& messages,
                              const std::vector<SimTime>& arrivals) {
-    service.DeliverDecodedBatch(Decode(store, messages), arrivals);
+    service.DeliverDecodedBatch(Decode(store, messages, arrivals));
   }
 
   Outcome Run(BlobStore& store, const std::vector<flow::Message>& messages,

@@ -349,6 +349,26 @@ TEST(ExecutionConfigTest, RejectsInvalidParallelism) {
   EXPECT_TRUE(check("[execution]\nparallelism = lots\n"));
 }
 
+TEST(ExecutionConfigTest, ParallelismAboveTheBoundIsRejected) {
+  // The engine builds a pool with exactly `parallelism` threads, so the
+  // loader caps the value. Only the spec is loaded here: no engine is ever
+  // built with such a width.
+  auto load = [](std::size_t parallelism) {
+    auto doc = ParseIni("[execution]\nparallelism = " +
+                        std::to_string(parallelism) + "\n");
+    EXPECT_TRUE(doc.ok());
+    return LoadExecution(*doc);
+  };
+  auto at_bound = load(kMaxParallelism);
+  ASSERT_TRUE(at_bound.ok()) << at_bound.error().ToString();
+  EXPECT_EQ(at_bound->parallelism, kMaxParallelism);
+  for (const std::size_t above : {kMaxParallelism + 1, std::size_t{1000000}}) {
+    auto config = load(above);
+    ASSERT_FALSE(config.ok()) << above;
+    EXPECT_EQ(config.error().code(), ErrorCode::kInvalidArgument) << above;
+  }
+}
+
 // decode_plane / aggregate_plane were knobs once; a spec that still pins
 // either (any value, even the old default) gets an error naming the key
 // instead of the silent ignore other unknown keys get. The key is only a

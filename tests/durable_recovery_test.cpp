@@ -52,12 +52,12 @@ std::string FreshDir(const std::string& tag) {
   return dir;
 }
 
-data::FederatedDataset SmallDataset() {
+data::FederatedDataset SmallDataset(std::uint32_t hash_dim = 1u << 10) {
   data::SynthConfig config;
   config.num_devices = 24;
   config.records_per_device_mean = 10;
   config.num_test_devices = 6;
-  config.hash_dim = 1u << 10;
+  config.hash_dim = hash_dim;
   config.seed = 21;
   return data::GenerateSyntheticAvazu(config);
 }
@@ -480,6 +480,23 @@ persist::CheckpointState SampleState() {
   return state;
 }
 
+/// The two CRC-valid forgeries whose lists disagree with model_dim: 64
+/// global weights past it, and cascade planes 64 elements longer.
+void AppendGlobalWeights(persist::CheckpointState& state) {
+  auto& weights = state.aggregation.global_weights;
+  weights.resize(weights.size() + 64, 0.25f);
+}
+void LengthenCascade(persist::CheckpointState& state) {
+  auto& a = state.aggregation;
+  for (std::vector<double>* plane :
+       {&a.accumulator, &a.accumulator_c1, &a.accumulator_c2}) {
+    plane->resize(plane->size() + 64, 0.5);
+  }
+}
+const std::vector<std::pair<std::string, void (*)(persist::CheckpointState&)>>
+    kForgeries = {{"global-weights", &AppendGlobalWeights},
+                  {"cascade-planes", &LengthenCascade}};
+
 TEST(CheckpointTest, SerializeDeserializeRoundTrips) {
   const persist::CheckpointState state = SampleState();
   const std::vector<std::byte> image = persist::SerializeCheckpoint(state);
@@ -552,6 +569,20 @@ TEST(CheckpointTest, TornOrCorruptImagesAreRejectedNotUB) {
     corrupt[i] ^= std::byte{0x01};
     EXPECT_FALSE(persist::DeserializeCheckpoint(corrupt).ok())
         << "flip at " << i;
+  }
+}
+
+TEST(CheckpointTest, ListsThatDisagreeWithModelDimAreRejected) {
+  // Recovery copies these lists into model_dim-sized planes, so an image
+  // whose CRC holds but whose lists are longer is as malformed as a torn
+  // one.
+  for (const auto& [shape, forge] : kForgeries) {
+    persist::CheckpointState state = SampleState();
+    forge(state);
+    auto decoded =
+        persist::DeserializeCheckpoint(persist::SerializeCheckpoint(state));
+    ASSERT_FALSE(decoded.ok()) << shape;
+    EXPECT_EQ(decoded.error().code(), ErrorCode::kParseError) << shape;
   }
 }
 
@@ -895,6 +926,70 @@ TEST(DurableRecoveryTest, FallsBackToOlderCheckpointWhosePinValidates) {
   EXPECT_EQ(*size, prev->log_offset);
   const RunOutcome recovered = CollectOutcome(engine, engine.Run());
   ExpectOutcomeIdentical(reference, recovered, "fallback to prev");
+}
+
+TEST(DurableRecoveryTest, ForgedCheckpointFallsBackToPrev) {
+  // checkpoint.bin is re-serialized with lists longer than its model_dim:
+  // its CRC holds, but the parser refuses it like a torn image, so
+  // recovery resumes from checkpoint.prev and finishes bit-identical to an
+  // uninterrupted run.
+  const auto dataset = SmallDataset();
+  const RunOutcome reference = RunToCompletion(dataset, BaseConfig());
+  const IoProfile profile = ProfileCleanRun(dataset, FreshDir("profile"));
+  RealFileIo& io = RealFileIo::Instance();
+  for (const auto& [shape, forge] : kForgeries) {
+    const std::string dir = FreshDir(shape);
+    FaultPlan crash;
+    crash.crash_on_append = profile.appends;  // last commit of the run
+    FaultInjector faulty(crash);
+    ASSERT_TRUE(CrashRun(dataset, DurableConfig(DurabilityMode::kLogCheckpoint,
+                                                dir, &faulty)));
+    auto prev_image = io.ReadFile(persist::CheckpointPrevPath(dir));
+    ASSERT_TRUE(prev_image.ok()) << shape;
+    auto prev = persist::DeserializeCheckpoint(*prev_image);
+    ASSERT_TRUE(prev.ok()) << shape;
+    auto bin = persist::LoadLatestCheckpoint(io, dir);
+    ASSERT_TRUE(bin.ok()) << shape;
+    ASSERT_NE(bin->sequence, prev->sequence) << shape;
+    forge(*bin);
+    ASSERT_TRUE(io.WriteFile(persist::CheckpointPath(dir),
+                             persist::SerializeCheckpoint(*bin))
+                    .ok());
+    auto latest = persist::LoadLatestCheckpoint(io, dir);
+    ASSERT_TRUE(latest.ok()) << shape;
+    ASSERT_EQ(latest->sequence, prev->sequence) << shape;
+
+    sim::EventLoop loop;
+    FlEngine engine(loop, dataset,
+                    DurableConfig(DurabilityMode::kLogCheckpoint, dir));
+    const Status restored = engine.RestoreFromRecovery();
+    ASSERT_TRUE(restored.ok()) << shape << ": " << restored.ToString();
+    auto size = io.FileSize(persist::BlobLogPath(dir));
+    ASSERT_TRUE(size.ok());
+    EXPECT_EQ(*size, prev->log_offset) << shape;
+    const RunOutcome recovered = CollectOutcome(engine, engine.Run());
+    ExpectOutcomeIdentical(reference, recovered, "forged " + shape);
+  }
+}
+
+TEST(DurableRecoveryTest, CheckpointOfAnotherModelDimIsRefused) {
+  // A dim-2^10 run's directory restored into a runtime whose dataset
+  // hashes to 2^11: a typed refusal, not a throw, and nothing restored.
+  const auto dataset = SmallDataset();
+  const std::string dir = FreshDir("");
+  ASSERT_EQ(RunToCompletion(dataset,
+                            DurableConfig(DurabilityMode::kLogCheckpoint, dir))
+                .result.rounds.size(),
+            3u);
+  const auto wide_dataset = SmallDataset(1u << 11);
+  sim::EventLoop loop;
+  FlEngine engine(loop, wide_dataset,
+                  DurableConfig(DurabilityMode::kLogCheckpoint, dir));
+  const Status restored = engine.RestoreFromRecovery();
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.error().code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(engine.aggregation().rounds_completed(), 0u);
+  EXPECT_EQ(engine.aggregation().messages_received(), 0u);
 }
 
 TEST(DurableRecoveryTest, EngineLogTornAtEveryByteOfFinalRecordRecovers) {

@@ -252,8 +252,7 @@ TEST(UsageTraceTest, TraceOverridesSyntheticCurve) {
 
 class CountingEndpoint final : public flow::CloudEndpoint {
  public:
-  void DeliverDecodedBatch(std::span<const flow::DecodedUpdate> updates,
-                           std::span<const SimTime>) override {
+  void DeliverDecodedBatch(std::vector<flow::DecodedUpdate> updates) override {
     delivered += updates.size();
   }
   std::size_t delivered = 0;
@@ -473,10 +472,10 @@ class QuorumTest : public ::testing::Test {
   /// decoding dispatcher hands it to the service.
   void DeliverOne(cloud::AggregationService& service,
                   const flow::Message& message, SimTime arrival) {
-    const flow::DecodedUpdate update =
-        cloud::BlobModelDecoder(store_).Decode(message);
-    service.DeliverDecodedBatch(std::span(&update, 1),
-                                std::span(&arrival, 1));
+    std::vector<flow::DecodedUpdate> tick;
+    tick.push_back(cloud::BlobModelDecoder(store_).Decode(message));
+    tick.back().arrival = arrival;
+    service.DeliverDecodedBatch(std::move(tick));
   }
 
   cloud::AggregationConfig PolicyConfig() {

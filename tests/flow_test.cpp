@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <set>
 #include <span>
@@ -22,10 +23,9 @@ namespace {
 /// Records every delivered message with its arrival time.
 class RecordingEndpoint final : public CloudEndpoint {
  public:
-  void DeliverDecodedBatch(std::span<const DecodedUpdate> updates,
-                           std::span<const SimTime> arrivals) override {
-    for (std::size_t i = 0; i < updates.size(); ++i) {
-      deliveries.emplace_back(arrivals[i], updates[i].message);
+  void DeliverDecodedBatch(std::vector<DecodedUpdate> updates) override {
+    for (const DecodedUpdate& update : updates) {
+      deliveries.emplace_back(update.arrival, update.message);
     }
   }
   std::vector<std::pair<SimTime, Message>> deliveries;
@@ -49,16 +49,14 @@ TEST(ShelfTest, FifoTake) {
     shelf.Put(MakeMessage(TaskId(1), i));
   }
   EXPECT_EQ(shelf.size(), 5u);
-  std::vector<Message> taken;
-  shelf.TakeInto(3, taken);
-  ASSERT_EQ(taken.size(), 3u);
-  EXPECT_EQ(taken[0].id, MessageId(0));
-  EXPECT_EQ(taken[2].id, MessageId(2));
-  EXPECT_EQ(shelf.size(), 2u);
-  shelf.TakeInto(10, taken);  // appends; over-ask clamps
-  ASSERT_EQ(taken.size(), 5u);
-  EXPECT_EQ(taken[3].id, MessageId(3));
-  EXPECT_EQ(taken[4].id, MessageId(4));
+  EXPECT_EQ(shelf.front().id, MessageId(0));
+  EXPECT_EQ(shelf.Take().id, MessageId(0));
+  EXPECT_EQ(shelf.Take().id, MessageId(1));
+  EXPECT_EQ(shelf.front().id, MessageId(2));  // front() does not remove
+  EXPECT_EQ(shelf.size(), 3u);
+  for (std::uint64_t i = 2; i < 5; ++i) {
+    EXPECT_EQ(shelf.Take().id, MessageId(i));
+  }
   EXPECT_TRUE(shelf.empty());
 }
 
@@ -459,13 +457,12 @@ TEST(IsolationTest, TasksDispatchIndependently) {
 /// that carry only their message (no decoder ran, no failure).
 class BatchAwareEndpoint final : public CloudEndpoint {
  public:
-  void DeliverDecodedBatch(std::span<const DecodedUpdate> updates,
-                           std::span<const SimTime> arrivals) override {
+  void DeliverDecodedBatch(std::vector<DecodedUpdate> updates) override {
     batch_sizes.push_back(updates.size());
-    for (std::size_t i = 0; i < updates.size(); ++i) {
-      deliveries.emplace_back(arrivals[i], updates[i].message.id);
-      if (!updates[i].decoded() &&
-          updates[i].failure == DecodedUpdate::Failure::kNone) {
+    for (const DecodedUpdate& update : updates) {
+      deliveries.emplace_back(update.arrival, update.message.id);
+      if (!update.decoded() &&
+          update.failure == DecodedUpdate::Failure::kNone) {
         ++message_only;
       }
     }
@@ -475,11 +472,14 @@ class BatchAwareEndpoint final : public CloudEndpoint {
   std::size_t message_only = 0;
 };
 
-/// Message-only updates, as a decoder-less dispatcher delivers them.
-std::vector<DecodedUpdate> Updates(std::span<const Message> messages) {
+/// Message-only updates, as a decoder-less dispatcher delivers them, all
+/// arriving at `at`.
+std::vector<DecodedUpdate> Updates(std::span<const Message> messages,
+                                   SimTime at) {
   std::vector<DecodedUpdate> updates(messages.size());
   for (std::size_t i = 0; i < messages.size(); ++i) {
     updates[i].message = messages[i];
+    updates[i].arrival = at;
   }
   return updates;
 }
@@ -488,21 +488,22 @@ struct DispatchOutcome {
   std::vector<std::pair<SimTime, MessageId>> deliveries;
   std::vector<std::size_t> batch_sizes;
   std::size_t message_only = 0;
-  std::size_t sent = 0;
-  std::size_t dropped = 0;
-  std::vector<std::pair<SimTime, std::size_t>> batches;
+  DispatchStats stats;
   /// Golden digest of the deliveries (arrival, id) and the dispatch stats.
   std::uint64_t digest = 0;
 };
 
 /// Runs one Fig. 10 scenario (round of `n` messages, then round end) and
-/// returns everything observable.
-DispatchOutcome RunScenario(const DispatchStrategy& strategy, std::size_t n,
-                            std::uint64_t seed) {
+/// returns everything observable. `arm` sets the dispatcher's link plane
+/// before the first message arrives.
+DispatchOutcome RunScenario(
+    const DispatchStrategy& strategy, std::size_t n, std::uint64_t seed,
+    const std::function<void(Dispatcher&)>& arm = nullptr) {
   sim::EventLoop loop;
   DeviceFlow flow(loop);
   BatchAwareEndpoint sink;
   EXPECT_TRUE(flow.ConfigureTask(TaskId(1), strategy, &sink, seed).ok());
+  if (arm) arm(*flow.FindDispatcher(TaskId(1)));
   EXPECT_TRUE(flow.OnRoundStart(TaskId(1), 0).ok());
   for (std::uint64_t i = 0; i < n; ++i) {
     EXPECT_TRUE(flow.OnMessage(MakeMessage(TaskId(1), i)).ok());
@@ -514,9 +515,7 @@ DispatchOutcome RunScenario(const DispatchStrategy& strategy, std::size_t n,
   out.batch_sizes = sink.batch_sizes;
   out.message_only = sink.message_only;
   const auto& stats = flow.FindDispatcher(TaskId(1))->stats();
-  out.sent = stats.sent;
-  out.dropped = stats.dropped;
-  out.batches = stats.batches;
+  out.stats = stats;
   golden::Digest digest;
   digest.Add(out.deliveries.size());
   for (const auto& [when, id] : out.deliveries) {
@@ -553,19 +552,62 @@ TEST(DeliveryEquivalenceTest, AllStrategiesBitIdenticalAcrossModes) {
     const auto& [strategy, n] = scenario;
     const auto batched = RunScenario(strategy, n, 17);
     golden::ExpectGolden(name, batched.digest);
-    EXPECT_GT(batched.dropped, 0u) << name;
+    EXPECT_GT(batched.stats.dropped, 0u) << name;
     // And delivery really fans in O(ticks): one hook call per non-empty
     // dispatch tick, every update carrying only its message.
     std::size_t nonempty_ticks = 0;
     std::size_t in_batches = 0;
-    for (const auto& [when, count] : batched.batches) {
+    for (const auto& [when, count] : batched.stats.batches) {
       if (count > 0) ++nonempty_ticks;
     }
     for (const std::size_t size : batched.batch_sizes) in_batches += size;
     EXPECT_EQ(batched.batch_sizes.size(), nonempty_ticks) << name;
-    EXPECT_EQ(in_batches, batched.sent) << name;
-    EXPECT_EQ(batched.message_only, batched.sent) << name;
+    EXPECT_EQ(in_batches, batched.stats.sent) << name;
+    EXPECT_EQ(batched.message_only, batched.stats.sent) << name;
   }
+}
+
+TEST(DeliveryEquivalenceTest, TickMixingEveryFateMatchesGolden) {
+  // One finite-capacity time point whose tick meets every fate a message
+  // can: the random-discard mask, the per-message transmission drop, a
+  // device away at its first attempt, a transient link failure, retries
+  // that deliver as one-update ticks, retries past the upload deadline,
+  // and plain delivery at the capacity-spaced stamp. Arrivals (time and
+  // message identity, in order) and the dispatch stats must equal the
+  // golden digest captured from the dispatcher that still compacted the
+  // discard survivors into a second buffer before its survivor loop.
+  TimePointDispatch points;
+  points.points = {{Seconds(5), true, 400, 0.1, 40}};
+  LinkPolicy link;
+  link.transient_failure_probability = 0.25;
+  link.max_attempts = 3;
+  link.backoff_initial = Seconds(1.0);
+  link.upload_deadline = Seconds(2.2);
+  const auto arm = [&link](Dispatcher& dispatcher) {
+    dispatcher.set_link_policy(link);
+    // Every fifth device is away until t = 6 s (its first retry finds it
+    // back); every eleventh is away for good (a churn loss).
+    dispatcher.set_availability([](DeviceId device, SimTime when) {
+      if (device.value() % 11 == 0) return false;
+      return device.value() % 5 != 0 || when >= Seconds(6.0);
+    });
+  };
+  const auto out = RunScenario(points, 400, 23, arm);
+  golden::ExpectGolden("flow.mixed_fate_tick", out.digest);
+  const DispatchStats& stats = out.stats;
+  EXPECT_EQ(stats.received, 400u);
+  EXPECT_EQ(stats.sent + stats.dropped, 400u);
+  EXPECT_EQ(stats.sent, out.deliveries.size());
+  EXPECT_GT(stats.dropped, 40u);  // the mask plus transmission drops
+  EXPECT_GT(stats.retries, 0u);
+  EXPECT_GT(stats.retry_successes, 0u);
+  EXPECT_GT(stats.deadline_drops, 0u);
+  EXPECT_GT(stats.churn_losses, 0u);
+  // The tick itself, then one single-update tick per retried delivery.
+  ASSERT_EQ(stats.batches.size(), 1 + stats.retry_successes);
+  EXPECT_EQ(stats.batches.front().first, Seconds(5));
+  EXPECT_EQ(stats.batch_keys.front(), 0u);
+  EXPECT_EQ(out.batch_sizes.size(), stats.batches.size());
 }
 
 // ---------- Dangling-callback regression (RemoveTask mid-interval) ----------
@@ -686,18 +728,14 @@ TEST(ShardMergerTest, MergesTicksInTimeThenGlobalIdOrder) {
       MakeMessage(TaskId(1), 0), MakeMessage(TaskId(1), 1),
       MakeMessage(TaskId(1), 2), MakeMessage(TaskId(1), 3),
       MakeMessage(TaskId(1), 4)};
-  const std::vector<SimTime> t2 = {Seconds(1.0)};
-  merger.channel(2).DeliverDecodedBatch(Updates(std::span(&m[4], 1)),
-                                        std::span(t2));
-  const std::vector<SimTime> t0a = {Seconds(5.0), Seconds(5.0)};
-  merger.channel(0).DeliverDecodedBatch(Updates(std::span(&m[0], 2)),
-                                        std::span(t0a));
-  const std::vector<SimTime> t1 = {Seconds(5.0)};
-  merger.channel(1).DeliverDecodedBatch(Updates(std::span(&m[3], 1)),
-                                        std::span(t1));
-  const std::vector<SimTime> t0b = {Seconds(6.0)};
-  merger.channel(0).DeliverDecodedBatch(Updates(std::span(&m[2], 1)),
-                                        std::span(t0b));
+  merger.channel(2).DeliverDecodedBatch(
+      Updates(std::span(&m[4], 1), Seconds(1.0)));
+  merger.channel(0).DeliverDecodedBatch(
+      Updates(std::span(&m[0], 2), Seconds(5.0)));
+  merger.channel(1).DeliverDecodedBatch(
+      Updates(std::span(&m[3], 1), Seconds(5.0)));
+  merger.channel(0).DeliverDecodedBatch(
+      Updates(std::span(&m[2], 1), Seconds(6.0)));
 
   EXPECT_EQ(merger.NextTickTime(), Seconds(1.0));
   // Partial drain respects the horizon.
@@ -721,10 +759,8 @@ TEST(ShardMergerTest, EqualTimesResolveByMessageIdNotShard) {
   const std::vector<Message> m = {MakeMessage(TaskId(1), 7),
                                   MakeMessage(TaskId(1), 8)};
   const SimTime at = Seconds(2.0);
-  merger.channel(1).DeliverDecodedBatch(Updates(std::span(&m[0], 1)),
-                                        std::span(&at, 1));
-  merger.channel(0).DeliverDecodedBatch(Updates(std::span(&m[1], 1)),
-                                        std::span(&at, 1));
+  merger.channel(1).DeliverDecodedBatch(Updates(std::span(&m[0], 1), at));
+  merger.channel(0).DeliverDecodedBatch(Updates(std::span(&m[1], 1), at));
   EXPECT_EQ(merger.DrainUpTo(Seconds(2.0)), 2u);
   ASSERT_EQ(sink.deliveries.size(), 2u);
   // Equal times resolve by message id (the global scheduling order), not

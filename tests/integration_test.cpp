@@ -177,9 +177,10 @@ TEST(IntegrationTest, IntervalDispatchTracksCurveThroughFullStack) {
 
   struct CountingEndpoint final : flow::CloudEndpoint {
     std::vector<std::pair<SimTime, std::size_t>> arrivals;
-    void DeliverDecodedBatch(std::span<const flow::DecodedUpdate>,
-                             std::span<const SimTime> stamps) override {
-      for (const SimTime arrival : stamps) {
+    void DeliverDecodedBatch(
+        std::vector<flow::DecodedUpdate> updates) override {
+      for (const flow::DecodedUpdate& update : updates) {
+        const SimTime arrival = update.arrival;
         if (!arrivals.empty() &&
             arrivals.back().first / Seconds(1.0) == arrival / Seconds(1.0)) {
           arrivals.back().second++;

@@ -20,12 +20,10 @@ namespace {
 
 class CountingEndpoint final : public flow::CloudEndpoint {
  public:
-  void DeliverDecodedBatch(std::span<const flow::DecodedUpdate> updates,
-                           std::span<const SimTime> arrivals) override {
-    EXPECT_EQ(updates.size(), arrivals.size());
-    for (const SimTime arrival : arrivals) {
-      EXPECT_GE(arrival, last_arrival_);
-      last_arrival_ = arrival;
+  void DeliverDecodedBatch(std::vector<flow::DecodedUpdate> updates) override {
+    for (const flow::DecodedUpdate& update : updates) {
+      EXPECT_GE(update.arrival, last_arrival_);
+      last_arrival_ = update.arrival;
       ++delivered_;
     }
   }
