@@ -11,7 +11,7 @@
 //
 // Plus the 100k-message fan-in scenario: the same dispatch schedules at
 // 100,000 messages, one delivery event per dispatch tick. Emits OPTIME
-// ops that bench/compare.py gates, and self-checks that every message
+// ops for the BENCH_*.json artifact, and self-checks that every message
 // arrives.
 #include <chrono>
 #include <cstdio>
@@ -190,8 +190,7 @@ int main() {
     } scenarios[] = {{"timepoint", points}, {"interval", interval}};
     for (const auto& scenario : scenarios) {
       // Best of kReps. Only the min is recorded under the OPTIME op — it is
-      // far more stable under machine load than a mean, which keeps the
-      // compare.py regression gate on this op from tripping on noise.
+      // far more stable under machine load than a mean.
       std::uint64_t best = ~std::uint64_t{0};
       for (int rep = 0; rep < kReps; ++rep) {
         best = std::min(best, run_once(scenario.strategy));

@@ -4,8 +4,7 @@
 // data generation. These quantify the per-device costs that the Fig. 7/8
 // cost models parameterize. After the google-benchmark run, a custom main
 // hand-times the FedAvg cascade kernels, checks that their variants agree
-// bit for bit, and emits OPTIME lines so the bench/compare.py regression
-// gate sees them.
+// bit for bit, and emits OPTIME lines for the BENCH_*.json artifact.
 #include <benchmark/benchmark.h>
 
 #include <bit>

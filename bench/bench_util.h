@@ -49,10 +49,10 @@ inline std::string Sparkline(const std::vector<double>& values) {
 // ---------------------------------------------------------------------------
 // Per-op wall-clock timings. Benches record named hot-path operations and
 // emit machine-readable `OPTIME <op> <calls> <total_ns>` lines on exit;
-// run_all.sh folds them into the BENCH_*.json artifacts as an "ops" map, and
-// bench/compare.py diffs those per-op numbers between artifact sets. This is
-// what makes kernel-level speedups (not just end-to-end wall_ms) visible in
-// the perf trajectory. Not thread-safe: record from the main thread only.
+// run_all.sh folds them into the BENCH_*.json artifacts as an "ops" map, a
+// per-run record of where a bench spent its time that CI uploads and
+// nothing compares (perf claims are judged by benchmark/run.sh). Not
+// thread-safe: record from the main thread only.
 // ---------------------------------------------------------------------------
 
 class OpTimings {
@@ -111,9 +111,8 @@ class ScopedOpTimer {
 // Peak-RSS accounting. Benches snapshot the process's high-water resident
 // set at interesting points (after each scale-ladder rung, say) and emit
 // `OPRSS <label> <bytes>` lines next to the OPTIME ones; run_all.sh folds
-// them into the BENCH_*.json artifacts as an "rss" map and bench/compare.py
-// warns when a label's bytes grow more than its --rss-threshold between
-// artifact sets. Peak RSS is monotone over a process's life, so a label
+// them into the BENCH_*.json artifacts as an "rss" map, recorded beside the
+// "ops" one. Peak RSS is monotone over a process's life, so a label
 // records the high-water mark *as of* that point — attribute per-phase
 // memory by snapshotting in ascending-footprint order and diffing.
 // ---------------------------------------------------------------------------

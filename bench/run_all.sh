@@ -16,9 +16,9 @@
 # "ops" is parsed from `OPTIME <op> <calls> <total_ns>` lines and "rss"
 # from `OPRSS <label> <bytes>` lines the benches print (see bench_util.h);
 # the commit and CPU stamps make each artifact attributable to a source
-# revision and a machine. These artifacts are the perf baseline later PRs
-# are measured against — bench/compare.py diffs two artifact sets, flags
-# per-op regressions and warns on per-label RSS growth.
+# revision and a machine. The artifacts are a per-run record that CI
+# uploads; nothing compares them. Perf claims are judged by
+# benchmark/run.sh (see BENCHMARK.json), which repeats each run.
 #
 # The memory-plane scale ladder (bench_fig8_1m_devices) runs its 10k and
 # 100k rungs by default; export SIMDC_BENCH_1M=1 to add the ~GB-scale
@@ -50,19 +50,19 @@ if [[ ! -e "${benches[0]}" ]]; then
 fi
 
 # Stamp the artifacts with the build type of the tree the binaries came
-# from, so a Debug-built baseline can't masquerade as a Release one.
+# from, so a Debug-built record can't masquerade as a Release one.
 build_type="unknown"
 if [[ -f "$bin_dir/../CMakeCache.txt" ]]; then
   build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$bin_dir/../CMakeCache.txt")"
   [[ -n "$build_type" ]] || build_type="unknown"
 fi
 if [[ "$build_type" != "Release" ]]; then
-  echo "warning: benches built as '$build_type', not Release; timings are not a perf baseline" >&2
+  echo "warning: benches built as '$build_type', not Release; timings are not representative" >&2
 fi
 
 # Provenance stamps: the source commit the binaries were (presumably) built
-# from and the CPU they ran on, so a perf trajectory across artifacts is
-# attributable to a revision and a machine.
+# from and the CPU they ran on, so each artifact is attributable to a
+# revision and a machine.
 commit="$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)"
 if ! git -C "$repo_root" diff --quiet HEAD 2>/dev/null; then
   commit="${commit}-dirty"

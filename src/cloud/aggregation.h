@@ -161,7 +161,6 @@ class AggregationService final : public flow::CloudEndpoint {
   void DeliverDecodedBatch(std::vector<flow::DecodedUpdate> updates) override;
 
   const ml::LrModel& global_model() const { return global_model_; }
-  void SetGlobalModel(ml::LrModel model) { global_model_ = std::move(model); }
 
   const std::vector<AggregationRecord>& history() const { return history_; }
   std::size_t rounds_completed() const { return history_.size(); }

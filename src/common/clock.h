@@ -35,7 +35,6 @@ class ManualClock {
   void AdvanceTo(SimTime t) {
     if (t > now_) now_ = t;
   }
-  void Advance(SimDuration d) { now_ += d; }
 
  private:
   SimTime now_ = 0;

@@ -78,7 +78,6 @@ class Phone {
   /// starts at or after the previous plan's closure.
   void ScheduleRun(RunPlan plan);
   void ClearPlan() { plans_.clear(); }
-  bool HasPlan() const { return !plans_.empty(); }
   /// Most recently installed plan (nullptr when none).
   const RunPlan* plan() const {
     return plans_.empty() ? nullptr : &plans_.back();

@@ -14,7 +14,6 @@
 // codec from the blob header, so mixed-codec stores decode uniformly.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -105,11 +104,6 @@ class LrModel {
   std::span<const float> weights() const { return weights_; }
   float& bias() { return bias_; }
   float bias() const { return bias_; }
-
-  void SetZero() {
-    std::fill(weights_.begin(), weights_.end(), 0.0f);
-    bias_ = 0.0f;
-  }
 
   /// L2 distance to another model (same dim required).
   double DistanceTo(const LrModel& other) const;

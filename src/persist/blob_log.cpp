@@ -71,15 +71,10 @@ Status BlobLogWriter::Commit() {
   return io_.Sync(path_);
 }
 
-Result<BlobLogReplayResult> ReplayBlobLog(
-    FileIo& io, const std::string& path,
+BlobLogReplayResult ReplayBlobLog(
+    std::span<const std::byte> bytes,
     const std::function<void(const BlobLogRecord&)>& apply) {
   BlobLogReplayResult result;
-  if (!io.Exists(path)) return result;
-  auto file = io.ReadFile(path);
-  if (!file.ok()) return file.error();
-  const std::span<const std::byte> bytes = *file;
-
   std::uint64_t pos = 0;
   constexpr std::uint64_t kHeader = 2 * sizeof(std::uint32_t);
   while (pos + kHeader <= bytes.size()) {

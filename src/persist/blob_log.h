@@ -12,7 +12,7 @@
 //     payload := [u8 kind = kPut]    [u64 blob_id][u64 n][n bytes]
 //              | [u8 kind = kDelete] [u64 blob_id]
 //
-// The CRC is the recovery contract: replay walks the file record by
+// The CRC is the recovery contract: replay walks the log's bytes record by
 // record, verifies length + CRC, and *truncates at the first torn or
 // corrupt record* — whatever prefix validates is, by construction, exactly
 // the state at some past group-commit boundary.
@@ -82,7 +82,7 @@ class BlobLogWriter {
   std::uint64_t commits_ = 0;
 };
 
-/// Outcome of a replay pass: how much of the file validated, and whether a
+/// Outcome of a replay pass: how much of the bytes validated, and whether a
 /// torn/corrupt suffix was dropped.
 struct BlobLogReplayResult {
   std::uint64_t valid_bytes = 0;
@@ -90,12 +90,12 @@ struct BlobLogReplayResult {
   bool truncated_tail = false;
 };
 
-/// Replays `path` from the start, invoking `apply` for each record whose
-/// frame validates (length fits, CRC matches), stopping at the first
-/// invalid record. A missing file replays as empty. Does not modify the
-/// file — pair with FileIo::TruncateTo(valid_bytes) to drop a torn tail.
-Result<BlobLogReplayResult> ReplayBlobLog(
-    FileIo& io, const std::string& path,
+/// Replays log bytes already read into memory from the start, invoking
+/// `apply` for each record whose frame validates (length fits, CRC
+/// matches), stopping at the first invalid record. Does no I/O — pair with
+/// FileIo::TruncateTo(valid_bytes) to drop a torn tail from the file.
+BlobLogReplayResult ReplayBlobLog(
+    std::span<const std::byte> bytes,
     const std::function<void(const BlobLogRecord&)>& apply);
 
 }  // namespace simdc::persist

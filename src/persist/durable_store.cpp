@@ -52,53 +52,57 @@ Result<RecoveredState> DurableStore::BeginResume(cloud::BlobStore& store) {
   if (Status made = io_->CreateDirs(config_.dir); !made.ok()) {
     return made.error();
   }
-  const std::string log = BlobLogPath(config_.dir);
-  RecoveredState out;
-
-  // Checkpoints newer than the one resumed from, whose pin the log no
-  // longer validates.
-  std::vector<std::string> unpinned;
+  std::vector<CheckpointImage> images;
   if (config_.mode == DurabilityMode::kLogCheckpoint) {
-    std::vector<CheckpointImage> images = LoadCheckpoints(*io_, config_.dir);
-    if (!images.empty()) {
-      // Each image describes the store as of the log offset it pins.
-      // Resume from the first (bin, tmp, prev) whose pin the log still
-      // validates: an older image re-executes more rounds, a newer one
-      // references lost records.
-      auto validated = ReplayBlobLog(*io_, log, [](const BlobLogRecord&) {});
-      if (!validated.ok()) return validated.error();
-      const auto chosen = std::find_if(
-          images.begin(), images.end(), [&](const CheckpointImage& image) {
-            return image.state.log_offset <= validated->valid_bytes;
-          });
-      // Refused before any cut, so nothing under a pin is deleted.
-      if (chosen == images.end()) {
-        return DataLoss("blob log validates " +
-                        std::to_string(validated->valid_bytes) +
-                        " bytes, but its checkpoint pins " +
-                        std::to_string(images.front().state.log_offset));
-      }
-      for (auto it = images.begin(); it != chosen; ++it) {
-        unpinned.push_back(std::move(it->path));
-      }
-      out.checkpoint = std::move(chosen->state);
-      out.has_checkpoint = true;
-      // Log records past the checkpoint's offset belong to the partial
-      // round the engine will re-execute; replaying them would duplicate
-      // its blob ids. Drop them before replay.
-      auto size = io_->FileSize(log);
-      if (size.ok() && *size > out.checkpoint.log_offset) {
-        if (Status cut = io_->TruncateTo(log, out.checkpoint.log_offset);
-            !cut.ok()) {
-          return cut.error();
-        }
-      }
+    images = LoadCheckpoints(*io_, config_.dir);
+  }
+  // One read of the log: its bytes are validated and replayed in memory.
+  const std::string log = BlobLogPath(config_.dir);
+  std::vector<std::byte> bytes;
+  if (io_->Exists(log)) {
+    auto file = io_->ReadFile(log);
+    if (!file.ok()) return file.error();
+    bytes = std::move(*file);
+  }
+  const std::uint64_t valid =
+      ReplayBlobLog(bytes, [](const BlobLogRecord&) {}).valid_bytes;
+  RecoveredState out;
+  out.truncated_tail = valid < bytes.size();
+
+  // The log prefix the store is rebuilt from, and the checkpoints newer
+  // than the one resumed from, whose pin the log no longer validates.
+  std::uint64_t keep = valid;
+  std::vector<std::string> unpinned;
+  if (!images.empty()) {
+    // Each image describes the store as of the log offset it pins.
+    // Resume from the first (bin, tmp, prev) whose pin the log still
+    // validates: an older image re-executes more rounds, a newer one
+    // references lost records.
+    const auto chosen = std::find_if(
+        images.begin(), images.end(), [&](const CheckpointImage& image) {
+          return image.state.log_offset <= valid;
+        });
+    // Refused before any cut, so nothing under a pin is deleted.
+    if (chosen == images.end()) {
+      return DataLoss("blob log validates " + std::to_string(valid) +
+                      " bytes, but its checkpoint pins " +
+                      std::to_string(images.front().state.log_offset));
     }
+    for (auto it = images.begin(); it != chosen; ++it) {
+      unpinned.push_back(std::move(it->path));
+    }
+    out.checkpoint = std::move(chosen->state);
+    out.has_checkpoint = true;
+    // Log records past the checkpoint's offset belong to the partial
+    // round the engine will re-execute; replaying them would duplicate
+    // its blob ids.
+    keep = out.checkpoint.log_offset;
   }
 
   std::uint64_t put_bytes = 0;
-  auto replay =
-      ReplayBlobLog(*io_, log, [&](const BlobLogRecord& record) {
+  const BlobLogReplayResult replay = ReplayBlobLog(
+      std::span<const std::byte>(bytes).first(keep),
+      [&](const BlobLogRecord& record) {
         if (record.kind == BlobRecordKind::kPut) {
           store.RestoreBlob(record.id, std::vector<std::byte>(
                                            record.bytes.begin(),
@@ -108,28 +112,24 @@ Result<RecoveredState> DurableStore::BeginResume(cloud::BlobStore& store) {
           (void)store.Delete(record.id);
         }
       });
-  if (!replay.ok()) return replay.error();
-  out.log_bytes = replay->valid_bytes;
-  out.log_records = replay->records;
-  out.truncated_tail = replay->truncated_tail;
-  // The checkpoint describes the store as of log_offset, which lay inside
-  // the prefix validated above; a log that now reads back shorter lost
-  // records it references. Refuse before the cut below, so nothing under
-  // the pin is deleted from disk.
-  if (out.has_checkpoint && replay->valid_bytes < out.checkpoint.log_offset) {
-    return DataLoss("blob log validates " +
-                    std::to_string(replay->valid_bytes) +
-                    " bytes, but its checkpoint pins " +
-                    std::to_string(out.checkpoint.log_offset));
+  // A pin inside a record (a CRC-valid image no writer produced) names a
+  // store the log cannot rebuild; refused before the cut below.
+  if (replay.valid_bytes != keep) {
+    return DataLoss("checkpoint pins blob log offset " + std::to_string(keep) +
+                    ", inside the record that starts at " +
+                    std::to_string(replay.valid_bytes));
   }
-  // Drop the torn tail on disk so future appends extend a valid prefix
-  // instead of burying garbage mid-file.
-  if (replay->truncated_tail) {
-    if (Status cut = io_->TruncateTo(log, replay->valid_bytes); !cut.ok()) {
+  out.log_records = replay.records;
+  // Drop everything past the kept prefix on disk — the torn tail, the
+  // partial round, any bytes a short read missed — so future appends
+  // extend it instead of burying garbage mid-file.
+  auto size = io_->FileSize(log);
+  if (size.ok() && *size > keep) {
+    if (Status cut = io_->TruncateTo(log, keep); !cut.ok()) {
       return cut.error();
     }
   }
-  writer_.ResetDurableSize(replay->valid_bytes);
+  writer_.ResetDurableSize(keep);
 
   if (out.has_checkpoint) {
     store.SetNextId(out.checkpoint.next_blob_id);

@@ -5,8 +5,8 @@
 // buffers them into the append-only blob log (blob_log.h), group-commits
 // at the engine's round boundaries, and publishes atomic checkpoints of
 // aggregator state (checkpoint.h). Recovery is the composition: load the
-// latest valid checkpoint, truncate the log to the offset it pins, replay
-// the remaining valid prefix into a fresh BlobStore — and the engine
+// latest valid checkpoint, replay the log up to the offset it pins into a
+// fresh BlobStore, truncate the file there — and the engine
 // re-executes the partial round deterministically, landing bit-identical
 // to an uninterrupted run (DurableRecoveryTest proves it under injected
 // crashes, torn writes, short reads, and fsync failures). When the log's
@@ -58,10 +58,10 @@ struct RecoveredState {
   /// Valid only when has_checkpoint (default-initialized otherwise).
   CheckpointState checkpoint;
   bool has_checkpoint = false;
-  /// Validated log prefix replayed into the store.
-  std::uint64_t log_bytes = 0;
+  /// Records of the validated log prefix replayed into the store.
   std::uint64_t log_records = 0;
-  /// True when a torn/corrupt suffix was dropped during replay.
+  /// True when the log's valid prefix is shorter than the bytes read: a
+  /// torn/corrupt suffix was dropped.
   bool truncated_tail = false;
 };
 
@@ -79,18 +79,20 @@ class DurableStore final : public cloud::BlobJournal {
   /// journal; never called on the resume path (which must read them).
   Status BeginFresh();
 
-  /// Resume initialization: in log+checkpoint mode, validates the log and
-  /// loads the first valid checkpoint (bin, then tmp, then prev) whose
-  /// pinned offset lies inside the valid prefix, truncates the log to that
-  /// offset — records past it belong to the partial round the engine
-  /// re-executes — then replays the log into `store` (RestoreBlob /
-  /// Delete), dropping any torn tail. Newer checkpoints whose pin the log
-  /// no longer covers are removed before returning OK. Returns DataLoss,
-  /// naming the newest checkpoint's pin and cutting nothing, when no
-  /// checkpoint's pin lies inside the valid prefix (records they reference
-  /// are gone; `store` must then be discarded). Restores the store's id
-  /// cursor and traffic counters. Call BEFORE attaching the journal so
-  /// replayed mutations are not re-logged.
+  /// Resume initialization: reads the checkpoints (bin, then tmp, then
+  /// prev; log+checkpoint mode only) and then the log, each once, and
+  /// validates the log in memory. Resumes from the first valid checkpoint
+  /// whose pinned offset lies inside the valid prefix: replays the log up
+  /// to that offset into `store` (RestoreBlob / Delete) — records past it
+  /// belong to the partial round the engine re-executes — and truncates
+  /// the file there. Without a checkpoint it replays and keeps the whole
+  /// valid prefix, dropping any torn tail. Newer checkpoints whose pin the
+  /// log no longer covers are removed before returning OK. Returns
+  /// DataLoss, cutting nothing, when no checkpoint's pin lies inside the
+  /// valid prefix (the error names the newest one's pin) or the chosen pin
+  /// falls inside a record; `store` must then be discarded. Restores the
+  /// store's id cursor and traffic counters. Call BEFORE attaching the
+  /// journal so replayed mutations are not re-logged.
   Result<RecoveredState> BeginResume(cloud::BlobStore& store);
 
   /// Group commit: flushes buffered mutations as one Append + Sync.

@@ -232,8 +232,10 @@ TEST(BlobLogTest, RoundTripsPutsAndDeletes) {
   EXPECT_EQ(writer.commits(), 1u);
 
   std::vector<std::pair<persist::BlobRecordKind, std::uint64_t>> seen;
-  auto replay = persist::ReplayBlobLog(
-      RealFileIo::Instance(), path, [&](const BlobLogRecord& record) {
+  auto bytes = RealFileIo::Instance().ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  const auto replay =
+      persist::ReplayBlobLog(*bytes, [&](const BlobLogRecord& record) {
         seen.emplace_back(record.kind, record.id.value());
         if (record.id == BlobId(7) &&
             record.kind == persist::BlobRecordKind::kPut) {
@@ -242,9 +244,8 @@ TEST(BlobLogTest, RoundTripsPutsAndDeletes) {
                                    payload.size()));
         }
       });
-  ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(replay->records, 3u);
-  EXPECT_FALSE(replay->truncated_tail);
+  EXPECT_EQ(replay.records, 3u);
+  EXPECT_FALSE(replay.truncated_tail);
   ASSERT_EQ(seen.size(), 3u);
   EXPECT_TRUE(seen[0].first == persist::BlobRecordKind::kPut &&
               seen[0].second == 7u);
@@ -255,13 +256,23 @@ TEST(BlobLogTest, RoundTripsPutsAndDeletes) {
 }
 
 TEST(BlobLogTest, MissingFileReplaysEmpty) {
+  // Recovery reads a missing log as no bytes, which replay as empty.
   const std::string dir = FreshDir("");
-  auto replay = persist::ReplayBlobLog(RealFileIo::Instance(),
-                                       persist::BlobLogPath(dir),
-                                       [](const BlobLogRecord&) { FAIL(); });
-  ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(replay->records, 0u);
-  EXPECT_FALSE(replay->truncated_tail);
+  ASSERT_FALSE(RealFileIo::Instance().Exists(persist::BlobLogPath(dir)));
+  const auto replay =
+      persist::ReplayBlobLog({}, [](const BlobLogRecord&) { FAIL(); });
+  EXPECT_EQ(replay.records, 0u);
+  EXPECT_FALSE(replay.truncated_tail);
+
+  cloud::BlobStore store;
+  persist::DurabilityConfig config;
+  config.mode = DurabilityMode::kLog;
+  config.dir = dir;
+  auto recovered = persist::DurableStore(config).BeginResume(store);
+  ASSERT_TRUE(recovered.ok()) << recovered.error().ToString();
+  EXPECT_EQ(recovered->log_records, 0u);
+  EXPECT_FALSE(recovered->truncated_tail);
+  EXPECT_EQ(store.blob_count(), 0u);
 }
 
 TEST(BlobLogTest, TruncationAtEveryByteYieldsValidPrefix) {
@@ -288,13 +299,14 @@ TEST(BlobLogTest, TruncationAtEveryByteYieldsValidPrefix) {
     ASSERT_TRUE(io.WriteFile(path, std::span(original->data(),
                                              static_cast<std::size_t>(cut)))
                     .ok());
+    auto bytes = io.ReadFile(path);
+    ASSERT_TRUE(bytes.ok()) << "cut=" << cut;
     std::uint64_t records = 0;
-    auto replay = persist::ReplayBlobLog(
-        io, path, [&](const BlobLogRecord&) { ++records; });
-    ASSERT_TRUE(replay.ok()) << "cut=" << cut;
+    const auto replay = persist::ReplayBlobLog(
+        *bytes, [&](const BlobLogRecord&) { ++records; });
     EXPECT_EQ(records, 2u) << "cut=" << cut;
-    EXPECT_EQ(replay->valid_bytes, prefix_end) << "cut=" << cut;
-    EXPECT_EQ(replay->truncated_tail, cut != prefix_end) << "cut=" << cut;
+    EXPECT_EQ(replay.valid_bytes, prefix_end) << "cut=" << cut;
+    EXPECT_EQ(replay.truncated_tail, cut != prefix_end) << "cut=" << cut;
   }
 }
 
@@ -316,13 +328,14 @@ TEST(BlobLogTest, CorruptRecordTruncatesFromThatPoint) {
   (*bytes)[static_cast<std::size_t>(prefix_end) + 12] ^= std::byte{0x80};
   ASSERT_TRUE(io.WriteFile(path, *bytes).ok());
 
+  auto corrupt = io.ReadFile(path);
+  ASSERT_TRUE(corrupt.ok());
   std::uint64_t records = 0;
-  auto replay =
-      persist::ReplayBlobLog(io, path, [&](const BlobLogRecord&) { ++records; });
-  ASSERT_TRUE(replay.ok());
+  const auto replay = persist::ReplayBlobLog(
+      *corrupt, [&](const BlobLogRecord&) { ++records; });
   EXPECT_EQ(records, 1u);
-  EXPECT_EQ(replay->valid_bytes, prefix_end);
-  EXPECT_TRUE(replay->truncated_tail);
+  EXPECT_EQ(replay.valid_bytes, prefix_end);
+  EXPECT_TRUE(replay.truncated_tail);
 }
 
 /// Passes every call through to the real file system, except that its
@@ -386,14 +399,15 @@ TEST(BlobLogTest, FailedAppendLeavesNoPartialFrame) {
   // length, and the 100 payload bytes.
   constexpr std::uint64_t kRecord = 8 + 17 + 100;
   std::vector<std::uint64_t> ids;
-  auto replay = persist::ReplayBlobLog(
-      io, path, [&](const BlobLogRecord& record) {
+  auto bytes = io.ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  const auto replay =
+      persist::ReplayBlobLog(*bytes, [&](const BlobLogRecord& record) {
         ids.push_back(record.id.value());
       });
-  ASSERT_TRUE(replay.ok());
   EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_EQ(replay->valid_bytes, 3 * kRecord);
-  EXPECT_FALSE(replay->truncated_tail);
+  EXPECT_EQ(replay.valid_bytes, 3 * kRecord);
+  EXPECT_FALSE(replay.truncated_tail);
   EXPECT_EQ(writer.durable_size(), 3 * kRecord);
   auto size = io.FileSize(path);
   ASSERT_TRUE(size.ok());
@@ -815,6 +829,39 @@ TEST(DurableRecoveryTest, ShortReadFallsBackToOlderCheckpoint) {
   ExpectOutcomeIdentical(reference, recovered, "short-read fallback");
 }
 
+TEST(DurableRecoveryTest, RecoveryReadsEachFileOnce) {
+  // Recovery reads every checkpoint image and the blob log once: the log
+  // is validated and replayed from one in-memory copy, so a large log is
+  // read from disk once.
+  const auto dataset = SmallDataset();
+  const RunOutcome reference = RunToCompletion(dataset, BaseConfig());
+  const IoProfile profile = ProfileCleanRun(dataset, FreshDir("profile"));
+  const std::string dir = FreshDir("");
+  FaultPlan crash;
+  crash.crash_on_append = profile.appends;  // last commit of the run
+  FaultInjector faulty(crash);
+  ASSERT_TRUE(CrashRun(
+      dataset, DurableConfig(DurabilityMode::kLogCheckpoint, dir, &faulty)));
+
+  RealFileIo& io = RealFileIo::Instance();
+  std::uint64_t files = 0;
+  for (const std::string& path :
+       {persist::CheckpointPath(dir), persist::CheckpointTmpPath(dir),
+        persist::CheckpointPrevPath(dir), persist::BlobLogPath(dir)}) {
+    files += io.Exists(path) ? 1 : 0;
+  }
+  ASSERT_GE(files, 3u);  // bin, prev and the log at least
+
+  FaultInjector counting({});
+  sim::EventLoop loop;
+  FlEngine engine(loop, dataset, DurableConfig(DurabilityMode::kLogCheckpoint,
+                                               dir, &counting));
+  ASSERT_TRUE(engine.RestoreFromRecovery().ok());
+  EXPECT_EQ(counting.reads(), files);
+  const RunOutcome recovered = CollectOutcome(engine, engine.Run());
+  ExpectOutcomeIdentical(reference, recovered, "read-once recovery");
+}
+
 TEST(DurableRecoveryTest, CorruptPinnedLogPrefixIsRefused) {
   // The checkpoint describes the store as of the log offset it pins. A
   // log that no longer validates that far lost records the checkpoint
@@ -928,6 +975,45 @@ TEST(DurableRecoveryTest, FallsBackToOlderCheckpointWhosePinValidates) {
   ExpectOutcomeIdentical(reference, recovered, "fallback to prev");
 }
 
+TEST(DurableRecoveryTest, CheckpointPinInsideARecordIsRefused) {
+  // checkpoint.bin is re-serialized with its pin one byte short of the
+  // record boundary it named: the image parses and the log validates past
+  // the pin, but no prefix of the log ends there. Recovery refuses it as
+  // DataLoss and cuts nothing from the log.
+  const auto dataset = SmallDataset();
+  const IoProfile profile = ProfileCleanRun(dataset, FreshDir("profile"));
+  const std::string dir = FreshDir("");
+  FaultPlan crash;
+  crash.crash_on_append = profile.appends;  // last commit of the run
+  FaultInjector faulty(crash);
+  ASSERT_TRUE(CrashRun(
+      dataset, DurableConfig(DurabilityMode::kLogCheckpoint, dir, &faulty)));
+
+  RealFileIo& io = RealFileIo::Instance();
+  auto bin = persist::LoadLatestCheckpoint(io, dir);
+  ASSERT_TRUE(bin.ok());
+  ASSERT_GT(bin->log_offset, 0u);
+  --bin->log_offset;
+  ASSERT_TRUE(io.WriteFile(persist::CheckpointPath(dir),
+                           persist::SerializeCheckpoint(*bin))
+                  .ok());
+  const std::string log = persist::BlobLogPath(dir);
+  auto before = io.FileSize(log);
+  ASSERT_TRUE(before.ok());
+  ASSERT_GT(*before, bin->log_offset);
+
+  sim::EventLoop loop;
+  FlEngine engine(loop, dataset,
+                  DurableConfig(DurabilityMode::kLogCheckpoint, dir));
+  const Status restored = engine.RestoreFromRecovery();
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.error().code(), ErrorCode::kDataLoss)
+      << restored.ToString();
+  auto after = io.FileSize(log);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *before);
+}
+
 TEST(DurableRecoveryTest, ForgedCheckpointFallsBackToPrev) {
   // checkpoint.bin is re-serialized with lists longer than its model_dim:
   // its CRC holds, but the parser refuses it like a torn image, so
@@ -1012,11 +1098,9 @@ TEST(DurableRecoveryTest, EngineLogTornAtEveryByteOfFinalRecordRecovers) {
   std::vector<std::uint64_t> boundaries = {0};
   std::uint64_t total_records = 0;
   {
-    auto replay = persist::ReplayBlobLog(io, path, [&](const BlobLogRecord&) {
-      ++total_records;
-    });
-    ASSERT_TRUE(replay.ok());
-    ASSERT_FALSE(replay->truncated_tail);
+    const auto replay = persist::ReplayBlobLog(
+        *original, [&](const BlobLogRecord&) { ++total_records; });
+    ASSERT_FALSE(replay.truncated_tail);
     ASSERT_GT(total_records, 3u);
   }
   std::uint64_t pos = 0;
@@ -1043,12 +1127,13 @@ TEST(DurableRecoveryTest, EngineLogTornAtEveryByteOfFinalRecordRecovers) {
                              std::span(original->data() + base,
                                        static_cast<std::size_t>(cut)))
                     .ok());
+    auto bytes = io.ReadFile(scratch);
+    ASSERT_TRUE(bytes.ok()) << "cut=" << cut;
     std::uint64_t records = 0;
-    auto replay = persist::ReplayBlobLog(
-        io, scratch, [&](const BlobLogRecord&) { ++records; });
-    ASSERT_TRUE(replay.ok()) << "cut=" << cut;
+    const auto replay = persist::ReplayBlobLog(
+        *bytes, [&](const BlobLogRecord&) { ++records; });
     EXPECT_EQ(records, 2u) << "cut=" << cut;
-    EXPECT_EQ(replay->valid_bytes, last_start) << "cut=" << cut;
+    EXPECT_EQ(replay.valid_bytes, last_start) << "cut=" << cut;
   }
 }
 
