@@ -151,7 +151,6 @@ void AggregationService::DeliverDecodedOne(flow::DecodedUpdate& update) {
     ++decode_failures_;
     return;
   }
-  if (update.model.owns_weights()) ++staged_owned_;
   pending_.push_back({std::move(update.model), samples});
   staged_samples_ += samples;
   ++staged_clients_;
@@ -163,27 +162,24 @@ void AggregationService::DeliverDecodedOne(flow::DecodedUpdate& update) {
     // verdicts. Its timestamp is that update's arrival: inside a tick the
     // loop clock still sits at the tick start.
     AggregateAt(std::max(update.arrival, loop_.Now()));
-    return;
   }
-  if (staged_owned_ >= kFlushCap) FlushPending();
 }
 
 void AggregationService::FlushPending() {
   if (pending_.empty()) return;
   const std::uint64_t t0 = NowNs();
-  SIMDC_DCHECK(staged_owned_ <= pending_.size(),
-               "FlushPending: " << staged_owned_ << " owning views among "
-                                << pending_.size() << " staged updates");
   const std::size_t clients_before = aggregator_.clients();
   const std::size_t samples_before = aggregator_.total_samples();
   const std::size_t lanes =
       pool_ ? std::min({pool_->size(), pending_.size(), kMaxLanes})
             : std::size_t{1};
+  if (scratch_.size() < lanes) scratch_.resize(lanes);
   if (lanes <= 1) {
     for (const StagedUpdate& staged : pending_) {
       // Dim was checked at admission and samples >= 1, so Add cannot fail.
-      const Status added = aggregator_.Add(
-          staged.model.weights(), staged.model.bias(), staged.samples);
+      const Status added =
+          aggregator_.Add(staged.model.Weights(scratch_[0]),
+                          staged.model.bias(), staged.samples);
       SIMDC_CHECK(added.ok(), "FlushPending: staged add failed: "
                                   << added.error().ToString());
     }
@@ -196,10 +192,11 @@ void AggregationService::FlushPending() {
       const std::size_t begin = lane * chunk;
       const std::size_t end = std::min(begin + chunk, pending_.size());
       ml::FedAvgAggregator& partial = partials_[lane];
+      std::vector<float>& scratch = scratch_[lane];
       for (std::size_t i = begin; i < end; ++i) {
         const StagedUpdate& staged = pending_[i];
-        const Status added = partial.Add(
-            staged.model.weights(), staged.model.bias(), staged.samples);
+        const Status added = partial.Add(staged.model.Weights(scratch),
+                                         staged.model.bias(), staged.samples);
         SIMDC_CHECK(added.ok(), "FlushPending: partial add failed: "
                                     << added.error().ToString());
       }
@@ -231,7 +228,6 @@ void AggregationService::DiscardPending() {
   pending_.clear();
   staged_samples_ = 0;
   staged_clients_ = 0;
-  staged_owned_ = 0;
 }
 
 AggregationSnapshot AggregationService::Snapshot() const {
@@ -253,8 +249,9 @@ AggregationSnapshot AggregationService::Snapshot() const {
   // service and never references payload models. At quiescent boundaries
   // (where checkpoints are cut) pending_ is empty and this is a plain copy.
   ml::FedAvgAggregator merged = aggregator_;
+  std::vector<float> scratch;
   for (const StagedUpdate& staged : pending_) {
-    const Status added = merged.Add(staged.model.weights(),
+    const Status added = merged.Add(staged.model.Weights(scratch),
                                     staged.model.bias(), staged.samples);
     SIMDC_CHECK(added.ok(), "Snapshot: staged add failed: "
                                 << added.error().ToString());

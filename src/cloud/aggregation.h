@@ -15,14 +15,14 @@
 // verdict, counter bookkeeping and O(1) staging: each admitted update is
 // staged as a {model view, samples} entry, and staged entries are
 // flushed into per-lane partial FedAvg aggregators on the worker pool,
-// merged in fixed ascending-lane order. Staged views that alias stored
-// fp32 payloads are flushed once, when the round closes; views that own a
-// dequantized buffer (fp16/int8) also flush every kFlushCap. Per round
-// the serial side does O(lanes·dim) merge work per flush instead of
-// O(msgs·dim) adds. The FedAvg cascade is order-invariant (see
-// ml/fedavg.h), so lane count, flush timing and slicing are bit-invisible
-// in every published model, counter and snapshot;
-// tests/reference_fedavg.h is the serial oracle that pins it.
+// merged in fixed ascending-lane order. Staged views alias their stored
+// payloads whatever the codec, so a round flushes once, when it closes;
+// each lane reads fp32 weights in place and dequantizes fp16/int8 ones
+// into its own scratch vector. Per round the serial side does
+// O(lanes·dim) merge work instead of O(msgs·dim) adds. The FedAvg cascade
+// is order-invariant (see ml/fedavg.h), so lane count, flush timing and
+// slicing are bit-invisible in every published model, counter and
+// snapshot; tests/reference_fedavg.h is the serial oracle that pins it.
 #pragma once
 
 #include <cstdint>
@@ -129,12 +129,12 @@ class AggregationService final : public flow::CloudEndpoint {
                      AggregationConfig config);
 
   /// Worker pool for the parallel flush of staged updates: one fork-join
-  /// of up to kMaxLanes lanes per flush, which is once per round for fp32
-  /// payloads. Optional: with no pool (or a 1-thread pool) the flush
-  /// accumulates serially, which is bit-identical (order-invariant
-  /// cascade). The pool must outlive the service; flushes run only while
-  /// the pool is otherwise idle (dispatch handlers run on the serial side,
-  /// after any lockstep barrier).
+  /// of up to kMaxLanes lanes per flush, which is once per round.
+  /// Optional: with no pool (or a 1-thread pool) the flush accumulates
+  /// serially, which is bit-identical (order-invariant cascade). The pool
+  /// must outlive the service; flushes run only while the pool is
+  /// otherwise idle (dispatch handlers run on the serial side, after any
+  /// lockstep barrier).
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Arms the scheduled trigger (no-op for sample-threshold).
@@ -196,8 +196,8 @@ class AggregationService final : public flow::CloudEndpoint {
   /// staleness verdicts, counter commits, staging.
   std::uint64_t serial_bookkeeping_ns() const { return serial_bookkeeping_ns_; }
   /// Flushes that accumulated at least one staged update: one per closed
-  /// round, plus one per kFlushCap owning views staged. Observability
-  /// only — like the timings, not part of any snapshot.
+  /// round. Observability only — like the timings, not part of any
+  /// snapshot.
   std::size_t flushes() const { return flushes_; }
 
   /// Bit-exact state image for checkpointing (see AggregationSnapshot).
@@ -233,9 +233,8 @@ class AggregationService final : public flow::CloudEndpoint {
   void ArmSchedule();
   /// The one admission body: staleness verdict, deferred decode-failure
   /// commit, O(1) staging, the sample-threshold check on the combined
-  /// (flushed + staged) totals, and the capacity-bounded flush. The
-  /// update's arrival may lie ahead of loop time inside a tick. Staging
-  /// moves the update's model view out.
+  /// (flushed + staged) totals. The update's arrival may lie ahead of loop
+  /// time inside a tick. Staging moves the update's model view out.
   void DeliverDecodedOne(flow::DecodedUpdate& update);
   /// Drains staged entries into the aggregator: serially without a pool,
   /// else via per-lane partials on the pool merged in ascending-lane order.
@@ -247,20 +246,12 @@ class AggregationService final : public flow::CloudEndpoint {
   /// AggregationRecord::time).
   bool AggregateAt(SimTime when);
 
-  /// One admitted-but-unflushed update; for fp32 payloads its weights are
-  /// still the stored blob's bytes, which the flush reads in place.
+  /// One admitted-but-unflushed update; its weights are still the stored
+  /// blob's bytes, which the flush reads (and dequantizes) there.
   struct StagedUpdate {
     ml::ModelView model;
     std::size_t samples = 0;
   };
-  /// Flush whenever this many staged views own their weights (fp16/int8
-  /// dequantized buffers, fp32 copies of misaligned or unowned input):
-  /// bounds the memory that staged updates alone keep alive. Views that
-  /// alias a stored payload keep nothing extra alive — the store holds the
-  /// payload until the next round's reclaim — so they do not count, and
-  /// an fp32 round flushes once, at close. No published bit changes
-  /// either way (flush timing is inside the invariance window).
-  static constexpr std::size_t kFlushCap = 256;
   /// Partial-aggregator lane ceiling for one flush.
   static constexpr std::size_t kMaxLanes = 8;
 
@@ -285,14 +276,14 @@ class AggregationService final : public flow::CloudEndpoint {
   std::size_t deadline_commits_ = 0;
   std::size_t round_extensions_ = 0;
   std::size_t aborted_rounds_ = 0;
-  /// Staged updates awaiting a flush, their running totals (and how many
-  /// own their weights, for kFlushCap), the reusable per-lane partial
-  /// aggregators, and the pool.
+  /// Staged updates awaiting a flush, their running totals, the reusable
+  /// per-lane partial aggregators and dequantization scratch (lane 0's
+  /// scratch also serves the serial flush), and the pool.
   std::vector<StagedUpdate> pending_;
   std::size_t staged_samples_ = 0;
   std::size_t staged_clients_ = 0;
-  std::size_t staged_owned_ = 0;
   std::vector<ml::FedAvgAggregator> partials_;
+  std::vector<std::vector<float>> scratch_;
   ThreadPool* pool_ = nullptr;
   /// Wall-clock profiling totals (see the accessors).
   std::uint64_t serial_accumulate_ns_ = 0;

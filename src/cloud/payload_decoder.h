@@ -1,7 +1,7 @@
 // Canonical flow::PayloadDecoder over cloud storage: shared-ownership blob
 // fetch (BlobStore::GetShared — no payload copy) + header-validated view
-// decode (ml::LrModel::FromBytesView — fp32 weights stay in the blob, the
-// view holds its slab or buffer alive).
+// decode (ml::LrModel::FromBytesView — every codec's weights stay in the
+// blob, and the view holds its slab or buffer alive).
 //
 // This is the shard-side half of the decoded payload plane (§V-A storage
 // references make decode order-free work): dispatchers call Decode at

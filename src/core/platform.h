@@ -119,7 +119,6 @@ class Platform {
   sched::ResourceManager& resources() { return resources_; }
   sched::TaskQueue& queue() { return queue_; }
   cloud::MetricsDatabase& metrics() { return metrics_; }
-  ThreadPool& worker_pool() { return workers_; }
 
  private:
   struct RunningTask {

@@ -15,9 +15,10 @@
 // threads when fleets are sharded), and the serial cloud side receives
 // DecodedUpdates it only has to admit and accumulate. This is the
 // parameter-server decode-offload discipline: parallel produce (decode),
-// fixed-order reduce (FedAvg). For fp32 payloads the "decode" is a header
-// validation: the update's weights alias the stored blob, and FedAvg reads
-// them in place.
+// fixed-order reduce (FedAvg). The "decode" is a header validation: the
+// update's weights alias the stored blob whatever the codec, and the
+// FedAvg flush lanes read fp32 weights in place and dequantize fp16/int8
+// ones there.
 //
 // The decode is *speculative* in two ways, both deliberate:
 //   1. It runs before the cloud's staleness verdict, so a stale update is
@@ -53,10 +54,10 @@ struct DecodedUpdate {
   /// When the update reaches the cloud: its capacity-spaced slot in the
   /// dispatch tick, or the time of the retry that delivered it.
   SimTime arrival = 0;
-  /// Decoded payload, read in place from the stored blob (fp32) or from
-  /// the view's own dequantized buffer (fp16/int8); empty when failure !=
-  /// kNone or when no decoder ran. The view shares ownership of its
-  /// backing bytes; the cloud moves it into its staging list.
+  /// Decoded payload, aliasing the stored blob's encoded weights; empty
+  /// when failure != kNone or when no decoder ran. The view shares
+  /// ownership of the blob's bytes; the cloud moves it into its staging
+  /// list.
   ml::ModelView model;
   Failure failure = Failure::kNone;
   /// Failure detail for the warning the serial side logs on commit.

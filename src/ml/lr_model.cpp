@@ -316,25 +316,32 @@ Result<std::shared_ptr<const LrModel>> LrModel::FromBytesShared(
 
 Result<ModelView> LrModel::FromBytesView(std::span<const std::byte> bytes,
                                          std::shared_ptr<const void> owner) {
+  SIMDC_CHECK(owner != nullptr, "FromBytesView: nothing owns the blob bytes");
   auto layout = ParseBlob(bytes);
   if (!layout.ok()) return layout.error();
-  const std::uint32_t d = layout->dim;
-  if (layout->codec == PayloadCodec::kFp32 && owner != nullptr && d > 0 &&
-      reinterpret_cast<std::uintptr_t>(layout->payload) % alignof(float) ==
-          0) {
+  ModelView view;
+  // The aliasing shared_ptr holds `owner`, not the bytes it points at.
+  view.encoded_ =
+      std::shared_ptr<const std::byte>(std::move(owner), layout->payload);
+  view.dim_ = layout->dim;
+  view.bias_ = layout->bias;
+  view.scale_ = layout->scale;
+  view.codec_ = layout->codec;
+  return view;
+}
+
+std::span<const float> ModelView::Weights(std::vector<float>& scratch) const {
+  const std::byte* payload = encoded_.get();
+  if (codec_ == PayloadCodec::kFp32 &&
+      reinterpret_cast<std::uintptr_t>(payload) % alignof(float) == 0) {
     // The encoder memcpy'd these floats into the blob, which implicitly
     // created float objects there; launder reaches them through the byte
-    // address. The aliasing shared_ptr holds `owner`, not the floats.
-    const float* weights =
-        std::launder(reinterpret_cast<const float*>(layout->payload));
-    return ModelView(std::shared_ptr<const float>(std::move(owner), weights),
-                     d, layout->bias, /*owns_weights=*/false);
+    // address.
+    return {std::launder(reinterpret_cast<const float*>(payload)), dim_};
   }
-  std::shared_ptr<float[]> buffer = std::make_shared_for_overwrite<float[]>(d);
-  DecodeWeights(*layout, buffer.get());
-  const float* weights = buffer.get();
-  return ModelView(std::shared_ptr<const float>(std::move(buffer), weights), d,
-                   layout->bias, /*owns_weights=*/true);
+  scratch.resize(dim_);
+  DecodeWeights({codec_, dim_, bias_, scale_, payload}, scratch.data());
+  return {scratch.data(), dim_};
 }
 
 }  // namespace simdc::ml

@@ -9,9 +9,10 @@
 // precisions (FlExperimentConfig::payload_codec). kFp32 is the historical
 // wire format, byte-identical to what ToBytes always produced; kFp16 and
 // kInt8 (per-tensor scale) cut payload bytes 2×/4× for the million-device
-// memory plane, with dequantization running in the parallel decode plane
-// (cloud::BlobModelDecoder → FromBytesView). Decoding auto-detects the
-// codec from the blob header, so mixed-codec stores decode uniformly.
+// memory plane. A decoded view (FromBytesView) keeps every codec's weights
+// in the blob; dequantization runs where they are read, in the FedAvg
+// flush lanes (ModelView::Weights). Decoding auto-detects the codec from
+// the blob header, so mixed-codec stores decode uniformly.
 #pragma once
 
 #include <cmath>
@@ -40,41 +41,34 @@ enum class PayloadCodec : std::uint8_t {
 const char* ToString(PayloadCodec codec);
 
 /// Read-only decoded model blob (see LrModel::FromBytesView): the form the
-/// payload plane stages and FedAvg accumulates from. fp32 weights alias
-/// the blob's bytes in place; fp16/int8 weights are dequantized once into
-/// a buffer the view owns, as are fp32 weights copied from misaligned or
-/// unowned input. Either way the view shares ownership of what backs its
-/// weights, so it stays valid and bit-stable for as long as it is held,
-/// whatever happens to the store the blob came from. Copying is one
-/// shared_ptr copy.
+/// payload plane stages and FedAvg accumulates from. Whatever the codec,
+/// the view aliases the blob's first encoded weight and shares ownership
+/// of the bytes behind it, so it stays valid and bit-stable for as long as
+/// it is held, whatever happens to the store the blob came from, and keeps
+/// alive no memory of its own. Copying is one shared_ptr copy.
 class ModelView {
  public:
   ModelView() = default;
 
   std::uint32_t dim() const { return dim_; }
   float bias() const { return bias_; }
-  std::span<const float> weights() const { return {weights_.get(), dim_}; }
-  /// True when the weights live in a buffer this view allocated; false
-  /// when they alias the blob's bytes (or the view is empty). Holding an
-  /// aliasing view keeps alive only memory its owner keeps anyway, which
-  /// is why cloud::AggregationService's flush cap counts owning views only.
-  bool owns_weights() const { return owns_weights_; }
+  /// The weights as fp32: float-aligned fp32 weights are read in place;
+  /// anything else (fp16/int8, or fp32 at a misaligned address) is decoded
+  /// into `scratch`, which is resized to dim() and which the result then
+  /// aliases. Same bits as LrModel::FromBytes either way.
+  std::span<const float> Weights(std::vector<float>& scratch) const;
   /// False only for a default-constructed (empty) view.
-  explicit operator bool() const { return weights_ != nullptr; }
+  explicit operator bool() const { return encoded_ != nullptr; }
 
  private:
   friend class LrModel;
-  ModelView(std::shared_ptr<const float> weights, std::uint32_t dim,
-            float bias, bool owns_weights)
-      : weights_(std::move(weights)),
-        dim_(dim),
-        bias_(bias),
-        owns_weights_(owns_weights) {}
 
-  std::shared_ptr<const float> weights_;
+  std::shared_ptr<const std::byte> encoded_;
   std::uint32_t dim_ = 0;
   float bias_ = 0.0f;
-  bool owns_weights_ = false;
+  /// kInt8 only: the per-tensor dequantization scale.
+  float scale_ = 0.0f;
+  PayloadCodec codec_ = PayloadCodec::kFp32;
 };
 
 class LrModel {
@@ -122,12 +116,9 @@ class LrModel {
       std::span<const std::byte> bytes);
   /// Header-validated view decode — the entry point of the parallel
   /// payload plane (flow::DecodedUpdate). Same validation (same routine,
-  /// same error codes) and bits as FromBytes. `owner` keeps `bytes` alive:
-  /// when it is set and the fp32 weights are float-aligned in `bytes`, the
-  /// view aliases them and holds `owner` — no copy; otherwise (fp16/int8,
-  /// no owner, misaligned input) the weights are decoded into a buffer the
-  /// view owns (ModelView::owns_weights). For kFp16/kInt8 blobs this is
-  /// where dequantization runs — on the shard workers, in parallel.
+  /// same error codes) as FromBytes; no weight is decoded here. `owner`
+  /// keeps `bytes` alive and must be set: the view holds it and reads its
+  /// weights out of `bytes` (ModelView::Weights).
   static Result<ModelView> FromBytesView(std::span<const std::byte> bytes,
                                          std::shared_ptr<const void> owner);
 

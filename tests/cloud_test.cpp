@@ -323,47 +323,80 @@ void ExpectSameBits(const ml::ModelView& view, const ml::LrModel& model) {
   ASSERT_EQ(view.dim(), model.dim());
   EXPECT_EQ(std::bit_cast<std::uint32_t>(view.bias()),
             std::bit_cast<std::uint32_t>(model.bias()));
+  std::vector<float> scratch;
+  const std::span<const float> weights = view.Weights(scratch);
+  ASSERT_EQ(weights.size(), model.dim());
   for (std::uint32_t i = 0; i < model.dim(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(view.weights()[i]),
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(weights[i]),
               std::bit_cast<std::uint32_t>(model.weights()[i]))
         << "weight " << i;
   }
 }
 
-TEST(BlobStoreTest, DecodedFp32ViewAliasesTheStoredBlob) {
+constexpr ml::PayloadCodec kCodecs[] = {
+    ml::PayloadCodec::kFp32, ml::PayloadCodec::kFp16, ml::PayloadCodec::kInt8};
+
+TEST(BlobStoreTest, DecodedViewsAliasTheStoredBlob) {
+  // Whatever the codec, a decoded view keeps its weights in the stored blob
+  // and shares the blob's owner; only what it decodes lands in the scratch.
   const ml::LrModel model = ViewTestModel();
-  const auto bytes = model.ToBytes();
-  BlobStore store;
-  for (const BlobId id : {store.PutPooled(bytes), store.Put(bytes)}) {
-    const ml::ModelView view = DecodeView(store, id);
-    ASSERT_TRUE(view);
-    auto blob = store.GetShared(id);
-    ASSERT_TRUE(blob.ok());
-    // The weights are the blob's own bytes past the dim + bias header.
-    EXPECT_EQ(static_cast<const void*>(view.weights().data()),
-              static_cast<const void*>(blob->data() + 8));
-    ExpectSameBits(view, model);
+  for (const ml::PayloadCodec codec : kCodecs) {
+    const auto bytes = model.ToBytes(codec);
+    const auto decoded = ml::LrModel::FromBytes(bytes);
+    ASSERT_TRUE(decoded.ok());
+    BlobStore store;
+    for (const BlobId id : {store.PutPooled(bytes), store.Put(bytes)}) {
+      auto blob = store.GetShared(id);
+      ASSERT_TRUE(blob.ok());
+      const long holders = blob->holder().use_count();
+      {
+        const ml::ModelView view = DecodeView(store, id);
+        ASSERT_TRUE(view) << ml::ToString(codec);
+        EXPECT_EQ(blob->holder().use_count(), holders + 1)
+            << ml::ToString(codec);
+        std::vector<float> scratch;
+        const std::span<const float> weights = view.Weights(scratch);
+        if (codec == ml::PayloadCodec::kFp32) {
+          // The blob's own bytes past the dim + bias header.
+          EXPECT_EQ(static_cast<const void*>(weights.data()),
+                    static_cast<const void*>(blob->data() + 8));
+          EXPECT_TRUE(scratch.empty());
+        } else {
+          EXPECT_EQ(weights.data(), scratch.data()) << ml::ToString(codec);
+        }
+        ExpectSameBits(view, *decoded);
+      }
+      EXPECT_EQ(blob->holder().use_count(), holders) << ml::ToString(codec);
+    }
   }
 }
 
 TEST(BlobStoreTest, ReclaimArenaWhileModelViewHeld) {
-  // A staged fp32 update reads its weights straight from an arena slab, so
-  // the view must keep that slab alive and bit-stable across Delete and
+  // A staged update's weights stay in their arena slab whatever the codec,
+  // so the view must keep that slab alive and bit-stable across Delete and
   // ReclaimArena, and the slab is recycled only after the view drops.
   const ml::LrModel model = ViewTestModel();
-  BlobStore store;
-  const BlobId id = store.PutPooled(model.ToBytes());
-  ml::ModelView view = DecodeView(store, id);
-  ASSERT_TRUE(view);
-  ASSERT_TRUE(store.Delete(id).ok());
-  EXPECT_EQ(store.ReclaimArena(), 0u);  // the view pins the slab
-  const BlobId next = store.PutPooled(model.ToBytes(ml::PayloadCodec::kInt8));
-  EXPECT_EQ(store.arena_blocks_created(), 2u);  // not served from the pin
-  ExpectSameBits(view, model);
-  view = ml::ModelView();
-  EXPECT_EQ(store.ReclaimArena(), 1u);  // released: back on the free list
-  EXPECT_EQ(store.arena_blocks_recycled(), 1u);
-  EXPECT_TRUE(store.Contains(next));
+  for (const ml::PayloadCodec codec : kCodecs) {
+    const auto bytes = model.ToBytes(codec);
+    const auto decoded = ml::LrModel::FromBytes(bytes);
+    ASSERT_TRUE(decoded.ok());
+    BlobStore store;
+    const BlobId id = store.PutPooled(bytes);
+    ml::ModelView view = DecodeView(store, id);
+    ASSERT_TRUE(view);
+    ASSERT_TRUE(store.Delete(id).ok());
+    // The view pins the slab.
+    EXPECT_EQ(store.ReclaimArena(), 0u) << ml::ToString(codec);
+    const BlobId next = store.PutPooled(bytes);
+    // Not served from the pin.
+    EXPECT_EQ(store.arena_blocks_created(), 2u) << ml::ToString(codec);
+    ExpectSameBits(view, *decoded);
+    view = ml::ModelView();
+    // Released: back on the free list.
+    EXPECT_EQ(store.ReclaimArena(), 1u) << ml::ToString(codec);
+    EXPECT_EQ(store.arena_blocks_recycled(), 1u) << ml::ToString(codec);
+    EXPECT_TRUE(store.Contains(next));
+  }
 }
 
 TEST(BlobStoreTest, ModelViewOutlivesStoreDestruction) {
@@ -1293,9 +1326,7 @@ TEST_F(AggregationPartialSumTest, ParallelFlushMatchesLegacyBitForBit) {
   // The pool path: per-lane partials accumulated by ParallelFor and merged
   // ascending must publish the same bits as the serial oracle and as the
   // pool-less serial flush. Rounds close at the 900-sample threshold, each
-  // flushing what it staged; fp32 views alias their stored payloads, so
-  // none counts toward the flush cap (the int8 flush-cadence case below
-  // covers capacity flushes).
+  // flushing what it staged.
   BlobStore store;
   std::vector<flow::Message> messages;
   std::vector<SimTime> arrivals;
@@ -1312,20 +1343,15 @@ TEST_F(AggregationPartialSumTest, ParallelFlushMatchesLegacyBitForBit) {
   ExpectIdentical(serial, pooled);
 }
 
-TEST_F(AggregationPartialSumTest, AliasingFp32ViewsFlushOnceAtRoundClose) {
-  // fp32 views alias payloads the store keeps resident anyway, so staging
-  // them bounds no memory: the round flushes once, when it closes.
-  const Cadence cadence = FlushCadence(ml::PayloadCodec::kFp32);
-  EXPECT_EQ(cadence.flushes_before_close, 0u);
-  EXPECT_EQ(cadence.flushes_after_close, 1u);
-}
-
-TEST_F(AggregationPartialSumTest, OwningInt8ViewsFlushAtCapAndAtClose) {
-  // int8 views own their dequantized buffers: every kFlushCap (256) of
-  // them flushes, and the 88 left over flush at close.
-  const Cadence cadence = FlushCadence(ml::PayloadCodec::kInt8);
-  EXPECT_EQ(cadence.flushes_before_close, 2u);
-  EXPECT_EQ(cadence.flushes_after_close, 3u);
+TEST_F(AggregationPartialSumTest, EveryCodecFlushesOnceAtRoundClose) {
+  // Staged views alias payloads the store keeps resident anyway, whatever
+  // the codec, so staging bounds no memory: the round flushes once, when
+  // it closes, and its lanes dequantize fp16/int8 weights as they read.
+  for (const ml::PayloadCodec codec : kCodecs) {
+    const Cadence cadence = FlushCadence(codec);
+    EXPECT_EQ(cadence.flushes_before_close, 0u) << ml::ToString(codec);
+    EXPECT_EQ(cadence.flushes_after_close, 1u) << ml::ToString(codec);
+  }
 }
 
 TEST_F(AggregationPartialSumTest, MidRoundSnapshotRestoreContinuesIdentically) {

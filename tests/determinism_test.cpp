@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "cloud/payload_decoder.h"
 #include "core/fl_engine.h"
@@ -362,6 +364,36 @@ TEST(ShardedDeterminismTest, PartialSumPlaneBitIdenticalToLegacyAtAllWidths) {
         "determinism.reject_stale_threshold",
         DigestOf(dataset, RejectStaleThresholdConfig(), shards, 4),
         "shards=" + std::to_string(shards));
+  }
+}
+
+TEST(ShardedDeterminismTest, QuantizedCodecsBitIdenticalAtAllWidths) {
+  // fp16 and int8 payloads are dequantized before FedAvg reads them, and
+  // where and when that runs must stay bit-invisible at every shard width
+  // and parallelism. Every round admits more than 256 updates, so a flush
+  // cadence keyed to a count of staged updates would run mid-round here.
+  const auto dataset = Dataset(400);
+  const std::pair<ml::PayloadCodec, const char*> codecs[] = {
+      {ml::PayloadCodec::kFp16, "determinism.codec_fp16"},
+      {ml::PayloadCodec::kInt8, "determinism.codec_int8"}};
+  for (const auto& [codec, golden_name] : codecs) {
+    auto config = ShardableConfig();
+    config.payload_codec = codec;
+    for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+      for (const std::size_t parallelism : {1u, 4u}) {
+        const std::string label =
+            std::string(ml::ToString(codec)) + " shards=" +
+            std::to_string(shards) + " parallelism=" +
+            std::to_string(parallelism);
+        const auto outcome = RunShardedWith(dataset, config, shards,
+                                            parallelism);
+        ASSERT_EQ(outcome.result.rounds.size(), 3u) << label;
+        for (const auto& round : outcome.result.rounds) {
+          EXPECT_GT(round.clients, 256u) << label;
+        }
+        golden::ExpectGolden(golden_name, outcome.digest, label);
+      }
+    }
   }
 }
 

@@ -322,12 +322,14 @@ TEST(LrModelCodecTest, QuantizedBlobValidation) {
   EXPECT_FALSE(LrModel::FromBytes(bad_tag).ok());
 }
 
-void ExpectSameBits(const ModelView& view, const LrModel& model) {
+void ExpectSameBits(std::span<const float> weights, const ModelView& view,
+                    const LrModel& model) {
   ASSERT_EQ(view.dim(), model.dim());
   EXPECT_EQ(std::bit_cast<std::uint32_t>(view.bias()),
             std::bit_cast<std::uint32_t>(model.bias()));
+  ASSERT_EQ(weights.size(), model.dim());
   for (std::uint32_t i = 0; i < model.dim(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(view.weights()[i]),
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(weights[i]),
               std::bit_cast<std::uint32_t>(model.weights()[i]))
         << "weight " << i;
   }
@@ -348,40 +350,36 @@ TEST(LrModelCodecTest, FromBytesViewMatchesFromBytes) {
     auto view = LrModel::FromBytesView(*blob, blob);
     ASSERT_TRUE(eager.ok()) << ToString(codec);
     ASSERT_TRUE(view.ok()) << ToString(codec);
-    ExpectSameBits(*view, *eager);
-    // fp32 weights are read in place; fp16/int8 are dequantized into a
-    // buffer the view owns.
-    EXPECT_EQ(static_cast<const void*>(view->weights().data()) ==
-                  Fp32WeightsIn(*blob),
-              codec == PayloadCodec::kFp32)
+    std::vector<float> scratch;
+    const std::span<const float> weights = view->Weights(scratch);
+    ExpectSameBits(weights, *view, *eager);
+    // fp32 weights are read in place; fp16/int8 are dequantized into the
+    // caller's scratch.
+    const void* expected = codec == PayloadCodec::kFp32
+                               ? Fp32WeightsIn(*blob)
+                               : static_cast<const void*>(scratch.data());
+    EXPECT_EQ(static_cast<const void*>(weights.data()), expected)
         << ToString(codec);
-    EXPECT_EQ(view->owns_weights(), codec != PayloadCodec::kFp32)
+    EXPECT_EQ(scratch.empty(), codec == PayloadCodec::kFp32)
         << ToString(codec);
   }
-  EXPECT_FALSE(ModelView().owns_weights());
+  EXPECT_FALSE(ModelView());
 }
 
-TEST(LrModelCodecTest, FromBytesViewCopiesUnownedOrMisalignedInput) {
+TEST(LrModelCodecTest, FromBytesViewDecodesMisalignedFp32IntoScratch) {
   const LrModel model = RampModel(16);
   const auto bytes = model.ToBytes();
   // One byte into a larger buffer the weights are no longer float-aligned:
-  // the view must copy them rather than alias.
+  // Weights must copy them into the scratch rather than alias.
   auto storage = std::make_shared<std::vector<std::byte>>(bytes.size() + 1);
   std::memcpy(storage->data() + 1, bytes.data(), bytes.size());
   const std::span<const std::byte> shifted(storage->data() + 1, bytes.size());
   auto misaligned = LrModel::FromBytesView(shifted, storage);
   ASSERT_TRUE(misaligned.ok());
-  EXPECT_NE(static_cast<const void*>(misaligned->weights().data()),
-            Fp32WeightsIn(shifted));
-  EXPECT_TRUE(misaligned->owns_weights());
-  ExpectSameBits(*misaligned, model);
-  // Nothing keeps unowned bytes alive, so those are copied too.
-  auto unowned = LrModel::FromBytesView(bytes, nullptr);
-  ASSERT_TRUE(unowned.ok());
-  EXPECT_NE(static_cast<const void*>(unowned->weights().data()),
-            Fp32WeightsIn(bytes));
-  EXPECT_TRUE(unowned->owns_weights());
-  ExpectSameBits(*unowned, model);
+  std::vector<float> scratch;
+  const std::span<const float> weights = misaligned->Weights(scratch);
+  EXPECT_EQ(weights.data(), scratch.data());
+  ExpectSameBits(weights, *misaligned, model);
 }
 
 TEST(LrModelCodecTest, FromBytesViewRejectsExactlyWhatFromBytesRejects) {
