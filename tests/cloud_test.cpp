@@ -1343,11 +1343,19 @@ TEST_F(AggregationPartialSumTest, ParallelFlushMatchesLegacyBitForBit) {
   ExpectIdentical(serial, pooled);
 }
 
-TEST_F(AggregationPartialSumTest, EveryCodecFlushesOnceAtRoundClose) {
-  // Staged views alias payloads the store keeps resident anyway, whatever
-  // the codec, so staging bounds no memory: the round flushes once, when
-  // it closes, and its lanes dequantize fp16/int8 weights as they read.
-  for (const ml::PayloadCodec codec : kCodecs) {
+TEST_F(AggregationPartialSumTest, AliasingFp32ViewsFlushOnceAtRoundClose) {
+  // fp32 views alias payloads the store keeps resident anyway, so staging
+  // them bounds no memory: the round flushes once, when it closes.
+  const Cadence cadence = FlushCadence(ml::PayloadCodec::kFp32);
+  EXPECT_EQ(cadence.flushes_before_close, 0u);
+  EXPECT_EQ(cadence.flushes_after_close, 1u);
+}
+
+TEST_F(AggregationPartialSumTest, QuantizedViewsFlushOnceAtRoundClose) {
+  // fp16/int8 views alias their stored payloads too, so they flush like
+  // fp32: once, at close, the flush lanes dequantizing as they read.
+  for (const ml::PayloadCodec codec :
+       {ml::PayloadCodec::kFp16, ml::PayloadCodec::kInt8}) {
     const Cadence cadence = FlushCadence(codec);
     EXPECT_EQ(cadence.flushes_before_close, 0u) << ml::ToString(codec);
     EXPECT_EQ(cadence.flushes_after_close, 1u) << ml::ToString(codec);
