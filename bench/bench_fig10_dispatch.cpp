@@ -28,11 +28,11 @@ using namespace simdc;
 
 class CountingEndpoint final : public flow::CloudEndpoint {
  public:
-  void DeliverDecodedBatch(std::vector<flow::DecodedUpdate> updates) override {
-    // Consume a whole dispatch tick in one call, as cloud::Aggregation
-    // does.
-    for (const flow::DecodedUpdate& update : updates) {
-      arrivals.push_back(update.arrival);
+  void DeliverTick(std::vector<flow::Message> tick) override {
+    // Consume a whole dispatch tick in one call, as
+    // cloud::AggregationService does.
+    for (const flow::Message& message : tick) {
+      arrivals.push_back(message.arrival);
     }
   }
   std::vector<SimTime> arrivals;

@@ -139,13 +139,14 @@ int main() {
   // The shard plane partitions a 2000-device fleet into N fleets, each
   // with its own event loop + dispatcher advanced on the worker pool and
   // merged into one aggregator in (tick time, message id, shard) order.
-  // Dispatch ticks decode payloads on the shard workers and the aggregator
-  // stages admitted updates, flushing them through per-lane FedAvg
-  // partials. The bit-identity gate against width 1 is hard at every
-  // width; the wall-clock column is informational (the merge itself stays
-  // serial by design, so this measures the parallel fraction honestly).
-  // The accumulate column is the flush cost (lane accumulate + ascending
-  // merge); bookkeeping is the rest of the serial delivery handler.
+  // The aggregator fetches and header-checks each payload when it admits
+  // the message and stages admitted updates, flushing them through
+  // per-lane FedAvg partials. The bit-identity gate against width 1 is
+  // hard at every width; the wall-clock column is informational (the
+  // merge itself stays serial by design, so this measures the parallel
+  // fraction honestly). The accumulate column is the flush cost (lane
+  // accumulate + ascending merge); bookkeeping is the rest of the serial
+  // delivery handler: blob fetch, header check, verdicts and staging.
   bench::PrintHeader("Measured: shard ladder wall time vs width "
                      "(bit-identical results)");
   data::SynthConfig fleet_config;

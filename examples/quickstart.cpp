@@ -88,9 +88,9 @@ int main() {
   fl.strategy = flow::RealtimeAccumulated{
       {1}, 0.0, flow::kShardWidthInvariantCapacity};
   fl.shards = 2;
-  // Payload blobs are fetched + decoded at dispatch-tick time (on the
-  // shard workers), and the decoded updates accumulate as per-lane partial
-  // sums on the worker pool, merged in fixed ascending order — the FedAvg
+  // The cloud fetches and decodes each payload blob when it admits the
+  // message, and the admitted updates accumulate as per-lane partial sums
+  // on the worker pool, merged in fixed ascending order — the FedAvg
   // cascade is order-invariant, so the bits match a serial sum.
   const auto result = platform.RunFlExperiment(dataset, fl);
   std::printf("\nfederated learning (%zu devices, %zu rounds, 2 fleet "

@@ -25,10 +25,10 @@ class HourlyLoadEndpoint final : public flow::CloudEndpoint {
  public:
   explicit HourlyLoadEndpoint(double hours) : per_hour_(static_cast<std::size_t>(hours), 0) {}
 
-  void DeliverDecodedBatch(std::vector<flow::DecodedUpdate> updates) override {
-    for (const flow::DecodedUpdate& update : updates) {
+  void DeliverTick(std::vector<flow::Message> tick) override {
+    for (const flow::Message& message : tick) {
       const auto hour =
-          static_cast<std::size_t>(ToSeconds(update.arrival) / 3600.0);
+          static_cast<std::size_t>(ToSeconds(message.arrival) / 3600.0);
       if (hour < per_hour_.size()) ++per_hour_[hour];
       ++total_;
     }

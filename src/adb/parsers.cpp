@@ -1,5 +1,7 @@
 #include "adb/parsers.h"
 
+#include <limits>
+
 #include "common/string_util.h"
 
 namespace simdc::adb {
@@ -16,7 +18,13 @@ Result<std::int64_t> ParseSysfsValue(std::string_view text) {
 Result<int> ParsePgrepPid(std::string_view text) {
   for (const auto& line : SplitLines(text)) {
     const auto pid = ParseInt(line);
-    if (pid && *pid > 0) return static_cast<int>(*pid);
+    if (!pid) continue;
+    // Range-checked before narrowing: a wider value must not wrap into
+    // some other process's pid.
+    if (*pid < 1 || *pid > std::numeric_limits<int>::max()) {
+      return ParseError("pgrep pid out of range: '" + line + "'");
+    }
+    return static_cast<int>(*pid);
   }
   return ParseError("pgrep output contains no pid");
 }
@@ -25,8 +33,9 @@ Result<double> ParseTopCpuPercent(std::string_view text, int pid) {
   for (const auto& line : SplitLines(text)) {
     const auto fields = SplitWhitespace(line);
     if (fields.empty()) continue;
+    // Compared at full width: a truncated wider pid could alias `pid`.
     const auto first = ParseInt(fields[0]);
-    if (!first || static_cast<int>(*first) != pid) continue;
+    if (!first || *first != pid) continue;
     // Toybox layout: PID USER PR NI VIRT RES SHR S %CPU %MEM TIME+ ARGS
     if (fields.size() < 10) {
       return ParseError("top process line too short: '" + line + "'");

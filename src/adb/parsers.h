@@ -17,7 +17,8 @@ namespace simdc::adb {
 /// Parses a single-value sysfs read (current_now / voltage_now).
 Result<std::int64_t> ParseSysfsValue(std::string_view text);
 
-/// Parses `pgrep -f` output: first pid line.
+/// Parses `pgrep -f` output: first pid line. A pid outside [1, INT_MAX]
+/// is a ParseError.
 Result<int> ParsePgrepPid(std::string_view text);
 
 /// Extracts the %CPU column for `pid` from `top -b -n 1 -p <pid>` output.

@@ -95,63 +95,70 @@ void AggregationService::ArmSchedule() {
   });
 }
 
-void AggregationService::DeliverDecodedBatch(
-    std::vector<flow::DecodedUpdate> updates) {
+void AggregationService::DeliverTick(std::vector<flow::Message> tick) {
   const std::uint64_t t0 = NowNs();
   const std::uint64_t accumulate0 = serial_accumulate_ns_;
-  for (flow::DecodedUpdate& update : updates) DeliverDecodedOne(update);
+  for (const flow::Message& message : tick) Admit(message);
   const std::uint64_t total = NowNs() - t0;
   const std::uint64_t accumulate = serial_accumulate_ns_ - accumulate0;
   serial_bookkeeping_ns_ += total > accumulate ? total - accumulate : 0;
 }
 
-void AggregationService::DeliverDecodedOne(flow::DecodedUpdate& update) {
+void AggregationService::Admit(const flow::Message& message) {
+  // §V-A: the cloud retrieves the payload the message references. The
+  // fetch comes first, so every delivered message books its read
+  // (BlobStore::bytes_read) whatever the verdicts below.
+  Result<SharedBlob> blob = storage_.GetShared(message.payload);
   if (stopped_) return;
   ++messages_received_;
 
-  // Staleness verdict FIRST, then the deferred decode failure commits — a
-  // stale update with a bad payload is a stale rejection, never a decode
-  // failure.
-  if (config_.reject_stale && update.message.round != history_.size()) {
+  // Staleness verdict before any payload failure: a stale update with a
+  // bad payload is a stale rejection, never a decode failure.
+  if (config_.reject_stale && message.round != history_.size()) {
     ++stale_rejections_;
     return;
   }
 
-  if (!update.decoded()) {
-    SIMDC_CHECK(update.failure != flow::DecodedUpdate::Failure::kNone,
-                "AggregationService: update " << update.message.id.ToString()
-                                              << " was never decoded");
-    if (update.failure == flow::DecodedUpdate::Failure::kStoreError) {
+  if (!blob.ok()) {
+    // kNotFound is the semantic miss (a reclaimed or never-written
+    // payload); anything else is the store failing to serve a blob it may
+    // well hold, booked apart.
+    if (blob.error().code() != ErrorCode::kNotFound) {
       ++store_errors_;
       SIMDC_LOG(kWarn, "AggregationService")
-          << "store error serving payload for " << update.message.id.ToString()
-          << ": " << update.error.ToString();
+          << "store error serving payload for " << message.id.ToString()
+          << ": " << blob.error().ToString();
       return;
     }
     ++decode_failures_;
-    if (update.failure == flow::DecodedUpdate::Failure::kMissingBlob) {
-      SIMDC_LOG(kWarn, "AggregationService")
-          << "missing payload blob for " << update.message.id.ToString()
-          << ": " << update.error.ToString();
-    } else {
-      SIMDC_LOG(kWarn, "AggregationService")
-          << "undecodable model from " << update.message.device.ToString()
-          << ": " << update.error.ToString();
-    }
+    SIMDC_LOG(kWarn, "AggregationService")
+        << "missing payload blob for " << message.id.ToString() << ": "
+        << blob.error().ToString();
+    return;
+  }
+  // Header validation only: the view aliases the blob's encoded weights,
+  // which the round-close flush reads (and dequantizes) in place.
+  Result<ml::ModelView> model =
+      ml::LrModel::FromBytesView(blob->span(), blob->holder());
+  if (!model.ok()) {
+    ++decode_failures_;
+    SIMDC_LOG(kWarn, "AggregationService")
+        << "undecodable model from " << message.device.ToString() << ": "
+        << model.error().ToString();
     return;
   }
 
   const std::size_t samples =
-      update.message.sample_count > 0 ? update.message.sample_count : 1;
+      message.sample_count > 0 ? message.sample_count : 1;
   // A model of the wrong dimension decoded but cannot be accumulated: it
   // books as a decode failure here, in delivery order, so the O(dim) add
   // can be deferred to the flush. (Zero samples cannot reach Add: the
   // floor above is 1.)
-  if (update.model.dim() != config_.model_dim) {
+  if (model->dim() != config_.model_dim) {
     ++decode_failures_;
     return;
   }
-  pending_.push_back({std::move(update.model), samples});
+  pending_.push_back({std::move(*model), samples});
   staged_samples_ += samples;
   ++staged_clients_;
 
@@ -161,7 +168,7 @@ void AggregationService::DeliverDecodedOne(flow::DecodedUpdate& update) {
     // later updates in the tick see the advanced round for their staleness
     // verdicts. Its timestamp is that update's arrival: inside a tick the
     // loop clock still sits at the tick start.
-    AggregateAt(std::max(update.arrival, loop_.Now()));
+    AggregateAt(std::max(message.arrival, loop_.Now()));
   }
 }
 

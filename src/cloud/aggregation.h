@@ -9,11 +9,12 @@
 // The service is a DeviceFlow CloudEndpoint: it receives dispatch ticks,
 // accumulates the referenced model updates into a FedAvg aggregator, and
 // publishes a new global model whenever its trigger fires
-// (sample-threshold — Fig. 9a — or scheduled — Fig. 9b / Fig. 11). The
-// blob fetch + decode happens upstream, in parallel, at dispatch-tick time
-// (flow::DecodedUpdate), so this serial side is only the staleness
-// verdict, counter bookkeeping and O(1) staging: each admitted update is
-// staged as a {model view, samples} entry, and staged entries are
+// (sample-threshold — Fig. 9a — or scheduled — Fig. 9b / Fig. 11). §V-A:
+// the cloud retrieves each payload from storage based on the message it
+// received. So admitting a message is an O(1) blob fetch
+// (BlobStore::GetShared), a header check (LrModel::FromBytesView), the
+// staleness verdict, counter bookkeeping and O(1) staging: each admitted
+// update is staged as a {model view, samples} entry, and staged entries are
 // flushed into per-lane partial FedAvg aggregators on the worker pool,
 // merged in fixed ascending-lane order. Staged views alias their stored
 // payloads whatever the codec, so a round flushes once, when it closes;
@@ -147,18 +148,14 @@ class AggregationService final : public flow::CloudEndpoint {
   /// disabled, so drivers can call it unconditionally.
   void OnRoundOpened(SimTime t0);
 
-  /// Takes one tick. Payloads were fetched + decoded upstream (dispatch
-  /// ticks, possibly on shard workers — the dispatcher needs a
-  /// cloud::BlobModelDecoder), so the serial side is only the staleness
-  /// verdict, counter commits and O(1) staging — it never touches
-  /// BlobStore or FromBytes. Updates are admitted in order, each at its
-  /// own arrival stamp, so a threshold-triggered aggregation records the
-  /// triggering update's arrival as the round time; each admitted model
-  /// view moves into staging. A decode failure commits only if the update
-  /// survives the reject_stale check, in delivery order (see
-  /// flow::DecodedUpdate). A fresh update no decoder ran on is rejected
-  /// (SIMDC_CHECK).
-  void DeliverDecodedBatch(std::vector<flow::DecodedUpdate> updates) override;
+  /// Takes one tick. Messages are admitted in order, each at its own
+  /// arrival stamp, so a threshold-triggered aggregation records the
+  /// triggering message's arrival as the round time. Admission fetches the
+  /// message's payload blob and validates its header; an admitted model
+  /// view moves into staging. A missing blob or a bad payload books as a
+  /// decode failure, any other store error as a store error, in delivery
+  /// order and only after the reject_stale check.
+  void DeliverTick(std::vector<flow::Message> tick) override;
 
   const ml::LrModel& global_model() const { return global_model_; }
 
@@ -167,7 +164,7 @@ class AggregationService final : public flow::CloudEndpoint {
   std::size_t messages_received() const { return messages_received_; }
   std::size_t decode_failures() const { return decode_failures_; }
   std::size_t stale_rejections() const { return stale_rejections_; }
-  /// Updates dropped because the store failed to serve their payload with
+  /// Messages dropped because the store failed to serve their payload with
   /// anything other than kNotFound (I/O faults) — never bundled into
   /// decode_failures, so existing accounting is unchanged when no store
   /// faults occur.
@@ -192,8 +189,8 @@ class AggregationService final : public flow::CloudEndpoint {
   /// spent in the O(dim) accumulate — the flush (lane accumulate +
   /// ascending merge).
   std::uint64_t serial_accumulate_ns() const { return serial_accumulate_ns_; }
-  /// Delivery handler time minus the accumulate share: admission,
-  /// staleness verdicts, counter commits, staging.
+  /// Delivery handler time minus the accumulate share: admission (blob
+  /// fetch and header check), staleness verdicts, counter commits, staging.
   std::uint64_t serial_bookkeeping_ns() const { return serial_bookkeeping_ns_; }
   /// Flushes that accumulated at least one staged update: one per closed
   /// round. Observability only — like the timings, not part of any
@@ -231,11 +228,11 @@ class AggregationService final : public flow::CloudEndpoint {
   /// Deadline-event body: commit (quorum met), extend, or abort.
   void OnDeadline();
   void ArmSchedule();
-  /// The one admission body: staleness verdict, deferred decode-failure
-  /// commit, O(1) staging, the sample-threshold check on the combined
-  /// (flushed + staged) totals. The update's arrival may lie ahead of loop
-  /// time inside a tick. Staging moves the update's model view out.
-  void DeliverDecodedOne(flow::DecodedUpdate& update);
+  /// The one admission body: blob fetch, stop check, staleness verdict,
+  /// failure booking, header check, O(1) staging, and the sample-threshold
+  /// check on the combined (flushed + staged) totals. The message's arrival
+  /// may lie ahead of loop time inside a tick.
+  void Admit(const flow::Message& message);
   /// Drains staged entries into the aggregator: serially without a pool,
   /// else via per-lane partials on the pool merged in ascending-lane order.
   /// Bit-invisible either way (order-invariant cascade).

@@ -110,9 +110,9 @@ class PooledReservation {
 /// All operations are thread-safe; blobs are immutable once Put, so a
 /// SharedBlob handed out by GetShared stays valid (and bit-stable) even if
 /// the blob is Deleted, its arena block reclaimed, or the store destroyed
-/// while readers hold it — the property that lets N shard decoders read
-/// concurrently with zero copies while the serial plane keeps publishing
-/// new models.
+/// while readers hold it — the property that lets a staged update alias
+/// its payload with zero copies until the round-close flush reads it, and
+/// flush lanes read while devices keep writing new payloads.
 class BlobStore {
  public:
   /// Stores a blob in a standalone buffer; returns its id. The path for
@@ -160,8 +160,8 @@ class BlobStore {
 
   /// Read-fault hook for store-I/O-error testing: consulted by Get /
   /// GetShared before the lookup; a non-OK return is surfaced to the
-  /// caller as that error (distinct from kNotFound — see
-  /// BlobModelDecoder's failure mapping).
+  /// caller as that error (distinct from kNotFound: the aggregation
+  /// service books it as a store error, not a decode failure).
   using ReadFaultHook = std::function<Status(BlobId)>;
   void set_read_fault_hook(ReadFaultHook hook);
 

@@ -389,9 +389,10 @@ Result<core::FlExperimentConfig> LoadExecution(const IniDocument& doc) {
   for (const char* removed : {"decode_plane", "aggregate_plane"}) {
     if (section != doc.end() && section->second.contains(removed)) {
       return InvalidArgument(std::string("[execution] ") + removed +
-                             " was removed: every run now decodes at "
-                             "dispatch time and aggregates through staged "
-                             "partial sums; delete the key");
+                             " was removed: every run now fetches each "
+                             "payload when the cloud admits its message and "
+                             "aggregates through staged partial sums; delete "
+                             "the key");
     }
   }
   for (const Status& loaded :

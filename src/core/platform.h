@@ -95,8 +95,8 @@ class Platform {
   /// whose flow planes advance in lockstep on the same pool, merged
   /// deterministically into the one aggregator — bit-identical at every
   /// width (see FlExperimentConfig::shards).
-  /// Payload blobs are decoded at dispatch-tick time (parallel across
-  /// shards), so the serial aggregator only admits and stages updates.
+  /// The aggregator fetches each payload blob when it admits the message
+  /// and stages a view of it; the round-close flush accumulates on the pool.
   FlRunResult RunFlExperiment(const data::FederatedDataset& dataset,
                               FlExperimentConfig config);
 

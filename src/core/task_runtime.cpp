@@ -123,7 +123,6 @@ TaskRuntime::TaskRuntime(sim::EventLoop& loop,
     // one-fleet bound instead of scaling with shard count.
     shard.dispatcher->set_batch_log_cap(
         std::max<std::size_t>(1, flow::kDefaultBatchLogCap / width));
-    shard.dispatcher->set_decoder(&decoder_);
     ConfigureLinkPlane(*shard.dispatcher);
     shards_.push_back(std::move(shard));
   }

@@ -25,7 +25,6 @@
 
 #include "cloud/aggregation.h"
 #include "cloud/database.h"
-#include "cloud/payload_decoder.h"
 #include "cloud/storage.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -82,18 +81,20 @@ struct FlExperimentConfig {
   /// keeps the historical format bit-for-bit, so results match the
   /// pre-codec engine exactly. kFp16 / kInt8 shrink payload bytes ~2×/~4×
   /// (BlobStore::bytes_written reflects it) at the cost of quantizing each
-  /// update once on the device side; dequantization runs in the parallel
-  /// decode plane. Any codec is deterministic and width-invariant — the
-  /// quantize→dequantize round trip is a pure function of the update, so
-  /// all shard widths see identical dequantized models.
+  /// update once on the device side; dequantization runs in the round-close
+  /// FedAvg flush lanes, which read the stored blob in place. Any codec is
+  /// deterministic and width-invariant — the quantize→dequantize round
+  /// trip is a pure function of the update, so all shard widths see
+  /// identical dequantized models.
   ml::PayloadCodec payload_codec = ml::PayloadCodec::kFp32;
   /// Bound steady-state blob memory to one round's working set: at each
   /// round start the engine deletes the previous round's update payload
   /// blobs and recycles the BlobStore arena (published global-model blobs
-  /// are untouched). SharedBlob holders keep their bytes alive (arena
-  /// blocks are refcounted), but a straggler message delivered after its
-  /// round's reclaim finds its payload missing and is dropped as a decode
-  /// failure instead of a stale rejection — identical at every shard width
+  /// are untouched). Staged updates keep their bytes alive (arena blocks
+  /// are refcounted). The cloud fetches a payload when it admits the
+  /// message, so a straggler message delivered after its round's reclaim
+  /// finds its payload missing and is dropped as a decode failure (or, under
+  /// reject_stale, as a stale rejection) — identical at every shard width
   /// (in-flight sets are width-invariant), but not byte-identical to a
   /// run without reclaim when stragglers exist. Payloads are written into
   /// the arena either way (BlobStore::ReservePooled); with reclaim off
@@ -378,9 +379,6 @@ class TaskRuntime {
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_;
   cloud::BlobStore storage_;
-  /// Fetch-and-decode hook every dispatcher runs at dispatch-tick time
-  /// (thread-safe; shared by every shard's dispatcher).
-  cloud::BlobModelDecoder decoder_{storage_};
   /// Never configured; kept only for device_flow().
   flow::DeviceFlow flow_;
   std::unique_ptr<cloud::AggregationService> service_;

@@ -264,20 +264,10 @@ void Dispatcher::DeliverRetried(Message message, SimTime when) {
     ++stats_.batches_truncated;
   }
   if (downstream_ == nullptr) return;
-  std::vector<DecodedUpdate> tick;
-  tick.push_back(ToUpdate(std::move(message), when));
-  downstream_->DeliverDecodedBatch(std::move(tick));
-}
-
-DecodedUpdate Dispatcher::ToUpdate(Message message, SimTime arrival) const {
-  DecodedUpdate update;
-  if (decoder_ != nullptr) {
-    update = decoder_->Decode(std::move(message));
-  } else {
-    update.message = std::move(message);
-  }
-  update.arrival = arrival;
-  return update;
+  message.arrival = when;
+  std::vector<Message> tick;
+  tick.push_back(std::move(message));
+  downstream_->DeliverTick(std::move(tick));
 }
 
 void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
@@ -319,14 +309,11 @@ void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
           : std::max<SimDuration>(1, static_cast<SimDuration>(1e6 / capacity));
 
   next_send_time_ = std::max(next_send_time_, now);
-  // The tick, built once and moved to the sink. A decoder fetches +
-  // decodes every survivor NOW, at tick time — on the shard loop's worker
-  // thread when fleets advance in lockstep — so the serial side never
-  // touches storage. Blobs are immutable once Put, so decoding ahead of
-  // the delivery timestamp observes the same bytes; failures ride along
-  // for deferred accounting.
-  std::vector<DecodedUpdate> updates;
-  updates.reserve(n);
+  // The tick, built once and moved to the sink: the survivors themselves,
+  // each stamped with its arrival. Payloads stay in storage until the
+  // cloud admits each message (§V-A).
+  std::vector<Message> tick;
+  tick.reserve(n);
   std::size_t sent = 0;
   for (std::size_t i = 0; i < n; ++i) {
     Message message = shelf_.Take();
@@ -349,19 +336,20 @@ void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
       continue;
     }
     if (downstream_ != nullptr) {
-      updates.push_back(ToUpdate(std::move(message), next_send_time_));
+      message.arrival = next_send_time_;
+      tick.push_back(std::move(message));
     }
     next_send_time_ += per_message;
     ++sent;
   }
-  if (!updates.empty()) {
+  if (!tick.empty()) {
     // One event per dispatch tick: the whole capacity window reaches the
-    // sink in a single DeliverDecodedBatch call at the window's first
-    // arrival. Round fan-in is O(ticks), not O(messages).
-    const SimTime first = updates.front().arrival;
+    // sink in a single DeliverTick call at the window's first arrival.
+    // Round fan-in is O(ticks), not O(messages).
+    const SimTime first = tick.front().arrival;
     loop_.ScheduleAt(first, [sink = downstream_,
-                             updates = std::move(updates)]() mutable {
-      sink->DeliverDecodedBatch(std::move(updates));
+                             tick = std::move(tick)]() mutable {
+      sink->DeliverTick(std::move(tick));
     });
   }
   stats_.sent += sent;

@@ -23,7 +23,6 @@
 #include "common/error.h"
 #include "common/ids.h"
 #include "common/rng.h"
-#include "flow/decoded_update.h"
 #include "flow/message.h"
 #include "flow/strategy.h"
 #include "sim/event_loop.h"
@@ -36,13 +35,11 @@ class CloudEndpoint {
   virtual ~CloudEndpoint() = default;
 
   /// The one delivery hook: one dispatch tick, in a single virtual call,
-  /// handed over whole. Each update carries its own arrival stamp, and the
-  /// stamps are non-decreasing. A dispatcher with a PayloadDecoder hands
-  /// over fetched + decoded payloads (see flow::DecodedUpdate for the
-  /// deferred-accounting contract); one without hands over updates that
-  /// carry only their message (decoded() false, failure kNone) — the
-  /// traffic sinks that count arrivals and never read a payload.
-  virtual void DeliverDecodedBatch(std::vector<DecodedUpdate> updates) = 0;
+  /// handed over whole. Each message carries its own arrival stamp, and the
+  /// stamps are non-decreasing. Payloads stay in storage: a sink that reads
+  /// them fetches each blob itself (cloud::AggregationService does so when
+  /// it admits the message); the traffic sinks only count arrivals.
+  virtual void DeliverTick(std::vector<Message> tick) = 0;
 };
 
 /// Default bound on DispatchStats::batches entries (see batch_log_cap).
@@ -177,14 +174,6 @@ class Dispatcher {
   const Shelf& shelf() const { return shelf_; }
   TaskId task() const { return task_; }
 
-  /// Arms the decoded payload plane: dispatch ticks fetch + decode every
-  /// survivor through `decoder` at tick time (speculatively — see
-  /// flow::DecodedUpdate). Sharded fleets call Decode from shard loops
-  /// advancing in parallel, so the decoder must be thread-safe. nullptr
-  /// (default) delivers updates that carry only their message.
-  void set_decoder(const PayloadDecoder* decoder) { decoder_ = decoder; }
-  const PayloadDecoder* decoder() const { return decoder_; }
-
   /// Bounds DispatchStats::batches (default kDefaultBatchLogCap).
   void set_batch_log_cap(std::size_t cap) { batch_log_cap_ = cap; }
 
@@ -242,10 +231,6 @@ class Dispatcher {
   /// Delivers a message that succeeded on a retry attempt, logging it as
   /// its own single-message tick at `when`.
   void DeliverRetried(Message message, SimTime when);
-  /// The update a survivor travels downstream as, stamped with its
-  /// arrival: decoded through decoder_ when one is set, else carrying only
-  /// its message.
-  DecodedUpdate ToUpdate(Message message, SimTime arrival) const;
   /// Backoff + deterministic jitter before retry `attempt` (1-based).
   SimDuration RetryDelay(std::uint64_t message_id, std::size_t attempt) const;
   void TrackRetryEvent(sim::EventHandle handle);
@@ -259,8 +244,6 @@ class Dispatcher {
   DispatchStrategy strategy_;
   CloudEndpoint* downstream_;
   Rng rng_;
-  /// Decoded-plane fetch + decode hook (nullptr = message-only updates).
-  const PayloadDecoder* decoder_ = nullptr;
   /// Key for per-message transmission-failure draws (see
   /// TransmissionDrop); shared-seed dispatchers derive the same key, so
   /// shard slices agree on every message's fate.

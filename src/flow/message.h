@@ -5,13 +5,15 @@
 // messages to cloud services. Cloud services then retrieve the
 // corresponding data from storage based on the received messages." A
 // Message therefore carries a *reference* to the payload blob, not the
-// payload itself. Every delivered message travels inside a
-// DecodedUpdate, so a Message holds only what the flow plane and the
-// cloud read: routing keys, the blob reference and the sample count.
+// payload itself: the cloud fetches the blob when it admits the message.
+// A dispatch tick is a vector of Messages, each stamped with its arrival,
+// so a Message holds only what the flow plane and the cloud read: routing
+// keys, the blob reference, the sample count and the arrival stamp.
 #pragma once
 
 #include <cstddef>
 
+#include "common/clock.h"
 #include "common/ids.h"
 
 namespace simdc::flow {
@@ -28,6 +30,10 @@ struct Message {
   /// Local training samples behind this update (drives sample-threshold
   /// aggregation, Fig. 9a).
   std::size_t sample_count = 0;
+  /// When the message reaches the cloud: stamped by the dispatcher with its
+  /// capacity-spaced slot in the dispatch tick, or with the time of the
+  /// retry that delivered it. 0 until the message leaves its shelf.
+  SimTime arrival = 0;
 };
 
 }  // namespace simdc::flow

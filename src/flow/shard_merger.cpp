@@ -6,8 +6,8 @@
 
 namespace simdc::flow {
 
-void ShardChannel::DeliverDecodedBatch(std::vector<DecodedUpdate> updates) {
-  if (!updates.empty()) ticks_.push_back(std::move(updates));
+void ShardChannel::DeliverTick(std::vector<Message> tick) {
+  if (!tick.empty()) ticks_.push_back(std::move(tick));
 }
 
 ShardMerger::ShardMerger(std::size_t shards, CloudEndpoint* downstream,
@@ -41,9 +41,9 @@ bool ShardMerger::DrainOne(SimTime horizon) {
   for (std::size_t s = 0; s < channels_.size(); ++s) {
     const ShardChannel& channel = channels_[s];
     if (channel.ticks_.empty()) continue;
-    const DecodedUpdate& head = channel.ticks_.front().front();
+    const Message& head = channel.ticks_.front().front();
     const SimTime t = head.arrival;
-    const std::uint64_t key = head.message.id.value();
+    const std::uint64_t key = head.id.value();
     if (t < best || (t == best && key < best_key)) {
       best = t;
       best_key = key;
@@ -54,14 +54,14 @@ bool ShardMerger::DrainOne(SimTime horizon) {
 
   // Pop before forwarding: downstream feedback may re-enter
   // NextTickTime() (via the lockstep hooks) and must not see this tick.
-  std::vector<DecodedUpdate> tick = std::move(channels_[shard].ticks_.front());
+  std::vector<Message> tick = std::move(channels_[shard].ticks_.front());
   channels_[shard].ticks_.pop_front();
   const std::size_t messages = tick.size();
 
   // Mirror the clock a directly-scheduled delivery event would see: the
   // delivery fires at the tick's first arrival.
   if (cloud_loop_ != nullptr) cloud_loop_->RunUntil(best);
-  downstream_->DeliverDecodedBatch(std::move(tick));
+  downstream_->DeliverTick(std::move(tick));
   ++ticks_merged_;
   messages_merged_ += messages;
   return true;

@@ -35,12 +35,12 @@ namespace simdc::flow {
 
 /// Per-shard capture endpoint: a CloudEndpoint that buffers delivered
 /// ticks instead of consuming them. Each tick is the dispatcher's own
-/// vector, moved in and later moved on, so buffering copies no update.
+/// vector, moved in and later moved on, so buffering copies no message.
 /// Single-writer by construction — only its shard's event loop touches it
 /// — so the merger can run shards on a thread pool without locks.
 class ShardChannel final : public CloudEndpoint {
  public:
-  void DeliverDecodedBatch(std::vector<DecodedUpdate> updates) override;
+  void DeliverTick(std::vector<Message> tick) override;
 
   bool empty() const { return ticks_.empty(); }
   /// Earliest buffered tick time (sim::EventLoop::kNoEvent when empty).
@@ -51,12 +51,11 @@ class ShardChannel final : public CloudEndpoint {
 
  private:
   friend class ShardMerger;
-  /// Buffered ticks, none empty. A tick's time is its first update's
+  /// Buffered ticks, none empty. A tick's time is its first message's
   /// arrival, which is also the shard loop's clock when the delivery event
-  /// fired; its equal-time merge key is that update's message id (ids are
-  /// globally wave- then device-ordered). Payloads were already fetched +
-  /// decoded on this shard's loop when its dispatcher has a decoder.
-  std::deque<std::vector<DecodedUpdate>> ticks_;
+  /// fired; its equal-time merge key is that message's id (ids are
+  /// globally wave- then device-ordered).
+  std::deque<std::vector<Message>> ticks_;
 };
 
 /// Funnels N ShardChannels into one downstream CloudEndpoint in

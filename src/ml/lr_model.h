@@ -114,11 +114,11 @@ class LrModel {
   /// owned copy behind a shared_ptr.
   static Result<std::shared_ptr<const LrModel>> FromBytesShared(
       std::span<const std::byte> bytes);
-  /// Header-validated view decode — the entry point of the parallel
-  /// payload plane (flow::DecodedUpdate). Same validation (same routine,
-  /// same error codes) as FromBytes; no weight is decoded here. `owner`
-  /// keeps `bytes` alive and must be set: the view holds it and reads its
-  /// weights out of `bytes` (ModelView::Weights).
+  /// Header-validated view decode — what cloud::AggregationService runs on
+  /// each payload it fetches when it admits a message. Same validation
+  /// (same routine, same error codes) as FromBytes; no weight is decoded
+  /// here. `owner` keeps `bytes` alive and must be set: the view holds it
+  /// and reads its weights out of `bytes` (ModelView::Weights).
   static Result<ModelView> FromBytesView(std::span<const std::byte> bytes,
                                          std::shared_ptr<const void> owner);
 

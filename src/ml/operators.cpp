@@ -11,10 +11,13 @@ namespace simdc::ml {
 namespace {
 
 /// Epoch ordering shared by both kernels so their only differences are
-/// numerical (precision / traversal order), not statistical. Refills the
-/// caller's scratch buffer in place: identical permutations to building a
-/// fresh identity each epoch, without the per-epoch allocation.
-void FillEpochOrder(std::vector<std::size_t>& order, bool shuffle, Rng& rng) {
+/// numerical (precision / traversal order), not statistical. Sizes the
+/// call's order vector to `n` and refills it in place: identical
+/// permutations to building a fresh identity each epoch, with one
+/// allocation per call.
+void FillEpochOrder(std::vector<std::size_t>& order, std::size_t n,
+                    bool shuffle, Rng& rng) {
+  order.resize(n);
   std::iota(order.begin(), order.end(), 0);
   if (shuffle) rng.Shuffle(order);
 }
@@ -37,10 +40,9 @@ void ServerLrOperator::Train(LrModel& model,
   (void)weight_dim;  // referenced only by the debug-build bounds check
   float bias = model.bias();
   const double learning_rate = config.learning_rate;
-  order_scratch_.resize(examples.size());
-  std::vector<std::size_t>& order = order_scratch_;
+  std::vector<std::size_t> order;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    FillEpochOrder(order, config.shuffle, rng);
+    FillEpochOrder(order, examples.size(), config.shuffle, rng);
     for (const std::size_t i : order) {
       const auto& example = examples[i];
       // Double-precision forward pass, canonical feature order.
@@ -79,10 +81,9 @@ void MobileLrOperator::Train(LrModel& model,
   // The double→float learning-rate conversion happened once per example;
   // it is loop-invariant, so do it once per call.
   const float learning_rate = static_cast<float>(config.learning_rate);
-  order_scratch_.resize(examples.size());
-  std::vector<std::size_t>& order = order_scratch_;
+  std::vector<std::size_t> order;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    FillEpochOrder(order, config.shuffle, rng);
+    FillEpochOrder(order, examples.size(), config.shuffle, rng);
     for (const std::size_t i : order) {
       const auto& example = examples[i];
       const auto& features = example.features;

@@ -18,7 +18,6 @@
 #include <memory>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "data/example.h"
 #include "ml/lr_model.h"
@@ -35,6 +34,7 @@ struct TrainConfig {
 };
 
 /// Abstract local-training operator (one step of the "operator flow").
+/// Operators are stateless: one instance may train on many threads at once.
 class TrainingOperator {
  public:
   virtual ~TrainingOperator() = default;
@@ -52,14 +52,6 @@ class ServerLrOperator final : public TrainingOperator {
   std::string_view name() const override { return "lr_sgd/server"; }
   void Train(LrModel& model, std::span<const data::Example> examples,
              const TrainConfig& config) const override;
-
- private:
-  /// Reused epoch-order scratch: Train is called once per participant per
-  /// round, and reallocating the permutation every call showed up in the
-  /// fig8 profiles. Mutable because Train is logically const; operators are
-  /// created per training call in the engine, so there is no cross-thread
-  /// sharing to guard.
-  mutable std::vector<std::size_t> order_scratch_;
 };
 
 /// Single-precision mobile kernel (C++ MNN stand-in).
@@ -68,10 +60,6 @@ class MobileLrOperator final : public TrainingOperator {
   std::string_view name() const override { return "lr_sgd/mobile"; }
   void Train(LrModel& model, std::span<const data::Example> examples,
              const TrainConfig& config) const override;
-
- private:
-  /// Same reusable scratch as ServerLrOperator (see that comment).
-  mutable std::vector<std::size_t> order_scratch_;
 };
 
 /// Shared factory: the platform selects the operator per execution venue.

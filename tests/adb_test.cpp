@@ -163,6 +163,31 @@ TEST(ParserTest, PgrepSkipsBlankLines) {
   EXPECT_FALSE(ParsePgrepPid("\n\n").ok());
 }
 
+TEST(ParserTest, PgrepRefusesPidOutsideIntRange) {
+  // 4294971496 is 2^32 + 4200: narrowed to int it would read as pid 4200.
+  for (const char* out : {"4294971496\n", "0\n", "-7\n", "2147483648\n"}) {
+    const auto pid = ParsePgrepPid(out);
+    ASSERT_FALSE(pid.ok()) << out;
+    EXPECT_EQ(pid.error().code(), ErrorCode::kParseError) << out;
+  }
+  const auto max = ParsePgrepPid("2147483647\n");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(*max, 2147483647);
+}
+
+TEST(ParserTest, TopMatchesPidWithoutTruncation) {
+  // A wider pid whose low 32 bits equal the asked pid must not match it.
+  const std::string out =
+      "  PID USER         PR  NI VIRT  RES  SHR S %CPU %MEM     TIME+ ARGS\n"
+      " 4294971496 u0_a1  20   0 1.0G  10M   9M S 77.0  0.1   0:01.00 "
+      "other\n"
+      " 4200 u0_a217      20   0 1.9G  72M  36M S  3.0  0.4   1:23.45 "
+      "com.simdc.fltrain\n";
+  const auto cpu = ParseTopCpuPercent(out, 4200);
+  ASSERT_TRUE(cpu.ok());
+  EXPECT_DOUBLE_EQ(*cpu, 3.0);
+}
+
 TEST(ParserTest, TopParsesRealisticToyboxOutput) {
   const std::string out =
       "Tasks: 612 total,   1 running\n"

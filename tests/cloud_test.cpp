@@ -1,7 +1,7 @@
 // Unit tests for the cloud services: blob storage, metrics database,
 // aggregation service with both triggers and its one delivery hook (ticks
-// of updates decoded the way a dispatcher decodes them), checked against
-// the serial FedAvg oracle in reference_fedavg.h.
+// of stamped messages, whose payloads the service fetches when it admits
+// them), checked against the serial FedAvg oracle in reference_fedavg.h.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include "cloud/aggregation.h"
 #include "common/thread_pool.h"
 #include "cloud/database.h"
-#include "cloud/payload_decoder.h"
 #include "cloud/storage.h"
 #include "ml/lr_model.h"
 #include "reference_fedavg.h"
@@ -82,8 +81,8 @@ TEST(BlobStoreTest, GetSharedAliasesWithoutCopy) {
 
 TEST(BlobStoreTest, SharedBlobSurvivesDelete) {
   // A reader holding a SharedBlob must keep its bytes valid (and
-  // bit-stable) across a concurrent Delete — the decode plane may still
-  // be chewing on a blob the serial plane garbage-collects.
+  // bit-stable) across a concurrent Delete — a staged update may still
+  // alias a blob the round reclaim deletes.
   BlobStore store;
   const BlobId id = store.Put(Bytes({7, 8, 9}));
   auto blob = store.GetShared(id);
@@ -313,10 +312,13 @@ ml::LrModel ViewTestModel() {
   return model;
 }
 
+/// The view the aggregation service stages for a blob: a shared fetch and
+/// a header check (empty when either fails).
 ml::ModelView DecodeView(const BlobStore& store, BlobId id) {
-  flow::Message message;
-  message.payload = id;
-  return BlobModelDecoder(store).Decode(std::move(message)).model;
+  auto blob = store.GetShared(id);
+  if (!blob.ok()) return {};
+  auto view = ml::LrModel::FromBytesView(blob->span(), blob->holder());
+  return view.ok() ? std::move(*view) : ml::ModelView();
 }
 
 void ExpectSameBits(const ml::ModelView& view, const ml::LrModel& model) {
@@ -416,9 +418,10 @@ TEST(BlobStoreTest, ModelViewOutlivesStoreDestruction) {
 
 TEST(BlobStoreConcurrencyTest, ConcurrentPutGetDeleteStress) {
   // N writers Put/Delete while N readers Get/GetShared and decode — the
-  // exact concurrency shape of the decoded payload plane (shard workers
-  // fetch + decode while the serial plane publishes new globals). Run
-  // under ASan/UBSan in CI, this is the data-race gate for BlobStore.
+  // concurrency shape of the payload plane (devices write payloads and
+  // the serial side publishes new globals while readers hold shared
+  // blobs). Run under ASan/UBSan and TSan in CI, this is the data-race
+  // gate for BlobStore.
   BlobStore store;
   constexpr int kWriters = 3;
   constexpr int kReaders = 4;
@@ -610,26 +613,22 @@ class AggregationTest : public ::testing::Test {
     return m;
   }
 
-  /// Fetches + decodes `messages` from `store` and stamps each with its
-  /// arrival, the way a decoding dispatcher builds a tick.
-  static std::vector<flow::DecodedUpdate> Decode(
-      const BlobStore& store, std::span<const flow::Message> messages,
+  /// Stamps each of `messages` with its arrival, the way a dispatcher
+  /// builds a tick.
+  static std::vector<flow::Message> Tick(
+      std::span<const flow::Message> messages,
       std::span<const SimTime> arrivals) {
-    BlobModelDecoder decoder(store);
-    std::vector<flow::DecodedUpdate> updates;
-    updates.reserve(messages.size());
-    for (std::size_t i = 0; i < messages.size(); ++i) {
-      updates.push_back(decoder.Decode(messages[i]));
-      updates.back().arrival = arrivals[i];
+    std::vector<flow::Message> tick(messages.begin(), messages.end());
+    for (std::size_t i = 0; i < tick.size(); ++i) {
+      tick[i].arrival = arrivals[i];
     }
-    return updates;
+    return tick;
   }
 
-  /// Delivers `message` as a one-update tick arriving at `arrival`.
-  static void DeliverOne(AggregationService& service, const BlobStore& store,
+  /// Delivers `message` as a one-message tick arriving at `arrival`.
+  static void DeliverOne(AggregationService& service,
                          const flow::Message& message, SimTime arrival) {
-    service.DeliverDecodedBatch(
-        Decode(store, std::span(&message, 1), std::span(&arrival, 1)));
+    service.DeliverTick(Tick(std::span(&message, 1), std::span(&arrival, 1)));
   }
 
   sim::EventLoop loop_;
@@ -644,10 +643,10 @@ TEST_F(AggregationTest, SampleThresholdTriggers) {
   AggregationService service(loop_, store_, config);
   service.Start();
 
-  DeliverOne(service, store_, Upload(store_, 1.0f, 10, 1), 0);
-  DeliverOne(service, store_, Upload(store_, 2.0f, 10, 2), 0);
+  DeliverOne(service, Upload(store_, 1.0f, 10, 1), 0);
+  DeliverOne(service, Upload(store_, 2.0f, 10, 2), 0);
   EXPECT_EQ(service.rounds_completed(), 0u);  // 20 < 30
-  DeliverOne(service, store_, Upload(store_, 3.0f, 10, 3), 0);
+  DeliverOne(service, Upload(store_, 3.0f, 10, 3), 0);
   ASSERT_EQ(service.rounds_completed(), 1u);
   EXPECT_NEAR(service.global_model().weights()[0], 2.0, 1e-6);
   EXPECT_EQ(service.history()[0].clients, 3u);
@@ -674,10 +673,10 @@ TEST_F(AggregationTest, BatchedDeliveryMatchesPerMessage) {
       arrivals.push_back(Seconds(1.0 + static_cast<double>(i)));
     }
     if (batched) {
-      service.DeliverDecodedBatch(Decode(store, messages, arrivals));
+      service.DeliverTick(Tick(messages, arrivals));
     } else {
       for (std::size_t i = 0; i < messages.size(); ++i) {
-        DeliverOne(service, store, messages[i], arrivals[i]);
+        DeliverOne(service, messages[i], arrivals[i]);
       }
     }
     return service.history();
@@ -704,7 +703,7 @@ TEST_F(AggregationTest, ScheduledTriggerFiresPeriodically) {
   // Deliver a couple of updates before each tick.
   for (int round = 0; round < 3; ++round) {
     loop_.ScheduleAt(Seconds(10.0 * round + 1), [&, round] {
-      DeliverOne(service, store_,
+      DeliverOne(service,
                  Upload(store_, static_cast<float>(round), 5,
                         static_cast<std::uint64_t>(round * 10 + 1)),
                  loop_.Now());
@@ -725,7 +724,7 @@ TEST_F(AggregationTest, ScheduledTickWithNothingPendingSkips) {
   AggregationService service(loop_, store_, config);
   service.Start();
   loop_.ScheduleAt(Seconds(6.0), [&] {
-    DeliverOne(service, store_, Upload(store_, 1.0f, 5, 1), loop_.Now());
+    DeliverOne(service, Upload(store_, 1.0f, 5, 1), loop_.Now());
   });
   loop_.RunUntil(Seconds(30.0));
   // First tick (t=5) had nothing; second tick (t=10) aggregated.
@@ -743,7 +742,7 @@ TEST_F(AggregationTest, MissingBlobCountsAsDecodeFailure) {
   m.task = TaskId(1);
   m.payload = BlobId(999);  // never stored
   m.sample_count = 5;
-  DeliverOne(service, store_, m, 0);
+  DeliverOne(service, m, 0);
   EXPECT_EQ(service.decode_failures(), 1u);
   EXPECT_EQ(service.pending_samples(), 0u);
 }
@@ -761,7 +760,7 @@ TEST_F(AggregationTest, StoreIoErrorBooksAsStoreErrorNotDecodeFailure) {
     return Status::Ok();
   });
 
-  DeliverOne(service, store_, faulted, 0);
+  DeliverOne(service, faulted, 0);
   EXPECT_EQ(service.store_errors(), 1u);
   EXPECT_EQ(service.decode_failures(), 0u);
   EXPECT_EQ(service.messages_received(), 1u);
@@ -769,54 +768,15 @@ TEST_F(AggregationTest, StoreIoErrorBooksAsStoreErrorNotDecodeFailure) {
 
   // Healthy deliveries still flow, and a genuinely missing blob still books
   // as a decode failure alongside the I/O fault.
-  DeliverOne(service, store_, good, 0);
+  DeliverOne(service, good, 0);
   EXPECT_EQ(service.pending_samples(), 10u);
   flow::Message missing;
   missing.task = TaskId(1);
   missing.payload = BlobId(999);  // never stored
   missing.sample_count = 5;
-  DeliverOne(service, store_, missing, 0);
+  DeliverOne(service, missing, 0);
   EXPECT_EQ(service.store_errors(), 1u);
   EXPECT_EQ(service.decode_failures(), 1u);
-}
-
-TEST_F(AggregationTest, DecoderMapsStoreFaultsToDistinctFailures) {
-  // BlobModelDecoder must keep the taxonomy the serial side accounts on:
-  // kNotFound → kMissingBlob, any other store error → kStoreError.
-  const flow::Message ok_msg = Upload(store_, 1.0f, 10, 1);
-  const flow::Message faulted = Upload(store_, 2.0f, 10, 2);
-  flow::Message missing;
-  missing.task = TaskId(1);
-  missing.payload = BlobId(999);
-  missing.sample_count = 5;
-  store_.set_read_fault_hook([&](BlobId id) -> Status {
-    if (id == faulted.payload) return Unavailable("injected read fault");
-    return Status::Ok();
-  });
-
-  BlobModelDecoder decoder(store_);
-  const flow::DecodedUpdate decoded = decoder.Decode(ok_msg);
-  EXPECT_TRUE(decoded.decoded());
-  EXPECT_EQ(decoded.failure, flow::DecodedUpdate::Failure::kNone);
-
-  const flow::DecodedUpdate io_fault = decoder.Decode(faulted);
-  EXPECT_FALSE(io_fault.decoded());
-  EXPECT_EQ(io_fault.failure, flow::DecodedUpdate::Failure::kStoreError);
-  EXPECT_EQ(io_fault.error.error().code(), ErrorCode::kUnavailable);
-
-  const flow::DecodedUpdate gone = decoder.Decode(missing);
-  EXPECT_FALSE(gone.decoded());
-  EXPECT_EQ(gone.failure, flow::DecodedUpdate::Failure::kMissingBlob);
-
-  // The service books them into the counters the taxonomy names.
-  AggregationConfig config;
-  config.model_dim = kDim;
-  AggregationService service(loop_, store_, config);
-  service.DeliverDecodedBatch({decoded, io_fault, gone});
-  EXPECT_EQ(service.messages_received(), 3u);
-  EXPECT_EQ(service.store_errors(), 1u);
-  EXPECT_EQ(service.decode_failures(), 1u);
-  EXPECT_EQ(service.pending_samples(), 10u);
 }
 
 TEST_F(AggregationTest, CorruptBlobRejected) {
@@ -827,7 +787,7 @@ TEST_F(AggregationTest, CorruptBlobRejected) {
   m.task = TaskId(1);
   m.payload = store_.Put(Bytes({1, 2, 3}));
   m.sample_count = 5;
-  DeliverOne(service, store_, m, 0);
+  DeliverOne(service, m, 0);
   EXPECT_EQ(service.decode_failures(), 1u);
 }
 
@@ -840,7 +800,7 @@ TEST_F(AggregationTest, WrongDimensionRejected) {
   m.task = TaskId(1);
   m.payload = store_.Put(other.ToBytes());
   m.sample_count = 5;
-  DeliverOne(service, store_, m, 0);
+  DeliverOne(service, m, 0);
   EXPECT_EQ(service.decode_failures(), 1u);
 }
 
@@ -857,17 +817,17 @@ TEST_F(AggregationTest, PublishesModelBlobAndCallback) {
         EXPECT_TRUE(store_.Contains(record.model_blob));
         EXPECT_EQ(model.dim(), kDim);
       });
-  DeliverOne(service, store_, Upload(store_, 4.0f, 5, 1), 0);
+  DeliverOne(service, Upload(store_, 4.0f, 5, 1), 0);
   EXPECT_EQ(callbacks, 1u);
 }
 
-// ---------- Decoded payload plane ----------
+// ---------- Fetch and decode on admission ----------
 
-/// Same fixture, decoded-delivery cases: the serial service receives
-/// DecodedUpdates (payloads fetched + decoded upstream, failures carried
-/// along) and must keep every counter and every bit identical to the
-/// serial decode-in-handler oracle, the historical legacy plane, however
-/// the stream is cut into ticks. Pinned by name in the CI sanitizer job.
+/// Same fixture, payload-failure cases: the service fetches and decodes
+/// each payload when it admits the message, and must keep every counter
+/// and every bit identical to the serial fetch → decode → add oracle,
+/// however the stream is cut into ticks. Pinned by name in the CI
+/// sanitizer jobs.
 class AggregationDecodedTest : public AggregationTest {
  protected:
   /// Pushes `messages` through a fresh service in consecutive ticks of at
@@ -892,9 +852,8 @@ class AggregationDecodedTest : public AggregationTest {
     AggregationService service(loop_, store, config);
     for (std::size_t begin = 0; begin < messages.size(); begin += tick_width) {
       const std::size_t n = std::min(tick_width, messages.size() - begin);
-      service.DeliverDecodedBatch(Decode(store,
-                                         std::span(messages).subspan(begin, n),
-                                         std::span(arrivals).subspan(begin, n)));
+      service.DeliverTick(Tick(std::span(messages).subspan(begin, n),
+                               std::span(arrivals).subspan(begin, n)));
     }
     Outcome out;
     out.received = service.messages_received();
@@ -1005,10 +964,9 @@ TEST_F(AggregationDecodedTest, DecodedBatchMatchesLegacyWithFailures) {
 }
 
 TEST_F(AggregationDecodedTest, StaleBadPayloadIsStaleNotDecodeFailure) {
-  // The accounting-order contract: reject_stale is checked BEFORE the
-  // (deferred) decode failure commits, so a stale message with a corrupt
-  // or missing payload is a stale rejection — the speculative decode
-  // error must not be booked.
+  // The accounting-order contract: reject_stale is checked BEFORE a
+  // payload failure books, so a stale message with a corrupt or missing
+  // payload is a stale rejection, never a decode failure.
   BlobStore store;
   std::vector<flow::Message> messages;
   std::vector<SimTime> arrivals;
@@ -1065,28 +1023,52 @@ TEST_F(AggregationDecodedTest, StaleBadPayloadIsStaleNotDecodeFailure) {
 }
 
 TEST_F(AggregationDecodedTest, StoppedServiceIgnoresDecodedDeliveries) {
+  // A stopped service books nothing for a tick of good, corrupt, missing
+  // and wrong-dimension payloads. The fetch still runs first, so the
+  // store's read counter sees every payload it holds.
   BlobStore store;
   AggregationConfig config;
   config.model_dim = kDim;
   AggregationService service(loop_, store, config);
   service.Stop();
-  DeliverOne(service, store, Upload(store, 1.0f, 5, 1), Seconds(1.0));
+  std::vector<flow::Message> messages;
+  messages.push_back(Upload(store, 1.0f, 5, 1));
+  {
+    flow::Message corrupt;
+    corrupt.id = MessageId(2);
+    corrupt.task = TaskId(1);
+    corrupt.payload = store.Put(Bytes({1, 2, 3}));
+    corrupt.sample_count = 5;
+    messages.push_back(corrupt);
+  }
+  {
+    flow::Message missing;
+    missing.id = MessageId(3);
+    missing.task = TaskId(1);
+    missing.payload = BlobId(424242);
+    missing.sample_count = 5;
+    messages.push_back(missing);
+  }
+  {
+    flow::Message mismatch;
+    mismatch.id = MessageId(4);
+    mismatch.task = TaskId(1);
+    mismatch.payload = store.Put(ml::LrModel(kDim * 2).ToBytes());
+    mismatch.sample_count = 5;
+    messages.push_back(mismatch);
+  }
+  const std::vector<SimTime> arrivals = {Seconds(1.0), Seconds(2.0),
+                                         Seconds(3.0), Seconds(4.0)};
+  const std::size_t read_before = store.bytes_read();
+  service.DeliverTick(Tick(messages, arrivals));
   EXPECT_EQ(service.messages_received(), 0u);
   EXPECT_EQ(service.decode_failures(), 0u);
-}
-
-TEST_F(AggregationTest, UpdateWithoutDecodeIsRejected) {
-  // The service sits behind a decoding dispatcher. An update no decoder
-  // ran on (message only, failure kNone) is a wiring error, not a decode
-  // failure to count.
-  AggregationConfig config;
-  config.model_dim = kDim;
-  AggregationService service(loop_, store_, config);
-  std::vector<flow::DecodedUpdate> bare(1);
-  bare[0].message = Upload(store_, 1.0f, 5, 1);
-  EXPECT_THROW(service.DeliverDecodedBatch(std::move(bare)),
-               std::invalid_argument);
-  EXPECT_EQ(service.decode_failures(), 0u);
+  EXPECT_EQ(service.store_errors(), 0u);
+  EXPECT_EQ(service.rounds_completed(), 0u);
+  EXPECT_EQ(service.pending_samples(), 0u);
+  EXPECT_EQ(store.bytes_read(),
+            read_before + ml::LrModel(kDim).SerializedSize() + 3 +
+                ml::LrModel(kDim * 2).SerializedSize());
 }
 
 TEST_F(AggregationTest, StopIgnoresFurtherDeliveries) {
@@ -1096,9 +1078,10 @@ TEST_F(AggregationTest, StopIgnoresFurtherDeliveries) {
   config.sample_threshold = 1;
   AggregationService service(loop_, store_, config);
   service.Stop();
-  DeliverOne(service, store_, Upload(store_, 4.0f, 5, 1), 0);
+  DeliverOne(service, Upload(store_, 4.0f, 5, 1), Seconds(1.0));
   EXPECT_EQ(service.rounds_completed(), 0u);
   EXPECT_EQ(service.messages_received(), 0u);
+  EXPECT_EQ(service.pending_samples(), 0u);
 }
 
 TEST_F(AggregationTest, MaxRoundsHonored) {
@@ -1109,7 +1092,7 @@ TEST_F(AggregationTest, MaxRoundsHonored) {
   config.max_rounds = 2;
   AggregationService service(loop_, store_, config);
   for (std::uint64_t i = 0; i < 5; ++i) {
-    DeliverOne(service, store_, Upload(store_, 1.0f, 1, i), 0);
+    DeliverOne(service, Upload(store_, 1.0f, 1, i), 0);
   }
   EXPECT_EQ(service.rounds_completed(), 2u);
 }
@@ -1136,10 +1119,10 @@ class AggregationPartialSumTest : public AggregationTest {
     AggregationSnapshot snapshot;
   };
 
-  static void DeliverDecoded(AggregationService& service, BlobStore& store,
-                             const std::vector<flow::Message>& messages,
-                             const std::vector<SimTime>& arrivals) {
-    service.DeliverDecodedBatch(Decode(store, messages, arrivals));
+  static void DeliverAsOneTick(AggregationService& service,
+                               const std::vector<flow::Message>& messages,
+                               const std::vector<SimTime>& arrivals) {
+    service.DeliverTick(Tick(messages, arrivals));
   }
 
   Outcome Run(BlobStore& store, const std::vector<flow::Message>& messages,
@@ -1151,7 +1134,7 @@ class AggregationPartialSumTest : public AggregationTest {
     config.sample_threshold = sample_threshold;
     AggregationService service(loop_, store, config);
     service.set_thread_pool(pool);
-    DeliverDecoded(service, store, messages, arrivals);
+    DeliverAsOneTick(service, messages, arrivals);
     return Capture(service);
   }
 
@@ -1292,7 +1275,7 @@ class AggregationPartialSumTest : public AggregationTest {
     AggregationService service(loop_, store, config);
     ThreadPool pool(4);
     service.set_thread_pool(&pool);
-    DeliverDecoded(service, store, messages, arrivals);
+    DeliverAsOneTick(service, messages, arrivals);
     Cadence cadence;
     cadence.flushes_before_close = service.flushes();
     EXPECT_EQ(service.pending_clients(), 600u);
@@ -1386,18 +1369,18 @@ TEST_F(AggregationPartialSumTest, MidRoundSnapshotRestoreContinuesIdentically) {
   config.sample_threshold = 500;  // nothing closes: all staged
 
   AggregationService first(loop_, store, config);
-  DeliverDecoded(first, store, head, head_arrivals);
+  DeliverAsOneTick(first, head, head_arrivals);
   EXPECT_GT(first.pending_clients(), 0u);
   const AggregationSnapshot snapshot = first.Snapshot();
 
   AggregationService recovered(loop_, store, config);
   recovered.RestoreSnapshot(snapshot);
   EXPECT_EQ(recovered.pending_clients(), first.pending_clients());
-  DeliverDecoded(recovered, store, tail, tail_arrivals);
+  DeliverAsOneTick(recovered, tail, tail_arrivals);
   EXPECT_TRUE(recovered.AggregateNow());
 
   AggregationService uninterrupted(loop_, store, config);
-  DeliverDecoded(uninterrupted, store, messages, arrivals);
+  DeliverAsOneTick(uninterrupted, messages, arrivals);
   EXPECT_TRUE(uninterrupted.AggregateNow());
   ExpectIdentical(Capture(uninterrupted), Capture(recovered));
 
@@ -1422,9 +1405,9 @@ TEST_F(AggregationPartialSumTest, QuorumAndAbortSeeStagedUpdates) {
   AggregationService service(loop, store, config);
   service.OnRoundOpened(0);
   loop.ScheduleAt(Seconds(1.0), [&] {
-    DeliverDecoded(service, store,
-                   {Upload(store, 1.0f, 3, 1), Upload(store, 3.0f, 5, 2)},
-                   {Seconds(1.0), Seconds(1.0)});
+    DeliverAsOneTick(service,
+                     {Upload(store, 1.0f, 3, 1), Upload(store, 3.0f, 5, 2)},
+                     {Seconds(1.0), Seconds(1.0)});
   });
   loop.RunUntil(Seconds(11.0));
   // Two staged clients met the quorum at the deadline: degraded commit.
@@ -1440,8 +1423,7 @@ TEST_F(AggregationPartialSumTest, QuorumAndAbortSeeStagedUpdates) {
   service.set_on_round_aborted([&](SimTime) { aborted = true; });
   service.OnRoundOpened(Seconds(11.0));
   loop.ScheduleAt(Seconds(12.0), [&] {
-    DeliverDecoded(service, store, {Upload(store, 2.0f, 4, 3)},
-                   {Seconds(12.0)});
+    DeliverAsOneTick(service, {Upload(store, 2.0f, 4, 3)}, {Seconds(12.0)});
   });
   loop.RunUntil(Seconds(30.0));
   EXPECT_TRUE(aborted);

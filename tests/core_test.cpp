@@ -149,6 +149,50 @@ TEST(FlEngineTest, FullDropoutSurvivesViaStallGuard) {
   golden::ExpectGolden("core.stall_guard", golden::RunDigest(engine, result));
 }
 
+TEST(FlEngineTest, ReclaimedStragglersAreDecodeFailuresNotUpdates) {
+  // reclaim_payload_blobs deletes a round's payloads when the next round
+  // opens, and the cloud fetches a payload when it admits the message, so
+  // a straggler admitted after its round's reclaim is a decode failure and
+  // never reaches an aggregate. Here all 20 devices upload 2 s into each
+  // round, one sender lets 2 messages a second leave, and a round closes
+  // every 5 s: each round admits its first 6 uploads, and the other 14 are
+  // still queued when the next round's reclaim deletes their payloads.
+  sim::EventLoop loop;
+  const auto dataset = SmallDataset(data::LabelDistribution::kNatural, 20);
+  auto config = BaseConfig();
+  config.rounds = 3;
+  config.schedule_period = Seconds(5.0);
+  config.compute_seconds = 2.0;
+  config.delay_fn = [](const data::DeviceData&, std::size_t, Rng&) {
+    return SimDuration{0};
+  };
+  config.strategy = flow::RealtimeAccumulated{{1}, 0.0, 2.0};
+  config.reclaim_payload_blobs = true;
+  config.parallelism = 1;
+  FlEngine engine(loop, dataset, config);
+  const auto result = engine.Run();
+  const cloud::AggregationService& service = engine.runtime().aggregation();
+
+  // Round 0 admits the uploads sent at 2.0–4.5 s and closes at 5 s. Its
+  // 14 stragglers occupy the sender until 12 s and fail, so the 10 s
+  // schedule finds nothing to aggregate; round 1's uploads leave at
+  // 12.0–14.5 s and close it at 15 s. Round 2 repeats that 10 s later.
+  const std::vector<SimTime> times = {Seconds(5.0), Seconds(15.0),
+                                      Seconds(25.0)};
+  ASSERT_EQ(service.history().size(), times.size());
+  std::size_t aggregated = 0;
+  for (std::size_t r = 0; r < times.size(); ++r) {
+    EXPECT_EQ(service.history()[r].time, times[r]) << "round " << r;
+    EXPECT_EQ(service.history()[r].clients, 6u) << "round " << r;
+    aggregated += service.history()[r].clients;
+  }
+  EXPECT_EQ(service.decode_failures(), 2u * 14u);
+  EXPECT_EQ(service.stale_rejections(), 0u);
+  EXPECT_EQ(service.messages_received(),
+            aggregated + service.decode_failures());
+  ASSERT_EQ(result.rounds.size(), 3u);
+}
+
 TEST(FlEngineTest, WidthOneRunsAsOneShardBehindTheMerger) {
   // Every width takes the same topology: width 1 is one shard loop with
   // one dispatcher feeding the merger, like any other width.

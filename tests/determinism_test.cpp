@@ -9,7 +9,6 @@
 #include <string>
 #include <utility>
 
-#include "cloud/payload_decoder.h"
 #include "core/fl_engine.h"
 #include "core/platform.h"
 #include "data/synth_avazu.h"
@@ -333,8 +332,8 @@ FlExperimentConfig RejectStaleThresholdConfig() {
 }
 
 TEST(ShardedDeterminismTest, DecodedPlaneBitIdenticalToLegacyAtAllWidths) {
-  // Blob fetch + decode runs in the dispatch ticks (shard workers when
-  // sharded). Every bit of the run — round metrics, weights, merged
+  // The cloud fetches and decodes each payload when it admits the
+  // message. Every bit of the run — round metrics, weights, merged
   // dispatch stats, admission counters — must equal the golden digest the
   // retired decode-in-handler plane produced, at every shard width.
   const auto dataset = Dataset();
@@ -410,10 +409,11 @@ struct FailurePlaneOutcome {
   std::vector<float> weights;
 };
 
-/// Runs the failure-mix stream at the given shard width, decoding in the
-/// dispatchers. Messages carry distinct timestamps and globally ordered
-/// ids, so the (tick time, first id, shard) merge reproduces one canonical
-/// delivery order at every width — counters must not depend on width.
+/// Runs the failure-mix stream at the given shard width; the service
+/// fetches and decodes each payload on admission. Messages carry distinct
+/// timestamps and globally ordered ids, so the (tick time, first id,
+/// shard) merge reproduces one canonical delivery order at every width —
+/// counters must not depend on width.
 FailurePlaneOutcome RunFailureMix(std::size_t shards) {
   constexpr std::uint32_t kDim = 16;
   constexpr std::size_t kMessages = 24;
@@ -425,7 +425,6 @@ FailurePlaneOutcome RunFailureMix(std::size_t shards) {
   agg.sample_threshold = 30;  // fires mid-stream: later round-0 msgs stale
   agg.reject_stale = true;
   cloud::AggregationService service(cloud_loop, store, agg);
-  cloud::BlobModelDecoder decoder(store);
 
   flow::ShardMerger merger(shards, &service, &cloud_loop);
   std::vector<std::unique_ptr<sim::EventLoop>> loops;
@@ -437,7 +436,6 @@ FailurePlaneOutcome RunFailureMix(std::size_t shards) {
         flow::RealtimeAccumulated{{1}, 0.0,
                                   flow::kShardWidthInvariantCapacity},
         &merger.channel(s), /*seed=*/11));
-    dispatchers[s]->set_decoder(&decoder);
   }
 
   for (std::size_t i = 0; i < kMessages; ++i) {
@@ -496,7 +494,8 @@ TEST(ShardedDeterminismTest, DecodeFailureAccountingParityAcrossPlanes) {
   // Corrupt-blob and missing-blob messages — fresh and stale — must book
   // the expected decode_failures / stale_rejections, and every sharded
   // merge must book the same ones as the width-1 run, in the same order
-  // (the deferred-accounting contract of flow::DecodedUpdate).
+  // (the service books payload failures in delivery order, after the
+  // staleness verdict).
   const auto reference = RunFailureMix(1);
   // The mix by construction: the 16 round-0 messages close round 1 at the
   // sixth valid one (6 x 5 = 30 samples), after 6 corrupt/missing

@@ -16,7 +16,6 @@
 #include <string>
 
 #include "cloud/aggregation.h"
-#include "cloud/payload_decoder.h"
 #include "core/fl_engine.h"
 #include "data/synth_avazu.h"
 #include "device/behavior.h"
@@ -252,8 +251,8 @@ TEST(UsageTraceTest, TraceOverridesSyntheticCurve) {
 
 class CountingEndpoint final : public flow::CloudEndpoint {
  public:
-  void DeliverDecodedBatch(std::vector<flow::DecodedUpdate> updates) override {
-    delivered += updates.size();
+  void DeliverTick(std::vector<flow::Message> tick) override {
+    delivered += tick.size();
   }
   std::size_t delivered = 0;
 };
@@ -468,14 +467,14 @@ class QuorumTest : public ::testing::Test {
     return m;
   }
 
-  /// Delivers `message` as a one-update tick, decoded first — the way a
-  /// decoding dispatcher hands it to the service.
-  void DeliverOne(cloud::AggregationService& service,
-                  const flow::Message& message, SimTime arrival) {
-    std::vector<flow::DecodedUpdate> tick;
-    tick.push_back(cloud::BlobModelDecoder(store_).Decode(message));
-    tick.back().arrival = arrival;
-    service.DeliverDecodedBatch(std::move(tick));
+  /// Delivers `message` as a one-message tick stamped with `arrival`, the
+  /// way a dispatcher hands it to the service.
+  void DeliverOne(cloud::AggregationService& service, flow::Message message,
+                  SimTime arrival) {
+    message.arrival = arrival;
+    std::vector<flow::Message> tick;
+    tick.push_back(std::move(message));
+    service.DeliverTick(std::move(tick));
   }
 
   cloud::AggregationConfig PolicyConfig() {
@@ -745,9 +744,9 @@ TEST(FaultPlaneEngineTest, ChurnRetriesBitIdenticalAcrossShardWidths) {
 }
 
 TEST(FaultPlaneEngineTest, LegacyPlaneMatchesDecodedUnderFaults) {
-  // Retried messages decode at their retry-fire tick. The run must still
-  // equal the golden digest the retired decode-in-handler plane produced
-  // under the full fault ladder.
+  // Retried messages are fetched and decoded when the retry delivers
+  // them. The run must still equal the golden digest the retired
+  // decode-in-handler plane produced under the full fault ladder.
   const auto dataset = Dataset();
   for (const std::size_t shards : {1u, 4u}) {
     sim::EventLoop loop;

@@ -23,9 +23,9 @@ namespace {
 /// Records every delivered message with its arrival time.
 class RecordingEndpoint final : public CloudEndpoint {
  public:
-  void DeliverDecodedBatch(std::vector<DecodedUpdate> updates) override {
-    for (const DecodedUpdate& update : updates) {
-      deliveries.emplace_back(update.arrival, update.message);
+  void DeliverTick(std::vector<Message> tick) override {
+    for (const Message& message : tick) {
+      deliveries.emplace_back(message.arrival, message);
     }
   }
   std::vector<std::pair<SimTime, Message>> deliveries;
@@ -453,41 +453,29 @@ TEST(IsolationTest, TasksDispatchIndependently) {
 // ---------- Batched delivery equivalence ----------
 
 /// Records tick boundaries in addition to every delivery (to check that
-/// delivery really arrives one hook call per tick), and counts updates
-/// that carry only their message (no decoder ran, no failure).
+/// delivery really arrives one hook call per tick).
 class BatchAwareEndpoint final : public CloudEndpoint {
  public:
-  void DeliverDecodedBatch(std::vector<DecodedUpdate> updates) override {
-    batch_sizes.push_back(updates.size());
-    for (const DecodedUpdate& update : updates) {
-      deliveries.emplace_back(update.arrival, update.message.id);
-      if (!update.decoded() &&
-          update.failure == DecodedUpdate::Failure::kNone) {
-        ++message_only;
-      }
+  void DeliverTick(std::vector<Message> tick) override {
+    batch_sizes.push_back(tick.size());
+    for (const Message& message : tick) {
+      deliveries.emplace_back(message.arrival, message.id);
     }
   }
   std::vector<std::pair<SimTime, MessageId>> deliveries;
   std::vector<std::size_t> batch_sizes;
-  std::size_t message_only = 0;
 };
 
-/// Message-only updates, as a decoder-less dispatcher delivers them, all
-/// arriving at `at`.
-std::vector<DecodedUpdate> Updates(std::span<const Message> messages,
-                                   SimTime at) {
-  std::vector<DecodedUpdate> updates(messages.size());
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    updates[i].message = messages[i];
-    updates[i].arrival = at;
-  }
-  return updates;
+/// A tick of `messages`, all stamped to arrive at `at`.
+std::vector<Message> Tick(std::span<const Message> messages, SimTime at) {
+  std::vector<Message> tick(messages.begin(), messages.end());
+  for (Message& message : tick) message.arrival = at;
+  return tick;
 }
 
 struct DispatchOutcome {
   std::vector<std::pair<SimTime, MessageId>> deliveries;
   std::vector<std::size_t> batch_sizes;
-  std::size_t message_only = 0;
   DispatchStats stats;
   /// Golden digest of the deliveries (arrival, id) and the dispatch stats.
   std::uint64_t digest = 0;
@@ -513,7 +501,6 @@ DispatchOutcome RunScenario(
   DispatchOutcome out;
   out.deliveries = sink.deliveries;
   out.batch_sizes = sink.batch_sizes;
-  out.message_only = sink.message_only;
   const auto& stats = flow.FindDispatcher(TaskId(1))->stats();
   out.stats = stats;
   golden::Digest digest;
@@ -554,7 +541,7 @@ TEST(DeliveryEquivalenceTest, AllStrategiesBitIdenticalAcrossModes) {
     golden::ExpectGolden(name, batched.digest);
     EXPECT_GT(batched.stats.dropped, 0u) << name;
     // And delivery really fans in O(ticks): one hook call per non-empty
-    // dispatch tick, every update carrying only its message.
+    // dispatch tick, carrying every message the tick sent.
     std::size_t nonempty_ticks = 0;
     std::size_t in_batches = 0;
     for (const auto& [when, count] : batched.stats.batches) {
@@ -563,7 +550,6 @@ TEST(DeliveryEquivalenceTest, AllStrategiesBitIdenticalAcrossModes) {
     for (const std::size_t size : batched.batch_sizes) in_batches += size;
     EXPECT_EQ(batched.batch_sizes.size(), nonempty_ticks) << name;
     EXPECT_EQ(in_batches, batched.stats.sent) << name;
-    EXPECT_EQ(batched.message_only, batched.stats.sent) << name;
   }
 }
 
@@ -728,14 +714,10 @@ TEST(ShardMergerTest, MergesTicksInTimeThenGlobalIdOrder) {
       MakeMessage(TaskId(1), 0), MakeMessage(TaskId(1), 1),
       MakeMessage(TaskId(1), 2), MakeMessage(TaskId(1), 3),
       MakeMessage(TaskId(1), 4)};
-  merger.channel(2).DeliverDecodedBatch(
-      Updates(std::span(&m[4], 1), Seconds(1.0)));
-  merger.channel(0).DeliverDecodedBatch(
-      Updates(std::span(&m[0], 2), Seconds(5.0)));
-  merger.channel(1).DeliverDecodedBatch(
-      Updates(std::span(&m[3], 1), Seconds(5.0)));
-  merger.channel(0).DeliverDecodedBatch(
-      Updates(std::span(&m[2], 1), Seconds(6.0)));
+  merger.channel(2).DeliverTick(Tick(std::span(&m[4], 1), Seconds(1.0)));
+  merger.channel(0).DeliverTick(Tick(std::span(&m[0], 2), Seconds(5.0)));
+  merger.channel(1).DeliverTick(Tick(std::span(&m[3], 1), Seconds(5.0)));
+  merger.channel(0).DeliverTick(Tick(std::span(&m[2], 1), Seconds(6.0)));
 
   EXPECT_EQ(merger.NextTickTime(), Seconds(1.0));
   // Partial drain respects the horizon.
@@ -759,8 +741,8 @@ TEST(ShardMergerTest, EqualTimesResolveByMessageIdNotShard) {
   const std::vector<Message> m = {MakeMessage(TaskId(1), 7),
                                   MakeMessage(TaskId(1), 8)};
   const SimTime at = Seconds(2.0);
-  merger.channel(1).DeliverDecodedBatch(Updates(std::span(&m[0], 1), at));
-  merger.channel(0).DeliverDecodedBatch(Updates(std::span(&m[1], 1), at));
+  merger.channel(1).DeliverTick(Tick(std::span(&m[0], 1), at));
+  merger.channel(0).DeliverTick(Tick(std::span(&m[1], 1), at));
   EXPECT_EQ(merger.DrainUpTo(Seconds(2.0)), 2u);
   ASSERT_EQ(sink.deliveries.size(), 2u);
   // Equal times resolve by message id (the global scheduling order), not

@@ -177,10 +177,9 @@ TEST(IntegrationTest, IntervalDispatchTracksCurveThroughFullStack) {
 
   struct CountingEndpoint final : flow::CloudEndpoint {
     std::vector<std::pair<SimTime, std::size_t>> arrivals;
-    void DeliverDecodedBatch(
-        std::vector<flow::DecodedUpdate> updates) override {
-      for (const flow::DecodedUpdate& update : updates) {
-        const SimTime arrival = update.arrival;
+    void DeliverTick(std::vector<flow::Message> tick) override {
+      for (const flow::Message& message : tick) {
+        const SimTime arrival = message.arrival;
         if (!arrivals.empty() &&
             arrivals.back().first / Seconds(1.0) == arrival / Seconds(1.0)) {
           arrivals.back().second++;

@@ -20,10 +20,10 @@ namespace {
 
 class CountingEndpoint final : public flow::CloudEndpoint {
  public:
-  void DeliverDecodedBatch(std::vector<flow::DecodedUpdate> updates) override {
-    for (const flow::DecodedUpdate& update : updates) {
-      EXPECT_GE(update.arrival, last_arrival_);
-      last_arrival_ = update.arrival;
+  void DeliverTick(std::vector<flow::Message> tick) override {
+    for (const flow::Message& message : tick) {
+      EXPECT_GE(message.arrival, last_arrival_);
+      last_arrival_ = message.arrival;
       ++delivered_;
     }
   }
