@@ -240,15 +240,14 @@ int main() {
   std::printf("Every width bit-identical to width 1: %s\n",
               sharded_identical ? "REPRODUCED" : "NOT reproduced");
 
-  // --- Measured: durability plane overhead (off vs log vs checkpoint) ---
+  // --- Measured: durability plane overhead (off vs log+checkpoint) ---
   // The durable store turns every payload Put/Delete into a framed record
   // in an append-only log, group-committed once per dispatch tick / round
-  // boundary, and (in log+checkpoint mode) snapshots the aggregator at
-  // each round boundary. Two hard gates: the durable runs stay
-  // bit-identical to durability=off, and the slowest durable mode costs
-  // at most 1.25x the off run (plus a 50 ms noise floor for 1-core CI
-  // containers) — group commit is what keeps the hot path O(1) syscalls
-  // per tick.
+  // boundary, and snapshots the aggregator at each round boundary. Two
+  // hard gates: the durable run stays bit-identical to durability=off,
+  // and it costs at most 1.25x the off run (plus a 50 ms noise floor for
+  // 1-core CI containers) — group commit is what keeps the hot path O(1)
+  // syscalls per tick.
   bench::PrintHeader(
       "Measured: durability plane overhead (bit-identical results)");
   // Compute-dominated workload: CTR features are sparse, so training cost
@@ -291,34 +290,26 @@ int main() {
     return std::chrono::duration<double>(elapsed).count();
   };
 
-  core::FlRunResult durable_off, durable_log, durable_ckpt;
+  core::FlRunResult durable_off, durable_ckpt;
   const double t_off =
       timed_durable(persist::DurabilityMode::kOff, "off", &durable_off);
-  const double t_log =
-      timed_durable(persist::DurabilityMode::kLog, "log", &durable_log);
   const double t_ckpt = timed_durable(persist::DurabilityMode::kLogCheckpoint,
                                       "ckpt", &durable_ckpt);
   bench::OpTimings::Instance().Record(
       "fig8_durability_off", static_cast<std::uint64_t>(t_off * 1e9));
   bench::OpTimings::Instance().Record(
-      "fig8_durability_log", static_cast<std::uint64_t>(t_log * 1e9));
-  bench::OpTimings::Instance().Record(
       "fig8_durability_ckpt", static_cast<std::uint64_t>(t_ckpt * 1e9));
 
   const double ceiling = t_off * 1.25 + 0.05;  // noise floor for tiny runs
-  const bool durable_fast = t_log <= ceiling && t_ckpt <= ceiling;
-  const bool durable_identical = identical_runs(durable_log, durable_off) &&
-                                 identical_runs(durable_ckpt, durable_off);
+  const bool durable_fast = t_ckpt <= ceiling;
+  const bool durable_identical = identical_runs(durable_ckpt, durable_off);
   std::printf("%16s %10s %12s %12s\n", "durability", "wall s", "vs off",
               "identical");
   bench::PrintRule();
   std::printf("%16s %10.3f %12s %12s\n", "off", t_off, "1.00x", "-");
-  std::printf("%16s %10.3f %11.2fx %12s\n", "log", t_log,
-              t_off > 0 ? t_log / t_off : 0.0,
-              identical_runs(durable_log, durable_off) ? "yes" : "NO");
   std::printf("%16s %10.3f %11.2fx %12s\n", "log+checkpoint", t_ckpt,
               t_off > 0 ? t_ckpt / t_off : 0.0,
-              identical_runs(durable_ckpt, durable_off) ? "yes" : "NO");
+              durable_identical ? "yes" : "NO");
   bench::PrintRule();
   std::printf("Durable runs bit-identical to durability=off: %s\n",
               durable_identical ? "REPRODUCED" : "NOT reproduced");

@@ -14,6 +14,11 @@ using SimTime = std::int64_t;
 /// Duration in microseconds.
 using SimDuration = std::int64_t;
 
+/// The longest duration an input (a spec key, a usage-trace time) may set,
+/// in seconds (about 31,700 years): its microsecond count fits SimDuration
+/// with room to add it to a clock.
+constexpr double kMaxSeconds = 1e12;
+
 constexpr SimDuration Micros(std::int64_t us) { return us; }
 constexpr SimDuration Millis(double ms) {
   return static_cast<SimDuration>(ms * 1e3);

@@ -25,9 +25,6 @@ constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
 constexpr double kMaxReal = std::numeric_limits<double>::max();
 /// The smallest double above 0: a range starting here means "> 0".
 constexpr double kAboveZero = std::numeric_limits<double>::denorm_min();
-/// The longest duration a spec may set, in seconds (about 31,700 years):
-/// its microsecond count fits SimDuration with room to add it to a clock.
-constexpr double kMaxSeconds = 1e12;
 /// One tick of the microsecond clock: the shortest duration, in seconds,
 /// that does not round to zero.
 constexpr double kOneMicrosecond = 1e-6;
@@ -431,14 +428,16 @@ Result<core::FlExperimentConfig> LoadExecution(const IniDocument& doc) {
     const std::string name = Lower(*durability);
     if (name == "off") {
       config.durability.mode = persist::DurabilityMode::kOff;
-    } else if (name == "log") {
-      config.durability.mode = persist::DurabilityMode::kLog;
     } else if (name == "log+checkpoint") {
       config.durability.mode = persist::DurabilityMode::kLogCheckpoint;
+    } else if (name == "log") {
+      // A removed mode, refused by name like the removed keys above.
+      return InvalidArgument(
+          "[execution] durability = log was removed: nothing read a log "
+          "without checkpoints back; use 'log+checkpoint' or 'off'");
     } else {
       return InvalidArgument(
-          "[execution] durability must be 'off', 'log' or 'log+checkpoint', "
-          "got '" +
+          "[execution] durability must be 'off' or 'log+checkpoint', got '" +
           *durability + "'");
     }
   }

@@ -105,12 +105,12 @@ inline constexpr std::size_t kMaxParallelism = 1024;
 /// Reads the optional [execution] section into the FlExperimentConfig
 /// fields it names: parallelism = N (at most kMaxParallelism), shards = N,
 /// payload_codec = fp32|fp16|int8, reclaim_payload_blobs = 0|1,
-/// durability = off|log|log+checkpoint and durability_dir = path (into
-/// durability.mode and .dir; a durable mode needs a dir), round_quorum = N,
+/// durability = off|log+checkpoint and durability_dir = path (into
+/// durability.mode and .dir; log+checkpoint needs a dir), round_quorum = N,
 /// round_deadline_s = S, round_extension_s = S, max_round_extensions = N.
 /// Every other field, and every missing key, keeps its default; malformed
 /// or negative values are rejected, and so are the removed decode_plane /
-/// aggregate_plane keys.
+/// aggregate_plane keys and the removed durability = log mode.
 Result<core::FlExperimentConfig> LoadExecution(const IniDocument& doc);
 
 /// Reads the optional [behavior] section into a device::BehaviorConfig

@@ -198,7 +198,7 @@ void TaskRuntime::Begin() {
     }
     CloseEmptyRound(when);
   });
-  if (durable_ != nullptr && !resume_pending_) {
+  if (durable_ != nullptr && !resume_t0_) {
     // Fresh durable run: wipe any previous run's log/checkpoints, then
     // attach the journal so every Put/Delete from here on is logged.
     const Status fresh = durable_->BeginFresh();
@@ -207,12 +207,9 @@ void TaskRuntime::Begin() {
     storage_.set_journal(durable_.get());
   }
   service_->Start();
-  if (resume_pending_) {
-    resume_pending_ = false;
-    StartRoundFrom(resume_round_, resume_t0_);
-  } else {
-    StartRoundFrom(0, loop_.Now());
-  }
+  const SimTime t0 = resume_t0_.value_or(loop_.Now());
+  resume_t0_.reset();
+  StartRound(t0);
 }
 
 FlRunResult TaskRuntime::Finalize() {
@@ -331,12 +328,12 @@ TaskSlaReport TaskRuntime::Sla() const {
   return sla;
 }
 
-void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
+void TaskRuntime::StartRound(SimTime t0) {
   if (ShouldStop()) {
     Complete(t0);
     return;
   }
-  ++rounds_started_;
+  const std::size_t round = rounds_started_++;
   current_round_t0_ = t0;
   // Reclaim the previous round's payload blobs before emitting this
   // round's: bounds blob memory to one round's working set. Stragglers
@@ -520,7 +517,7 @@ void TaskRuntime::StartRoundFrom(std::size_t round, SimTime t0) {
   stall_event_ = loop_.ScheduleAt(
       round_end + config_.stall_timeout, [this, round] {
         stall_event_ = 0;
-        if (last_recorded_round_ > round) return;  // already closed
+        if (rounds_started_ > round + 1) return;  // a later round opened
         if (!service_->AggregateNow()) CloseEmptyRound(loop_.Now());
       });
 
@@ -554,9 +551,8 @@ void TaskRuntime::CloseEmptyRound(SimTime when) {
   metrics.test_accuracy = eval_test.accuracy;
   metrics.test_logloss = eval_test.logloss;
   result_.rounds.push_back(metrics);
-  last_recorded_round_ = rounds_started_;
   RecordRoundLatency(when);
-  StartRoundFrom(rounds_started_, std::max(loop_.Now(), when));
+  StartRound(std::max(loop_.Now(), when));
 }
 
 void TaskRuntime::RecordRound(const cloud::AggregationRecord& record,
@@ -580,7 +576,6 @@ void TaskRuntime::RecordRound(const cloud::AggregationRecord& record,
   metrics.train_accuracy = train.accuracy;
   metrics.train_logloss = train.logloss;
   result_.rounds.push_back(metrics);
-  last_recorded_round_ = rounds_started_;
   RecordRoundLatency(record.time);
   // Degradation accounting: a round that closed as a deadline commit (or
   // after extensions) books a row per event, keyed to the round's time, so
@@ -604,7 +599,7 @@ void TaskRuntime::RecordRound(const cloud::AggregationRecord& record,
   if (!ShouldStop()) {
     // Anchor at the aggregation's wire time, which is ahead of Now() when
     // the round closed inside a delivery tick.
-    StartRoundFrom(rounds_started_, std::max(loop_.Now(), record.time));
+    StartRound(std::max(loop_.Now(), record.time));
   } else {
     Complete(record.time);
   }
@@ -619,19 +614,17 @@ void TaskRuntime::PersistRoundBoundary(const cloud::AggregationRecord& record) {
     SIMDC_LOG(kWarn, "TaskRuntime")
         << "durable log commit failed: " << committed.ToString();
   }
-  if (config_.durability.mode != persist::DurabilityMode::kLogCheckpoint) {
-    return;
-  }
   persist::CheckpointState state;
   state.time = record.time;
-  // The same anchor RecordRound passes to StartRoundFrom: a resumed engine
+  // The same anchor RecordRound passes to StartRound: a resumed engine
   // re-enters the next round at exactly the t0 the uninterrupted run used.
   state.resume_t0 = std::max(loop_.Now(), record.time);
+  // The v3 image keeps two mirrors of the one round cursor.
   state.next_round = rounds_started_;
   state.next_message_id = next_message_id_;
   state.next_blob_id = storage_.next_id();
   state.rounds_started = rounds_started_;
-  state.last_recorded_round = last_recorded_round_;
+  state.last_recorded_round = rounds_started_;
   state.messages_emitted = result_.messages_emitted;
   state.storage_bytes_written = storage_.bytes_written();
   state.storage_bytes_read = storage_.bytes_read();
@@ -657,20 +650,14 @@ void TaskRuntime::PersistRoundBoundary(const cloud::AggregationRecord& record) {
 }
 
 Status TaskRuntime::RestoreFromRecovery() {
-  SIMDC_CHECK(durable_ != nullptr &&
-                  config_.durability.mode ==
-                      persist::DurabilityMode::kLogCheckpoint,
+  SIMDC_CHECK(durable_ != nullptr,
               "TaskRuntime::RestoreFromRecovery requires durability = "
               "log+checkpoint");
   SIMDC_CHECK(rounds_started_ == 0 && result_.rounds.empty(),
               "TaskRuntime::RestoreFromRecovery: engine already ran");
   auto recovered = durable_->BeginResume(storage_);
   if (!recovered.ok()) return recovered.error();
-  if (!recovered->has_checkpoint) {
-    return NotFound("no checkpoint in '" + config_.durability.dir +
-                    "'; run fresh instead");
-  }
-  const persist::CheckpointState& cp = recovered->checkpoint;
+  const persist::CheckpointState& cp = *recovered;
   if (cp.aggregation.model_dim != dataset_.hash_dim) {
     return FailedPrecondition(
         "checkpoint in '" + config_.durability.dir + "' holds a dim-" +
@@ -681,7 +668,6 @@ Status TaskRuntime::RestoreFromRecovery() {
 
   next_message_id_ = cp.next_message_id;
   rounds_started_ = static_cast<std::size_t>(cp.rounds_started);
-  last_recorded_round_ = static_cast<std::size_t>(cp.last_recorded_round);
   result_.messages_emitted = static_cast<std::size_t>(cp.messages_emitted);
   result_.rounds = cp.rounds;
   round_blob_ids_ = cp.pending_delete_blobs;
@@ -697,9 +683,7 @@ Status TaskRuntime::RestoreFromRecovery() {
   for (FleetShard& shard : shards_) {
     shard.loop->FastForwardTo(cp.resume_t0);
   }
-  resume_round_ = static_cast<std::size_t>(cp.next_round);
   resume_t0_ = cp.resume_t0;
-  resume_pending_ = true;
   // Journal attaches only now: the log replay above must not re-log.
   storage_.set_journal(durable_.get());
   return Status::Ok();

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cloud/aggregation.h"
@@ -140,8 +141,8 @@ struct FlExperimentConfig {
   /// If an aggregation round stalls (e.g. heavy dropout under a sample
   /// threshold), force-aggregate after this much extra waiting.
   SimDuration stall_timeout = Minutes(5.0);
-  /// Cap on test/train examples scored per evaluation (speed knob).
-  std::size_t eval_cap = 20000;
+  /// Cap on test/train examples scored per evaluation.
+  static constexpr std::size_t eval_cap = 20000;
   /// Worker threads for per-client local training within a round:
   ///   0  — inherit whatever pool the caller passed (Platform's worker
   ///        pool; sequential when constructed without one);
@@ -170,25 +171,23 @@ struct FlExperimentConfig {
   /// which stays deterministic at a fixed width but is not
   /// width-invariant. Round start restarts a RealtimeAccumulated threshold
   /// cycle as a shard-loop event at max(t0, shard clock), width 1
-  /// included; engines that ran width 1 on the cloud loop restarted it at
-  /// t0, so a multi-threshold cycle under a sample-threshold trigger now
-  /// closes later rounds at other times than there. Shard loops advance
-  /// on the training pool when one is available, so the flow plane
-  /// parallelizes across fleets; the merge stays single-threaded and
-  /// fixed-order (the parameter-server reduction discipline).
+  /// included. Shard loops advance on the training pool when one is
+  /// available, so the flow plane parallelizes across fleets; the merge
+  /// stays single-threaded and fixed-order (the parameter-server reduction
+  /// discipline).
   /// Exact-microsecond cross-plane collisions resolve cloud-plane-first,
   /// then shard order (see sim::LockstepGroup).
   std::size_t shards = 1;
-  /// Durability plane (spec: [execution] durability = off | log |
+  /// Durability plane (spec: [execution] durability = off |
   /// log+checkpoint, durability_dir = path). kOff (default) keeps the
   /// in-memory store and is bit-identical to the historical engine — no
-  /// journal is attached, no I/O happens. kLog appends every BlobStore
-  /// mutation to an on-disk record log, group-committed once per round
-  /// boundary. kLogCheckpoint additionally writes an atomic aggregator
-  /// checkpoint at each round boundary; a crashed run restored with
-  /// RestoreFromRecovery() re-executes the interrupted round and finishes
-  /// with bit-identical FlRunResult, counters and dispatch stats
-  /// (persist::DurableStore documents the quiescent-boundary caveat).
+  /// journal is attached, no I/O happens. kLogCheckpoint appends every
+  /// BlobStore mutation to an on-disk record log, group-committed once per
+  /// round boundary, and writes an atomic aggregator checkpoint at each
+  /// round boundary; a crashed run restored with RestoreFromRecovery()
+  /// re-executes the interrupted round and finishes with bit-identical
+  /// FlRunResult, counters and dispatch stats (persist::DurableStore
+  /// documents the quiescent-boundary caveat).
   persist::DurabilityConfig durability;
   std::uint64_t seed = 1;
   TaskId task = TaskId(1);
@@ -264,16 +263,17 @@ class TaskRuntime {
 
   /// Prepares this (freshly constructed) runtime to resume a crashed
   /// log+checkpoint run from `config.durability.dir`: loads the latest
-  /// valid checkpoint, replays the blob log's valid prefix into the store
-  /// (truncating any torn tail), restores aggregator / metrics / dispatch
-  /// state, fast-forwards every event loop to the checkpoint time, and
-  /// arms Begin() to re-enter at the interrupted round. Must be called
-  /// before Begin() (FlEngine: before Run()) on a runtime that has not run
-  /// yet. Returns NotFound when no checkpoint exists (caller should run
-  /// fresh instead), DataLoss when the log no longer holds the prefix the
-  /// checkpoint pins (see persist::DurableStore::BeginResume), and
-  /// FailedPrecondition, before restoring anything, when the checkpoint's
-  /// model dimension is not the dataset's hash_dim.
+  /// valid checkpoint, replays the blob log up to the offset it pins into
+  /// the store (truncating the file there), restores aggregator / metrics
+  /// / dispatch state, fast-forwards every event loop to the checkpoint
+  /// time, and arms Begin() to re-enter at the interrupted round. Must be
+  /// called before Begin() (FlEngine: before Run()) on a runtime that has
+  /// not run yet. Returns NotFound, leaving the log as it is, when no
+  /// checkpoint exists (caller should run fresh instead), DataLoss when
+  /// the log no longer holds the prefix the checkpoint pins (see
+  /// persist::DurableStore::BeginResume), and FailedPrecondition, before
+  /// restoring anything, when the checkpoint's model dimension is not the
+  /// dataset's hash_dim.
   Status RestoreFromRecovery();
 
   /// Optional metrics sink checkpointed alongside the aggregator (the
@@ -341,10 +341,11 @@ class TaskRuntime {
     std::unique_ptr<flow::Dispatcher> dispatcher;
   };
 
-  /// `t0` anchors the round's upload schedule. Threshold-triggered rounds
-  /// pass the aggregation record time: the triggering update's arrival,
-  /// which can sit ahead of loop time inside a delivery tick.
-  void StartRoundFrom(std::size_t round, SimTime t0);
+  /// Opens round `rounds_started_`. `t0` anchors the round's upload
+  /// schedule. Threshold-triggered rounds pass the aggregation record
+  /// time: the triggering update's arrival, which can sit ahead of loop
+  /// time inside a delivery tick.
+  void StartRound(SimTime t0);
   void RecordRound(const cloud::AggregationRecord& record,
                    const ml::LrModel& model);
   /// Closes the open round without an aggregation — the stall guard with
@@ -358,17 +359,17 @@ class TaskRuntime {
   /// Terminal transition: stops the aggregation service, stamps the
   /// completion time and fires on_complete_ exactly once.
   void Complete(SimTime when);
-  /// Commits the pending blob-log records (one append + fsync) and, on the
-  /// log+checkpoint plane, atomically publishes a checkpoint of the state
-  /// a resumed run needs to re-enter at round `rounds_started_`. I/O
-  /// failures are logged and the run continues (durability degrades; the
-  /// simulation result is unaffected).
+  /// Commits the pending blob-log records (one append + fsync) and
+  /// atomically publishes a checkpoint of the state a resumed run needs to
+  /// re-enter at round `rounds_started_`. I/O failures are logged and the
+  /// run continues (durability degrades; the simulation result is
+  /// unaffected).
   void PersistRoundBoundary(const cloud::AggregationRecord& record);
   /// dispatch_stats() without the batch logs: counters summed over every
   /// dispatcher plus the restored prefix, O(shards), no log copied.
   flow::DispatchStats DispatchCounters() const;
-  /// Books one closed round's latency (seconds since its StartRoundFrom
-  /// t0) for the SLA percentiles.
+  /// Books one closed round's latency (seconds since its StartRound t0)
+  /// for the SLA percentiles.
   void RecordRoundLatency(SimTime closed_at);
 
   sim::EventLoop& loop_;
@@ -404,8 +405,9 @@ class TaskRuntime {
   /// Payload blob ids created for the round in flight; tracked (and
   /// deleted at the next round start) only under reclaim_payload_blobs.
   std::vector<BlobId> round_blob_ids_;
+  /// The engine's one round cursor: rounds opened so far, which is also
+  /// the index of the next round to open.
   std::size_t rounds_started_ = 0;
-  std::size_t last_recorded_round_ = 0;
   /// High-water marks of the service's degradation counters already booked
   /// into the metrics DB (RecordRound books deltas per closing round).
   std::size_t booked_deadline_commits_ = 0;
@@ -426,10 +428,9 @@ class TaskRuntime {
   /// post-checkpoint tick stamps >= the checkpoint time, so prefix order is
   /// global order).
   flow::DispatchStats restored_stats_;
-  /// Set by RestoreFromRecovery; Begin() consumes it to re-enter mid-run.
-  bool resume_pending_ = false;
-  std::size_t resume_round_ = 0;
-  SimTime resume_t0_ = 0;
+  /// The checkpoint's next-round anchor, set by RestoreFromRecovery;
+  /// Begin() consumes it to re-enter mid-run.
+  std::optional<SimTime> resume_t0_;
   // --- SLA bookkeeping (observes the run; never feeds back into it).
   bool done_ = false;
   std::function<void(SimTime)> on_complete_;

@@ -47,10 +47,17 @@ Result<std::vector<UsageTraceEvent>> ParseUsageTrace(std::string_view text) {
     double time_s = 0.0;
     std::uint64_t device = 0;
     std::string state;
-    if (!(fields >> time_s >> device >> state) || time_s < 0.0) {
+    if (!(fields >> time_s >> device >> state)) {
       return ParseError(StrFormat(
           "usage trace line %zu: expected '<time_s> <device> <state>', got "
           "'%s'",
+          line_number, std::string(TrimWhitespace(line)).c_str()));
+    }
+    // Checked before Seconds() converts it: a time past the clock's range
+    // does not fit SimTime.
+    if (!(time_s >= 0.0 && time_s <= kMaxSeconds)) {
+      return ParseError(StrFormat(
+          "usage trace line %zu: time must lie in [0, 1e12] s, got '%s'",
           line_number, std::string(TrimWhitespace(line)).c_str()));
     }
     UsageTraceEvent event;

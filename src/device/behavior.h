@@ -72,7 +72,8 @@ struct UsageTraceEvent {
 /// line per edge, where state is `online`, `offline`, or a numeric ApkStage
 /// (stage 1 — no APK running — maps to offline, stages 2–5 to online; the
 /// stage timelines bench_fig5_usage_trace samples are directly replayable).
-/// `#` comments and blank lines are skipped; malformed lines are errors.
+/// `#` comments and blank lines are skipped; malformed lines, and times
+/// outside [0, kMaxSeconds], are ParseErrors naming the line.
 Result<std::vector<UsageTraceEvent>> ParseUsageTrace(std::string_view text);
 
 /// A join/leave edge in the synthetic churn schedule.

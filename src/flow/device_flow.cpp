@@ -137,9 +137,8 @@ void Dispatcher::OnRoundEnd(std::size_t round) {
       if (slot.count == 0) continue;
       const std::size_t count = slot.count;
       const double fail = interval->failure_probability;
-      const std::size_t discard = interval->random_discard_per_slot;
-      events.push_back({start + slot.offset, [this, count, fail, discard] {
-                          DispatchBatch(count, fail, discard);
+      events.push_back({start + slot.offset, [this, count, fail] {
+                          DispatchBatch(count, fail, 0);
                         }});
     }
     TrackStrategyEvents(loop_.ScheduleBulk(std::move(events)));

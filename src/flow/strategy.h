@@ -82,9 +82,8 @@ struct TimeIntervalDispatch {
   /// Interval start: offset from round end when relative, else absolute.
   SimTime start = 0;
   bool relative = true;
-  /// Dropout controls applied per discretized slot.
+  /// Dropout control applied per discretized slot.
   double failure_probability = 0.0;
-  std::size_t random_discard_per_slot = 0;
   /// Transmission capacity limit used when sizing slots.
   double capacity_per_second = kDefaultCapacityPerSecond;
 };

@@ -12,14 +12,14 @@ namespace {
 
 /// Epoch ordering shared by both kernels so their only differences are
 /// numerical (precision / traversal order), not statistical. Sizes the
-/// call's order vector to `n` and refills it in place: identical
-/// permutations to building a fresh identity each epoch, with one
-/// allocation per call.
+/// call's order vector to `n` and refills it in place with a shuffled
+/// identity: identical permutations to building a fresh identity each
+/// epoch, with one allocation per call.
 void FillEpochOrder(std::vector<std::size_t>& order, std::size_t n,
-                    bool shuffle, Rng& rng) {
+                    Rng& rng) {
   order.resize(n);
   std::iota(order.begin(), order.end(), 0);
-  if (shuffle) rng.Shuffle(order);
+  rng.Shuffle(order);
 }
 
 }  // namespace
@@ -42,7 +42,7 @@ void ServerLrOperator::Train(LrModel& model,
   const double learning_rate = config.learning_rate;
   std::vector<std::size_t> order;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    FillEpochOrder(order, examples.size(), config.shuffle, rng);
+    FillEpochOrder(order, examples.size(), rng);
     for (const std::size_t i : order) {
       const auto& example = examples[i];
       // Double-precision forward pass, canonical feature order.
@@ -83,7 +83,7 @@ void MobileLrOperator::Train(LrModel& model,
   const float learning_rate = static_cast<float>(config.learning_rate);
   std::vector<std::size_t> order;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    FillEpochOrder(order, examples.size(), config.shuffle, rng);
+    FillEpochOrder(order, examples.size(), rng);
     for (const std::size_t i : order) {
       const auto& example = examples[i];
       const auto& features = example.features;

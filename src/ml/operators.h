@@ -28,8 +28,8 @@ namespace simdc::ml {
 struct TrainConfig {
   double learning_rate = 1e-3;
   std::size_t epochs = 10;
-  /// Shuffle examples between epochs; seed keeps runs reproducible.
-  bool shuffle = true;
+  /// Seeds the shuffle of the examples before every epoch, which keeps
+  /// runs reproducible.
   std::uint64_t shuffle_seed = 0;
 };
 

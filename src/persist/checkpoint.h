@@ -48,8 +48,12 @@ struct CheckpointState {
   std::uint64_t log_offset = 0;
   /// Virtual time of the checkpoint (the recorded round's time).
   SimTime time = 0;
-  /// t0 anchor for StartRoundFrom(next_round, resume_t0) on resume.
+  /// t0 of the round a resumed engine opens first (round
+  /// `rounds_started`).
   SimTime resume_t0 = 0;
+  /// Mirror of `rounds_started` that the v3 layout keeps, as is
+  /// `last_recorded_round`: the engine writes all three from its one
+  /// round cursor and reads back only `rounds_started`.
   std::uint64_t next_round = 0;
   /// True when no messages were in flight at the boundary (emitted ==
   /// delivered + dropped). Bit-identical resume is only guaranteed from
@@ -64,7 +68,7 @@ struct CheckpointState {
   /// BlobStore cumulative traffic counters (contents come from the log).
   std::uint64_t storage_bytes_written = 0;
   std::uint64_t storage_bytes_read = 0;
-  /// Payload blob ids of the round preceding `next_round`, pending
+  /// Payload blob ids of the round preceding round `rounds_started`, pending
   /// deletion at its start (reclaim_payload_blobs bookkeeping).
   std::vector<BlobId> pending_delete_blobs;
   cloud::AggregationSnapshot aggregation;

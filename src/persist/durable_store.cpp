@@ -6,15 +6,6 @@
 
 namespace simdc::persist {
 
-const char* ToString(DurabilityMode mode) {
-  switch (mode) {
-    case DurabilityMode::kOff: return "off";
-    case DurabilityMode::kLog: return "log";
-    case DurabilityMode::kLogCheckpoint: return "log+checkpoint";
-  }
-  return "unknown";
-}
-
 DurableStore::DurableStore(DurabilityConfig config)
     : config_(std::move(config)),
       io_(config_.io != nullptr ? config_.io : &RealFileIo::Instance()),
@@ -47,14 +38,16 @@ Status DurableStore::BeginFresh() {
   return Status::Ok();
 }
 
-Result<RecoveredState> DurableStore::BeginResume(cloud::BlobStore& store) {
+Result<CheckpointState> DurableStore::BeginResume(cloud::BlobStore& store) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (Status made = io_->CreateDirs(config_.dir); !made.ok()) {
     return made.error();
   }
-  std::vector<CheckpointImage> images;
-  if (config_.mode == DurabilityMode::kLogCheckpoint) {
-    images = LoadCheckpoints(*io_, config_.dir);
+  std::vector<CheckpointImage> images = LoadCheckpoints(*io_, config_.dir);
+  // Nothing to resume from: the log is left as the crash left it.
+  if (images.empty()) {
+    return NotFound("no checkpoint in '" + config_.dir +
+                    "'; run fresh instead");
   }
   // One read of the log: its bytes are validated and replayed in memory.
   const std::string log = BlobLogPath(config_.dir);
@@ -66,40 +59,27 @@ Result<RecoveredState> DurableStore::BeginResume(cloud::BlobStore& store) {
   }
   const std::uint64_t valid =
       ReplayBlobLog(bytes, [](const BlobLogRecord&) {}).valid_bytes;
-  RecoveredState out;
-  out.truncated_tail = valid < bytes.size();
 
-  // The log prefix the store is rebuilt from, and the checkpoints newer
-  // than the one resumed from, whose pin the log no longer validates.
-  std::uint64_t keep = valid;
-  std::vector<std::string> unpinned;
-  if (!images.empty()) {
-    // Each image describes the store as of the log offset it pins.
-    // Resume from the first (bin, tmp, prev) whose pin the log still
-    // validates: an older image re-executes more rounds, a newer one
-    // references lost records.
-    const auto chosen = std::find_if(
-        images.begin(), images.end(), [&](const CheckpointImage& image) {
-          return image.state.log_offset <= valid;
-        });
-    // Refused before any cut, so nothing under a pin is deleted.
-    if (chosen == images.end()) {
-      return DataLoss("blob log validates " + std::to_string(valid) +
-                      " bytes, but its checkpoint pins " +
-                      std::to_string(images.front().state.log_offset));
-    }
-    for (auto it = images.begin(); it != chosen; ++it) {
-      unpinned.push_back(std::move(it->path));
-    }
-    out.checkpoint = std::move(chosen->state);
-    out.has_checkpoint = true;
-    // Log records past the checkpoint's offset belong to the partial
-    // round the engine will re-execute; replaying them would duplicate
-    // its blob ids.
-    keep = out.checkpoint.log_offset;
+  // Each image describes the store as of the log offset it pins. Resume
+  // from the first (bin, tmp, prev) whose pin the log still validates: an
+  // older image re-executes more rounds, a newer one references lost
+  // records.
+  const auto chosen = std::find_if(
+      images.begin(), images.end(), [&](const CheckpointImage& image) {
+        return image.state.log_offset <= valid;
+      });
+  // Refused before any cut, so nothing under a pin is deleted.
+  if (chosen == images.end()) {
+    return DataLoss("blob log validates " + std::to_string(valid) +
+                    " bytes, but its checkpoint pins " +
+                    std::to_string(images.front().state.log_offset));
   }
+  CheckpointState checkpoint = std::move(chosen->state);
+  // Log records past the checkpoint's offset belong to the partial round
+  // the engine will re-execute; replaying them would duplicate its blob
+  // ids.
+  const std::uint64_t keep = checkpoint.log_offset;
 
-  std::uint64_t put_bytes = 0;
   const BlobLogReplayResult replay = ReplayBlobLog(
       std::span<const std::byte>(bytes).first(keep),
       [&](const BlobLogRecord& record) {
@@ -107,7 +87,6 @@ Result<RecoveredState> DurableStore::BeginResume(cloud::BlobStore& store) {
           store.RestoreBlob(record.id, std::vector<std::byte>(
                                            record.bytes.begin(),
                                            record.bytes.end()));
-          put_bytes += record.bytes.size();
         } else {
           (void)store.Delete(record.id);
         }
@@ -119,7 +98,6 @@ Result<RecoveredState> DurableStore::BeginResume(cloud::BlobStore& store) {
                     ", inside the record that starts at " +
                     std::to_string(replay.valid_bytes));
   }
-  out.log_records = replay.records;
   // Drop everything past the kept prefix on disk — the torn tail, the
   // partial round, any bytes a short read missed — so future appends
   // extend it instead of burying garbage mid-file.
@@ -131,25 +109,19 @@ Result<RecoveredState> DurableStore::BeginResume(cloud::BlobStore& store) {
   }
   writer_.ResetDurableSize(keep);
 
-  if (out.has_checkpoint) {
-    store.SetNextId(out.checkpoint.next_blob_id);
-    store.RestoreTrafficCounters(
-        static_cast<std::size_t>(out.checkpoint.storage_bytes_written),
-        static_cast<std::size_t>(out.checkpoint.storage_bytes_read));
-    sequence_ = out.checkpoint.sequence;
-  } else {
-    // Log-only reload: written traffic is exactly the replayed put bytes
-    // (reads are not logged); the id cursor was advanced by RestoreBlob.
-    store.RestoreTrafficCounters(static_cast<std::size_t>(put_bytes), 0);
-  }
-  // Those newer checkpoints pin records the cut above removed; a later
-  // crash must not load one ahead of the checkpoint resumed from.
-  for (const std::string& path : unpinned) {
-    if (Status removed = io_->Remove(path); !removed.ok()) {
+  store.SetNextId(checkpoint.next_blob_id);
+  store.RestoreTrafficCounters(
+      static_cast<std::size_t>(checkpoint.storage_bytes_written),
+      static_cast<std::size_t>(checkpoint.storage_bytes_read));
+  sequence_ = checkpoint.sequence;
+  // The checkpoints newer than the one resumed from pin records the cut
+  // above removed; a later crash must not load one ahead of it.
+  for (auto it = images.begin(); it != chosen; ++it) {
+    if (Status removed = io_->Remove(it->path); !removed.ok()) {
       return removed.error();
     }
   }
-  return out;
+  return checkpoint;
 }
 
 Status DurableStore::CommitLog() {
@@ -159,9 +131,6 @@ Status DurableStore::CommitLog() {
 
 Status DurableStore::WriteCheckpoint(CheckpointState state) {
   std::lock_guard<std::mutex> lock(mutex_);
-  SIMDC_CHECK(config_.mode == DurabilityMode::kLogCheckpoint,
-              "DurableStore::WriteCheckpoint: mode is "
-                  << ToString(config_.mode));
   if (writer_.HasPending()) {
     // A failed CommitLog left records buffered; a checkpoint now would pin
     // an offset that does not cover the state it describes. Degrade (the

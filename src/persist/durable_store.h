@@ -17,10 +17,8 @@
 // Modes ([execution] durability):
 //   off             — today's in-memory store, nothing written, bit-
 //                     identical to the pre-durability engine.
-//   log             — blob mutations are logged + group-committed; the
-//                     store's contents survive a crash, aggregator state
-//                     does not (no engine resume).
-//   log+checkpoint  — logging plus round-boundary checkpoints; a crashed
+//   log+checkpoint  — blob mutations are logged + group-committed, and
+//                     round-boundary checkpoints pin the log; a crashed
 //                     experiment resumes bit-identically.
 #pragma once
 
@@ -36,13 +34,7 @@
 
 namespace simdc::persist {
 
-enum class DurabilityMode : std::uint8_t {
-  kOff = 0,
-  kLog = 1,
-  kLogCheckpoint = 2,
-};
-
-const char* ToString(DurabilityMode mode);
+enum class DurabilityMode : std::uint8_t { kOff, kLogCheckpoint };
 
 struct DurabilityConfig {
   DurabilityMode mode = DurabilityMode::kOff;
@@ -51,18 +43,6 @@ struct DurabilityConfig {
   /// File I/O implementation; null = RealFileIo::Instance(). Tests inject
   /// a FaultInjector here to crash the engine at chosen I/O points.
   FileIo* io = nullptr;
-};
-
-/// What BeginResume reconstructed.
-struct RecoveredState {
-  /// Valid only when has_checkpoint (default-initialized otherwise).
-  CheckpointState checkpoint;
-  bool has_checkpoint = false;
-  /// Records of the validated log prefix replayed into the store.
-  std::uint64_t log_records = 0;
-  /// True when the log's valid prefix is shorter than the bytes read: a
-  /// torn/corrupt suffix was dropped.
-  bool truncated_tail = false;
 };
 
 class DurableStore final : public cloud::BlobJournal {
@@ -80,20 +60,21 @@ class DurableStore final : public cloud::BlobJournal {
   Status BeginFresh();
 
   /// Resume initialization: reads the checkpoints (bin, then tmp, then
-  /// prev; log+checkpoint mode only) and then the log, each once, and
-  /// validates the log in memory. Resumes from the first valid checkpoint
-  /// whose pinned offset lies inside the valid prefix: replays the log up
-  /// to that offset into `store` (RestoreBlob / Delete) — records past it
-  /// belong to the partial round the engine re-executes — and truncates
-  /// the file there. Without a checkpoint it replays and keeps the whole
-  /// valid prefix, dropping any torn tail. Newer checkpoints whose pin the
-  /// log no longer covers are removed before returning OK. Returns
-  /// DataLoss, cutting nothing, when no checkpoint's pin lies inside the
-  /// valid prefix (the error names the newest one's pin) or the chosen pin
-  /// falls inside a record; `store` must then be discarded. Restores the
-  /// store's id cursor and traffic counters. Call BEFORE attaching the
-  /// journal so replayed mutations are not re-logged.
-  Result<RecoveredState> BeginResume(cloud::BlobStore& store);
+  /// prev) and then the log, each once, and validates the log in memory.
+  /// Returns NotFound when no checkpoint image validates, before the log
+  /// is read, replayed or cut (the caller runs fresh instead). Resumes
+  /// from the first valid checkpoint whose pinned offset lies inside the
+  /// valid prefix, and returns it: replays the log up to that offset into
+  /// `store` (RestoreBlob / Delete) — records past it belong to the
+  /// partial round the engine re-executes — and truncates the file there.
+  /// Newer checkpoints whose pin the log no longer covers are removed
+  /// before returning OK. Returns DataLoss, cutting nothing, when no
+  /// checkpoint's pin lies inside the valid prefix (the error names the
+  /// newest one's pin) or the chosen pin falls inside a record; `store`
+  /// must then be discarded. Restores the store's id cursor and traffic
+  /// counters. Call BEFORE attaching the journal so replayed mutations are
+  /// not re-logged.
+  Result<CheckpointState> BeginResume(cloud::BlobStore& store);
 
   /// Group commit: flushes buffered mutations as one Append + Sync.
   Status CommitLog();

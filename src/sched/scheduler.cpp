@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "sched/allocation.h"
@@ -10,9 +11,16 @@ namespace simdc::sched {
 
 namespace {
 
+/// a + b, pinned at the largest size_t instead of wrapping: a sum that
+/// large never fits, and a wrapped one could.
+std::size_t SaturatingAdd(std::size_t a, std::size_t b) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  return b > kMax - a ? kMax : a + b;
+}
+
 std::size_t TotalPhones(const ResourceRequest& request) {
   return std::accumulate(request.phones.begin(), request.phones.end(),
-                         std::size_t{0});
+                         std::size_t{0}, SaturatingAdd);
 }
 
 /// True when no future pass can satisfy the request against `totals`
@@ -40,9 +48,12 @@ bool NeverFits(const ResourceRequest& request, const ResourceSnapshot& totals,
 ResourceRequest RequestFor(const TaskSpec& task) {
   ResourceRequest request;
   for (const auto& requirement : task.requirements) {
-    request.logical_bundles += requirement.logical_bundles;
-    request.phones[device::GradeIndex(requirement.grade)] +=
-        requirement.phones + requirement.benchmarking_phones;
+    request.logical_bundles =
+        SaturatingAdd(request.logical_bundles, requirement.logical_bundles);
+    std::size_t& phones = request.phones[device::GradeIndex(requirement.grade)];
+    phones = SaturatingAdd(
+        phones,
+        SaturatingAdd(requirement.phones, requirement.benchmarking_phones));
   }
   return request;
 }

@@ -256,7 +256,8 @@ TEST(BlobLogTest, RoundTripsPutsAndDeletes) {
 }
 
 TEST(BlobLogTest, MissingFileReplaysEmpty) {
-  // Recovery reads a missing log as no bytes, which replay as empty.
+  // An empty log replays as empty. A directory with neither a log nor a
+  // checkpoint has nothing to resume from: NotFound, store untouched.
   const std::string dir = FreshDir("");
   ASSERT_FALSE(RealFileIo::Instance().Exists(persist::BlobLogPath(dir)));
   const auto replay =
@@ -266,13 +267,17 @@ TEST(BlobLogTest, MissingFileReplaysEmpty) {
 
   cloud::BlobStore store;
   persist::DurabilityConfig config;
-  config.mode = DurabilityMode::kLog;
+  config.mode = DurabilityMode::kLogCheckpoint;
   config.dir = dir;
   auto recovered = persist::DurableStore(config).BeginResume(store);
-  ASSERT_TRUE(recovered.ok()) << recovered.error().ToString();
-  EXPECT_EQ(recovered->log_records, 0u);
-  EXPECT_FALSE(recovered->truncated_tail);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.error().code(), ErrorCode::kNotFound)
+      << recovered.error().ToString();
   EXPECT_EQ(store.blob_count(), 0u);
+  EXPECT_EQ(store.next_id(), cloud::BlobStore().next_id());
+  EXPECT_EQ(store.bytes_written(), 0u);
+  EXPECT_EQ(store.bytes_read(), 0u);
+  EXPECT_FALSE(RealFileIo::Instance().Exists(persist::BlobLogPath(dir)));
 }
 
 TEST(BlobLogTest, TruncationAtEveryByteYieldsValidPrefix) {
@@ -661,10 +666,10 @@ TEST(FaultInjectorTest, TornLengthsAreSeedDeterministic) {
 // ---------------------------------------------------------------------------
 // Engine-level crash recovery.
 
-FlExperimentConfig DurableConfig(DurabilityMode mode, const std::string& dir,
+FlExperimentConfig DurableConfig(const std::string& dir,
                                  persist::FileIo* io = nullptr) {
   FlExperimentConfig config = BaseConfig();
-  config.durability.mode = mode;
+  config.durability.mode = DurabilityMode::kLogCheckpoint;
   config.durability.dir = dir;
   config.durability.io = io;
   return config;
@@ -675,49 +680,74 @@ TEST(DurableRecoveryTest, DurabilityModesAreBitIdenticalToOff) {
   const RunOutcome off = RunToCompletion(dataset, BaseConfig());
   ASSERT_EQ(off.result.rounds.size(), 3u);
 
-  const std::string log_dir = FreshDir("log");
-  const RunOutcome log = RunToCompletion(
-      dataset, DurableConfig(DurabilityMode::kLog, log_dir));
-  ExpectOutcomeIdentical(off, log, "log");
-  EXPECT_TRUE(
-      RealFileIo::Instance().Exists(persist::BlobLogPath(log_dir)));
-
-  const std::string ckpt_dir = FreshDir("ckpt");
-  const RunOutcome ckpt = RunToCompletion(
-      dataset, DurableConfig(DurabilityMode::kLogCheckpoint, ckpt_dir));
+  const std::string dir = FreshDir("ckpt");
+  const RunOutcome ckpt = RunToCompletion(dataset, DurableConfig(dir));
   ExpectOutcomeIdentical(off, ckpt, "log+checkpoint");
-  EXPECT_TRUE(
-      RealFileIo::Instance().Exists(persist::CheckpointPath(ckpt_dir)));
+  EXPECT_TRUE(RealFileIo::Instance().Exists(persist::BlobLogPath(dir)));
+  EXPECT_TRUE(RealFileIo::Instance().Exists(persist::CheckpointPath(dir)));
 }
 
-TEST(DurableRecoveryTest, LogAloneRebuildsTheStoreContents) {
+TEST(DurableRecoveryTest, CheckpointRoundMirrorsEqualRoundsStarted) {
+  // The engine keeps one round cursor; the v3 image still carries it
+  // three times (next_round, rounds_started, last_recorded_round), and
+  // every image a run writes holds the same value in all three.
   const auto dataset = SmallDataset();
   const std::string dir = FreshDir("");
-  std::size_t live_blobs = 0;
-  std::size_t bytes_written = 0;
-  std::uint64_t next_id = 0;
-  {
-    sim::EventLoop loop;
-    FlEngine engine(loop, dataset,
-                    DurableConfig(DurabilityMode::kLog, dir));
-    (void)engine.Run();
-    live_blobs = engine.storage().blob_count();
-    bytes_written = engine.storage().bytes_written();
-    next_id = engine.storage().next_id();
+  ASSERT_EQ(RunToCompletion(dataset, DurableConfig(dir)).result.rounds.size(),
+            3u);
+  RealFileIo& io = RealFileIo::Instance();
+  // bin holds the last round's boundary, prev the one before it.
+  const std::vector<std::pair<std::string, std::uint64_t>> images = {
+      {persist::CheckpointPath(dir), 3}, {persist::CheckpointPrevPath(dir), 2}};
+  for (const auto& [path, rounds] : images) {
+    SCOPED_TRACE(path);
+    auto bytes = io.ReadFile(path);
+    ASSERT_TRUE(bytes.ok()) << bytes.error().ToString();
+    auto image = persist::DeserializeCheckpoint(*bytes);
+    ASSERT_TRUE(image.ok()) << image.error().ToString();
+    EXPECT_EQ(image->rounds_started, rounds);
+    EXPECT_EQ(image->next_round, image->rounds_started);
+    EXPECT_EQ(image->last_recorded_round, image->rounds_started);
   }
-  cloud::BlobStore rebuilt;
-  persist::DurabilityConfig config;
-  config.mode = DurabilityMode::kLog;
-  config.dir = dir;
-  persist::DurableStore store(config);
-  auto recovered = store.BeginResume(rebuilt);
-  ASSERT_TRUE(recovered.ok()) << recovered.error().ToString();
-  EXPECT_FALSE(recovered->has_checkpoint);
-  EXPECT_FALSE(recovered->truncated_tail);
-  EXPECT_GT(recovered->log_records, 0u);
-  EXPECT_EQ(rebuilt.blob_count(), live_blobs);
-  EXPECT_EQ(rebuilt.bytes_written(), bytes_written);
-  EXPECT_EQ(rebuilt.next_id(), next_id);
+}
+
+TEST(DurableRecoveryTest, CrashBeforeFirstCheckpointLeavesTheLogUncut) {
+  // The run dies on its first log append, a torn write that leaves part
+  // of the round's records in the file, before any checkpoint exists.
+  // Recovery has nothing to resume from: it returns NotFound (the caller
+  // runs fresh) and neither replays nor cuts the log.
+  const auto dataset = SmallDataset();
+  const std::string dir = FreshDir("");
+  FaultPlan plan;
+  plan.crash_on_append = 1;
+  plan.torn_keep_bytes = 5000;  // past the first record, inside the batch
+  FaultInjector faulty(plan);
+  ASSERT_TRUE(CrashRun(dataset, DurableConfig(dir, &faulty)));
+
+  RealFileIo& io = RealFileIo::Instance();
+  ASSERT_EQ(persist::LoadLatestCheckpoint(io, dir).error().code(),
+            ErrorCode::kNotFound);
+  const std::string log = persist::BlobLogPath(dir);
+  auto crashed = io.ReadFile(log);
+  ASSERT_TRUE(crashed.ok());
+  ASSERT_EQ(crashed->size(), plan.torn_keep_bytes);
+  std::uint64_t records = 0;
+  const auto replay = persist::ReplayBlobLog(
+      *crashed, [&](const BlobLogRecord&) { ++records; });
+  ASSERT_GT(records, 0u);
+  ASSERT_TRUE(replay.truncated_tail);  // the append was torn short
+
+  sim::EventLoop loop;
+  FlEngine engine(loop, dataset, DurableConfig(dir));
+  const Status restored = engine.RestoreFromRecovery();
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.error().code(), ErrorCode::kNotFound)
+      << restored.ToString();
+  auto after = io.ReadFile(log);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->size(), crashed->size());
+  EXPECT_TRUE(*after == *crashed);
+  EXPECT_EQ(engine.storage().blob_count(), 0u);
 }
 
 /// Counts the clean run's I/O operations so crash sweeps can target every
@@ -732,7 +762,7 @@ IoProfile ProfileCleanRun(const data::FederatedDataset& dataset,
                           const std::string& dir) {
   FaultInjector counting({});
   const RunOutcome outcome = RunToCompletion(
-      dataset, DurableConfig(DurabilityMode::kLogCheckpoint, dir, &counting));
+      dataset, DurableConfig(dir, &counting));
   EXPECT_EQ(outcome.result.rounds.size(), 3u);
   return {counting.appends(), counting.write_files(), counting.renames()};
 }
@@ -771,8 +801,7 @@ TEST(DurableRecoveryTest, EveryInjectedCrashPointRecoversBitIdentical) {
     SCOPED_TRACE(label);
     const std::string dir = FreshDir(label);
     FaultInjector faulty(plan);
-    ASSERT_TRUE(CrashRun(
-        dataset, DurableConfig(DurabilityMode::kLogCheckpoint, dir, &faulty)))
+    ASSERT_TRUE(CrashRun(dataset, DurableConfig(dir, &faulty)))
         << "plan never fired";
     // Any checkpoint that survived the crash must describe a quiescent
     // boundary — the precondition for bit-identical resume.
@@ -781,8 +810,7 @@ TEST(DurableRecoveryTest, EveryInjectedCrashPointRecoversBitIdentical) {
     if (checkpoint.ok()) {
       EXPECT_TRUE(checkpoint->quiescent);
     }
-    const RunOutcome recovered = RecoverOrRerun(
-        dataset, DurableConfig(DurabilityMode::kLogCheckpoint, dir));
+    const RunOutcome recovered = RecoverOrRerun(dataset, DurableConfig(dir));
     ExpectOutcomeIdentical(reference, recovered, label);
   }
 }
@@ -796,7 +824,7 @@ TEST(DurableRecoveryTest, FsyncFailureDegradesWithoutChangingResults) {
     plan.fail_sync_on = n;
     FaultInjector faulty(plan);
     const RunOutcome durable = RunToCompletion(
-        dataset, DurableConfig(DurabilityMode::kLogCheckpoint, dir, &faulty));
+        dataset, DurableConfig(dir, &faulty));
     ExpectOutcomeIdentical(reference, durable,
                            "fail_sync_on=" + std::to_string(n));
   }
@@ -811,8 +839,7 @@ TEST(DurableRecoveryTest, ShortReadFallsBackToOlderCheckpoint) {
   FaultPlan crash;
   crash.crash_on_append = profile.appends;  // last commit of the run
   FaultInjector faulty(crash);
-  ASSERT_TRUE(CrashRun(
-      dataset, DurableConfig(DurabilityMode::kLogCheckpoint, dir, &faulty)));
+  ASSERT_TRUE(CrashRun(dataset, DurableConfig(dir, &faulty)));
 
   // Recovery's first read (checkpoint.bin) comes back short: the image
   // fails its CRC and recovery falls back to checkpoint.prev — an older
@@ -822,8 +849,7 @@ TEST(DurableRecoveryTest, ShortReadFallsBackToOlderCheckpoint) {
   short_read.short_read_on = 1;
   FaultInjector flaky(short_read);
   sim::EventLoop loop;
-  FlEngine engine(loop, dataset,
-                  DurableConfig(DurabilityMode::kLogCheckpoint, dir, &flaky));
+  FlEngine engine(loop, dataset, DurableConfig(dir, &flaky));
   ASSERT_TRUE(engine.RestoreFromRecovery().ok());
   const RunOutcome recovered = CollectOutcome(engine, engine.Run());
   ExpectOutcomeIdentical(reference, recovered, "short-read fallback");
@@ -840,8 +866,7 @@ TEST(DurableRecoveryTest, RecoveryReadsEachFileOnce) {
   FaultPlan crash;
   crash.crash_on_append = profile.appends;  // last commit of the run
   FaultInjector faulty(crash);
-  ASSERT_TRUE(CrashRun(
-      dataset, DurableConfig(DurabilityMode::kLogCheckpoint, dir, &faulty)));
+  ASSERT_TRUE(CrashRun(dataset, DurableConfig(dir, &faulty)));
 
   RealFileIo& io = RealFileIo::Instance();
   std::uint64_t files = 0;
@@ -854,8 +879,7 @@ TEST(DurableRecoveryTest, RecoveryReadsEachFileOnce) {
 
   FaultInjector counting({});
   sim::EventLoop loop;
-  FlEngine engine(loop, dataset, DurableConfig(DurabilityMode::kLogCheckpoint,
-                                               dir, &counting));
+  FlEngine engine(loop, dataset, DurableConfig(dir, &counting));
   ASSERT_TRUE(engine.RestoreFromRecovery().ok());
   EXPECT_EQ(counting.reads(), files);
   const RunOutcome recovered = CollectOutcome(engine, engine.Run());
@@ -883,8 +907,7 @@ TEST(DurableRecoveryTest, CorruptPinnedLogPrefixIsRefused) {
     FaultPlan crash;
     crash.crash_on_append = profile.appends;  // last commit of the run
     FaultInjector faulty(crash);
-    ASSERT_TRUE(CrashRun(
-        dataset, DurableConfig(DurabilityMode::kLogCheckpoint, dir, &faulty)));
+    ASSERT_TRUE(CrashRun(dataset, DurableConfig(dir, &faulty)));
     auto latest = persist::LoadLatestCheckpoint(io, dir);
     ASSERT_TRUE(latest.ok());
     const std::uint64_t pin = latest->log_offset;
@@ -907,8 +930,7 @@ TEST(DurableRecoveryTest, CorruptPinnedLogPrefixIsRefused) {
     }
 
     sim::EventLoop loop;
-    FlEngine engine(loop, dataset,
-                    DurableConfig(DurabilityMode::kLogCheckpoint, dir));
+    FlEngine engine(loop, dataset, DurableConfig(dir));
     const Status restored = engine.RestoreFromRecovery();
     ASSERT_FALSE(restored.ok());
     EXPECT_EQ(restored.error().code(), ErrorCode::kDataLoss)
@@ -936,8 +958,7 @@ TEST(DurableRecoveryTest, FallsBackToOlderCheckpointWhosePinValidates) {
   FaultPlan crash;
   crash.crash_on_append = profile.appends;  // last commit of the run
   FaultInjector faulty(crash);
-  ASSERT_TRUE(CrashRun(
-      dataset, DurableConfig(DurabilityMode::kLogCheckpoint, dir, &faulty)));
+  ASSERT_TRUE(CrashRun(dataset, DurableConfig(dir, &faulty)));
 
   RealFileIo& io = RealFileIo::Instance();
   auto bin = persist::LoadLatestCheckpoint(io, dir);
@@ -960,8 +981,7 @@ TEST(DurableRecoveryTest, FallsBackToOlderCheckpointWhosePinValidates) {
   ASSERT_TRUE(io.TruncateTo(log, cut).ok());
 
   sim::EventLoop loop;
-  FlEngine engine(loop, dataset,
-                  DurableConfig(DurabilityMode::kLogCheckpoint, dir));
+  FlEngine engine(loop, dataset, DurableConfig(dir));
   const Status restored = engine.RestoreFromRecovery();
   ASSERT_TRUE(restored.ok()) << restored.ToString();
   auto latest = persist::LoadLatestCheckpoint(io, dir);
@@ -986,8 +1006,7 @@ TEST(DurableRecoveryTest, CheckpointPinInsideARecordIsRefused) {
   FaultPlan crash;
   crash.crash_on_append = profile.appends;  // last commit of the run
   FaultInjector faulty(crash);
-  ASSERT_TRUE(CrashRun(
-      dataset, DurableConfig(DurabilityMode::kLogCheckpoint, dir, &faulty)));
+  ASSERT_TRUE(CrashRun(dataset, DurableConfig(dir, &faulty)));
 
   RealFileIo& io = RealFileIo::Instance();
   auto bin = persist::LoadLatestCheckpoint(io, dir);
@@ -1003,8 +1022,7 @@ TEST(DurableRecoveryTest, CheckpointPinInsideARecordIsRefused) {
   ASSERT_GT(*before, bin->log_offset);
 
   sim::EventLoop loop;
-  FlEngine engine(loop, dataset,
-                  DurableConfig(DurabilityMode::kLogCheckpoint, dir));
+  FlEngine engine(loop, dataset, DurableConfig(dir));
   const Status restored = engine.RestoreFromRecovery();
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.error().code(), ErrorCode::kDataLoss)
@@ -1028,8 +1046,7 @@ TEST(DurableRecoveryTest, ForgedCheckpointFallsBackToPrev) {
     FaultPlan crash;
     crash.crash_on_append = profile.appends;  // last commit of the run
     FaultInjector faulty(crash);
-    ASSERT_TRUE(CrashRun(dataset, DurableConfig(DurabilityMode::kLogCheckpoint,
-                                                dir, &faulty)));
+    ASSERT_TRUE(CrashRun(dataset, DurableConfig(dir, &faulty)));
     auto prev_image = io.ReadFile(persist::CheckpointPrevPath(dir));
     ASSERT_TRUE(prev_image.ok()) << shape;
     auto prev = persist::DeserializeCheckpoint(*prev_image);
@@ -1046,8 +1063,7 @@ TEST(DurableRecoveryTest, ForgedCheckpointFallsBackToPrev) {
     ASSERT_EQ(latest->sequence, prev->sequence) << shape;
 
     sim::EventLoop loop;
-    FlEngine engine(loop, dataset,
-                    DurableConfig(DurabilityMode::kLogCheckpoint, dir));
+    FlEngine engine(loop, dataset, DurableConfig(dir));
     const Status restored = engine.RestoreFromRecovery();
     ASSERT_TRUE(restored.ok()) << shape << ": " << restored.ToString();
     auto size = io.FileSize(persist::BlobLogPath(dir));
@@ -1063,14 +1079,11 @@ TEST(DurableRecoveryTest, CheckpointOfAnotherModelDimIsRefused) {
   // hashes to 2^11: a typed refusal, not a throw, and nothing restored.
   const auto dataset = SmallDataset();
   const std::string dir = FreshDir("");
-  ASSERT_EQ(RunToCompletion(dataset,
-                            DurableConfig(DurabilityMode::kLogCheckpoint, dir))
-                .result.rounds.size(),
+  ASSERT_EQ(RunToCompletion(dataset, DurableConfig(dir)).result.rounds.size(),
             3u);
   const auto wide_dataset = SmallDataset(1u << 11);
   sim::EventLoop loop;
-  FlEngine engine(loop, wide_dataset,
-                  DurableConfig(DurabilityMode::kLogCheckpoint, dir));
+  FlEngine engine(loop, wide_dataset, DurableConfig(dir));
   const Status restored = engine.RestoreFromRecovery();
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.error().code(), ErrorCode::kFailedPrecondition);
@@ -1086,8 +1099,7 @@ TEST(DurableRecoveryTest, EngineLogTornAtEveryByteOfFinalRecordRecovers) {
   const std::string dir = FreshDir("");
   RealFileIo& io = RealFileIo::Instance();
   {
-    const RunOutcome outcome = RunToCompletion(
-        dataset, DurableConfig(DurabilityMode::kLog, dir));
+    const RunOutcome outcome = RunToCompletion(dataset, DurableConfig(dir));
     ASSERT_EQ(outcome.result.rounds.size(), 3u);
   }
   const std::string path = persist::BlobLogPath(dir);
@@ -1256,8 +1268,7 @@ TEST(DurableRecoveryTest, SlaCountersMatchDispatchStats) {
   FaultPlan plan;
   plan.crash_on_append = 4;
   FaultInjector faulty(plan);
-  FlExperimentConfig durable =
-      DurableConfig(DurabilityMode::kLogCheckpoint, dir, &faulty);
+  FlExperimentConfig durable = DurableConfig(dir, &faulty);
   durable.strategy = config.strategy;
   durable.link = config.link;
   ASSERT_TRUE(CrashRun(dataset, durable));

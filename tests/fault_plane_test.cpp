@@ -225,6 +225,15 @@ TEST(UsageTraceTest, RejectsMalformedLines) {
   EXPECT_FALSE(device::ParseUsageTrace("10 7 9").ok());  // stage out of range
   EXPECT_FALSE(device::ParseUsageTrace("-1 7 online").ok());
   EXPECT_FALSE(device::ParseUsageTrace("banana").ok());
+  // Times past the spec loader's 1e12 s bound do not fit the clock: they
+  // are refused, naming the line, before any conversion.
+  const auto huge = device::ParseUsageTrace("0 7 online\n1e300 7 online");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.error().code(), ErrorCode::kParseError);
+  EXPECT_NE(huge.error().message().find("line 2"), std::string::npos)
+      << huge.error().ToString();
+  EXPECT_FALSE(device::ParseUsageTrace("1.000001e12 7 online").ok());
+  EXPECT_TRUE(device::ParseUsageTrace("1e12 7 online").ok());
 }
 
 TEST(UsageTraceTest, TraceOverridesSyntheticCurve) {

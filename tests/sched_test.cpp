@@ -435,6 +435,39 @@ TEST(RequestForTest, SumsAcrossRequirements) {
   EXPECT_EQ(request.phones[1], 3u);  // phones + benchmarking
 }
 
+TEST(RequestForTest, SumsSaturateInsteadOfWrapping) {
+  // A spec may ask for 2^63-1 bundles or phones in each requirement, and
+  // three requirements sum past 2^64: 2 x (2^63-1) + 10 wraps to 8, which
+  // fits a 100-bundle pool. The sums saturate instead, so the scheduler
+  // rejects the task as never fitting and freezes nothing.
+  constexpr std::size_t kSpecMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::size_t kSizeMax = std::numeric_limits<std::size_t>::max();
+  TaskSpec task = MakeTask(1, 0);
+  task.requirements[0].logical_bundles = kSpecMax;
+  task.requirements[0].phones = kSpecMax;
+  task.requirements.push_back(task.requirements[0]);
+  DeviceRequirement small = task.requirements[0];
+  small.logical_bundles = 10;
+  small.phones = 8;
+  small.benchmarking_phones = 2;
+  task.requirements.push_back(small);
+  const ResourceRequest request = RequestFor(task);
+  EXPECT_EQ(request.logical_bundles, kSizeMax);
+  EXPECT_EQ(request.phones[0], kSizeMax);  // phones + benchmarking
+  EXPECT_EQ(request.phones[1], 0u);
+
+  ResourceManager manager(100, {50, 50});
+  GreedyScheduler scheduler(manager);
+  TaskQueue queue;
+  ASSERT_TRUE(queue.Submit(task).ok());
+  const auto decision = scheduler.SchedulePassEx(queue, SchedulePolicy{});
+  EXPECT_TRUE(decision.launched.empty());
+  ASSERT_EQ(decision.rejected.size(), 1u);
+  EXPECT_EQ(decision.rejected[0].id, TaskId(1));
+  EXPECT_EQ(manager.Snapshot().logical_bundles_free, 100u);
+  EXPECT_EQ(manager.Snapshot().phones_free[0], 50u);
+}
+
 TEST(TaskStateTest, Names) {
   EXPECT_STREQ(ToString(TaskState::kQueued), "Queued");
   EXPECT_STREQ(ToString(TaskState::kFailed), "Failed");
