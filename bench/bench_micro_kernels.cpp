@@ -275,7 +275,7 @@ bool EmitFedAvgKernelOpTimings() {
   std::fprintf(stderr,
                "fedavg kernel variant: %s (fedavg_add_scalar / "
                "fedavg_add_simd = %.2fx)\n",
-               ml::kernels::ToString(ml::kernels::DispatchedIsa()),
+               ToString(DispatchedIsa()),
                std::chrono::duration<double>(scalar_elapsed).count() /
                    std::chrono::duration<double>(simd_elapsed).count());
 

@@ -84,8 +84,7 @@ void CascadeMergePortable(const double* SIMDC_RESTRICT other_sum,
   CascadeMergeLoop(other_sum, other_c1, other_c2, n, sum, c1, c2);
 }
 
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-#define SIMDC_CASCADE_AVX2 1
+#ifdef SIMDC_ISA_AVX2
 
 // "avx2" and not "avx2,fma": without fma the compiler has no fused
 // multiply-add to contract scale·w + sum into, so the vector loop rounds
@@ -113,7 +112,7 @@ __attribute__((target("avx2"))) void CascadeMergeAvx2(
 Variant VariantFor(Isa isa) {
   SIMDC_CHECK(Supports(isa), "cascade kernel variant " << ToString(isa)
                                  << " is not supported on this CPU/build");
-#ifdef SIMDC_CASCADE_AVX2
+#ifdef SIMDC_ISA_AVX2
   if (isa == Isa::kAvx2) return {CascadeAddAvx2, CascadeMergeAvx2};
 #endif
   return {CascadeAddPortable, CascadeMergePortable};
@@ -125,33 +124,6 @@ const Variant& Dispatched() {
 }
 
 }  // namespace
-
-const char* ToString(Isa isa) {
-  switch (isa) {
-    case Isa::kPortable: return "portable";
-    case Isa::kAvx2: return "avx2";
-  }
-  return "unknown";
-}
-
-bool Supports(Isa isa) {
-  if (isa == Isa::kPortable) return true;
-#ifdef SIMDC_CASCADE_AVX2
-  // Explicit init: the first caller may run inside a static initializer,
-  // before libgcc's own CPU-detection constructor.
-  static const bool avx2 = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
-  return avx2;
-#else
-  return false;
-#endif
-}
-
-Isa DispatchedIsa() {
-  return Supports(Isa::kAvx2) ? Isa::kAvx2 : Isa::kPortable;
-}
 
 void CascadeAddScalar(std::span<const float> weights, double scale,
                       std::span<double> sum, std::span<double> c1,

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/isa.h"
 #include "common/restrict.h"
 #include "ml/lr_model.h"
 
@@ -39,29 +40,14 @@ void CascadeAddScalar(std::span<const float> weights, double scale,
                       std::span<double> sum, std::span<double> c1,
                       std::span<double> c2);
 
-/// Instruction-set variants of CascadeAdd and CascadeMerge. Every variant
-/// compiles the one restrict-qualified loop body (branch-free TwoSum per
-/// element) for its own target, with no intrinsics and without fma, so the
-/// compiler can neither reorder nor contract the cascade: each is
-/// bit-identical to CascadeAddScalar (tests/ml_test.cpp and
-/// bench_micro_kernels compare bytes).
-enum class Isa : std::uint8_t {
-  /// Compiled for the build's own target flags: 2 doubles per instruction
-  /// under x86-64's default SSE2. Every CPU runs it.
-  kPortable,
-  /// x86 AVX2: 4 doubles per instruction. Absent from non-x86 builds.
-  kAvx2,
-};
-const char* ToString(Isa isa);
-/// Whether this build has `isa`'s variant and this CPU can run it.
-bool Supports(Isa isa);
-/// The variant the dispatched CascadeAdd/CascadeMerge run: kAvx2 where
-/// Supports(kAvx2), else kPortable. Picked once, from CPUID — no option.
-Isa DispatchedIsa();
-
 /// Production kernel: the cascade of CascadeAddScalar over contiguous
-/// arrays, run by the DispatchedIsa() variant (fedavg_add_scalar vs
-/// fedavg_add_simd in bench_micro_kernels measures the gain).
+/// arrays, run by the DispatchedIsa() variant (common/isa.h): 2 doubles
+/// per instruction portable at SSE2, 4 under AVX2. Every variant compiles
+/// the one restrict-qualified loop body (branch-free TwoSum per element)
+/// for its own target, so the compiler can neither reorder nor contract
+/// the cascade: each is bit-identical to CascadeAddScalar
+/// (tests/ml_test.cpp and bench_micro_kernels compare bytes, and
+/// fedavg_add_scalar vs fedavg_add_simd measures the gain).
 void CascadeAdd(const float* SIMDC_RESTRICT weights, std::size_t n,
                 double scale, double* SIMDC_RESTRICT sum,
                 double* SIMDC_RESTRICT c1, double* SIMDC_RESTRICT c2);

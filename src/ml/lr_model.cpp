@@ -166,6 +166,12 @@ Result<BlobLayout> ParseBlob(std::span<const std::byte> bytes) {
       }
       layout.codec = PayloadCodec::kInt8;
       layout.scale = ReadRaw<float>(p);
+      // The encoder writes max|w| / 127: finite, and +0 or positive. Any
+      // other scale would dequantize to NaN or inf weights.
+      if (std::bit_cast<std::uint32_t>(layout.scale) >= 0x7F800000u) {
+        return ParseError("int8 model blob scale is not finite and >= +0: " +
+                          std::to_string(layout.scale));
+      }
       layout.payload = p;
       return layout;
     }
@@ -196,6 +202,99 @@ void DecodeWeights(const BlobLayout& layout, float* out) {
 }
 
 }  // namespace
+
+namespace kernels {
+namespace {
+
+/// fp32 +inf's bit pattern: |w|'s bits are below it iff w is finite.
+constexpr std::int32_t kInfBits = 0x7F800000;
+
+/// The one loop body of every QuantizeInt8 variant. Always inlined, so each
+/// variant compiles it for its own target. Both loops are branch-free and
+/// every select is integer mask arithmetic: GCC keeps a float select (and
+/// a float max reduction) scalar under the default -ftrapping-math.
+[[gnu::always_inline]] inline float QuantizeInt8Loop(
+    const float* SIMDC_RESTRICT weights, std::size_t n,
+    std::int8_t* SIMDC_RESTRICT codes) {
+  // The scale is taken over finite weights only, so a stray inf cannot
+  // collapse every other weight to zero. Non-negative floats order as
+  // their bit patterns do, so the largest finite |w| is an integer max;
+  // a signed one, which SSE2 vectorizes and an unsigned one not.
+  std::int32_t max_bits = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int32_t a = std::bit_cast<std::int32_t>(weights[i]) & 0x7FFFFFFF;
+    const std::int32_t finite = a < kInfBits ? a : 0;
+    max_bits = finite > max_bits ? finite : max_bits;
+  }
+  // Zero scale means no nonzero finite weight, or one so small that the
+  // scale underflows; every finite code is then 0, which dividing by 1
+  // also gives. The decoder maps any code back to 0.
+  const float scale = std::bit_cast<float>(max_bits) / 127.0f;
+  const float divisor = scale > 0.0f ? scale : 1.0f;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int32_t bits = std::bit_cast<std::int32_t>(weights[i]);
+    const std::int32_t a = bits & 0x7FFFFFFF;
+    // NaN and ±inf divide as +0, so the convert below never sees them.
+    const std::int32_t finite_mask = -static_cast<std::int32_t>(a < kInfBits);
+    const float scaled = std::bit_cast<float>(bits & finite_mask) / divisor;
+    // Round half away from zero (std::lround): truncate, then step away
+    // from zero when the exact remainder reaches a half.
+    const auto truncated = static_cast<std::int32_t>(scaled);
+    const float remainder = scaled - static_cast<float>(truncated);
+    std::int32_t q = truncated + static_cast<std::int32_t>(remainder >= 0.5f) -
+                     static_cast<std::int32_t>(remainder <= -0.5f);
+    // A subnormal scale rounds coarsely, so |w| / scale reaches about 190.
+    q = q < -127 ? -127 : q;
+    q = q > 127 ? 127 : q;
+    // ±inf saturates.
+    const std::int32_t inf_mask = -static_cast<std::int32_t>(a == kInfBits);
+    const std::int32_t saturated = bits < 0 ? -127 : 127;
+    q = (q & ~inf_mask) | (saturated & inf_mask);
+    codes[i] = static_cast<std::int8_t>(q);
+  }
+  return scale;
+}
+
+using QuantizeFn = float (*)(const float*, std::size_t, std::int8_t*);
+
+float QuantizeInt8Portable(const float* SIMDC_RESTRICT weights, std::size_t n,
+                           std::int8_t* SIMDC_RESTRICT codes) {
+  return QuantizeInt8Loop(weights, n, codes);
+}
+
+#ifdef SIMDC_ISA_AVX2
+// "avx2" without fma, as for the cascade kernels (ml/fedavg.cpp); the
+// body has no multiply-add to contract anyway.
+__attribute__((target("avx2"))) float QuantizeInt8Avx2(
+    const float* SIMDC_RESTRICT weights, std::size_t n,
+    std::int8_t* SIMDC_RESTRICT codes) {
+  return QuantizeInt8Loop(weights, n, codes);
+}
+#endif
+
+QuantizeFn QuantizerFor(Isa isa) {
+  SIMDC_CHECK(Supports(isa), "int8 quantizer variant " << ToString(isa)
+                                 << " is not supported on this CPU/build");
+#ifdef SIMDC_ISA_AVX2
+  if (isa == Isa::kAvx2) return QuantizeInt8Avx2;
+#endif
+  return QuantizeInt8Portable;
+}
+
+}  // namespace
+
+float QuantizeInt8(const float* SIMDC_RESTRICT weights, std::size_t n,
+                   std::int8_t* SIMDC_RESTRICT codes) {
+  static const QuantizeFn dispatched = QuantizerFor(DispatchedIsa());
+  return dispatched(weights, n, codes);
+}
+
+float QuantizeInt8(Isa isa, const float* SIMDC_RESTRICT weights,
+                   std::size_t n, std::int8_t* SIMDC_RESTRICT codes) {
+  return QuantizerFor(isa)(weights, n, codes);
+}
+
+}  // namespace kernels
 
 const char* ToString(PayloadCodec codec) {
   switch (codec) {
@@ -260,31 +359,11 @@ void LrModel::EncodeTo(std::span<std::byte> out, PayloadCodec codec) const {
       AppendRaw(p, static_cast<std::uint32_t>(PayloadCodec::kInt8));
       AppendRaw(p, d);
       AppendRaw(p, bias_);
-      // The scale is taken over finite weights only so a stray inf cannot
-      // collapse every other weight to zero.
-      float max_abs = 0.0f;
-      for (float w : weights_) {
-        if (!std::isfinite(w)) continue;
-        const float a = std::fabs(w);
-        if (a > max_abs) max_abs = a;
-      }
-      // Zero scale means all-zero weights; decoder maps any q back to 0.
-      const float scale = max_abs > 0.0f ? max_abs / 127.0f : 0.0f;
+      // The codes follow the scale, which is known only once they are.
+      const float scale = kernels::QuantizeInt8(
+          weights_.data(), weights_.size(),
+          reinterpret_cast<std::int8_t*>(p + sizeof(float)));
       AppendRaw(p, scale);
-      for (float w : weights_) {
-        // lround on NaN or out-of-range input is unspecified, so handle
-        // non-finite weights explicitly: NaN encodes as 0, inf saturates.
-        int q = 0;
-        if (std::isinf(w)) {
-          q = std::signbit(w) ? -127 : 127;
-        } else if (std::isfinite(w) && scale > 0.0f) {
-          const float scaled = w / scale;
-          q = scaled >= 127.0f   ? 127
-              : scaled <= -127.0f ? -127
-                                  : static_cast<int>(std::lround(scaled));
-        }
-        AppendRaw(p, static_cast<std::int8_t>(q));
-      }
       return;
     }
   }

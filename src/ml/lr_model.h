@@ -23,6 +23,8 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/isa.h"
+#include "common/restrict.h"
 #include "data/example.h"
 
 namespace simdc::ml {
@@ -39,6 +41,24 @@ enum class PayloadCodec : std::uint8_t {
 };
 
 const char* ToString(PayloadCodec codec);
+
+namespace kernels {
+
+/// The quantizer behind PayloadCodec::kInt8: writes one code per weight to
+/// `codes` and returns the scale, max finite |w| / 127 (+0 when every
+/// finite weight is zero). A finite weight's code is w / scale rounded
+/// half away from zero and clamped to [-127, 127]; NaN encodes as 0 and
+/// ±inf as ±127. Runs the DispatchedIsa() variant (common/isa.h): one
+/// branch-free loop body, compiled portable and for AVX2, that writes the
+/// bytes the scalar std::lround loop of tests/reference_codec.h writes.
+float QuantizeInt8(const float* SIMDC_RESTRICT weights, std::size_t n,
+                   std::int8_t* SIMDC_RESTRICT codes);
+/// QuantizeInt8 through the `isa` variant, which must be Supported
+/// (SIMDC_CHECK): the parity tests pin each variant this CPU can run.
+float QuantizeInt8(Isa isa, const float* SIMDC_RESTRICT weights,
+                   std::size_t n, std::int8_t* SIMDC_RESTRICT codes);
+
+}  // namespace kernels
 
 /// Read-only decoded model blob (see LrModel::FromBytesView): the form the
 /// payload plane stages and FedAvg accumulates from. Whatever the codec,

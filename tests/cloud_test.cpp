@@ -7,6 +7,7 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <thread>
 
@@ -802,6 +803,27 @@ TEST_F(AggregationTest, WrongDimensionRejected) {
   m.sample_count = 5;
   DeliverOne(service, m, 0);
   EXPECT_EQ(service.decode_failures(), 1u);
+}
+
+TEST_F(AggregationTest, Int8BlobWithNonFiniteScaleRejected) {
+  // A forged int8 scale would dequantize to NaN weights in the flush: the
+  // header check refuses it, so it books as a decode failure, unstaged.
+  AggregationConfig config;
+  config.model_dim = kDim;
+  AggregationService service(loop_, store_, config);
+  ml::LrModel model(kDim);
+  model.weights()[0] = 1.0f;
+  auto bytes = model.ToBytes(ml::PayloadCodec::kInt8);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::memcpy(bytes.data() + 3 * sizeof(std::uint32_t) + sizeof(float), &nan,
+              sizeof(nan));
+  flow::Message m;
+  m.task = TaskId(1);
+  m.payload = store_.Put(bytes);
+  m.sample_count = 5;
+  DeliverOne(service, m, 0);
+  EXPECT_EQ(service.decode_failures(), 1u);
+  EXPECT_EQ(service.pending_samples(), 0u);
 }
 
 TEST_F(AggregationTest, PublishesModelBlobAndCallback) {

@@ -2,6 +2,7 @@
 // FedAvg.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -11,12 +12,15 @@
 #include <string>
 #include <type_traits>
 
+#include "common/det_hash.h"
 #include "common/rng.h"
 #include "data/synth_avazu.h"
+#include "golden_digest.h"
 #include "ml/fedavg.h"
 #include "ml/lr_model.h"
 #include "ml/metrics.h"
 #include "ml/operators.h"
+#include "reference_codec.h"
 
 namespace simdc::ml {
 namespace {
@@ -283,6 +287,164 @@ TEST(LrModelCodecTest, Int8AllZeroWeightsUsesZeroScale) {
   for (float w : restored->weights()) EXPECT_EQ(w, 0.0f);
 }
 
+// ---------- int8 sweep vectors ----------
+
+/// The shapes of weight vector the int8 quantizer is checked on.
+enum class Int8Family {
+  /// Finite weights whose largest magnitude is 2^-100 to 2^100 (about
+  /// 1e-30 to 1e30), spread below it so every code from 0 to 127 occurs;
+  /// one vector in eight spreads over the whole range.
+  kMagnitudes,
+  /// kMagnitudes with ±0, subnormals, ±inf and NaNs (quiet, signaling,
+  /// negative) mixed in.
+  kSpecials,
+  /// A power-of-two scale 2^e (max |w| = 127·2^e, e from -140 to 100) and
+  /// weights at exact half-steps (k + 0.5)·2^e and one ulp either side.
+  kHalfSteps,
+  /// max |w| below 127·FLT_MIN, so the scale is subnormal (or 0): there
+  /// |w|/scale reaches about 190 and only the clamp keeps codes in range.
+  kSubnormalScale,
+  /// ±0 only: the scale is 0 and every code is 0.
+  kAllZero,
+  /// ±inf and NaNs only, with some ±0: every code is 0 or ±127.
+  kAllNonFinite,
+};
+constexpr Int8Family kInt8Families[] = {
+    Int8Family::kMagnitudes, Int8Family::kSpecials,
+    Int8Family::kHalfSteps,  Int8Family::kSubnormalScale,
+    Int8Family::kAllZero,    Int8Family::kAllNonFinite};
+
+/// Every vector tail, 0 to 67 weights, and durable_churn's dimension.
+std::vector<std::size_t> Int8SweepDims() {
+  std::vector<std::size_t> dims;
+  for (std::size_t n = 0; n <= 67; ++n) dims.push_back(n);
+  dims.push_back(2048);
+  return dims;
+}
+
+float WithRandomSign(float x, Rng& rng) { return (rng() & 1) != 0 ? -x : x; }
+
+/// A finite weight of magnitude in [2^exponent, 2^(exponent+1)): a random
+/// 24-bit mantissa scaled by ldexp, rounded only below FLT_MIN.
+float RandomMagnitude(int exponent, Rng& rng) {
+  const auto mantissa = static_cast<float>((rng() & 0x7FFFFF) | 0x800000);
+  return WithRandomSign(std::ldexp(mantissa, exponent - 23), rng);
+}
+
+float RandomNonFinite(Rng& rng) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  switch (rng() % 5) {
+    case 0: return kInf;
+    case 1: return -kInf;
+    case 2: return std::numeric_limits<float>::quiet_NaN();
+    case 3: return std::bit_cast<float>(std::uint32_t{0x7F800001});
+    default: return std::bit_cast<float>(std::uint32_t{0xFFC00000});
+  }
+}
+
+float RandomSpecial(Rng& rng) {
+  switch (rng() % 3) {
+    case 0: return WithRandomSign(0.0f, rng);
+    case 1: {  // a subnormal
+      const auto bits = static_cast<std::uint32_t>(1 + rng() % 0x7FFFFF);
+      return WithRandomSign(std::bit_cast<float>(bits), rng);
+    }
+    default: return RandomNonFinite(rng);
+  }
+}
+
+std::vector<float> Int8SweepVector(Int8Family family, std::size_t n,
+                                   Rng& rng) {
+  std::vector<float> w(n);
+  switch (family) {
+    case Int8Family::kMagnitudes:
+    case Int8Family::kSpecials: {
+      const int top = static_cast<int>(rng() % 201) - 100;
+      const int spread = rng() % 8 == 0 ? 200 : 12;
+      for (float& x : w) {
+        x = RandomMagnitude(top - static_cast<int>(rng() % spread), rng);
+        if (family == Int8Family::kSpecials && rng() % 4 == 0) {
+          x = RandomSpecial(rng);
+        }
+      }
+      break;
+    }
+    case Int8Family::kHalfSteps: {
+      const int e = static_cast<int>(rng() % 241) - 140;
+      for (float& x : w) {
+        const float k = static_cast<float>(rng() % 127);
+        x = std::ldexp(k + (rng() % 4 == 0 ? 0.0f : 0.5f), e);
+        switch (rng() % 4) {
+          case 0: x = std::nextafter(x, 0.0f); break;
+          case 1: x = std::nextafter(x, 1.0f); break;
+          default: break;
+        }
+        x = WithRandomSign(x, rng);
+      }
+      if (n > 0) w[rng() % n] = WithRandomSign(std::ldexp(127.0f, e), rng);
+      break;
+    }
+    case Int8Family::kSubnormalScale: {
+      // 127·FLT_MIN's bit pattern bounds the largest magnitude.
+      constexpr std::uint32_t kBelow =
+          std::bit_cast<std::uint32_t>(127.0f * 0x1p-126f);
+      std::uint32_t max_bits = 0;
+      switch (rng() % 3) {
+        case 0:  // a subnormal of at most 1024 ulps
+          max_bits = 1 + static_cast<std::uint32_t>(rng() % 1024);
+          break;
+        case 1:  // any subnormal
+          max_bits = 1 + static_cast<std::uint32_t>(rng() % 0x7FFFFF);
+          break;
+        default:  // a normal below 127·FLT_MIN
+          max_bits = 0x800000 + static_cast<std::uint32_t>(
+                                    rng() % (kBelow - 0x800000));
+          break;
+      }
+      for (float& x : w) {
+        const auto bits = static_cast<std::uint32_t>(rng() % (max_bits + 1));
+        x = WithRandomSign(std::bit_cast<float>(bits), rng);
+        if (rng() % 16 == 0) x = RandomNonFinite(rng);
+      }
+      if (n > 0) {
+        w[rng() % n] = WithRandomSign(std::bit_cast<float>(max_bits), rng);
+      }
+      break;
+    }
+    case Int8Family::kAllZero:
+      for (float& x : w) x = WithRandomSign(0.0f, rng);
+      break;
+    case Int8Family::kAllNonFinite:
+      for (float& x : w) {
+        x = rng() % 8 == 0 ? WithRandomSign(0.0f, rng) : RandomNonFinite(rng);
+      }
+      break;
+  }
+  return w;
+}
+
+TEST(LrModelCodecTest, Int8PayloadBytesMatchGolden) {
+  // One vector of every family at every sweep dimension, with a random
+  // bias: the bytes of each ToBytes(kInt8), folded in order.
+  golden::Digest digest;
+  for (const Int8Family family : kInt8Families) {
+    for (const std::size_t n : Int8SweepDims()) {
+      Rng rng(DeterministicHash(0x1A78, static_cast<std::uint64_t>(family),
+                                n));
+      LrModel model(static_cast<std::uint32_t>(n));
+      const std::vector<float> weights = Int8SweepVector(family, n, rng);
+      std::copy(weights.begin(), weights.end(), model.weights().begin());
+      model.bias() = RandomMagnitude(static_cast<int>(rng() % 8) - 4, rng);
+      const auto bytes = model.ToBytes(PayloadCodec::kInt8);
+      ASSERT_EQ(bytes, reference::Int8Blob(weights, model.bias()))
+          << "family " << static_cast<int>(family) << ", dim " << n;
+      digest.Add(bytes.size());
+      for (const std::byte b : bytes) digest.Add(std::to_integer<int>(b));
+    }
+  }
+  golden::ExpectGolden("ml.int8_payload_bytes", digest.value());
+}
+
 TEST(LrModelCodecTest, FromBytesSharedMatchesFromBytes) {
   const LrModel model = RampModel(32);
   for (const auto codec :
@@ -320,6 +482,32 @@ TEST(LrModelCodecTest, QuantizedBlobValidation) {
   std::memcpy(bad_tag.data() + sizeof(std::uint32_t), &unknown,
               sizeof(unknown));
   EXPECT_FALSE(LrModel::FromBytes(bad_tag).ok());
+  // An int8 scale the encoder never writes (it writes max|w| / 127, finite
+  // and >= +0) would dequantize to NaN or inf weights: both decoders refuse
+  // it as a ParseError.
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float scale :
+       {std::numeric_limits<float>::quiet_NaN(), -std::nanf(""), inf, -inf,
+        -0.0f, -1.0f, -std::numeric_limits<float>::denorm_min()}) {
+    const auto blob = std::make_shared<std::vector<std::byte>>(
+        model.ToBytes(PayloadCodec::kInt8));
+    std::memcpy(blob->data() + 3 * sizeof(std::uint32_t) + sizeof(float),
+                &scale, sizeof(scale));
+    auto eager = LrModel::FromBytes(*blob);
+    auto view = LrModel::FromBytesView(*blob, blob);
+    ASSERT_FALSE(eager.ok()) << scale;
+    ASSERT_FALSE(view.ok()) << scale;
+    EXPECT_EQ(eager.error().code(), ErrorCode::kParseError) << scale;
+    EXPECT_EQ(view.error().code(), ErrorCode::kParseError) << scale;
+  }
+  // Every scale the encoder can write still decodes.
+  for (const float scale : {0.0f, std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::max()}) {
+    auto blob = model.ToBytes(PayloadCodec::kInt8);
+    std::memcpy(blob.data() + 3 * sizeof(std::uint32_t) + sizeof(float),
+                &scale, sizeof(scale));
+    EXPECT_TRUE(LrModel::FromBytes(blob).ok()) << scale;
+  }
 }
 
 void ExpectSameBits(std::span<const float> weights, const ModelView& view,
@@ -895,19 +1083,25 @@ void ExpectSamePlanes(const Planes& a, const Planes& b,
   EXPECT_TRUE(SameBytes(a.c2, b.c2)) << where << ": c2";
 }
 
-/// Every kernel variant this build has, against the scalar reference:
-/// the AVX2 case skips on a CPU without AVX2 (or a non-x86 build).
-class CascadeKernelParityTest
-    : public ::testing::TestWithParam<kernels::Isa> {
+/// A parity suite over every kernel variant this build has: the AVX2
+/// case skips on a CPU without AVX2 (or a non-x86 build).
+class IsaParityTest : public ::testing::TestWithParam<Isa> {
  protected:
   void SetUp() override {
-    if (!kernels::Supports(GetParam())) {
-      GTEST_SKIP() << "the " << kernels::ToString(GetParam())
-                   << " cascade variant cannot run here: this CPU lacks the "
+    if (!Supports(GetParam())) {
+      GTEST_SKIP() << "the " << ToString(GetParam())
+                   << " variant cannot run here: this CPU lacks the "
                       "instruction set, or this is not an x86 build";
     }
   }
 };
+
+std::string IsaName(const ::testing::TestParamInfo<Isa>& info) {
+  return ToString(info.param);
+}
+
+/// Every cascade kernel variant against the scalar reference.
+class CascadeKernelParityTest : public IsaParityTest {};
 
 TEST_P(CascadeKernelParityTest, AddMatchesScalarReferenceBytes) {
   for (const std::size_t n : kParityLengths) {
@@ -960,17 +1154,13 @@ TEST_P(CascadeKernelParityTest, MergeMatchesScalarReferenceBytes) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Isa, CascadeKernelParityTest,
-    ::testing::Values(kernels::Isa::kPortable, kernels::Isa::kAvx2),
-    [](const ::testing::TestParamInfo<kernels::Isa>& info) {
-      return std::string(kernels::ToString(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Isa, CascadeKernelParityTest,
+                         ::testing::Values(Isa::kPortable, Isa::kAvx2),
+                         IsaName);
 
 TEST(FedAvgKernelTest, DispatchPicksAvx2WhereverItRuns) {
-  EXPECT_EQ(kernels::DispatchedIsa(), kernels::Supports(kernels::Isa::kAvx2)
-                                          ? kernels::Isa::kAvx2
-                                          : kernels::Isa::kPortable);
+  EXPECT_EQ(DispatchedIsa(),
+            Supports(Isa::kAvx2) ? Isa::kAvx2 : Isa::kPortable);
 }
 
 TEST(FedAvgKernelTest, CascadeTracksExactSumOfCancellingTerms) {
@@ -985,6 +1175,110 @@ TEST(FedAvgKernelTest, CascadeTracksExactSumOfCancellingTerms) {
   kernels::CascadeAddScalar(big, -1e16, sum, c1, c2);
   EXPECT_EQ(kernels::CascadeValue(sum[0], c1[0], c2[0]), 1000.0);
 }
+
+// ---------- int8 quantizer variants ----------
+
+/// Every int8 quantizer variant against the scalar std::lround loop of
+/// tests/reference_codec.h: the scale's bits and every code.
+class Int8QuantizerParityTest : public IsaParityTest {
+ protected:
+  ::testing::AssertionResult QuantizesLikeReference(
+      std::span<const float> weights) const {
+    const reference::Int8Codes want = reference::QuantizeInt8(weights);
+    std::vector<std::int8_t> codes(weights.size());
+    const float scale = kernels::QuantizeInt8(GetParam(), weights.data(),
+                                              weights.size(), codes.data());
+    if (std::bit_cast<std::uint32_t>(scale) !=
+        std::bit_cast<std::uint32_t>(want.scale)) {
+      return ::testing::AssertionFailure()
+             << "dim " << weights.size() << ": scale " << scale
+             << ", reference " << want.scale;
+    }
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      if (codes[i] != want.codes[i]) {
+        return ::testing::AssertionFailure()
+               << "dim " << weights.size() << ", weight " << i << " = "
+               << weights[i] << " (bits 0x" << std::hex
+               << std::bit_cast<std::uint32_t>(weights[i]) << std::dec
+               << "), scale " << scale << ": code "
+               << static_cast<int>(codes[i]) << ", reference "
+               << static_cast<int>(want.codes[i]);
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+};
+
+TEST_P(Int8QuantizerParityTest, EveryFamilyAtEveryTailMatchesReferenceBytes) {
+  for (const Int8Family family : kInt8Families) {
+    for (const std::size_t n : Int8SweepDims()) {
+      Rng rng(DeterministicHash(0x9A21, static_cast<std::uint64_t>(family),
+                                n));
+      for (int v = 0; v < 8; ++v) {
+        ASSERT_TRUE(QuantizesLikeReference(Int8SweepVector(family, n, rng)))
+            << "family " << static_cast<int>(family) << ", vector " << v;
+      }
+    }
+  }
+}
+
+TEST_P(Int8QuantizerParityTest, SubnormalScalesMatchReferenceThroughTheClamp) {
+  // 4,000 vectors whose scale is subnormal or 0. The sweep must reach
+  // |w| / scale >= 127.5, where only the clamp keeps a code in range.
+  Rng rng(0x5AB0);
+  const std::vector<std::size_t> dims = Int8SweepDims();
+  int past_clamp = 0;
+  for (int v = 0; v < 4000; ++v) {
+    const std::size_t n = dims[static_cast<std::size_t>(v) % dims.size()];
+    const std::vector<float> w =
+        Int8SweepVector(Int8Family::kSubnormalScale, n, rng);
+    ASSERT_TRUE(QuantizesLikeReference(w)) << "vector " << v;
+    const float scale = reference::QuantizeInt8(w).scale;
+    past_clamp += std::any_of(w.begin(), w.end(), [scale](float x) {
+      return scale > 0.0f && std::isfinite(x) && std::fabs(x) / scale >= 127.5f;
+    });
+  }
+  EXPECT_GT(past_clamp, 100);
+}
+
+TEST_P(Int8QuantizerParityTest, ExactHalfStepsRoundAwayFromZero) {
+  // max |w| = 127 makes the scale exactly 1, so w / scale == w.
+  const std::vector<float> w = {127.0f,  0.5f,   -0.5f, 1.5f,
+                                -2.5f,   126.5f, -126.5f,
+                                std::nextafter(0.5f, 0.0f),
+                                std::nextafter(-0.5f, 0.0f),
+                                std::nextafter(2.5f, 0.0f), 0.0f, -0.0f};
+  const std::vector<std::int8_t> want = {127, 1, -1, 2, -3, 127, -127,
+                                         0,   0, 2,  0, 0};
+  std::vector<std::int8_t> codes(w.size());
+  EXPECT_EQ(kernels::QuantizeInt8(GetParam(), w.data(), w.size(),
+                                  codes.data()),
+            1.0f);
+  EXPECT_EQ(codes, want);
+  EXPECT_TRUE(QuantizesLikeReference(w));
+}
+
+TEST_P(Int8QuantizerParityTest, AllZeroAndAllNonFiniteVectorsUseZeroScale) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const std::vector<float>& w :
+       {std::vector<float>{0.0f, -0.0f, 0.0f},
+        std::vector<float>{inf, -inf, nan, -nan, 0.0f}}) {
+    std::vector<std::int8_t> codes(w.size());
+    const float scale =
+        kernels::QuantizeInt8(GetParam(), w.data(), w.size(), codes.data());
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(scale), 0u);
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      EXPECT_EQ(codes[i], std::isinf(w[i]) ? (w[i] > 0 ? 127 : -127) : 0)
+          << "weight " << i;
+    }
+    EXPECT_TRUE(QuantizesLikeReference(w));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, Int8QuantizerParityTest,
+                         ::testing::Values(Isa::kPortable, Isa::kAvx2),
+                         IsaName);
 
 }  // namespace
 }  // namespace simdc::ml
