@@ -51,7 +51,6 @@ backoff_multiplier = 2.0
 backoff_max_s = 30
 
 [execution]
-parallelism = 2
 shards = 2
 round_quorum = 20
 round_deadline_s = 90

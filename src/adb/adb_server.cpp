@@ -73,8 +73,7 @@ Result<std::string> AdbServer::Pgrep(std::string_view name, SimTime t) const {
 
 Result<std::string> AdbServer::Top(int pid, SimTime t) const {
   const device::RunPlan* plan = phone_.PlanCovering(t);
-  if (plan == nullptr || plan->pid != pid ||
-      !phone_.PidOf(plan->process_name, t)) {
+  if (plan == nullptr || plan->pid != pid) {
     return NotFound(StrFormat("top: no process with pid %d", pid));
   }
   const double cpu = phone_.CpuPercentAt(t);
@@ -98,7 +97,7 @@ Result<std::string> AdbServer::Top(int pid, SimTime t) const {
   out += StrFormat(
       "%5d u0_a217      20   0 1.9G %3.0fM %3.0fM S %4.1f %4.1f   1:23.45 "
       "%s\n",
-      pid, mem_mb * 1.6, mem_mb * 0.8, cpu, mem_pct, plan->process_name.c_str());
+      pid, mem_mb * 1.6, mem_mb * 0.8, cpu, mem_pct, device::kTrainingProcess);
   return out;
 }
 
@@ -138,8 +137,7 @@ Result<std::string> AdbServer::DumpsysMeminfo(std::string_view name,
 
 Result<std::string> AdbServer::NetDev(int pid, SimTime t) const {
   const device::RunPlan* plan = phone_.PlanCovering(t);
-  if (plan == nullptr || plan->pid != pid ||
-      !phone_.PidOf(plan->process_name, t)) {
+  if (plan == nullptr || plan->pid != pid) {
     return NotFound(StrFormat("cat: /proc/%d/net/dev: No such file or "
                               "directory",
                               pid));

@@ -177,44 +177,33 @@ void AggregationService::FlushPending() {
   const std::uint64_t t0 = NowNs();
   const std::size_t clients_before = aggregator_.clients();
   const std::size_t samples_before = aggregator_.total_samples();
+  // Without a pool this is one lane, run on the caller.
   const std::size_t lanes =
       pool_ ? std::min({pool_->size(), pending_.size(), kMaxLanes})
             : std::size_t{1};
+  while (partials_.size() < lanes) partials_.emplace_back(config_.model_dim);
   if (scratch_.size() < lanes) scratch_.resize(lanes);
-  if (lanes <= 1) {
-    for (const StagedUpdate& staged : pending_) {
+  const std::size_t chunk = (pending_.size() + lanes - 1) / lanes;
+  ParallelFor(pool_, lanes, [&](std::size_t lane) {
+    const std::size_t begin = lane * chunk;
+    const std::size_t end = std::min(begin + chunk, pending_.size());
+    ml::FedAvgAggregator& partial = partials_[lane];
+    std::vector<float>& scratch = scratch_[lane];
+    for (std::size_t i = begin; i < end; ++i) {
+      const StagedUpdate& staged = pending_[i];
       // Dim was checked at admission and samples >= 1, so Add cannot fail.
-      const Status added =
-          aggregator_.Add(staged.model.Weights(scratch_[0]),
-                          staged.model.bias(), staged.samples);
-      SIMDC_CHECK(added.ok(), "FlushPending: staged add failed: "
+      const Status added = partial.Add(staged.model.Weights(scratch),
+                                       staged.model.bias(), staged.samples);
+      SIMDC_CHECK(added.ok(), "FlushPending: partial add failed: "
                                   << added.error().ToString());
     }
-  } else {
-    while (partials_.size() < lanes) {
-      partials_.emplace_back(config_.model_dim);
-    }
-    const std::size_t chunk = (pending_.size() + lanes - 1) / lanes;
-    pool_->ParallelFor(lanes, [&](std::size_t lane) {
-      const std::size_t begin = lane * chunk;
-      const std::size_t end = std::min(begin + chunk, pending_.size());
-      ml::FedAvgAggregator& partial = partials_[lane];
-      std::vector<float>& scratch = scratch_[lane];
-      for (std::size_t i = begin; i < end; ++i) {
-        const StagedUpdate& staged = pending_[i];
-        const Status added = partial.Add(staged.model.Weights(scratch),
-                                         staged.model.bias(), staged.samples);
-        SIMDC_CHECK(added.ok(), "FlushPending: partial add failed: "
-                                    << added.error().ToString());
-      }
-    });
-    // Fixed ascending-lane reduction. The cascade is order-invariant, so
-    // this order is a convention, not a correctness requirement — but a
-    // fixed order keeps the internal cascade bits deterministic run-to-run.
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      aggregator_.MergeFrom(partials_[lane]);
-      partials_[lane].Reset();
-    }
+  });
+  // Fixed ascending-lane reduction. The cascade is order-invariant, so
+  // this order is a convention, not a correctness requirement — but a
+  // fixed order keeps the internal cascade bits deterministic run-to-run.
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    aggregator_.MergeFrom(partials_[lane]);
+    partials_[lane].Reset();
   }
   // Live accounting invariant: the flush moves exactly the staged totals
   // into the aggregator, whatever the lane split.

@@ -131,11 +131,10 @@ class AggregationService final : public flow::CloudEndpoint {
 
   /// Worker pool for the parallel flush of staged updates: one fork-join
   /// of up to kMaxLanes lanes per flush, which is once per round.
-  /// Optional: with no pool (or a 1-thread pool) the flush accumulates
-  /// serially, which is bit-identical (order-invariant cascade). The pool
-  /// must outlive the service; flushes run only while the pool is
-  /// otherwise idle (dispatch handlers run on the serial side, after any
-  /// lockstep barrier).
+  /// Optional: with no pool the flush is one lane on the caller, which is
+  /// bit-identical (order-invariant cascade). The pool must outlive the
+  /// service; flushes run only while the pool is otherwise idle (dispatch
+  /// handlers run on the serial side, after any lockstep barrier).
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Arms the scheduled trigger (no-op for sample-threshold).
@@ -233,9 +232,9 @@ class AggregationService final : public flow::CloudEndpoint {
   /// check on the combined (flushed + staged) totals. The message's arrival
   /// may lie ahead of loop time inside a tick.
   void Admit(const flow::Message& message);
-  /// Drains staged entries into the aggregator: serially without a pool,
-  /// else via per-lane partials on the pool merged in ascending-lane order.
-  /// Bit-invisible either way (order-invariant cascade).
+  /// Drains staged entries into the aggregator through per-lane partials
+  /// (one lane without a pool) merged in ascending-lane order. Lane count
+  /// is bit-invisible (order-invariant cascade).
   void FlushPending();
   /// Drops staged entries (round abort / snapshot restore).
   void DiscardPending();
@@ -274,8 +273,7 @@ class AggregationService final : public flow::CloudEndpoint {
   std::size_t round_extensions_ = 0;
   std::size_t aborted_rounds_ = 0;
   /// Staged updates awaiting a flush, their running totals, the reusable
-  /// per-lane partial aggregators and dequantization scratch (lane 0's
-  /// scratch also serves the serial flush), and the pool.
+  /// per-lane partial aggregators and dequantization scratch, and the pool.
   std::vector<StagedUpdate> pending_;
   std::size_t staged_samples_ = 0;
   std::size_t staged_clients_ = 0;

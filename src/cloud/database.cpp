@@ -115,11 +115,6 @@ void MetricsDatabase::RecordScalar(const std::string& series, SimTime time,
   scalar_log_.push_back({series, time, value});
 }
 
-std::size_t MetricsDatabase::Flush() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return samples_.size() + scalar_log_.size();
-}
-
 std::size_t MetricsDatabase::scalar_row_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return scalar_log_.size();

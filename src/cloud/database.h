@@ -65,11 +65,6 @@ class MetricsDatabase final : public device::MetricsSink {
       const std::string& series) const;
 
   // --- Durability-plane surface ---
-  /// Explicit sync point before a checkpoint serializes the database: takes
-  /// the lock once (so every row recorded-before happens-before the reads
-  /// that follow) and returns the total row count (perf samples + scalar
-  /// rows) the checkpoint should contain.
-  std::size_t Flush() const;
   std::size_t scalar_row_count() const;
   /// Scalar rows in insertion order (the deterministic replay order).
   std::vector<ScalarRow> ScalarRows() const;

@@ -67,4 +67,13 @@ void ThreadPool::ParallelFor(std::size_t n,
   if (first_error) std::rethrow_exception(first_error);
 }
 
+void ParallelFor(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  pool->ParallelFor(n, fn);
+}
+
 }  // namespace simdc

@@ -57,4 +57,12 @@ class ThreadPool {
   bool stopped_ = false;
 };
 
+/// The engine's one fork-join: runs fn(i) for i in [0, n) on `pool`, or
+/// in ascending order on the calling thread when `pool` is null or n <= 1,
+/// so a caller without a pool runs the same code as one with. On the
+/// inline path the first exception propagates at once, because no other
+/// index is running; on the pool, ThreadPool::ParallelFor's rule holds.
+void ParallelFor(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t)>& fn);
+
 }  // namespace simdc

@@ -71,14 +71,13 @@ Status LoadOptional(const IniDocument& doc, const std::string& section,
   return Status::Ok();
 }
 
-/// An integer field in [lo, hi], and no more than the field can hold.
+/// An integer field of at least `lo`, and no more than the field can hold.
 template <typename Int>
 Status LoadInt(const IniDocument& doc, const std::string& section,
                const std::string& key, Int* out,
-               std::int64_t lo = std::numeric_limits<Int>::min(),
-               std::int64_t hi = kMaxInt) {
-  constexpr auto kFieldMax = std::numeric_limits<Int>::max();
-  if (std::cmp_less(kFieldMax, hi)) hi = static_cast<std::int64_t>(kFieldMax);
+               std::int64_t lo = std::numeric_limits<Int>::min()) {
+  const auto hi = static_cast<std::int64_t>(
+      std::min<std::uint64_t>(std::numeric_limits<Int>::max(), kMaxInt));
   return LoadOptional(doc, section, key, lo, hi,
                       [out](std::int64_t v) { *out = static_cast<Int>(v); });
 }
@@ -343,38 +342,31 @@ Result<flow::DispatchStrategy> LoadStrategy(const IniDocument& doc) {
   return InvalidArgument("[traffic] unknown strategy '" + *kind + "'");
 }
 
-Result<cloud::AggregationConfig> LoadAggregation(const IniDocument& doc,
-                                                 std::uint32_t model_dim) {
-  cloud::AggregationConfig config;
-  config.model_dim = model_dim;
+Status LoadAggregation(const IniDocument& doc,
+                       core::FlExperimentConfig* config) {
   auto trigger = GetString(doc, "aggregation", "trigger");
   if (!trigger.ok()) return trigger.error();
   const std::string kind = Lower(*trigger);
   if (kind == "scheduled") {
-    config.trigger = cloud::AggregationTrigger::kScheduled;
+    config->trigger = cloud::AggregationTrigger::kScheduled;
     auto period = GetDouble(doc, "aggregation", "period_s");
     if (!period.ok()) return period.error();
     if (!(*period > 0.0 && *period <= kMaxSeconds)) {
       return InvalidArgument("[aggregation] period_s must be in (0, 1e12]");
     }
-    config.schedule_period = Seconds(*period);
+    config->schedule_period = Seconds(*period);
   } else if (kind == "sample_threshold") {
-    config.trigger = cloud::AggregationTrigger::kSampleThreshold;
+    config->trigger = cloud::AggregationTrigger::kSampleThreshold;
     auto threshold = GetInt(doc, "aggregation", "threshold");
     if (!threshold.ok()) return threshold.error();
     if (*threshold <= 0) {
       return InvalidArgument("[aggregation] threshold must be > 0");
     }
-    config.sample_threshold = static_cast<std::size_t>(*threshold);
+    config->sample_threshold = static_cast<std::size_t>(*threshold);
   } else {
     return InvalidArgument("[aggregation] unknown trigger '" + *trigger + "'");
   }
-  if (Status loaded =
-          LoadFlag(doc, "aggregation", "reject_stale", &config.reject_stale);
-      !loaded.ok()) {
-    return loaded.error();
-  }
-  return config;
+  return LoadFlag(doc, "aggregation", "reject_stale", &config->reject_stale);
 }
 
 Result<core::FlExperimentConfig> LoadExecution(const IniDocument& doc) {
@@ -392,10 +384,14 @@ Result<core::FlExperimentConfig> LoadExecution(const IniDocument& doc) {
                              "the key");
     }
   }
+  if (section != doc.end() && section->second.contains("parallelism")) {
+    return InvalidArgument(
+        "[execution] parallelism was removed: a spec runs as a tenant of a "
+        "multi-tenant engine, which trains every tenant on its one pool; "
+        "delete the key");
+  }
   for (const Status& loaded :
-       {LoadInt(doc, "execution", "parallelism", &config.parallelism, 0,
-                kMaxParallelism),
-        LoadInt(doc, "execution", "shards", &config.shards),
+       {LoadInt(doc, "execution", "shards", &config.shards),
         LoadFlag(doc, "execution", "reclaim_payload_blobs",
                  &config.reclaim_payload_blobs),
         LoadInt(doc, "execution", "round_quorum", &config.round_quorum),
@@ -522,14 +518,9 @@ Result<core::TenantTask> LoadTenantSpec(const IniDocument& doc) {
   tenant.fl.link = *link;
   tenant.fl.behavior = *behavior;
   if (doc.contains("aggregation")) {
-    // model_dim is the dataset's business, not the spec's; the engine
-    // fills it from the dataset.
-    auto aggregation = LoadAggregation(doc, 0);
-    if (!aggregation.ok()) return aggregation.error();
-    tenant.fl.trigger = aggregation->trigger;
-    tenant.fl.sample_threshold = aggregation->sample_threshold;
-    tenant.fl.schedule_period = aggregation->schedule_period;
-    tenant.fl.reject_stale = aggregation->reject_stale;
+    if (Status loaded = LoadAggregation(doc, &tenant.fl); !loaded.ok()) {
+      return loaded.error();
+    }
   }
   return tenant;
 }

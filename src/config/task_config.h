@@ -90,26 +90,22 @@ Result<sched::TaskSpec> LoadTaskSpec(const IniDocument& doc);
 ///             sigma (normal/right_tail), interval_s, failure_probability
 Result<flow::DispatchStrategy> LoadStrategy(const IniDocument& doc);
 
-/// Builds aggregation settings from the [aggregation] section.
-/// trigger = scheduled | sample_threshold; period_s / threshold;
-/// reject_stale = 0|1.
-Result<cloud::AggregationConfig> LoadAggregation(const IniDocument& doc,
-                                                 std::uint32_t model_dim);
-
-/// Upper bound on [execution] parallelism: the engine builds a ThreadPool
-/// with exactly that many threads, so the loader refuses a larger value
-/// (InvalidArgument) instead of asking for a million threads. A machine
-/// with more cores than this still runs with this many workers.
-inline constexpr std::size_t kMaxParallelism = 1024;
+/// Reads the [aggregation] section into the FlExperimentConfig fields it
+/// names: trigger = scheduled | sample_threshold (required), with
+/// period_s (into schedule_period) or threshold (into sample_threshold);
+/// reject_stale = 0|1. The engine takes the model dimension from the
+/// dataset.
+Status LoadAggregation(const IniDocument& doc,
+                       core::FlExperimentConfig* config);
 
 /// Reads the optional [execution] section into the FlExperimentConfig
-/// fields it names: parallelism = N (at most kMaxParallelism), shards = N,
-/// payload_codec = fp32|fp16|int8, reclaim_payload_blobs = 0|1,
-/// durability = off|log+checkpoint and durability_dir = path (into
-/// durability.mode and .dir; log+checkpoint needs a dir), round_quorum = N,
-/// round_deadline_s = S, round_extension_s = S, max_round_extensions = N.
-/// Every other field, and every missing key, keeps its default; malformed
-/// or negative values are rejected, and so are the removed decode_plane /
+/// fields it names: shards = N, payload_codec = fp32|fp16|int8,
+/// reclaim_payload_blobs = 0|1, durability = off|log+checkpoint and
+/// durability_dir = path (into durability.mode and .dir; log+checkpoint
+/// needs a dir), round_quorum = N, round_deadline_s = S,
+/// round_extension_s = S, max_round_extensions = N. Every other field, and
+/// every missing key, keeps its default; malformed or negative values are
+/// rejected, and so are the removed parallelism, decode_plane and
 /// aggregate_plane keys and the removed durability = log mode.
 Result<core::FlExperimentConfig> LoadExecution(const IniDocument& doc);
 

@@ -21,9 +21,13 @@ Status MultiTenantEngine::Submit(TenantTask task) {
     return AlreadyExists("tenant already submitted: " +
                          task.spec.id.ToString());
   }
-  // Per-task policies ride in task.fl; the engine only pins the identity
-  // so the flow plane and the SLA rows agree on who the traffic belongs to.
+  // Per-task policies ride in task.fl; the engine pins the identity, so
+  // the flow plane and the SLA rows agree on who the traffic belongs to,
+  // and trains every tenant on its one pool: a runtime whose parallelism
+  // differed from the pool's width would own a private pool for as long
+  // as the engine keeps the runtime. Results never depend on the width.
   task.fl.task = task.spec.id;
+  task.fl.parallelism = 0;
   if (Status queued = queue_.Submit(task.spec); !queued.ok()) return queued;
   Tenant tenant;
   tenant.submitted = loop_.Now();

@@ -46,8 +46,9 @@ namespace simdc::core {
 /// One tenant's submission: the sched-plane spec (priority, per-grade
 /// resource requirements — what admission arbitrates) plus the FL
 /// experiment the tenant runs once admitted (per-task policies: strategy,
-/// LinkPolicy, quorum/deadline, shards, seed). config::LoadTenantSpec
-/// loads one from a spec file.
+/// LinkPolicy, quorum/deadline, shards, seed). `fl.parallelism` is not
+/// per-task: the engine trains every tenant on its one pool.
+/// config::LoadTenantSpec loads one from a spec file.
 struct TenantTask {
   sched::TaskSpec spec;
   FlExperimentConfig fl;
@@ -72,13 +73,15 @@ class MultiTenantEngine {
  public:
   /// `loop` is the shared cloud-plane event loop; `resources` the shared
   /// fleet pool tenants contend over (frozen at admission, released at
-  /// completion); `pool` parallelizes training and shard-loop advancement
-  /// (results are identical with or without it).
+  /// completion); `pool` parallelizes every tenant's training, flush and
+  /// shard-loop advancement (results are identical with or without it).
   MultiTenantEngine(sim::EventLoop& loop, sched::ResourceManager& resources,
                     ThreadPool* pool = nullptr);
 
   /// Queues a tenant. Fails on duplicate task ids or a null dataset.
-  /// All submissions before Run() carry submit time 0.
+  /// All submissions before Run() carry submit time 0. Overrides
+  /// `fl.task` with the spec's id and `fl.parallelism` with 0 (the
+  /// engine's pool).
   Status Submit(TenantTask task);
 
   /// Admits and runs every queued tenant to global quiescence under

@@ -20,15 +20,15 @@ Platform::Platform(PlatformConfig config)
     : config_(config),
       workers_(WorkerCount(config.worker_threads)),
       phone_mgr_(loop_),
-      resources_(config.logical_unit_bundles,
-                 {config.local_high_phones + config.msp_high_phones,
-                  config.local_low_phones + config.msp_low_phones}),
+      resources_(config.logical_unit_bundles, {}),
       scheduler_(resources_) {
-  phone_mgr_.RegisterFleet(device::MakeLocalFleet(
-      config.local_high_phones, config.local_low_phones, config.seed, 0));
-  phone_mgr_.RegisterFleet(device::MakeMspFleet(
-      config.msp_high_phones, config.msp_low_phones, config.seed ^ 0xABCD,
-      1000));
+  // The resource pool holds exactly the phones registered, per grade.
+  const std::vector<device::PhoneSpec> cluster =
+      device::MakeDefaultCluster(config.seed);
+  phone_mgr_.RegisterFleet(cluster);
+  for (const device::PhoneSpec& spec : cluster) {
+    resources_.AddPhones(spec.grade, 1);
+  }
   phone_mgr_.set_metrics_sink(&metrics_);
 }
 

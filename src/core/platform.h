@@ -28,15 +28,12 @@ struct PlatformConfig {
   /// Logical-simulation capacity in unit resource bundles (the paper's
   /// default cluster: 200 CPU cores / 300 GB ≈ 200 unit bundles).
   std::size_t logical_unit_bundles = 200;
-  /// Physical cluster composition (§VI-A2 defaults).
-  std::size_t local_high_phones = 4;
-  std::size_t local_low_phones = 6;
-  std::size_t msp_high_phones = 13;
-  std::size_t msp_low_phones = 7;
   /// Worker threads for CPU-bound training (0 = hardware concurrency).
-  /// This sizes the platform's shared pool; a per-experiment
-  /// FlExperimentConfig::parallelism overrides it for that run.
+  /// This sizes the platform's shared pool; a solo experiment's
+  /// FlExperimentConfig::parallelism overrides it for that run, while a
+  /// multi-tenant run trains every tenant on this pool.
   std::size_t worker_threads = 0;
+  /// Seeds the physical cluster, device::MakeDefaultCluster (§VI-A2).
   std::uint64_t seed = 42;
 };
 

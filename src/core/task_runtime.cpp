@@ -90,7 +90,7 @@ TaskRuntime::TaskRuntime(sim::EventLoop& loop,
   agg.max_round_extensions = config_.max_round_extensions;
   service_ = std::make_unique<cloud::AggregationService>(loop_, storage_, agg);
   // The staged-update flush borrows the training pool; with parallelism 1
-  // there is no pool and the flush accumulates serially (bit-identical).
+  // there is no pool and the flush is one lane on the caller (bit-identical).
   service_->set_thread_pool(pool_);
 
   if (config_.behavior.enabled) {
@@ -445,14 +445,7 @@ void TaskRuntime::StartRound(SimTime t0) {
     out.delay = Seconds(config_.compute_seconds) + std::max<SimDuration>(0, extra);
   };
 
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(participants.size(),
-                       [&](std::size_t slot) { train_one(slot); });
-  } else {
-    for (std::size_t slot = 0; slot < participants.size(); ++slot) {
-      train_one(slot);
-    }
-  }
+  ParallelFor(pool_, participants.size(), train_one);
 
   // Emit upload events: a message into the owning shard's flow plane at
   // the device's response time, referencing its payload blob. Messages
@@ -633,7 +626,6 @@ void TaskRuntime::PersistRoundBoundary(const cloud::AggregationRecord& record) {
   state.rounds = result_.rounds;
   state.dispatch = dispatch_stats();
   if (metrics_ != nullptr) {
-    (void)metrics_->Flush();
     state.scalars = metrics_->ScalarRows();
     state.perf_samples = metrics_->Samples();
   }

@@ -151,7 +151,8 @@ struct FlExperimentConfig {
   ///        unless the caller's pool already has N threads).
   /// Results are bit-for-bit identical for every setting: each client draws
   /// from its own seed-derived RNG stream and updates are reduced in fixed
-  /// client-index order on the event loop.
+  /// client-index order on the event loop. A multi-tenant engine trains
+  /// every tenant on its one pool and resets this to 0 at submission.
   std::size_t parallelism = 0;
   /// Fleet shards (0 counts as 1; clamped to the device count). The
   /// dataset's devices split into N contiguous index ranges; each shard

@@ -129,11 +129,11 @@ DeviceProfile MakeProfile(Rng& rng, const SynthConfig& config,
 
   switch (config.distribution) {
     case LabelDistribution::kIid:
-      profile.ctr_target = config.global_ctr;
+      profile.ctr_target = kGlobalCtr;
       break;
     case LabelDistribution::kNatural:
-      profile.ctr_target = Sigmoid(
-          rng.Normal(Logit(config.global_ctr), config.natural_logit_stddev));
+      profile.ctr_target =
+          Sigmoid(rng.Normal(Logit(kGlobalCtr), kNaturalLogitStddev));
       break;
     case LabelDistribution::kPolarized: {
       // Interleaved assignment (index mod 100) so the fraction holds for

@@ -31,6 +31,11 @@ enum class LabelDistribution {
   kPolarized,
 };
 
+/// Global CTR target: Avazu's overall positive rate is ~0.17.
+inline constexpr double kGlobalCtr = 0.17;
+/// kNatural: stddev of per-device CTR on the logit scale.
+inline constexpr double kNaturalLogitStddev = 0.8;
+
 struct SynthConfig {
   std::size_t num_devices = 100;
   /// Mean records per device; actual counts are log-normal around this.
@@ -40,14 +45,10 @@ struct SynthConfig {
   std::size_t num_test_devices = 10;
   std::uint32_t hash_dim = 1u << 16;
   LabelDistribution distribution = LabelDistribution::kNatural;
-  /// Global CTR target (Avazu's overall positive rate is ~0.17).
-  double global_ctr = 0.17;
   /// kPolarized parameters (Fig. 11b).
   double polarized_positive_fraction = 0.7;
   double positive_heavy_ctr = 0.75;
   double negative_heavy_ctr = 0.05;
-  /// kNatural: stddev of per-device CTR on the logit scale.
-  double natural_logit_stddev = 0.8;
   std::uint64_t seed = 42;
 };
 

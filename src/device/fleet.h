@@ -18,15 +18,16 @@ namespace simdc::device {
 /// diversity (deterministic in `seed`).
 std::vector<PhoneSpec> MakeLocalFleet(std::size_t high, std::size_t low,
                                       std::uint64_t seed,
-                                      std::uint64_t first_id = 0);
+                                      std::uint64_t first_id);
 
 /// Builds remote MSP phone specs (remote_msp = true).
 std::vector<PhoneSpec> MakeMspFleet(std::size_t high, std::size_t low,
                                     std::uint64_t seed,
-                                    std::uint64_t first_id = 1000);
+                                    std::uint64_t first_id);
 
-/// The paper's default cluster: 10 local (4 High / 6 Low) plus 20 MSP
-/// (13 High / 7 Low).
+/// The paper's default cluster, which core::Platform registers: 10 local
+/// (4 High / 6 Low, ids 0-9, drawn from `seed`) plus 20 MSP (13 High /
+/// 7 Low, ids 1000-1019, drawn from `seed ^ 0x5555AAAA`).
 std::vector<PhoneSpec> MakeDefaultCluster(std::uint64_t seed);
 
 }  // namespace simdc::device

@@ -67,7 +67,7 @@ ApkStage Phone::StageAt(SimTime t) const {
 std::optional<int> Phone::PidOf(std::string_view process_name,
                                 SimTime t) const {
   const RunPlan* plan = PlanCovering(t);
-  if (plan == nullptr || process_name != plan->process_name) {
+  if (plan == nullptr || process_name != kTrainingProcess) {
     return std::nullopt;
   }
   return plan->pid;

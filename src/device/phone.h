@@ -52,6 +52,10 @@ struct RoundWindow {
   std::int64_t upload_bytes = 0;
 };
 
+/// Process name of the training APK that every run plan launches: what
+/// `pgrep -f`, `top` and `dumpsys meminfo` report and match.
+inline constexpr char kTrainingProcess[] = "com.simdc.fltrain";
+
 /// A complete APK run: launch → rounds (training / waiting) → closure.
 struct RunPlan {
   SimTime apk_launch_start = 0;
@@ -60,7 +64,6 @@ struct RunPlan {
   std::vector<RoundWindow> rounds;
   SimTime closure_start = 0;
   SimTime closure_end = 0;
-  std::string process_name = "com.simdc.fltrain";
   int pid = 0;  // assigned by PhoneMgr / test
 };
 

@@ -126,9 +126,7 @@ void Dispatcher::OnRoundEnd(std::size_t round) {
         std::max<std::size_t>(50, std::min(by_time, by_volume));
     const auto slots =
         DiscretizeRate(interval->rate, interval->interval, pending,
-                       interval->capacity_per_second, min_slots);
-    const SimTime start =
-        interval->relative ? now + interval->start : interval->start;
+                       kDefaultCapacityPerSecond, min_slots);
     // Slot schedules are pre-sorted by offset; insert them with one heap
     // rebuild instead of one O(log H) push per slot.
     std::vector<sim::TimedEvent> events;
@@ -137,7 +135,7 @@ void Dispatcher::OnRoundEnd(std::size_t round) {
       if (slot.count == 0) continue;
       const std::size_t count = slot.count;
       const double fail = interval->failure_probability;
-      events.push_back({start + slot.offset, [this, count, fail] {
+      events.push_back({now + slot.offset, [this, count, fail] {
                           DispatchBatch(count, fail, 0);
                         }});
     }
@@ -293,9 +291,7 @@ void Dispatcher::DispatchBatch(std::size_t count, double failure_probability,
   // single-threaded sender, so a big batch reaches the cloud spread over
   // "the designated time point and subsequent certain intervals" (Fig 10b).
   double capacity = kDefaultCapacityPerSecond;
-  if (const auto* interval = std::get_if<TimeIntervalDispatch>(&strategy_)) {
-    capacity = interval->capacity_per_second;
-  } else if (const auto* realtime = std::get_if<RealtimeAccumulated>(&strategy_)) {
+  if (const auto* realtime = std::get_if<RealtimeAccumulated>(&strategy_)) {
     capacity = realtime->capacity_per_second;
   }
   // Infinite capacity means zero serialization delay — every message of

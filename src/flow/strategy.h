@@ -73,19 +73,16 @@ struct TimePointDispatch {
   std::vector<TimePoint> points;
 };
 
-/// 2b. Specific time-interval dispatching.
+/// 2b. Specific time-interval dispatching. The interval opens at round
+/// end; its slots are sized, and its sends rate-limited, at
+/// kDefaultCapacityPerSecond.
 struct TimeIntervalDispatch {
   /// The user curve; its domain is scaled onto `interval`.
   RateFunction rate;
   /// Actual dispatch interval the domain maps to (e.g. 1 minute).
   SimDuration interval = Seconds(60.0);
-  /// Interval start: offset from round end when relative, else absolute.
-  SimTime start = 0;
-  bool relative = true;
   /// Dropout control applied per discretized slot.
   double failure_probability = 0.0;
-  /// Transmission capacity limit used when sizing slots.
-  double capacity_per_second = kDefaultCapacityPerSecond;
 };
 
 using DispatchStrategy =

@@ -258,20 +258,16 @@ void PhoneMgr::ArmSampler(std::size_t slot, const PhoneJob& job) {
       job.sample_period > 0 ? job.sample_period : Seconds(1.0);
   const SimTime end = plan->closure_end;
   adb::AdbServer* shell = adb_slots_[slot].get();
-  std::string process = plan->process_name;
   const TaskId task = job.task;
   const PhoneId phone_id = phone->spec().id;
-  loop_.ScheduleAt(loop_.Now(),
-                   [this, shell, phone, process = std::move(process), task,
-                    phone_id, period, end] {
-                     RunSampler(shell, phone, process, task, phone_id, period,
-                                end);
-                   });
+  loop_.ScheduleAt(loop_.Now(), [this, shell, phone, task, phone_id, period,
+                                 end] {
+    RunSampler(shell, phone, task, phone_id, period, end);
+  });
 }
 
-void PhoneMgr::RunSampler(adb::AdbServer* shell, Phone* phone,
-                          std::string process, TaskId task, PhoneId phone_id,
-                          SimDuration period, SimTime end) {
+void PhoneMgr::RunSampler(adb::AdbServer* shell, Phone* phone, TaskId task,
+                          PhoneId phone_id, SimDuration period, SimTime end) {
   if (sink_ != nullptr) {
     // A real deployment issues these exact ADB commands (§IV-C) and
     // post-processes the text; we do the same against the simulation.
@@ -293,7 +289,8 @@ void PhoneMgr::RunSampler(adb::AdbServer* shell, Phone* phone,
         sample.voltage_mv = static_cast<double>(*v) / 1000.0;
       }
     }
-    if (auto pgrep = shell->Shell("pgrep -f " + process); pgrep.ok()) {
+    if (auto pgrep = shell->Shell(StrFormat("pgrep -f %s", kTrainingProcess));
+        pgrep.ok()) {
       if (auto pid = adb::ParsePgrepPid(*pgrep); pid.ok()) {
         if (auto top = shell->Shell(StrFormat("top -b -n 1 -p %d", *pid));
             top.ok()) {
@@ -301,7 +298,9 @@ void PhoneMgr::RunSampler(adb::AdbServer* shell, Phone* phone,
             sample.cpu_percent = *cpu;
           }
         }
-        if (auto mem = shell->Shell("dumpsys meminfo " + process); mem.ok()) {
+        if (auto mem = shell->Shell(
+                StrFormat("dumpsys meminfo %s", kTrainingProcess));
+            mem.ok()) {
           if (auto pss = adb::ParseDumpsysPssKb(*mem); pss.ok()) {
             sample.memory_kb = *pss;
           }
@@ -322,9 +321,8 @@ void PhoneMgr::RunSampler(adb::AdbServer* shell, Phone* phone,
   }
   const SimTime next = loop_.Now() + period;
   if (next > end) return;
-  loop_.ScheduleAt(next, [this, shell, phone, process = std::move(process),
-                          task, phone_id, period, end] {
-    RunSampler(shell, phone, process, task, phone_id, period, end);
+  loop_.ScheduleAt(next, [this, shell, phone, task, phone_id, period, end] {
+    RunSampler(shell, phone, task, phone_id, period, end);
   });
 }
 

@@ -151,9 +151,8 @@ class PhoneMgr {
   void ArmSampler(std::size_t slot, const PhoneJob& job);
   /// One self-rescheduling sampler tick: measures through the ADB pipeline,
   /// then re-arms itself `period` later while `end` has not passed.
-  void RunSampler(adb::AdbServer* shell, Phone* phone, std::string process,
-                  TaskId task, PhoneId phone_id, SimDuration period,
-                  SimTime end);
+  void RunSampler(adb::AdbServer* shell, Phone* phone, TaskId task,
+                  PhoneId phone_id, SimDuration period, SimTime end);
   void ReleasePhone(PhoneId id);
 
   static constexpr std::size_t npos = FleetStore::npos;

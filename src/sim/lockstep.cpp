@@ -40,15 +40,9 @@ std::size_t LockstepGroup::Run(const Hooks& hooks,
                             : t0 + feedback_guard);
     horizon = std::max(horizon, t0);
     shard_executed.assign(shards.size(), 0);
-    if (shards.size() > 1 && pool_ != nullptr) {
-      pool_->ParallelFor(shards.size(), [&](std::size_t s) {
-        shard_executed[s] = shards[s]->RunUntil(horizon);
-      });
-    } else {
-      for (std::size_t s = 0; s < shards.size(); ++s) {
-        shard_executed[s] = shards[s]->RunUntil(horizon);
-      }
-    }
+    ParallelFor(pool_, shards.size(), [&](std::size_t s) {
+      shard_executed[s] = shards[s]->RunUntil(horizon);
+    });
     for (const std::size_t n : shard_executed) executed += n;
 
     // 3. Merge barrier.

@@ -66,7 +66,8 @@ class LockstepGroup {
     std::function<void(SimTime horizon)> drain;
   };
 
-  /// `pool` may be nullptr (shards advance sequentially, same results).
+  /// `pool` may be nullptr: simdc::ParallelFor then advances the shards
+  /// in order on the caller, with the same results.
   /// The cloud loop must outlive the group.
   explicit LockstepGroup(EventLoop& cloud, ThreadPool* pool = nullptr)
       : cloud_(cloud), pool_(pool) {}

@@ -542,10 +542,25 @@ TEST(ThreadPoolTest, ExecutesSubmittedJobs) {
 }
 
 TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
+  // The member and, for n > 1, the simdc::ParallelFor helper run every
+  // index once on the pool's workers, none on the caller.
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const bool helper : {false, true}) {
+    std::vector<std::atomic<int>> hits(1000);
+    std::atomic<int> on_caller{0};
+    const auto fn = [&](std::size_t i) {
+      hits[i]++;
+      if (std::this_thread::get_id() == caller) on_caller++;
+    };
+    if (helper) {
+      ParallelFor(&pool, hits.size(), fn);
+    } else {
+      pool.ParallelFor(hits.size(), fn);
+    }
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "helper=" << helper;
+    EXPECT_EQ(on_caller.load(), 0) << "helper=" << helper;
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
@@ -591,6 +606,39 @@ TEST(ThreadPoolTest, ParallelForThrowsOnlyAfterEveryChunkFinished) {
     EXPECT_STREQ(error.what(), "chunk 0 failed");
   }
   EXPECT_EQ(seen_at_throw, 3);
+}
+
+TEST(ThreadPoolTest, HelperWithoutPoolRunsInOrderOnCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  ParallelFor(nullptr, 5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  // Inline, the first exception leaves at once: no later index runs.
+  order.clear();
+  EXPECT_THROW(ParallelFor(nullptr, 5,
+                           [&](std::size_t i) {
+                             order.push_back(i);
+                             if (i == 2) throw std::runtime_error("index 2");
+                           }),
+               std::runtime_error);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(ThreadPoolTest, HelperWithOneIndexRunsOnCaller) {
+  ThreadPool pool(4);
+  std::thread::id ran_on;
+  int calls = 0;
+  ParallelFor(&pool, 1, [&](std::size_t i) {
+    EXPECT_EQ(i, 0u);
+    ran_on = std::this_thread::get_id();
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  ParallelFor(&pool, 0, [](std::size_t) { FAIL(); });
 }
 
 // ---------- ByteArena ----------

@@ -2,6 +2,7 @@
 // substitute for the paper's GUI front-end).
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <limits>
 #include <variant>
 #include <vector>
@@ -256,30 +257,30 @@ TEST(AggregationConfigTest, Scheduled) {
   auto doc = ParseIni(
       "[aggregation]\ntrigger = scheduled\nperiod_s = 120\nreject_stale = 1\n");
   ASSERT_TRUE(doc.ok());
-  auto config = LoadAggregation(*doc, 4096);
-  ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config->trigger, cloud::AggregationTrigger::kScheduled);
-  EXPECT_EQ(config->schedule_period, Seconds(120.0));
-  EXPECT_TRUE(config->reject_stale);
-  EXPECT_EQ(config->model_dim, 4096u);
+  core::FlExperimentConfig config;
+  ASSERT_TRUE(LoadAggregation(*doc, &config).ok());
+  EXPECT_EQ(config.trigger, cloud::AggregationTrigger::kScheduled);
+  EXPECT_EQ(config.schedule_period, Seconds(120.0));
+  EXPECT_TRUE(config.reject_stale);
 }
 
 TEST(AggregationConfigTest, SampleThreshold) {
   auto doc = ParseIni(
       "[aggregation]\ntrigger = sample_threshold\nthreshold = 5000\n");
   ASSERT_TRUE(doc.ok());
-  auto config = LoadAggregation(*doc, 16);
-  ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config->trigger, cloud::AggregationTrigger::kSampleThreshold);
-  EXPECT_EQ(config->sample_threshold, 5000u);
-  EXPECT_FALSE(config->reject_stale);
+  core::FlExperimentConfig config;
+  ASSERT_TRUE(LoadAggregation(*doc, &config).ok());
+  EXPECT_EQ(config.trigger, cloud::AggregationTrigger::kSampleThreshold);
+  EXPECT_EQ(config.sample_threshold, 5000u);
+  EXPECT_FALSE(config.reject_stale);
 }
 
 TEST(AggregationConfigTest, RejectsInvalid) {
   auto check = [](const std::string& body) {
     auto doc = ParseIni(body);
     EXPECT_TRUE(doc.ok());
-    return !LoadAggregation(*doc, 16).ok();
+    core::FlExperimentConfig config;
+    return !LoadAggregation(*doc, &config).ok();
   };
   EXPECT_TRUE(check("[aggregation]\ntrigger = magic\n"));
   EXPECT_TRUE(check("[aggregation]\ntrigger = scheduled\nperiod_s = 0\n"));
@@ -289,21 +290,39 @@ TEST(AggregationConfigTest, RejectsInvalid) {
 
 // ---------- Execution loading ----------
 
+// parallelism, decode_plane and aggregate_plane were knobs once; a spec
+// that still pins one (any value, even the old default) gets an error
+// naming the key instead of the silent ignore other unknown keys get. The
+// key is only a [execution] knob; elsewhere it stays an ignored unknown
+// key.
+void ExpectRemovedKeyRejected(const std::string& key,
+                              std::initializer_list<std::string> values) {
+  for (const std::string& value : values) {
+    auto doc =
+        ParseIni("[execution]\nshards = 2\n" + key + " = " + value + "\n");
+    ASSERT_TRUE(doc.ok());
+    auto config = LoadExecution(*doc);
+    ASSERT_FALSE(config.ok()) << key << " = " << value;
+    EXPECT_EQ(config.error().code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(config.error().message().find(key), std::string::npos)
+        << config.error().ToString();
+  }
+  auto elsewhere = ParseIni("[traffic]\n" + key + " = legacy\n");
+  ASSERT_TRUE(elsewhere.ok());
+  EXPECT_TRUE(LoadExecution(*elsewhere).ok());
+}
+
 TEST(ExecutionConfigTest, ParsesParallelism) {
-  auto doc = ParseIni("[execution]\nparallelism = 4\n");
-  ASSERT_TRUE(doc.ok());
-  auto config = LoadExecution(*doc);
-  ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config->parallelism, 4u);
-  EXPECT_EQ(config->shards, 1u);  // single fleet unless asked
+  // A spec runs as a tenant of a multi-tenant engine, which trains every
+  // tenant on its one pool, so no spec value sizes a pool.
+  ExpectRemovedKeyRejected("parallelism", {"0", "1", "4"});
 }
 
 TEST(ExecutionConfigTest, ParsesShards) {
-  auto doc = ParseIni("[execution]\nparallelism = 2\nshards = 8\n");
+  auto doc = ParseIni("[execution]\nshards = 8\n");
   ASSERT_TRUE(doc.ok());
   auto config = LoadExecution(*doc);
   ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config->parallelism, 2u);
   EXPECT_EQ(config->shards, 8u);
 
   auto alone = ParseIni("[execution]\nshards = 4\n");
@@ -340,61 +359,23 @@ TEST(ExecutionConfigTest, MissingSectionOrKeyYieldsDefaults) {
 }
 
 TEST(ExecutionConfigTest, RejectsInvalidParallelism) {
-  auto check = [](const std::string& body) {
-    auto doc = ParseIni(body);
-    EXPECT_TRUE(doc.ok());
-    return !LoadExecution(*doc).ok();
-  };
-  EXPECT_TRUE(check("[execution]\nparallelism = -2\n"));
-  EXPECT_TRUE(check("[execution]\nparallelism = lots\n"));
+  ExpectRemovedKeyRejected("parallelism", {"-2", "lots"});
 }
 
 TEST(ExecutionConfigTest, ParallelismAboveTheBoundIsRejected) {
-  // The engine builds a pool with exactly `parallelism` threads, so the
-  // loader caps the value. Only the spec is loaded here: no engine is ever
-  // built with such a width.
-  auto load = [](std::size_t parallelism) {
-    auto doc = ParseIni("[execution]\nparallelism = " +
-                        std::to_string(parallelism) + "\n");
-    EXPECT_TRUE(doc.ok());
-    return LoadExecution(*doc);
-  };
-  auto at_bound = load(kMaxParallelism);
-  ASSERT_TRUE(at_bound.ok()) << at_bound.error().ToString();
-  EXPECT_EQ(at_bound->parallelism, kMaxParallelism);
-  for (const std::size_t above : {kMaxParallelism + 1, std::size_t{1000000}}) {
-    auto config = load(above);
-    ASSERT_FALSE(config.ok()) << above;
-    EXPECT_EQ(config.error().code(), ErrorCode::kInvalidArgument) << above;
-  }
-}
-
-// decode_plane / aggregate_plane were knobs once; a spec that still pins
-// either (any value, even the old default) gets an error naming the key
-// instead of the silent ignore other unknown keys get. The key is only a
-// [execution] knob; elsewhere it stays an ignored unknown key.
-void ExpectRemovedPlaneKeyRejected(const std::string& key) {
-  for (const std::string value : {"legacy", "decoded", "partial_sum"}) {
-    auto doc =
-        ParseIni("[execution]\nshards = 2\n" + key + " = " + value + "\n");
-    ASSERT_TRUE(doc.ok());
-    auto config = LoadExecution(*doc);
-    ASSERT_FALSE(config.ok()) << key << " = " << value;
-    EXPECT_EQ(config.error().code(), ErrorCode::kInvalidArgument);
-    EXPECT_NE(config.error().message().find(key), std::string::npos)
-        << config.error().ToString();
-  }
-  auto elsewhere = ParseIni("[traffic]\n" + key + " = legacy\n");
-  ASSERT_TRUE(elsewhere.ok());
-  EXPECT_TRUE(LoadExecution(*elsewhere).ok());
+  // The removed key took no more than 1024 once; every value, at that
+  // bound or above it, is now refused by name.
+  ExpectRemovedKeyRejected("parallelism", {"1024", "1025", "1000000"});
 }
 
 TEST(ExecutionConfigTest, ParsesDecodePlane) {
-  ExpectRemovedPlaneKeyRejected("decode_plane");
+  ExpectRemovedKeyRejected("decode_plane",
+                           {"legacy", "decoded", "partial_sum"});
 }
 
 TEST(ExecutionConfigTest, ParsesAggregatePlane) {
-  ExpectRemovedPlaneKeyRejected("aggregate_plane");
+  ExpectRemovedKeyRejected("aggregate_plane",
+                           {"legacy", "decoded", "partial_sum"});
 }
 
 TEST(ExecutionConfigTest, ParsesPayloadCodec) {
@@ -411,7 +392,7 @@ TEST(ExecutionConfigTest, ParsesPayloadCodec) {
   EXPECT_EQ(int8_config->payload_codec, ml::PayloadCodec::kInt8);
 
   // Missing key keeps the bit-compatible fp32 default; junk is rejected.
-  auto missing = ParseIni("[execution]\nparallelism = 2\n");
+  auto missing = ParseIni("[execution]\nshards = 2\n");
   ASSERT_TRUE(missing.ok());
   auto missing_config = LoadExecution(*missing);
   ASSERT_TRUE(missing_config.ok());
@@ -474,7 +455,7 @@ TEST(ExecutionConfigTest, ParsesDurability) {
   EXPECT_EQ(off_config->durability.mode, persist::DurabilityMode::kOff);
 
   // Missing key keeps the zero-overhead default.
-  auto missing = ParseIni("[execution]\nparallelism = 2\n");
+  auto missing = ParseIni("[execution]\nshards = 2\n");
   ASSERT_TRUE(missing.ok());
   auto missing_config = LoadExecution(*missing);
   ASSERT_TRUE(missing_config.ok());
@@ -573,7 +554,6 @@ threshold = 400
 reject_stale = 1
 
 [execution]
-parallelism = 3
 shards = 2
 payload_codec = int8
 reclaim_payload_blobs = 1
@@ -630,7 +610,6 @@ TEST(TenantSpecTest, TwoSpecsYieldTwoDistinctPolicies) {
   EXPECT_EQ(fl.trigger, cloud::AggregationTrigger::kSampleThreshold);
   EXPECT_EQ(fl.sample_threshold, 400u);
   EXPECT_TRUE(fl.reject_stale);
-  EXPECT_EQ(fl.parallelism, 3u);
   EXPECT_EQ(fl.shards, 2u);
   EXPECT_EQ(fl.payload_codec, ml::PayloadCodec::kInt8);
   EXPECT_TRUE(fl.reclaim_payload_blobs);

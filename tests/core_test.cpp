@@ -6,6 +6,7 @@
 #include "core/fl_engine.h"
 #include "core/platform.h"
 #include "data/synth_avazu.h"
+#include "device/fleet.h"
 #include "flow/rate_functions.h"
 #include "golden_digest.h"
 
@@ -258,6 +259,35 @@ TEST(FlEngineTest, HybridMixMatchesPureWithinHalfPercent) {
 }
 
 // ---------- Platform ----------
+
+TEST(PlatformTest, RegistersTheDefaultClusterAndCountsItsPhones) {
+  PlatformConfig config;
+  config.seed = 7;
+  Platform platform(config);
+  const std::vector<device::PhoneSpec> cluster =
+      device::MakeDefaultCluster(config.seed);
+  ASSERT_EQ(cluster.size(), 30u);
+  EXPECT_EQ(platform.phone_mgr().TotalPhones(), cluster.size());
+  for (const device::PhoneSpec& want : cluster) {
+    const device::Phone* phone = platform.phone_mgr().FindPhone(want.id);
+    ASSERT_NE(phone, nullptr) << want.id.ToString();
+    const device::PhoneSpec& got = phone->spec();
+    EXPECT_EQ(got.grade, want.grade) << want.id.ToString();
+    EXPECT_EQ(got.remote_msp, want.remote_msp) << want.id.ToString();
+    EXPECT_EQ(got.model, want.model) << want.id.ToString();
+    EXPECT_EQ(got.memory_gb, want.memory_gb) << want.id.ToString();
+    EXPECT_EQ(got.cpu_freq_ghz, want.cpu_freq_ghz) << want.id.ToString();
+    EXPECT_EQ(got.has_npu, want.has_npu) << want.id.ToString();
+    EXPECT_EQ(got.seed, want.seed) << want.id.ToString();
+  }
+  const auto snapshot = platform.resources().Snapshot();
+  const std::size_t high = device::GradeIndex(device::DeviceGrade::kHigh);
+  const std::size_t low = device::GradeIndex(device::DeviceGrade::kLow);
+  EXPECT_EQ(snapshot.phones_total[high], 17u);
+  EXPECT_EQ(snapshot.phones_total[low], 13u);
+  EXPECT_EQ(snapshot.phones_free[high], 17u);
+  EXPECT_EQ(snapshot.phones_free[low], 13u);
+}
 
 TEST(PlatformTest, AssignsUniqueTaskIds) {
   Platform platform;

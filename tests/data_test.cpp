@@ -92,7 +92,7 @@ TEST(SynthAvazuTest, GlobalCtrNearTarget) {
   config.num_devices = 1000;
   config.distribution = LabelDistribution::kIid;
   const auto dataset = GenerateSyntheticAvazu(config);
-  EXPECT_NEAR(dataset.GlobalPositiveRate(), config.global_ctr, 0.03);
+  EXPECT_NEAR(dataset.GlobalPositiveRate(), kGlobalCtr, 0.03);
 }
 
 TEST(SynthAvazuTest, NaturalModeHasHeterogeneousCtr) {

@@ -143,7 +143,6 @@ TEST(PhoneTest, PidVisibleOnlyWhileApkAlive) {
   Phone phone(HighSpec(), clock);
   auto plan = TwoRoundPlan();
   plan.apk_launch_start = Seconds(10);
-  plan.process_name = "com.simdc.fltrain";
   phone.ScheduleRun(plan);
   EXPECT_FALSE(phone.PidOf("com.simdc.fltrain", Seconds(5)).has_value());
   EXPECT_EQ(phone.PidOf("com.simdc.fltrain", Seconds(20)), 4242);

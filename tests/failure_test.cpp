@@ -110,7 +110,8 @@ TEST_F(CrashTest, PgrepSeesRecoveryPid) {
     // (Walk via PlanCovering on a time inside the final plan.)
     const SimTime inside_last =
         last->apk_launch_start + Seconds(1.0);
-    auto pgrep = shell->ShellAt("pgrep -f " + last->process_name, inside_last);
+    auto pgrep = shell->ShellAt(std::string("pgrep -f ") + kTrainingProcess,
+                                inside_last);
     ASSERT_TRUE(pgrep.ok());
     return;  // one crashed phone is enough
   }

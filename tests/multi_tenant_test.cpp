@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -255,6 +256,67 @@ TEST(MultiTenantTest, WorkerPoolDoesNotChangeResults) {
       ExpectIdentical(sequential.results[i].result, pooled.results[i].result,
                       "pool width " + std::to_string(width));
     }
+  }
+}
+
+/// Threads of this process, as /proc/self/task lists them.
+std::size_t ThreadCount() {
+  std::size_t threads = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++threads;
+  }
+  return threads;
+}
+
+TEST(MultiTenantTest, TenantsTrainOnTheEnginePoolWhateverTheirParallelism) {
+  // A tenant whose parallelism differs from the engine pool's width must
+  // not build a private pool: every runtime lives until the engine does,
+  // so N such tenants would hold N private pools.
+  const auto dataset = Dataset();
+  struct Outcome {
+    std::vector<TenantResult> results;
+    std::size_t threads_before = 0;
+    std::size_t threads_after = 0;
+  };
+  auto run = [&](std::size_t parallelism) {
+    sim::EventLoop loop;
+    sched::ResourceManager resources(10000, {1000, 1000});
+    ThreadPool pool(2);
+    MultiTenantEngine engine(loop, resources, &pool);
+    for (std::uint64_t id = 1; id <= 4; ++id) {
+      TenantTask task = Tenant(id, 5, 10, dataset);
+      task.fl.parallelism = parallelism;
+      EXPECT_TRUE(engine.Submit(std::move(task)).ok());
+    }
+    Outcome outcome;
+    outcome.threads_before = ThreadCount();
+    outcome.results = engine.Run();
+    outcome.threads_after = ThreadCount();  // the engine is still alive
+    return outcome;
+  };
+  const Outcome inherited = run(0);
+  const Outcome asked = run(3);
+  // An exiting thread of an earlier pool may still be listed at the first
+  // read, never a new one at the second.
+  EXPECT_LE(asked.threads_after, asked.threads_before);
+  EXPECT_LE(inherited.threads_after, inherited.threads_before);
+  ASSERT_EQ(asked.results.size(), 4u);
+  ASSERT_EQ(inherited.results.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const TenantResult& a = asked.results[i];
+    const TenantResult& b = inherited.results[i];
+    const std::string context = "tenant " + b.id.ToString();
+    EXPECT_EQ(a.id, b.id) << context;
+    ASSERT_TRUE(a.completed) << context;
+    ASSERT_TRUE(b.completed) << context;
+    ExpectIdentical(b.result, a.result, context);
+    EXPECT_EQ(a.sla.rounds, b.sla.rounds) << context;
+    EXPECT_EQ(a.sla.admitted, b.sla.admitted) << context;
+    EXPECT_EQ(a.sla.completed, b.sla.completed) << context;
+    EXPECT_EQ(a.sla.round_latency_p50_s, b.sla.round_latency_p50_s)
+        << context;
   }
 }
 
